@@ -60,10 +60,6 @@ class DriveParams:
         return 2.0 * math.pi / self.omega
 
     @property
-    def is_rpl(self):
-        return self.G == 0
-
-    @property
     def is_rpc(self):
         return self.G == self.F
 

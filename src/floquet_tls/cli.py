@@ -91,8 +91,22 @@ def _csv_text(header, rows):
     return buf.getvalue()
 
 
+def _json_safe(obj):
+    """Copy of ``obj`` with non-finite floats replaced by None (JSON null)."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(v) for v in obj]
+    return obj
+
+
 def _json_text(payload):
-    return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    text = json.dumps(
+        _json_safe(payload), indent=2, sort_keys=True, ensure_ascii=False, allow_nan=False
+    )
+    return text + "\n"
 
 
 def _resolved_config(args, keys):
@@ -323,22 +337,22 @@ def _check_gradients(rng):
     delta = 1e-4
     for p in _random_nonresonant_points(rng, 5):
         sol = fourier_rpl.solve_auto(p, "phi1").normalized()
-        res = quasienergy.quasienergy_classical(sol.evaluate, p, method="fourier")
+        res = quasienergy.quasienergy_classical(sol, p, method="fourier")
 
         def eps_at(params):
             s = fourier_rpl.solve_auto(params, "phi1").normalized()
-            return quasienergy.quasienergy_classical(s.evaluate, params, method="fourier").epsilon
+            return quasienergy.quasienergy_classical(s, params, method="fourier").epsilon
 
         fd_w0 = (
             eps_at(DriveParams(p.omega0 + delta, p.F, 0.0, p.omega))
             - eps_at(DriveParams(p.omega0 - delta, p.F, 0.0, p.omega))
         ) / (2 * delta)
-        worst = max(worst, abs(fd_w0 - quasienergy.grad_omega0(sol.evaluate, p)))
+        worst = max(worst, abs(fd_w0 - quasienergy.grad_omega0(sol, p)))
         fd_f = (
             eps_at(DriveParams(p.omega0, p.F + delta, 0.0, p.omega))
             - eps_at(DriveParams(p.omega0, p.F - delta, 0.0, p.omega))
         ) / (2 * delta)
-        worst = max(worst, abs(fd_f - quasienergy.grad_f(sol.evaluate, p)))
+        worst = max(worst, abs(fd_f - quasienergy.grad_f(sol, p)))
         fd_w = (
             eps_at(DriveParams(p.omega0, p.F, 0.0, p.omega + delta))
             - eps_at(DriveParams(p.omega0, p.F, 0.0, p.omega - delta))
@@ -355,11 +369,11 @@ def _check_homogeneity(rng):
             scaled = quasienergy.quasienergy_at(p.scaled(lam), method="fourier").epsilon
             worst = max(worst, abs(scaled - lam * base) / lam)
         sol = fourier_rpl.solve_auto(p, "phi1").normalized()
-        res = quasienergy.quasienergy_classical(sol.evaluate, p, method="fourier")
+        res = quasienergy.quasienergy_classical(sol, p, method="fourier")
         grads = {
-            "omega0": quasienergy.grad_omega0(sol.evaluate, p),
-            "F": quasienergy.grad_f(sol.evaluate, p),
-            "G": quasienergy.grad_g(sol.evaluate, p),
+            "omega0": quasienergy.grad_omega0(sol, p),
+            "F": quasienergy.grad_f(sol, p),
+            "G": quasienergy.grad_g(sol, p),
             "omega": quasienergy.grad_omega(res),
         }
         worst = max(worst, quasienergy.euler_residual(p, grads, res.epsilon))
@@ -367,11 +381,24 @@ def _check_homogeneity(rng):
 
 
 def _check_split(rng):
+    """eps_g / omega against a central difference d(eps)/d(omega).
+
+    epsilon = eps_g + eps_d holds by construction, so the split is checked
+    through the derivative identity, with both neighbours continued onto
+    the branch of the centre point.
+    """
     worst = 0.0
+    rel = 1e-5
     for p in _random_nonresonant_points(rng, 4):
         res = quasienergy.quasienergy_at(p, method="fourier")
-        worst = max(worst, abs(res.epsilon - res.eps_g - res.eps_d))
-    return worst, 1e-8
+        eps = []
+        for sign in (1, -1):
+            q = DriveParams(p.omega0, p.F, p.G, p.omega * (1 + sign * rel))
+            near = quasienergy.quasienergy_at(q, method="fourier")
+            eps.append(quasienergy.continue_branch(near, res).epsilon)
+        slope = (eps[0] - eps[1]) / (2 * rel * p.omega)
+        worst = max(worst, abs(quasienergy.grad_omega(res) - slope))
+    return worst, 1e-6
 
 
 def _check_fourier_vs_ode(rng):

@@ -238,9 +238,29 @@ class RplFourierSolution:
 
     __call__ = evaluate
 
+    def sample(self, m):
+        """Bloch vectors at t_j = j T / m, j = 0..m-1, by one inverse FFT.
+
+        On the uniform grid harmonic n lands exactly in bin n mod m, so any
+        m >= 1 is valid, m < 2N included.
+        """
+        w = float(self.params.omega)
+        w0 = float(self.params.omega0)
+        x = np.asarray([float(v) for v in self.x])
+        n = np.arange(1, self.N + 1)
+        odd = n % 2 == 1
+        coeffs = np.zeros((3, self.N), dtype=complex)
+        coeffs[0, odd] = w0 * x[odd]
+        coeffs[1, odd] = -1j * (n[odd] * w * x[odd])
+        coeffs[2, ~odd] = x[~odd]
+        spec = np.zeros((3, m), dtype=complex)
+        np.add.at(spec, (slice(None), n % m), coeffs)
+        out = np.fft.ifft(spec, axis=-1).real * m
+        out[2] += float(self.z0)
+        return out.T
+
     def mean_norm(self, samples=256):
-        ts = np.arange(samples) * (self.params.T / samples)
-        norms = np.linalg.norm(self.evaluate(ts), axis=-1)
+        norms = np.linalg.norm(self.sample(samples), axis=-1)
         return norms.mean(), (norms.max() - norms.min())
 
     def normalized(self, samples=256):

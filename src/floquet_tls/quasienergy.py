@@ -15,9 +15,11 @@ enclosed by the orbit.
 
 Orbits are passed as vectorized callables t -> (..., 3); trajectories from
 the ODE route, truncated Fourier solutions and closed-form orbits all
-qualify.  Fourier averages are taken on uniform grids (spectrally accurate
-for smooth periodic integrands), with the grid doubled until the constant
-term settles.
+qualify.  An orbit that also has a method ``sample(m)``, such as a truncated
+Fourier solution, is sampled through it on the uniform grids (one inverse
+FFT in place of a harmonic sum per time).  Fourier averages are taken on
+uniform grids (spectrally accurate for smooth periodic integrands), with the
+grid doubled until the constant term settles.
 """
 
 import math
@@ -60,19 +62,6 @@ class TrigSeries:
         value = np.sin(ang) @ (self.cos_coeffs / nw) - np.cos(ang) @ (self.sin_coeffs / nw)
         # integration constant: vanish at t = 0
         return value + np.sum(self.sin_coeffs / nw)
-
-    def trimmed(self, rel=1e-14):
-        """Drop trailing harmonics below ``rel`` of the largest magnitude."""
-        mags = [abs(self.a0)]
-        if len(self.cos_coeffs):
-            mags += [np.abs(self.cos_coeffs).max(), np.abs(self.sin_coeffs).max()]
-        top = max(max(mags), 1e-300)
-        keep = (np.abs(self.cos_coeffs) > rel * top) | (np.abs(self.sin_coeffs) > rel * top)
-        idx = np.nonzero(keep)[0]
-        last = idx[-1] + 1 if idx.size else 0
-        return TrigSeries(
-            self.omega, self.a0, self.cos_coeffs[:last].copy(), self.sin_coeffs[:last].copy()
-        )
 
 
 @dataclass
@@ -141,10 +130,6 @@ class FloquetState:
     omega: float
     residual: float = 0.0  # max pointwise Schroedinger residual
 
-    def psi_samples(self):
-        """The full solution u(t) exp(-i eps t) on the sample grid."""
-        return self.u * np.exp(-1j * self.epsilon * self.times)[:, None]
-
 
 def _drive_omega(drive):
     return float(drive.omega)
@@ -152,7 +137,8 @@ def _drive_omega(drive):
 
 def _orbit_grid(orbit, period, m):
     ts = np.arange(m) * (period / m)
-    xs = np.asarray(orbit(ts), dtype=float)
+    sample = getattr(orbit, "sample", None)
+    xs = np.asarray(sample(m) if sample is not None else orbit(ts), dtype=float)
     if xs.shape != (m, 3):
         raise DomainError(f"orbit must map (m,) times to (m, 3) states, got {xs.shape}")
     return ts, xs
@@ -230,8 +216,11 @@ def quasienergy_classical(orbit, drive, method="ode", harmonics=64):
         _, eps_d = split_geometric_dynamic(orbit, drive)
         return QuasienergyResult.from_raw(series.a0, eps_d, _drive_omega(drive), method)
     except SouthPoleError:
-        def flipped(t):
-            return -np.asarray(orbit(t))
+        if hasattr(orbit, "antipode"):
+            flipped = orbit.antipode()
+        else:
+            def flipped(t):
+                return -np.asarray(orbit(t))
 
         series = chi_series(flipped, drive, harmonics=harmonics)
         _, eps_d = split_geometric_dynamic(flipped, drive)
@@ -322,7 +311,7 @@ def euler_residual(params, grads, epsilon):
 def _point_quasienergy(params, method, n_trunc, tol):
     if method == "fourier":
         sol = fourier_rpl.solve_auto(params, "phi1", start=n_trunc).normalized()
-        return quasienergy_classical(sol.evaluate, params, method="fourier")
+        return quasienergy_classical(sol, params, method="fourier")
     orbit = periodic_orbit(params, tol=tol)
     return quasienergy_classical(orbit, params, method="ode")
 

@@ -177,10 +177,6 @@ class TrigPoly:
             return True
         return max(float(m) for m in mags) <= tol
 
-    def max_harmonic(self):
-        ms = list(self.cos) + list(self.sin)
-        return max(ms) if ms else 0
-
 
 def _zero_series(k):
     return [TrigPoly() for _ in range(k + 1)]
@@ -496,15 +492,6 @@ class AdiabaticExpansion:
     eps0: float
     eps2: float = 0.0
     eps4: float = 0.0
-
-    def eps_asy(self, omega=None):
-        w = self.params.omega if omega is None else omega
-        total = self.eps0
-        if self.order >= 1:
-            total += self.eps2 * w * w
-        if self.order >= 2:
-            total += self.eps4 * w**4
-        return total
 
     def x0(self, t):
         p = self.params

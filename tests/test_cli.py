@@ -6,8 +6,9 @@ import math
 
 import numpy as np
 
-from floquet_tls import cli, fourier_rpl
+from floquet_tls import cli, fourier_rpl, quasienergy
 from floquet_tls.bloch_dynamics import DriveParams
+from floquet_tls.errors import DomainError
 from floquet_tls.exact_models import rpc_quasienergies
 
 
@@ -198,6 +199,44 @@ def test_validate_detects_injected_sign_error(tmp_path, monkeypatch):
     assert rc == 3
     payload = json.loads((tmp_path / "r.json").read_text())
     assert payload["all_passed"] is False
+
+
+def test_validate_split_detects_eps_d_error(tmp_path, monkeypatch):
+    """Mutation test: a 1e-4 relative error in eps_d must fail the split check."""
+    real_split = quasienergy.split_geometric_dynamic
+
+    def tampered(orbit, drive, grid=4096):
+        eps_g, eps_d = real_split(orbit, drive, grid)
+        return eps_g, eps_d * (1.0 + 1e-4)
+
+    monkeypatch.setattr(quasienergy, "split_geometric_dynamic", tampered)
+    rc = cli.main(["validate", "--only", "split", "-o", str(tmp_path / "r.json")])
+    assert rc == 3
+
+
+def _reject_constant(name):
+    raise ValueError(f"bare {name} is not JSON")
+
+
+def test_failed_sweep_point_is_json_null(tmp_path, monkeypatch):
+    real_at = quasienergy.quasienergy_at
+
+    def failing_at(params, **kwargs):
+        if params.omega == 2.0:
+            raise DomainError("injected failure")
+        return real_at(params, **kwargs)
+
+    monkeypatch.setattr(quasienergy, "quasienergy_at", failing_at)
+    args = ["quasienergy", "--omega0", "1", "--f", "0.5", "--omega-sweep", "1.0:3.0:21"]
+    out_json, out_csv = tmp_path / "sweep.json", tmp_path / "sweep.csv"
+    assert cli.main(args + ["--format", "json", "-o", str(out_json)]) == 0
+    assert cli.main(args + ["-o", str(out_csv)]) == 0
+    payload = json.loads(out_json.read_text(), parse_constant=_reject_constant)
+    failed = payload["rows"][10]
+    assert failed == [2.0, None, None, None, None, 0]
+    assert all(v is not None for row in payload["rows"][:10] for v in row)
+    # CSV keeps writing NaN for the failed row
+    assert out_csv.read_text().splitlines()[11] == "2,NaN,NaN,NaN,NaN,0"
 
 
 def test_threads_flag(tmp_path):

@@ -16,6 +16,7 @@ from floquet_tls.fourier_rpl import (
     solve_auto,
     solve_coefficients,
 )
+from floquet_tls.quasienergy import quasienergy_classical
 
 
 def rpl(omega0, F, omega):
@@ -222,3 +223,47 @@ def test_y_determined_by_x_derivative():
     dt = 1e-7
     dx = (sol.evaluate(ts + dt)[:, 0] - sol.evaluate(ts - dt)[:, 0]) / (2 * dt)
     assert np.abs(dx + p.omega0 * sol.evaluate(ts)[:, 1]).max() < 1e-6
+
+
+@pytest.mark.parametrize(
+    "omega0, F, omega, n_trunc", [(1.0, 0.8, 1.7, 20), (1.0, 20.0, 0.05, 404)]
+)
+def test_sample_matches_evaluate_on_uniform_grid(omega0, F, omega, n_trunc):
+    p = rpl(omega0, F, omega)
+    sol = solve_auto(p, "phi1", start=n_trunc).normalized()
+    assert sol.N == n_trunc
+    # m = 256 < 2N at N = 404: harmonics fold onto bins n mod m
+    for m in (256, 1024, 4096, 65536):
+        ref = sol.evaluate(np.arange(m) * (p.T / m))
+        got = sol.sample(m)
+        assert got.shape == (m, 3)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_sample_of_antipode_is_exact_negation():
+    sol = solve_auto(rpl(1.0, 1.2, 0.9), "phi1").normalized()
+    for m in (7, 256, 2048):
+        assert np.array_equal(sol.antipode().sample(m), -sol.sample(m))
+
+
+def test_sample_exact_coefficients():
+    p = rpl(Q(1), Q(1, 2), Q(2))
+    sol = solve_coefficients(build_system(p, 8, exact=True), "phi1")
+    ref = sol.evaluate(np.arange(64) * (p.T / 64))
+    assert np.abs(sol.sample(64) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize(
+    "F, omega, flip", [(0.8, 1.7, False), (4.0, 0.2, False), (1e-4, 1.7, True)]
+)
+def test_quasienergy_same_through_sample_and_evaluate(F, omega, flip):
+    # the antipode of a weak-drive orbit hugs the south pole, so with
+    # flip both calls take the antipodal retry
+    p = rpl(1.0, F, omega)
+    sol = solve_auto(p, "phi1").normalized()
+    if flip:
+        sol = sol.antipode()
+    via_sample = quasienergy_classical(sol, p, method="fourier")
+    via_evaluate = quasienergy_classical(sol.evaluate, p, method="fourier")
+    assert abs(via_sample.epsilon - via_evaluate.epsilon) <= 1e-12
+    assert abs(via_sample.eps_d - via_evaluate.eps_d) <= 1e-12
