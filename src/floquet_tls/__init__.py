@@ -6,11 +6,13 @@ exact-rational Bloch-Siegert shift coefficients for the Rabi problems with
 linear, elliptic and circular polarization, cross-validated by independent
 computational routes (time-domain ODE, frequency-domain tridiagonal solve,
 closed forms, asymptotic series).
+
+The command line lives in :mod:`floquet_tls.cli` (``python -m floquet_tls``);
+it is not imported with the package.
 """
 
 from . import (
     bloch_dynamics,
-    cli,
     exact_models,
     fourier_rpl,
     quasienergy,
@@ -32,7 +34,6 @@ from .errors import (
 
 __all__ = [
     "bloch_dynamics",
-    "cli",
     "exact_models",
     "fourier_rpl",
     "quasienergy",

@@ -4,17 +4,27 @@ Integrates the classical equation of motion dX/dt = h(t) x X on the Bloch
 sphere and the Schroedinger equation i dpsi/dt = (h . s) psi over one drive
 period, and extracts monodromy matrices, periodic initial conditions and
 quasienergies from them.
+
+Periodic orbits are computed in batches over a frequency grid: in s = omega t
+every point has period 2 pi, so one DOP853 run integrates the monodromies of
+up to BATCH_SIZE points side by side and a second run their periodic orbits
+(:func:`periodic_orbits`).  A single point is a batch of one.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import DegenerateMonodromyError, DomainError, IntegrationError
+from .errors import DegenerateMonodromyError, DomainError, FloquetTlsError, IntegrationError
 
 DEFAULT_TOL = 1e-12
+
+# points per batched integration; bounds the dense-output memory of a sweep
+# and the tolerance factor sqrt(BATCH_SIZE) of its error control
+BATCH_SIZE = 16
 
 # eigenvalue-1 eigenspace counts as degenerate below this rotation angle
 DEGENERACY_ANGLE = 1e-7
@@ -58,10 +68,6 @@ class DriveParams:
     def T(self):
         """Drive period 2 pi / omega."""
         return 2.0 * math.pi / self.omega
-
-    @property
-    def is_rpc(self):
-        return self.G == self.F
 
     def scaled(self, lam):
         """Parameters under (omega0, F, G, omega) -> lam * (...)."""
@@ -116,12 +122,63 @@ class Trajectory:
         return y.T.reshape(t.shape + (3,))
 
 
+@dataclass
+class PeriodicOrbit(Trajectory):
+    """Periodic orbit integrated as one member of a batch.
+
+    ``sol`` maps times to this member's states; ``sample(m)`` gives the
+    states on the uniform grid t_j = j T / m from the batch's shared grid.
+    """
+
+    batch: object = field(repr=False, default=None)
+    index: int = 0
+
+    def sample(self, m):
+        """Bloch vectors (m, 3) at t_j = j T / m, j = 0..m-1."""
+        return self.batch.sample(m)[:, self.index].T
+
+
+class _OrbitBatch:
+    """Dense output of a batch of orbits over s = omega t in [s0, s0 + 2 pi].
+
+    Component c of member k is row c * size + k of the solution.  The grid
+    t_j = j T / m is s_j = 2 pi j / m for every member, so a grid is
+    evaluated once for the whole batch.  The largest grid so far is kept and
+    a grid size dividing it takes a stride of it; for a power-of-two stride
+    the strided s_j are bit-identical to those of a direct evaluation.
+    """
+
+    def __init__(self, sol, omegas, s0):
+        self.sol = sol
+        self.omegas = omegas
+        self.s0 = s0
+        self._grid = None
+
+    def at(self, k, t):
+        """States (3, n) of member k at the times t (n,)."""
+        return self.sol(self.omegas[k] * t).reshape(3, len(self.omegas), -1)[:, k]
+
+    def sample(self, m):
+        """States (3, size, m) of every member at s_j = 2 pi j / m."""
+        cached = self._grid
+        if cached is not None and cached.shape[-1] % m == 0:
+            return cached[..., :: cached.shape[-1] // m]
+        s = np.arange(m) * (2.0 * math.pi / m)
+        if self.s0:
+            # the orbits are periodic: fold the grid into the integrated period
+            s = self.s0 + np.mod(s - self.s0, 2.0 * math.pi)
+        grid = self.sol(s).reshape(3, len(self.omegas), m)
+        if cached is None or m > cached.shape[-1]:
+            self._grid = grid
+        return grid
+
+
 def _check_tol(tol):
     if not (1e-14 <= tol <= 1e-6):
         raise DomainError(f"tolerance must lie in [1e-14, 1e-6], got {tol}")
 
 
-def _integrate(rhs, t_span, y0, tol):
+def _integrate(rhs, t_span, y0, tol, dense_output=True):
     res = solve_ivp(
         rhs,
         t_span,
@@ -129,7 +186,7 @@ def _integrate(rhs, t_span, y0, tol):
         method="DOP853",
         rtol=tol,
         atol=tol,
-        dense_output=True,
+        dense_output=dense_output,
     )
     if not res.success:
         raise IntegrationError(f"integration failed: {res.message}")
@@ -217,6 +274,11 @@ def periodic_initial_state(m):
             f"rotation angle {rho:.3e} below {DEGENERACY_ANGLE:.0e}; "
             "eigenvalue-1 space is not one-dimensional"
         )
+    return _rotation_axis(m)
+
+
+def _rotation_axis(m):
+    """Unit rotation axis of m, signed so that z >= 0 (ties: x >= 0, then y >= 0)."""
     # (M + M^T)/2 = cos(rho) 1 + (1-cos rho) n n^T: the axis is the top
     # eigenvector, well conditioned for rho near pi as well
     w, v = np.linalg.eigh(0.5 * (m + m.T))
@@ -269,19 +331,134 @@ def adjoint_rotation(u):
 def periodic_orbit(params, tol=DEFAULT_TOL, t0=0.0):
     """Periodic classical solution through the monodromy fixed point.
 
-    Returns a Trajectory spanning [t0, t0 + T] whose initial state is the
-    eigenvalue-1 eigenvector of the one-period propagator.  For circular
-    polarization the fixed point (F, 0, omega0 - omega)/Omega is known in
-    closed form and used directly; this keeps the isolated points where
-    the monodromy degenerates to the identity (Omega T multiple of 2 pi)
-    usable.
+    Returns a PeriodicOrbit spanning [t0, t0 + T] whose initial state is the
+    eigenvalue-1 eigenvector of the one-period propagator: a batch of one
+    of :func:`periodic_orbits`, so a single point and a sweep share one
+    integrator.
     """
-    if params.is_rpc and params.F > 0 and t0 == 0.0:
-        x0 = np.array([params.F, 0.0, params.omega0 - params.omega])
-        x0 /= np.linalg.norm(x0)
-        if x0[2] < -1e-9:
-            x0 = -x0
+    _check_tol(tol)
+    (orbit,) = _orbit_batch(
+        params.omega0, params.F, params.G, [params.omega], tol, s0=params.omega * t0
+    )
+    if isinstance(orbit, FloquetTlsError):
+        raise orbit
+    return orbit
+
+
+def periodic_orbits(omega0, F, G, omegas, tol=DEFAULT_TOL):
+    """Periodic orbits of h = (F cos wt, G sin wt, omega0) for every w in omegas.
+
+    In s = w t every point has period 2 pi, so the points are integrated
+    together in batches of at most BATCH_SIZE: one DOP853 run for the
+    monodromies, then the fixed points one by one, then one run with dense
+    output for the orbits.  scipy controls the RMS error over all
+    components, so a batch of g points runs at tol / sqrt(g), and no point's
+    error bound is looser than it is alone.  For circular polarization the
+    fixed point (F, 0, omega0 - w)/Omega is known in closed form and used
+    directly; this keeps the isolated points where the monodromy
+    degenerates to the identity (Omega T multiple of 2 pi) usable.
+
+    Returns an iterator that yields, in the order of omegas, each point's
+    PeriodicOrbit or the FloquetTlsError raised for that point.  Batches
+    are integrated as they are reached, so a consumer that does not keep
+    the orbits holds one batch at a time.  A batch whose run fails is
+    integrated again point by point, so that one bad point does not fail
+    its neighbours.
+    """
+    _check_tol(tol)
+    return _batched_orbits(omega0, F, G, [float(w) for w in omegas], tol)
+
+
+def _batched_orbits(omega0, F, G, omegas, tol):
+    for start in range(0, len(omegas), BATCH_SIZE):
+        chunk = omegas[start : start + BATCH_SIZE]
+        slots = [None] * len(chunk)
+        valid = []
+        for j, omega in enumerate(chunk):
+            try:
+                DriveParams(omega0, F, G, omega)
+            except DomainError as exc:
+                slots[j] = exc
+            else:
+                valid.append(j)
+        found = _orbits_or_errors(omega0, F, G, [chunk[j] for j in valid], tol) if valid else []
+        for j, orbit in zip(valid, found):
+            slots[j] = orbit
+        yield from slots
+
+
+def _orbits_or_errors(omega0, F, G, omegas, tol):
+    """_orbit_batch, with a failed run of several points retried point by point."""
+    try:
+        return _orbit_batch(omega0, F, G, omegas, tol)
+    except IntegrationError as exc:
+        if len(omegas) == 1:
+            return [exc]
+        return [r for w in omegas for r in _orbits_or_errors(omega0, F, G, [w], tol)]
+
+
+def _cross_rhs(fw, gw, w0w):
+    """d/ds of the columns x of a (3, n) array: a x x, a = (fw cos s, gw sin s, w0w)."""
+
+    def rhs(s, y):
+        x = y.reshape(3, -1)
+        a0 = fw * math.cos(s)
+        a1 = gw * math.sin(s)
+        out = np.empty_like(x)
+        out[0] = a1 * x[2] - w0w * x[1]
+        out[1] = w0w * x[0] - a0 * x[2]
+        out[2] = a0 * x[1] - a1 * x[0]
+        return out.reshape(-1)
+
+    return rhs
+
+
+def _orbit_batch(omega0, F, G, omegas, tol, s0=0.0):
+    """Periodic orbits of one batch over s in [s0, s0 + 2 pi].
+
+    Entry k is the PeriodicOrbit at omegas[k], or the FloquetTlsError its
+    fixed point raised.  Raises IntegrationError when a run fails.
+    """
+    omegas = np.asarray(omegas, dtype=float)
+    size = len(omegas)
+    scaled_tol = tol / math.sqrt(size)
+    span = (s0, s0 + 2.0 * math.pi)
+    fw, gw, w0w = F / omegas, G / omegas, omega0 / omegas
+    errors = [None] * size
+    if G == F and F > 0 and s0 == 0.0:
+        x0 = np.stack([np.full(size, F), np.zeros(size), omega0 - omegas])
+        x0 /= np.linalg.norm(x0, axis=0)
+        x0[:, x0[2] < -1e-9] *= -1.0
     else:
-        m = monodromy_so3(params, tol=tol, t0=t0)
-        x0 = periodic_initial_state(m)
-    return evolve_classical(params, x0, t0, t0 + params.T, tol=tol)
+        # column j * size + k is column j of the monodromy of point k
+        rhs = _cross_rhs(np.tile(fw, 3), np.tile(gw, 3), np.tile(w0w, 3))
+        y0 = np.repeat(np.eye(3), size, axis=1)
+        res = _integrate(rhs, span, y0.ravel(), scaled_tol, dense_output=False)
+        mono = res.y[:, -1].reshape(3, 3, size)
+        x0 = np.empty((3, size))
+        for k in range(size):
+            try:
+                x0[:, k] = periodic_initial_state(mono[:, :, k])
+            except FloquetTlsError as exc:
+                errors[k] = exc
+                # integrated all the same, so that the step sequence of the
+                # other points does not depend on this point failing
+                x0[:, k] = _rotation_axis(mono[:, :, k])
+    res = _integrate(_cross_rhs(fw, gw, w0w), span, x0.ravel(), scaled_tol)
+    batch = _OrbitBatch(res.sol, omegas, s0)
+    states = res.y.reshape(3, size, -1)
+    out = []
+    for k, omega in enumerate(omegas):
+        if errors[k] is not None:
+            out.append(errors[k])
+            continue
+        orbit = PeriodicOrbit(
+            times=res.t / omega,
+            states=states[:, k].T,
+            period=2.0 * math.pi / omega,
+            sol=functools.partial(batch.at, k),
+            batch=batch,
+            index=k,
+        )
+        out.append(orbit)
+    return out

@@ -13,9 +13,7 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -60,18 +58,6 @@ def _parse_sweep(text):
     if count < 2:
         raise _UsageExit("sweep count must be at least 2")
     return start, stop, count
-
-
-def _threads(args):
-    if getattr(args, "threads", None):
-        return max(1, args.threads)
-    env = os.environ.get("FLOQUET_TLS_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
 
 
 def _write_text(path, text):
@@ -133,22 +119,24 @@ def _emit(args, header, rows, payload_extra, config_keys):
 
 def cmd_solve(args):
     params = DriveParams(omega0=args.omega0, F=args.f, G=args.g, omega=args.omega)
-    ts = np.arange(args.samples) * (params.T / args.samples)
+    m = args.samples
+    if m < 1:
+        raise _UsageExit(f"--samples must be positive, got {m}")
+    ts = np.arange(m) * (params.T / m)
     harmonics = None
     if args.method == "fourier":
         sol = fourier_rpl.solve_auto(params, "phi1", start=args.n_trunc).normalized()
-        states = sol.evaluate(ts)
+        states = sol.sample(m)
         harmonics = {"z0": sol.z0, "x": [float(v) for v in sol.x]}
     else:
-        traj = periodic_orbit(params, tol=args.tol)
-        states = traj(ts)
+        states = periodic_orbit(params, tol=args.tol).sample(m)
     rows = []
     compare_dev = None
     if args.compare:
         if args.method == "fourier":
-            other = periodic_orbit(params, tol=args.tol)(ts)
+            other = periodic_orbit(params, tol=args.tol).sample(m)
         else:
-            other = fourier_rpl.solve_auto(params, "phi1", start=args.n_trunc).normalized().evaluate(ts)
+            other = fourier_rpl.solve_auto(params, "phi1", start=args.n_trunc).normalized().sample(m)
         if float(np.dot(states[0], other[0])) < 0:
             other = -other
         compare_dev = float(np.abs(states - other).max())
@@ -179,39 +167,21 @@ def cmd_quasienergy(args):
     params_base = DriveParams(omega0=args.omega0, F=args.f, G=args.g, omega=1.0)
     start, stop, count = _parse_sweep(args.omega_sweep)
     grid = np.linspace(start, stop, count)
-    method = args.method
-    if method == "auto":
-        method = "fourier" if args.g == 0 else "ode"
 
-    def compute(omega):
-        p = DriveParams(args.omega0, args.f, args.g, float(omega))
-        try:
-            return quasienergy.quasienergy_at(p, method=method, n_trunc=args.n_trunc, tol=args.tol)
-        except FloquetTlsError as exc:
-            print(f"omega={omega:g}: {exc}", file=sys.stderr)
-            return None
+    def report(omega, exc):
+        print(f"omega={omega:g}: {exc}", file=sys.stderr)
 
-    nthreads = _threads(args)
-    if nthreads > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            points = list(pool.map(compute, grid))
-    else:
-        points = [compute(w) for w in grid]
-
+    points = quasienergy.sweep_branches(
+        params_base, grid, method=args.method, n_trunc=args.n_trunc, tol=args.tol, on_error=report
+    )
     rows = []
-    prev = None
-    failures = 0
     for omega, point in zip(grid, points):
         if point is None:
-            failures += 1
             rows.append([float(omega)] + [float("nan")] * 4 + [0])
-            continue
-        if prev is not None:
-            point = quasienergy.continue_branch(point, prev)
-        prev = point
-        rows.append(
-            [float(omega), point.epsilon, point.epsilon_mod, point.eps_g, point.eps_d, point.branch]
-        )
+        else:
+            rows.append(
+                [float(omega), point.epsilon, point.epsilon_mod, point.eps_g, point.eps_d, point.branch]
+            )
     _emit(
         args,
         ["omega", "epsilon", "epsilon_mod", "eps_g", "eps_d", "branch"],
@@ -219,7 +189,7 @@ def cmd_quasienergy(args):
         {},
         ["omega0", "f", "g", "omega_sweep", "method", "n_trunc", "tol", "threads", "seed"],
     )
-    return 0 if failures <= 0.05 * len(grid) else 2
+    return 0 if points.count(None) <= 0.05 * len(grid) else 2
 
 
 # ---------------------------------------------------------------------------
@@ -234,19 +204,9 @@ def cmd_resonance(args):
     else:
         grid = np.linspace(start, stop, count)
 
-    def curve(n):
-        return resonance.resonance_curve(n, grid, omega0=args.omega0, n_trunc=args.n_trunc)
-
-    nthreads = _threads(args)
-    if nthreads > 1:
-        with ThreadPoolExecutor(max_workers=min(nthreads, len(n_list))) as pool:
-            curves = list(pool.map(curve, n_list))
-    else:
-        curves = [curve(n) for n in n_list]
-
     rows = []
-    for n, pts in zip(n_list, curves):
-        for pt in pts:
+    for n in n_list:
+        for pt in resonance.resonance_curve(n, grid, omega0=args.omega0, n_trunc=args.n_trunc):
             p = DriveParams(omega0=args.omega0, F=pt.F, G=0.0, omega=pt.omega_res)
             tri = resonance.to_triangle(p)
             rows.append([n, pt.F, pt.omega_res, pt.residual, tri.x, tri.y])
@@ -475,7 +435,9 @@ def cmd_validate(args):
 def _add_common(sub, output_default="-"):
     sub.add_argument("--output", "-o", default=output_default, help="output path, - for stdout")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--threads", type=int, default=None)
+    sub.add_argument(
+        "--threads", type=int, default=None, help="accepted for compatibility; has no effect"
+    )
     sub.add_argument("--seed", type=int, default=0)
 
 

@@ -16,10 +16,16 @@ enclosed by the orbit.
 Orbits are passed as vectorized callables t -> (..., 3); trajectories from
 the ODE route, truncated Fourier solutions and closed-form orbits all
 qualify.  An orbit that also has a method ``sample(m)``, such as a truncated
-Fourier solution, is sampled through it on the uniform grids (one inverse
-FFT in place of a harmonic sum per time).  Fourier averages are taken on
-uniform grids (spectrally accurate for smooth periodic integrands), with the
-grid doubled until the constant term settles.
+Fourier solution (one inverse FFT in place of a harmonic sum per time) or a
+periodic orbit of the ODE route (a grid shared by its batch), is sampled
+through it on the uniform grids.  Fourier averages are taken on uniform
+grids (spectrally accurate for smooth periodic integrands), with the grid
+doubled until the constant term settles.
+
+Sweeps (:func:`sweep_branches`) on the ODE route integrate their periodic
+orbits in batches in s = omega t (:func:`bloch_dynamics.periodic_orbits`);
+a point that fails is reported on its own and leaves the other points'
+values unchanged.
 """
 
 import math
@@ -28,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch_dynamics import DriveParams, periodic_orbit
+from .bloch_dynamics import DriveParams, periodic_orbit, periodic_orbits
 from . import fourier_rpl
-from .errors import ContinuityWarning, DomainError, SouthPoleError
+from .errors import ContinuityWarning, DomainError, FloquetTlsError, SouthPoleError
 
 _SOUTH_POLE_MARGIN = 1e-6
 _A0_SETTLE = 1e-10
@@ -332,24 +338,63 @@ def quasienergy_at(params, method="auto", n_trunc=20, tol=1e-12):
     return _point_quasienergy(params, method, n_trunc, tol)
 
 
-def sweep_branches(params_base, omega_grid, method="auto", n_trunc=20, tol=1e-12):
+def sweep_branches(
+    params_base, omega_grid, method="auto", n_trunc=20, tol=1e-12, on_error=None
+):
     """Quasienergies along an omega sweep, continued into smooth branches.
 
-    Each point is computed independently; the reported branch is chosen
-    from the candidates {eps_mod + k w} and {-eps_mod + k w}, k = -2..2,
-    nearest to the previous point (minimal jump).  A ContinuityWarning is
-    issued when the smallest jump exceeds omega/4.
+    On the ODE route the periodic orbits of the whole grid are integrated in
+    batches in s = omega t (:func:`bloch_dynamics.periodic_orbits`); on the
+    Fourier route each point is solved by :func:`quasienergy_at`.  The
+    reported branch is chosen from the candidates {eps_mod + k w} and
+    {-eps_mod + k w}, k = -2..2, nearest to the previous point (minimal
+    jump).  A ContinuityWarning is issued when the smallest jump exceeds
+    omega/4.
+
+    Failures are reported per point.  With ``on_error``, a point that
+    raises a FloquetTlsError is None in the returned list,
+    ``on_error(omega, exc)`` is called for it in grid order, and the
+    continuation goes on from the last point that succeeded.  Without it
+    the first such error is raised.
     """
+    if method == "auto":
+        method = "fourier" if params_base.G == 0 else "ode"
+    omegas = [float(w) for w in omega_grid]
     results = []
     prev = None
-    for omega in omega_grid:
-        params = DriveParams(params_base.omega0, params_base.F, params_base.G, float(omega))
-        point = quasienergy_at(params, method=method, n_trunc=n_trunc, tol=tol)
+    for omega, point in zip(omegas, _sweep_points(params_base, omegas, method, n_trunc, tol)):
+        if isinstance(point, FloquetTlsError):
+            if on_error is None:
+                raise point
+            on_error(omega, point)
+            results.append(None)
+            continue
         if prev is not None:
             point = continue_branch(point, prev)
         results.append(point)
         prev = point
     return results
+
+
+def _sweep_points(base, omegas, method, n_trunc, tol):
+    """Each point's QuasienergyResult or FloquetTlsError, in grid order."""
+    if method == "ode":
+        orbits = periodic_orbits(base.omega0, base.F, base.G, omegas, tol=tol)
+    else:
+        orbits = [None] * len(omegas)  # solved point by point below
+    for omega, orbit in zip(omegas, orbits):
+        if isinstance(orbit, FloquetTlsError):
+            yield orbit
+            continue
+        try:
+            params = DriveParams(base.omega0, base.F, base.G, omega)
+            if orbit is None:
+                point = quasienergy_at(params, method=method, n_trunc=n_trunc, tol=tol)
+            else:
+                point = quasienergy_classical(orbit, params, method="ode")
+        except FloquetTlsError as exc:
+            point = exc
+        yield point
 
 
 def continue_branch(point, prev):

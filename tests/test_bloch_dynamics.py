@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from floquet_tls import bloch_dynamics
 from floquet_tls.bloch_dynamics import (
+    BATCH_SIZE,
     DriveParams,
     adjoint_rotation,
     evolve_classical,
@@ -14,10 +16,12 @@ from floquet_tls.bloch_dynamics import (
     monodromy_su2,
     periodic_initial_state,
     periodic_orbit,
+    periodic_orbits,
     quasienergy_from_monodromy,
     so3_angle,
 )
-from floquet_tls.errors import DegenerateMonodromyError, DomainError
+from floquet_tls.errors import DegenerateMonodromyError, DomainError, IntegrationError
+from floquet_tls.quasienergy import sweep_branches
 
 
 def rpc_params(omega0=1.0, F=0.5, omega=1.0):
@@ -193,3 +197,107 @@ def test_quasienergy_t0_invariance():
 def test_quasienergy_from_monodromy_shape_check():
     with pytest.raises(DomainError):
         quasienergy_from_monodromy(np.eye(4), 1.0)
+
+
+@pytest.mark.parametrize(
+    "F, G, grid",
+    [
+        (0.5, 0.0, np.linspace(1.35, 2.5, 5)),
+        (0.5, 0.3, np.linspace(0.4, 2.0, BATCH_SIZE + 2)),  # crosses a batch boundary
+        (0.5, 0.5, np.linspace(0.6, 1.8, 5)),
+    ],
+)
+def test_periodic_orbits_match_single_point_integration(F, G, grid):
+    orbits = list(periodic_orbits(1.0, F, G, grid))
+    assert len(orbits) == len(grid)
+    for omega, orbit in zip(grid, orbits):
+        p = DriveParams(1.0, F, G, float(omega))
+        # the reference runs at a tighter tolerance than the batch: at the
+        # default 1e-12 a lone orbit is itself off by up to 2e-10
+        x0 = periodic_initial_state(monodromy_so3(p, tol=1e-13))
+        ref = evolve_classical(p, x0, 0.0, p.T, tol=1e-13)
+        ts = np.linspace(0.0, p.T, 101)
+        assert orbit.period == p.T
+        assert np.abs(orbit(ts) - ref(ts)).max() < 1e-10
+
+
+def test_batched_orbits_are_no_less_accurate_than_lone_ones():
+    # scipy controls the RMS error over the batch, so without the
+    # tolerance factor 1/sqrt(g) the points that set the step size (the
+    # lowest omegas) come out about twice as far off as when run alone
+    grid = np.linspace(0.3, 2.0, BATCH_SIZE)
+    orbits = list(periodic_orbits(1.0, 0.5, 0.3, grid))
+    for omega, orbit in zip(grid[:4], orbits):
+        p = DriveParams(1.0, 0.5, 0.3, float(omega))
+        x0 = periodic_initial_state(monodromy_so3(p, tol=3e-14))
+        ref = evolve_classical(p, x0, 0.0, p.T, tol=3e-14)
+        ts = np.linspace(0.0, p.T, 101)
+        lone = np.abs(periodic_orbit(p)(ts) - ref(ts)).max()
+        assert np.abs(orbit(ts) - ref(ts)).max() <= lone
+
+
+def test_periodic_orbit_sample_matches_call():
+    grid = np.linspace(0.5, 1.7, 3)
+    orbits = list(periodic_orbits(1.0, 0.8, 0.3, grid))
+    first = orbits[0].sample(1024).copy()  # evaluated directly
+    for orbit in orbits:
+        # 4096 replaces the cached grid, 1024 and 2048 stride it, 1000 does
+        # not divide it
+        for m in (1024, 4096, 2048, 1000):
+            ts = np.arange(m) * (orbit.period / m)
+            got = orbit.sample(m)
+            assert got.shape == (m, 3)
+            assert np.abs(got - orbit(ts)).max() < 1e-12
+    # a power-of-two stride of the cached grid is bit-identical to a direct
+    # evaluation, so results do not depend on which member sampled first
+    assert np.array_equal(orbits[0].sample(1024), first)
+
+
+def test_periodic_orbit_is_a_batch_of_one():
+    p = DriveParams(1.0, 0.7, 0.2, 1.9)
+    (member,) = periodic_orbits(p.omega0, p.F, p.G, [p.omega])
+    ts = np.linspace(0.0, p.T, 50)
+    assert np.array_equal(periodic_orbit(p)(ts), member(ts))
+
+
+def test_periodic_orbit_from_later_start_samples_the_same_orbit():
+    p = DriveParams(1.0, 0.7, 0.2, 1.9)
+    late = periodic_orbit(p, t0=0.7)
+    assert late.times[0] == pytest.approx(0.7) and late.times[-1] == pytest.approx(0.7 + p.T)
+    xs, ref = late.sample(256), periodic_orbit(p).sample(256)
+    if np.dot(xs[0], ref[0]) < 0:
+        xs = -xs  # the fixed point is signed at t0, not at 0
+    assert np.abs(xs - ref).max() < 1e-9
+
+
+def test_periodic_orbits_report_failures_per_point(monkeypatch):
+    grid = [0.6, 0.9, 1.2, -1.0, 1.5]
+    real_batch = bloch_dynamics._orbit_batch
+
+    def failing_batch(omega0, F, G, omegas, tol, s0=0.0):
+        if 1.2 in omegas:
+            raise IntegrationError("injected failure")
+        return real_batch(omega0, F, G, omegas, tol, s0)
+
+    monkeypatch.setattr(bloch_dynamics, "_orbit_batch", failing_batch)
+    orbits = list(periodic_orbits(1.0, 0.5, 0.3, grid))
+    assert isinstance(orbits[2], IntegrationError)
+    assert isinstance(orbits[3], DomainError)  # omega must be positive
+    for i in (0, 1, 4):
+        p = DriveParams(1.0, 0.5, 0.3, grid[i])
+        ts = np.linspace(0.0, p.T, 50)
+        # rerun alone, after the batch failed
+        assert np.array_equal(orbits[i](ts), periodic_orbit(p)(ts))
+
+
+def test_elliptic_sweep_matches_su2_eigenphase():
+    base = DriveParams(1.0, 0.8, 0.3, 1.0)
+    grid = np.linspace(0.5, 2.2, 20)
+    for omega, res in zip(grid, sweep_branches(base, grid, method="ode")):
+        p = DriveParams(1.0, 0.8, 0.3, float(omega))
+        eps = quasienergy_from_monodromy(monodromy_su2(p), p.T)
+        dist = min(
+            min(d, p.omega - d)
+            for d in ((res.epsilon - eps) % p.omega, (res.epsilon + eps) % p.omega)
+        )
+        assert dist < 1e-9

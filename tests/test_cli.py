@@ -3,12 +3,18 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
-from floquet_tls import cli, fourier_rpl, quasienergy
-from floquet_tls.bloch_dynamics import DriveParams
-from floquet_tls.errors import DomainError
+import floquet_tls
+from floquet_tls import bloch_dynamics, cli, fourier_rpl, quasienergy
+from floquet_tls.bloch_dynamics import DriveParams, periodic_orbit
+from floquet_tls.errors import DegenerateMonodromyError, DomainError
 from floquet_tls.exact_models import rpc_quasienergies
 
 
@@ -32,6 +38,30 @@ def test_solve_fourier_csv(tmp_path):
     assert len(rows) == 1024
     norms = np.array([r[4] for r in rows])
     assert np.abs(norms - 1.0).max() < 1e-6
+
+
+@pytest.mark.parametrize("method", ["fourier", "ode"])
+def test_solve_samples_match_pointwise_evaluation(tmp_path, method):
+    out = tmp_path / "traj.csv"
+    argv = ["solve", "--omega0", "1", "--f", "0.5", "--g", "0.0", "--omega", "2",
+            "--method", method, "--samples", "300", "-o", str(out)]
+    assert cli.main(argv) == 0
+    _, rows = read_csv(out)
+    data = np.array(rows)
+    p = DriveParams(1.0, 0.5, 0.0, 2.0)
+    ts = np.arange(300) * (p.T / 300)
+    if method == "fourier":
+        ref = fourier_rpl.solve_auto(p, "phi1", start=20).normalized().evaluate(ts)
+    else:
+        ref = periodic_orbit(p)(ts)
+    assert np.array_equal(data[:, 0], ts)
+    assert np.abs(data[:, 1:4] - ref).max() < 1e-12
+
+
+def test_solve_rejects_empty_sample_grid(tmp_path):
+    argv = ["solve", "--omega0", "1", "--f", "0.5", "--omega", "2", "--samples", "0",
+            "-o", str(tmp_path / "x.csv")]
+    assert cli.main(argv) == 1
 
 
 def test_solve_rpc_circle(tmp_path):
@@ -237,6 +267,43 @@ def test_failed_sweep_point_is_json_null(tmp_path, monkeypatch):
     assert all(v is not None for row in payload["rows"][:10] for v in row)
     # CSV keeps writing NaN for the failed row
     assert out_csv.read_text().splitlines()[11] == "2,NaN,NaN,NaN,NaN,0"
+
+
+def test_failed_ode_point_marks_only_its_row(tmp_path, monkeypatch, capsys):
+    args = ["quasienergy", "--omega0", "1", "--f", "0.5", "--g", "0.3",
+            "--omega-sweep", "0.5:2.4:20"]  # two batches: 16 + 4 points
+    clean, patched = tmp_path / "clean.csv", tmp_path / "patched.csv"
+    assert cli.main(args + ["-o", str(clean)]) == 0
+    real_state = bloch_dynamics.periodic_initial_state
+    calls = []
+
+    def failing_state(m):
+        calls.append(m)
+        if len(calls) == 6:  # the fixed point of omega = 1.0
+            raise DegenerateMonodromyError("injected failure")
+        return real_state(m)
+
+    monkeypatch.setattr(bloch_dynamics, "periodic_initial_state", failing_state)
+    assert cli.main(args + ["-o", str(patched)]) == 0
+    assert "omega=1: injected failure" in capsys.readouterr().err
+    want = clean.read_text().splitlines()
+    got = patched.read_text().splitlines()
+    assert got[6] == "1,NaN,NaN,NaN,NaN,0"
+    assert got[:6] + got[7:] == want[:6] + want[7:]
+
+
+@pytest.mark.parametrize("module", ["floquet_tls", "floquet_tls.cli"])
+def test_run_as_module_without_runpy_warning(module):
+    src = str(Path(floquet_tls.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "validate", "--only", "toy_oracle"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert json.loads(proc.stdout)["all_passed"] is True
 
 
 def test_threads_flag(tmp_path):
