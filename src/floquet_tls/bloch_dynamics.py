@@ -26,6 +26,11 @@ DEFAULT_TOL = 1e-12
 # and the tolerance factor sqrt(BATCH_SIZE) of its error control
 BATCH_SIZE = 16
 
+# DOP853 raises any rtol below 100 eps to that floor with only a warning, and
+# a batch of g points runs at tol / sqrt(g): the least tolerance a full batch
+# honours (about 8.9e-14)
+TOL_MIN = 100 * np.finfo(float).eps * math.sqrt(BATCH_SIZE)
+
 # eigenvalue-1 eigenspace counts as degenerate below this rotation angle
 DEGENERACY_ANGLE = 1e-7
 
@@ -173,9 +178,13 @@ class _OrbitBatch:
         return grid
 
 
-def _check_tol(tol):
-    if not (1e-14 <= tol <= 1e-6):
-        raise DomainError(f"tolerance must lie in [1e-14, 1e-6], got {tol}")
+def _check_tol(tol, batch=1):
+    lo = TOL_MIN * math.sqrt(batch / BATCH_SIZE)
+    if not (lo <= tol <= 1e-6):
+        raise DomainError(
+            f"tolerance must lie in [{lo:.3g}, 1e-6], got {tol}: batches of {batch} point(s) "
+            f"integrate at tol/sqrt({batch}), and DOP853 goes no lower than 100 eps"
+        )
 
 
 def _integrate(rhs, t_span, y0, tol, dense_output=True):
@@ -334,9 +343,9 @@ def periodic_orbit(params, tol=DEFAULT_TOL, t0=0.0):
     Returns a PeriodicOrbit spanning [t0, t0 + T] whose initial state is the
     eigenvalue-1 eigenvector of the one-period propagator: a batch of one
     of :func:`periodic_orbits`, so a single point and a sweep share one
-    integrator.
+    integrator.  Its tolerance bound is that of a full batch.
     """
-    _check_tol(tol)
+    _check_tol(tol, BATCH_SIZE)
     (orbit,) = _orbit_batch(
         params.omega0, params.F, params.G, [params.omega], tol, s0=params.omega * t0
     )
@@ -365,7 +374,7 @@ def periodic_orbits(omega0, F, G, omegas, tol=DEFAULT_TOL):
     integrated again point by point, so that one bad point does not fail
     its neighbours.
     """
-    _check_tol(tol)
+    _check_tol(tol, BATCH_SIZE)
     return _batched_orbits(omega0, F, G, [float(w) for w in omegas], tol)
 
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import exact_models, fourier_rpl, quasienergy, resonance
 from .bloch_dynamics import (
+    TOL_MIN,
     DriveParams,
     monodromy_so3,
     monodromy_su2,
@@ -29,6 +30,8 @@ from .bloch_dynamics import (
 from .errors import FloquetTlsError
 
 SCHEMA_VERSION = "1"
+
+_TOL_HELP = f"ODE-route tolerance in [{TOL_MIN:.3g}, 1e-6], so a full batch gets it"
 
 
 class _UsageExit(Exception):
@@ -452,7 +455,7 @@ def build_parser():
     sp.add_argument("--omega", type=float, required=True)
     sp.add_argument("--method", choices=("ode", "fourier"), default="ode")
     sp.add_argument("--n-trunc", type=int, default=20)
-    sp.add_argument("--tol", type=float, default=1e-12)
+    sp.add_argument("--tol", type=float, default=1e-12, help=_TOL_HELP)
     sp.add_argument("--samples", type=int, default=1024)
     sp.add_argument("--compare", action="store_true", help="cross-check both routes")
     _add_common(sp)
@@ -465,7 +468,7 @@ def build_parser():
     sp.add_argument("--omega-sweep", required=True, help="start:stop:count")
     sp.add_argument("--method", choices=("auto", "ode", "fourier"), default="auto")
     sp.add_argument("--n-trunc", type=int, default=20)
-    sp.add_argument("--tol", type=float, default=1e-12)
+    sp.add_argument("--tol", type=float, default=1e-12, help=_TOL_HELP)
     _add_common(sp)
     sp.set_defaults(func=cmd_quasienergy)
 

@@ -12,9 +12,11 @@ is expressed through the co-leading principal minors phi_n (determinants of
 the trailing blocks rows/columns n..N), which satisfy a two-term downward
 recursion.  phi_1 = det A^(N) vanishes exactly at the resonance frequencies.
 
-Minors grow roughly like prod_k (k w)^2, so the float path carries them in
-scaled form (mantissa, base-2 exponent).  With rational inputs an exact
-Fraction path reproduces the polynomial closed forms.
+Minors grow roughly like prod_k (k w)^2, so the float path carries only the
+ratios r_k = phi_k / phi_{k+1}, which cannot overflow: the continued fraction
+r_k = a_k + b_k / r_{k+1}, Gautschi's backward recurrence (SIAM Rev. 9,
+1967).  With rational inputs an exact Fraction path reproduces the
+polynomial closed forms.
 """
 
 import math
@@ -26,52 +28,9 @@ import numpy as np
 from .bloch_dynamics import DriveParams
 from .errors import DomainError, ResonanceError
 
-# ---------------------------------------------------------------------------
-# scaled (mantissa, exponent) arithmetic for the float ladder
-
-
-def _s_from(x):
-    m, e = math.frexp(x)
-    return (m, e)
-
-
-def _s_mul(a, b):
-    m, e = math.frexp(a[0] * b[0])
-    return (m, a[1] + b[1] + e)
-
-
-def _s_combine(a, sa, b, sb):
-    """a*sa + b*sb for plain floats a, b and scaled sa, sb."""
-    if b == 0.0 or sb[0] == 0.0:
-        if a == 0.0 or sa[0] == 0.0:
-            return (0.0, 0)
-        m, e = math.frexp(a * sa[0])
-        return (m, sa[1] + e)
-    if a == 0.0 or sa[0] == 0.0:
-        m, e = math.frexp(b * sb[0])
-        return (m, sb[1] + e)
-    e0 = max(sa[1], sb[1])
-    v = a * sa[0] * 2.0 ** (sa[1] - e0) + b * sb[0] * 2.0 ** (sb[1] - e0)
-    if v == 0.0:
-        return (0.0, 0)
-    m, e = math.frexp(v)
-    return (m, e0 + e)
-
-
-def _s_float(s):
-    try:
-        return math.ldexp(s[0], s[1])
-    except OverflowError:
-        return math.inf if s[0] > 0 else -math.inf
-
-
-def _s_log2(s):
-    if s[0] == 0.0:
-        return -math.inf
-    return math.log2(abs(s[0])) + s[1]
-
-
-# ---------------------------------------------------------------------------
+# stands in for a vanishing trailing minor when the next ratio divides by it
+# (Lentz's guard for continued fractions); keeps r_k * r_{k+1} = b_k intact
+_TINY = 1e-150
 
 
 @dataclass
@@ -140,45 +99,38 @@ def build_system(params, n_trunc, exact=False):
 class MinorsLadder:
     """Co-leading principal minors phi_1..phi_N of a truncated system.
 
-    ``phi(k)`` returns phi_k as a float (inf when it overflows; the scaled
-    pair is always available via ``scaled(k)``).  In exact mode the values
-    are Fractions.
+    The float path stores the ratios r_k = phi_k / phi_{k+1} (phi_{N+1} = 1):
+    ``phi(k)`` multiplies them out (inf on overflow), ``slog2()`` never
+    overflows.  In exact mode the values are the minors, as Fractions.
     """
 
     N: int
     exact: bool
-    _values: list = field(repr=False, default=None)
+    _values: list = field(repr=False, default=None)  # exact: phi_k; float: r_k
 
     def phi(self, k):
         if not 1 <= k <= self.N:
             raise DomainError(f"minor index out of range 1..{self.N}: {k}")
-        v = self._values[k - 1]
-        return v if self.exact else _s_float(v)
-
-    def scaled(self, k):
-        if self.exact:
-            raise DomainError("scaled form only exists on the float path")
-        return self._values[k - 1]
+        return self._values[k - 1] if self.exact else math.prod(self._values[k - 1 :])
 
     @property
     def det(self):
         """phi_1 = det A^(N)."""
         return self.phi(1)
 
-    @property
-    def overflowed(self):
+    def slog2(self):
+        """sign(det A^(N)) = prod sign(r_k) and log2|det A^(N)| = sum log2|r_k|."""
         if self.exact:
-            return False
-        return any(not math.isfinite(_s_float(v)) for v in self._values)
-
-    @property
-    def max_log2(self):
-        return max(_s_log2(v) for v in self._values)
+            raise DomainError("slog2 reads the float ratios; use det on the exact path")
+        if 0.0 in self._values:
+            return 0.0, -math.inf
+        sign = math.prod(math.copysign(1.0, r) for r in self._values)
+        return sign, sum(math.log2(abs(r)) for r in self._values)
 
 
 def minors(sys):
-    """Evaluate the minors ladder by the downward two-term recursion."""
-    n_  = sys.N
+    """Evaluate the minors ladder downward, on the float path as ratios."""
+    n_ = sys.N
     values = [None] * n_
     if sys.exact:
         phi_next, phi_next2 = Fraction(1), Fraction(0)
@@ -188,25 +140,14 @@ def minors(sys):
             cur = a * phi_next + b * phi_next2
             values[k - 1] = cur
             phi_next, phi_next2 = cur, phi_next
-    else:
-        phi_next, phi_next2 = _s_from(1.0), (0.0, 0)
-        for k in range(n_, 0, -1):
-            a = float(sys.diag[k - 1])
-            b = -float(sys.sup[k - 1]) * float(sys.sub[k - 1]) if k < n_ else 0.0
-            cur = _s_combine(a, phi_next, b, phi_next2)
-            values[k - 1] = cur
-            phi_next, phi_next2 = cur, phi_next
-    return MinorsLadder(N=n_, exact=sys.exact, _values=values)
-
-
-def det_a(params, n_trunc):
-    """det A^(N) as a float; may overflow to +-inf for large N."""
-    return minors(build_system(params, n_trunc)).det
-
-
-def det_a_scaled(params, n_trunc):
-    """det A^(N) as a scaled pair (mantissa, base-2 exponent)."""
-    return minors(build_system(params, n_trunc)).scaled(1)
+        return MinorsLadder(N=n_, exact=True, _values=values)
+    r = values[n_ - 1] = float(sys.diag[n_ - 1])
+    for k in range(n_ - 1, 0, -1):
+        b = -float(sys.sup[k - 1]) * float(sys.sub[k - 1])
+        if b and r == 0.0:
+            r = values[k] = _TINY
+        r = values[k - 1] = float(sys.diag[k - 1]) + (b / r if b else 0.0)
+    return MinorsLadder(N=n_, exact=False, _values=values)
 
 
 @dataclass
@@ -297,8 +238,8 @@ def solve_coefficients(sys, z0_choice="unit"):
 
     ``z0_choice='unit'`` fixes z0 = 1 and requires phi_1 != 0;
     ``z0_choice='phi1'`` cancels the 1/phi_1 pole and yields coefficients
-    polynomial in (F, omega, omega0); on the float path those are rescaled
-    by a power of two to stay representable (overall scale is free anyway).
+    polynomial in (F, omega, omega0); on the float path those are divided
+    by |phi_2| to stay representable (overall scale is free anyway).
     """
     if z0_choice not in ("unit", "phi1"):
         raise DomainError(f"unknown z0 choice: {z0_choice!r}")
@@ -326,36 +267,30 @@ def solve_coefficients(sys, z0_choice="unit"):
             # x_i = -F z0 (-1)^(i+1) prod_i phi_{i+1} / phi_1
             xs.append(-f_amp * sign * prod * phi[i] / denom)
         return RplFourierSolution(N=n_, z0=z0, x=xs, params=sys.params, exact=True)
-    f_amp = float(sys.params.F)
 
-    # float path, scaled arithmetic throughout
-    phi_scaled = [lad.scaled(k) for k in range(1, n_ + 1)] + [_s_from(1.0)]
-    log_scale = lad.max_log2
+    # float path, on the ratios r_k = phi_k / phi_{k+1}: the phi1 coefficients
+    # over phi_2 are z0 = r_1, x_1 = -F and x_i = x_{i-1} (-A_{i,i-1}) / r_i,
+    # the unit ones those over r_1.  Dividing by |phi_2| instead keeps the
+    # orientation of the orbit, which fixes the sign of its quasienergy.
+    f_amp = float(sys.params.F)
+    r = lad._values
     if z0_choice == "unit":
-        if _s_log2(phi_scaled[0]) < log_scale + math.log2(1e-12):
+        with np.errstate(divide="ignore"):
+            log2_phi = np.cumsum(np.log2(np.abs(r[::-1])))  # log2|phi_k|, k = N..1
+        if log2_phi[-1] < log2_phi.max() + math.log2(1e-12):
             raise ResonanceError(
                 "phi_1 is below 1e-12 of the ladder scale; "
                 "near a resonance use z0_choice='phi1'"
             )
-    prod = _s_from(1.0)
-    sign = 1.0
-    xs_scaled = []
-    for i in range(1, n_ + 1):
-        if i > 1:
-            prod = _s_mul(prod, _s_from(float(sys.sub[i - 2])))
-            sign = -sign
-        num = _s_mul(prod, phi_scaled[i])
-        xs_scaled.append((-f_amp * sign * num[0], num[1]))
-    if z0_choice == "unit":
-        e1 = phi_scaled[0]
-        xs = [_s_float((m / e1[0], e - e1[1])) for (m, e) in xs_scaled]
-        return RplFourierSolution(N=n_, z0=1.0, x=xs, params=sys.params)
-    # z0 = phi_1: shift everything by a common exponent so max magnitude ~ 1
-    all_scaled = [phi_scaled[0]] + [(m, e) for (m, e) in xs_scaled]
-    exponents = [int(_s_log2(s)) for s in all_scaled if s[0] != 0.0]
-    e_ref = max(exponents) if exponents else 0
-    vals = [_s_float((m, e - e_ref)) for (m, e) in all_scaled]
-    return RplFourierSolution(N=n_, z0=vals[0], x=vals[1:], params=sys.params)
+        z0, x = 1.0, -f_amp / r[0]
+    else:
+        sign = math.prod(math.copysign(1.0, v) for v in r[1:])  # sign(phi_2)
+        z0, x = sign * r[0], -sign * f_amp
+    xs = [x]
+    for i in range(2, n_ + 1):
+        x = x * -float(sys.sub[i - 2]) / r[i - 1] if x else 0.0
+        xs.append(x)
+    return RplFourierSolution(N=n_, z0=z0, x=xs, params=sys.params)
 
 
 def solve_auto(params, z0_choice="phi1", start=20, step=8, coeff_tol=1e-10, n_max=400):

@@ -94,22 +94,22 @@ def resonance_interpolation(n, f_amp, omega0):
 
 
 def _det_fn(f_amp, omega0, n_trunc):
-    """Scaled determinant evaluator with a locally frozen exponent."""
+    """det A^(N)(omega) over |det A^(N)| at the first omega evaluated.
+
+    Sign and log2 magnitude come from the minors ladder; the exponent is
+    clamped to +-1000, so far from the first frequency the value keeps its
+    sign without overflowing or underflowing to zero.
+    """
     state = {"ref": None}
 
     def fn(omega):
         params = DriveParams(omega0=omega0, F=f_amp, G=0.0, omega=omega)
-        m, e = minors(build_system(params, n_trunc)).scaled(1)
-        if m == 0.0:
+        sign, log2_abs = minors(build_system(params, n_trunc)).slog2()
+        if sign == 0.0:
             return 0.0
         if state["ref"] is None:
-            state["ref"] = e
-        shift = e - state["ref"]
-        if shift > 1000:
-            shift = 1000
-        elif shift < -1000:
-            return math.copysign(1e-300, m)
-        return m * 2.0**shift
+            state["ref"] = log2_abs
+        return sign * 2.0 ** min(max(log2_abs - state["ref"], -1000.0), 1000.0)
 
     return fn
 

@@ -1,6 +1,7 @@
 """Time-domain route: integration, monodromies, eigenphases."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from floquet_tls import bloch_dynamics
 from floquet_tls.bloch_dynamics import (
     BATCH_SIZE,
+    TOL_MIN,
     DriveParams,
     adjoint_rotation,
     evolve_classical,
@@ -58,6 +60,23 @@ def test_tolerance_domain():
     p = DriveParams(1.0, 0.5, 0.0, 1.0)
     with pytest.raises(DomainError):
         evolve_classical(p, [0, 0, 1], 0.0, 1.0, tol=1e-3)
+
+
+def test_tolerance_floor_follows_batch_size():
+    p = DriveParams(1.0, 0.5, 0.3, 1.0)
+    assert TOL_MIN / math.sqrt(BATCH_SIZE) == 100 * np.finfo(float).eps
+    # a lone run honours DOP853's floor 100 eps = 2.2e-14, a full batch TOL_MIN
+    monodromy_so3(p, tol=3e-14)
+    with pytest.raises(DomainError):
+        monodromy_so3(p, tol=2e-14)
+    with pytest.raises(DomainError):
+        periodic_orbit(p, tol=0.99 * TOL_MIN)
+    with pytest.raises(DomainError):
+        periodic_orbits(1.0, 0.5, 0.3, [1.0], tol=0.99 * TOL_MIN)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        orbits = list(periodic_orbits(1.0, 0.5, 0.3, np.linspace(0.5, 2.0, BATCH_SIZE), TOL_MIN))
+    assert len(orbits) == BATCH_SIZE
 
 
 def test_larmor_precession():

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -290,6 +291,25 @@ def test_failed_ode_point_marks_only_its_row(tmp_path, monkeypatch, capsys):
     got = patched.read_text().splitlines()
     assert got[6] == "1,NaN,NaN,NaN,NaN,0"
     assert got[:6] + got[7:] == want[:6] + want[7:]
+
+
+def test_tolerance_below_batch_floor_exits_2(tmp_path, capsys):
+    # a 16-point batch runs at tol/4, below DOP853's 100 eps floor here
+    out = tmp_path / "sweep.csv"
+    rc = cli.main(["quasienergy", "--omega0", "1", "--f", "0.5", "--g", "0.3",
+                   "--omega-sweep", "0.5:2:16", "--tol", "5e-14", "-o", str(out)])
+    assert rc == 2
+    assert "tolerance must lie in [8.88e-14, 1e-6], got 5e-14" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_full_batch_at_tol_1e13_gets_its_tolerance(tmp_path):
+    args = ["quasienergy", "--omega0", "1", "--f", "0.5", "--g", "0.3",
+            "--omega-sweep", "0.5:2:16", "--tol", "1e-13", "-o", str(tmp_path / "sweep.csv")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(args) == 0
+    assert [str(w.message) for w in caught if issubclass(w.category, UserWarning)] == []
 
 
 @pytest.mark.parametrize("module", ["floquet_tls", "floquet_tls.cli"])

@@ -5,13 +5,12 @@ from fractions import Fraction as Q
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from floquet_tls.bloch_dynamics import DriveParams, periodic_orbit
 from floquet_tls.errors import DomainError, ResonanceError
 from floquet_tls.fourier_rpl import (
     build_system,
-    det_a,
-    det_a_scaled,
     minors,
     solve_auto,
     solve_coefficients,
@@ -83,25 +82,85 @@ def test_minors_against_lu_determinant():
         assert abs(det_lad - det_ref) <= 1e-8 * max(abs(det_ref), 1e-12)
 
 
+def test_ladder_sign_and_log_determinant_match_slogdet():
+    rng = np.random.default_rng(5)  # the systems of test_minors_against_lu_determinant
+    cases = []
+    for _ in range(100):
+        w0, f_amp, w = rng.uniform(0.05, 5.0, 3)
+        cases.append((rpl(w0, f_amp, w), int(rng.integers(2, 25))))
+    cases.append((rpl(1.0, 0.5, 40.0), 80))  # float det overflows here
+    for p, n in cases:
+        sys_ = build_system(p, n)
+        sign, log2_abs = minors(sys_).slog2()
+        ref_sign, ref_log = np.linalg.slogdet(sys_.dense())
+        assert sign == ref_sign
+        assert abs(log2_abs - ref_log / math.log(2)) <= 1e-13 * max(1.0, abs(log2_abs))
+
+
+@pytest.mark.parametrize(
+    "omega0, F, omega, n_trunc",
+    [
+        (Q(1), Q(1, 2), Q(2), 12),
+        (Q(1), Q(3, 4), Q(5, 8), 30),
+        (Q(3, 2), Q(5, 4), Q(1, 4), 48),
+        (Q(1), Q(4), Q(1, 8), 64),
+        (Q(1), Q(21, 8), Q(7, 16), 80),
+    ],
+)
+def test_float_phi1_coefficients_match_exact(omega0, F, omega, n_trunc):
+    # dyadic inputs, so both paths solve the same matrix
+    exact = solve_coefficients(build_system(rpl(omega0, F, omega), n_trunc, exact=True), "phi1")
+    approx = solve_coefficients(
+        build_system(rpl(float(omega0), float(F), float(omega)), n_trunc), "phi1"
+    )
+    # common rescaling by the positive |x_1|, exactly on the Fraction side, so
+    # the orientation of the orbit (the sign of its quasienergy) must agree too
+    ref = np.array([float(v / abs(exact.x[0])) for v in [exact.z0] + exact.x])
+    got = np.array([approx.z0] + approx.x) / abs(approx.x[0])
+    assert np.all(ref != 0.0)
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+
+
+def test_vanishing_trailing_minor():
+    # phi_3 = a_3 = 9 omega^2 - omega0^2 = 0 exactly with F != 0, so the
+    # ratio r_2 = a_2 + b_2 / r_3 cannot be formed as written
+    exact_sys = build_system(rpl(Q(3), Q(1), Q(1)), 3, exact=True)
+    float_sys = build_system(rpl(3.0, 1.0, 1.0), 3)
+    det = float(minors(exact_sys).det)
+    lad = minors(float_sys)
+    assert det == -6.0 and abs(lad.det - det) <= 1e-14 * abs(det)
+    sign, log2_abs = lad.slog2()  # log2 r_2 and log2 r_3 are about +-500 here
+    assert sign == -1.0 and abs(log2_abs - math.log2(6.0)) <= 1e-12
+    exact = solve_coefficients(exact_sys, "phi1")
+    approx = solve_coefficients(float_sys, "phi1")
+    ref = np.array([float(v / abs(exact.x[0])) for v in [exact.z0] + exact.x])
+    got = np.array([approx.z0] + approx.x) / abs(approx.x[0])
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def test_zero_drive_resonance_roots():
     for n in (1, 2, 3):
-        assert det_a(rpl(1.0, 0.0, 1.0 / (2 * n - 1)), 12) == 0.0
+        lad = minors(build_system(rpl(1.0, 0.0, 1.0 / (2 * n - 1)), 12))
+        assert lad.det == 0.0
+        assert lad.slog2() == (0.0, -math.inf)
 
 
 def test_det_scan_brackets_resonance():
     p0 = 1.0
     grid = np.linspace(0.9, 1.12, 23)
-    vals = [det_a(rpl(p0, 0.1, w), 20) for w in grid]
+    ladders = [minors(build_system(rpl(p0, 0.1, w), 20)) for w in grid]
+    vals = [lad.det for lad in ladders]
     changes = sum(1 for a, b in zip(vals, vals[1:]) if a * b < 0)
     assert changes == 1  # exactly the first resonance in this window
+    assert [lad.slog2()[0] for lad in ladders] == [math.copysign(1.0, v) for v in vals]
 
 
 def test_scaled_determinant_survives_overflowing_orders():
     p = rpl(1.0, 0.5, 2.0)
-    mant, expo = det_a_scaled(p, 50)
-    assert mant != 0.0 and np.isfinite(mant)
+    sign, log2_abs = minors(build_system(p, 50)).slog2()
+    assert sign in (-1.0, 1.0)
     # log magnitude around 1e118 at these parameters
-    assert 100 < (math.log2(abs(mant)) + expo) * math.log10(2) < 140
+    assert 100 < log2_abs * math.log10(2) < 140
 
 
 def test_unit_solution_zero_drive():
@@ -111,9 +170,32 @@ def test_unit_solution_zero_drive():
     assert np.allclose(sol.evaluate(0.0), [0.0, 0.0, 1.0])
 
 
+def test_phi1_solution_zero_drive_at_undriven_resonance():
+    # F = 0 and a_3 = 9 omega^2 - omega0^2 = 0: the undriven orbit is a pole
+    sol = solve_coefficients(build_system(rpl(1.0, 0.0, 1.0 / 3.0), 12), "phi1")
+    assert max(abs(v) for v in sol.x) == 0.0
+    assert np.abs(np.abs(sol.normalized().evaluate(0.0)) - [0.0, 0.0, 1.0]).max() <= 1e-15
+
+
 def test_unit_solution_raises_at_resonance():
     with pytest.raises(ResonanceError):
         solve_coefficients(build_system(rpl(1.0, 0.0, 1.0), 10), "unit")
+
+
+def test_unit_solution_raises_near_driven_resonance():
+    def det(w):
+        return minors(build_system(rpl(1.0, 0.1, w), 20)).det
+
+    w_res = brentq(det, 0.99, 1.01, xtol=1e-16, rtol=4 * np.finfo(float).eps)
+    with pytest.raises(ResonanceError):
+        solve_coefficients(build_system(rpl(1.0, 0.1, w_res), 20), "unit")
+    # 1e-9 away phi_1 is about 2e-9 of the ladder scale: the unit solution
+    # exists and is the phi1 solution over its z0
+    sys_ = build_system(rpl(1.0, 0.1, w_res * (1 + 1e-9)), 20)
+    unit = solve_coefficients(sys_, "unit")
+    phi1 = solve_coefficients(sys_, "phi1")
+    assert unit.z0 == 1.0
+    assert np.allclose(unit.x, np.array(phi1.x) / phi1.z0, rtol=1e-12, atol=0.0)
 
 
 def test_evaluate_periodicity():
@@ -206,14 +288,12 @@ def test_normalized_solution_unit_sphere():
 
 
 def test_overflow_flag_and_scaled_path():
-    # the order-80 ladder exceeds double range at fast drive
-    lad = __import__("floquet_tls.fourier_rpl", fromlist=["minors"]).minors(
-        build_system(rpl(1.0, 0.5, 40.0), 80)
-    )
-    assert lad.overflowed
-    mant, expo = lad.scaled(1)
-    assert np.isfinite(mant) and mant != 0.0
-    assert det_a(rpl(1.0, 0.5, 40.0), 80) in (float("inf"), float("-inf"))
+    # the order-80 determinant exceeds double range at fast drive
+    lad = minors(build_system(rpl(1.0, 0.5, 40.0), 80))
+    assert lad.det in (float("inf"), float("-inf"))
+    sign, log2_abs = lad.slog2()
+    assert sign == math.copysign(1.0, lad.det)
+    assert 1024 < log2_abs < math.inf
 
 
 def test_y_determined_by_x_derivative():
