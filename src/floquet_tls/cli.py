@@ -54,10 +54,11 @@ def _fmt(x):
 
 
 def _parse_sweep(text):
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise _UsageExit(f"sweep must be start:stop:count, got {text!r}")
-    start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        start, stop, count = text.split(":")
+        start, stop, count = float(start), float(stop), int(count)
+    except ValueError:
+        raise _UsageExit(f"sweep must be start:stop:count, got {text!r}") from None
     if count < 2:
         raise _UsageExit("sweep count must be at least 2")
     return start, stop, count
@@ -190,7 +191,7 @@ def cmd_quasienergy(args):
         ["omega", "epsilon", "epsilon_mod", "eps_g", "eps_d", "branch"],
         rows,
         {},
-        ["omega0", "f", "g", "omega_sweep", "method", "n_trunc", "tol", "threads", "seed"],
+        ["omega0", "f", "g", "omega_sweep", "method", "n_trunc", "tol", "seed"],
     )
     return 0 if points.count(None) <= 0.05 * len(grid) else 2
 
@@ -200,9 +201,14 @@ def cmd_quasienergy(args):
 
 
 def cmd_resonance(args):
-    n_list = [int(v) for v in args.n_list.split(",") if v]
+    try:
+        n_list = [int(v) for v in args.n_list.split(",") if v]
+    except ValueError:
+        raise _UsageExit(f"--n-list takes comma-separated integers, got {args.n_list!r}") from None
     start, stop, count = _parse_sweep(args.f_grid)
     if args.log_grid:
+        if min(start, stop) <= 0:
+            raise _UsageExit(f"--log-grid needs positive ends, got {args.f_grid!r}")
         grid = np.geomspace(start, stop, count)
     else:
         grid = np.linspace(start, stop, count)
@@ -218,7 +224,7 @@ def cmd_resonance(args):
         ["n", "F", "omega_res", "residual", "tri_x", "tri_y"],
         rows,
         {},
-        ["omega0", "n_list", "f_grid", "log_grid", "n_trunc", "threads", "seed"],
+        ["omega0", "n_list", "f_grid", "log_grid", "n_trunc", "seed"],
     )
     return 0
 
@@ -438,9 +444,6 @@ def cmd_validate(args):
 def _add_common(sub, output_default="-"):
     sub.add_argument("--output", "-o", default=output_default, help="output path, - for stdout")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument(
-        "--threads", type=int, default=None, help="accepted for compatibility; has no effect"
-    )
     sub.add_argument("--seed", type=int, default=0)
 
 

@@ -113,17 +113,7 @@ class QuasienergyResult:
 
     def mirrored(self):
         """Branch data of the antipodal orbit: eps -> -eps, d -> -d."""
-        eps = -self.epsilon
-        branch = math.floor(eps / self.omega)
-        return QuasienergyResult(
-            epsilon=eps,
-            epsilon_mod=eps - branch * self.omega,
-            eps_g=eps + self.eps_d,
-            eps_d=-self.eps_d,
-            branch=branch,
-            method=self.method,
-            omega=self.omega,
-        )
+        return QuasienergyResult.from_raw(-self.epsilon, -self.eps_d, self.omega, self.method)
 
 
 @dataclass
@@ -314,14 +304,6 @@ def euler_residual(params, grads, epsilon):
     return abs(epsilon - total)
 
 
-def _point_quasienergy(params, method, n_trunc, tol):
-    if method == "fourier":
-        sol = fourier_rpl.solve_auto(params, "phi1", start=n_trunc).normalized()
-        return quasienergy_classical(sol, params, method="fourier")
-    orbit = periodic_orbit(params, tol=tol)
-    return quasienergy_classical(orbit, params, method="ode")
-
-
 def quasienergy_at(params, method="auto", n_trunc=20, tol=1e-12):
     """Quasienergy at a single parameter point.
 
@@ -335,7 +317,10 @@ def quasienergy_at(params, method="auto", n_trunc=20, tol=1e-12):
         raise DomainError("fourier route requires G = 0")
     if method not in ("fourier", "ode"):
         raise DomainError(f"unknown method {method!r}")
-    return _point_quasienergy(params, method, n_trunc, tol)
+    if method == "fourier":
+        sol = fourier_rpl.solve_auto(params, "phi1", start=n_trunc).normalized()
+        return quasienergy_classical(sol, params, method="fourier")
+    return quasienergy_classical(periodic_orbit(params, tol=tol), params, method="ode")
 
 
 def sweep_branches(

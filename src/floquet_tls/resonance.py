@@ -8,10 +8,13 @@ F = 0 the n-th resonance sits at omega0/(2n-1); its drive-amplitude series
     omega_res^(n)(F) = omega0/(2n-1) + sum_m sigma_2m^(n) omega0^(1-2m) F^(2m)
 
 defines the Bloch-Siegert shift coefficients sigma.  They are computed as
-exact rationals by pushing the series through the minors recursion over a
-truncated power-series ring in u = F^2 (omega0 = 1 by homogeneity) and
-zeroing det A^(N) order by order; each new sigma enters affinely and is
-solved from two evaluations.
+exact rationals (omega0 = 1 by homogeneity, u = F^2): every entry of an
+even row of A^(N) is proportional to omega, so eliminating the even modes
+turns det A^(N) = 0 into the eigenproblem omega^2 y = (M0 + u M1) y on the
+odd modes, with M0 = diag(1/j^2) and M1 tridiagonal and free of omega.
+Rayleigh-Schroedinger perturbation of the eigenvalue 1/(2n-1)^2 in u
+(Kato, Perturbation Theory for Linear Operators) gives omega^2(u) over
+Fractions, and sigma_2m is the u^m coefficient of its square root.
 """
 
 import math
@@ -24,7 +27,6 @@ from scipy.optimize import brentq
 from .bloch_dynamics import DriveParams
 from .errors import BracketNotFoundError, DomainError, SeriesInstabilityError
 from .fourier_rpl import build_system, minors
-from .series_limits import RationalSeries
 from .specfun import bessel_j0_zero
 
 SQRT3 = math.sqrt(3.0)
@@ -243,44 +245,46 @@ def large_f_fit(n, omega0=1.0, f_lo=10.0, f_hi=100.0, points=25, n_trunc=50):
 # Bloch-Siegert coefficients as exact rationals
 
 
-def _det_series(n, sigmas, order, n_trunc):
-    """det A^(N) as a truncated series in u = F^2 along the shifted frequency.
+def _shift_series(n, max_m, n_trunc):
+    """omega_1..omega_max_m of omega(u) = sum_k omega_k u^k at truncation N.
 
-    omega(u) = 1/(2n-1) + sum_m sigmas[m-1] u^m, omega0 = 1.
+    The eigenvalue lambda_0 = 1/(2n-1)^2 of M0 + u M1 on the odd modes
+    j <= N (module docstring) is continued order by order, its eigenvector
+    fixed to 1 at mode 2n-1; omega = sqrt(lambda) is then expanded term by
+    term from omega_0 = 1/(2n-1).
     """
-    w = RationalSeries.from_list([Fraction(1, 2 * n - 1)] + list(sigmas), order)
-    w2 = w * w
-    one = RationalSeries.constant(1, order)
-    zero = RationalSeries.constant(0, order)
-    phi_next, phi_next2 = one, zero
-    for k in range(n_trunc, 0, -1):
-        if k % 2:
-            a = (k * k) * w2 - one
-            b = Fraction(k, 4) * w
-        else:
-            a = (-k) * w
-            b = Fraction(k + 1, 4) * w
-        cur = a * phi_next + (b * phi_next2).shift(1)
-        phi_next, phi_next2 = cur, phi_next
-    return phi_next
-
-
-def _solve_sigmas(n, max_m, n_trunc):
-    sigmas = []
-    for m in range(1, max_m + 1):
-        d0 = _det_series(n, sigmas + [Fraction(0)], m, n_trunc)[m]
-        d1 = _det_series(n, sigmas + [Fraction(1)], m, n_trunc)[m]
-        slope = d1 - d0
-        if slope == 0:
-            raise SeriesInstabilityError(
-                f"order {m} does not determine sigma for resonance {n} at N = {n_trunc}"
-            )
-        sigmas.append(-d0 / slope)
-    # everything below the solved orders must have cancelled exactly
-    final = _det_series(n, sigmas, max_m, n_trunc)
-    if any(final[k] != 0 for k in range(max_m + 1)):
-        raise SeriesInstabilityError(f"determinant series did not vanish at N = {n_trunc}")
-    return sigmas
+    modes = range(1, n_trunc + 1, 2)
+    size, p = len(modes), n - 1
+    diag = [  # one term per even neighbour j -+ 1 inside the truncation
+        (Fraction(1, 4 * j * (j + 1)) if j < n_trunc else 0)
+        + (Fraction(1, 4 * j * (j - 1)) if j > 1 else 0)
+        for j in modes
+    ]
+    upper = [Fraction(1, 4 * j * (j + 1)) for j in modes[:-1]]  # entry (j, j+2)
+    lower = [Fraction(1, 4 * (j + 1) * (j + 2)) for j in modes[:-1]]  # entry (j+2, j)
+    lam0 = Fraction(1, (2 * n - 1) ** 2)
+    gap = [lam0 - Fraction(1, j * j) for j in modes]
+    lams = [lam0]
+    vecs = [[Fraction(int(i == p)) for i in range(size)]]
+    for k in range(1, max_m + 1):
+        v = vecs[-1]
+        mv = [
+            diag[i] * v[i]
+            + (upper[i] * v[i + 1] if i + 1 < size else 0)
+            + (lower[i - 1] * v[i - 1] if i else 0)
+            for i in range(size)
+        ]
+        lams.append(mv[p])
+        vecs.append([
+            Fraction(0) if i == p
+            else (mv[i] - sum(lams[q] * vecs[k - q][i] for q in range(1, k + 1))) / gap[i]
+            for i in range(size)
+        ])
+    omegas = [Fraction(1, 2 * n - 1)]
+    for k in range(1, max_m + 1):
+        cross = sum(omegas[j] * omegas[k - j] for j in range(1, k))
+        omegas.append((lams[k] - cross) / (2 * omegas[0]))
+    return omegas[1:]
 
 
 def bloch_siegert_coefficients(n, max_m, n_trunc=None):
@@ -298,8 +302,8 @@ def bloch_siegert_coefficients(n, max_m, n_trunc=None):
         n_trunc = 2 * max_m + 2 * n + 4
     if n_trunc < 2 * n - 1:
         raise DomainError(f"truncation {n_trunc} cannot resolve resonance {n}")
-    first = _solve_sigmas(n, max_m, n_trunc)
-    second = _solve_sigmas(n, max_m, n_trunc + 4)
+    first = _shift_series(n, max_m, n_trunc)
+    second = _shift_series(n, max_m, n_trunc + 4)
     if first != second:
         raise SeriesInstabilityError(
             f"sigma coefficients changed between N = {n_trunc} and N = {n_trunc + 4}; "

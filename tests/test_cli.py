@@ -326,27 +326,29 @@ def test_run_as_module_without_runpy_warning(module):
     assert json.loads(proc.stdout)["all_passed"] is True
 
 
-def test_threads_flag(tmp_path):
-    out = tmp_path / "sweep.csv"
-    rc = cli.main(
-        ["quasienergy", "--omega0", "1", "--f", "0.5",
-         "--omega-sweep", "1.6:2.0:5", "--threads", "2", "-o", str(out)]
-    )
-    assert rc == 0
-    _, rows = read_csv(out)
-    assert len(rows) == 5
+def test_threads_option_is_gone(capsys):
+    rc = cli.main(["quasienergy", "--omega0", "1", "--f", "0.5",
+                   "--omega-sweep", "1.6:2.0:5", "--threads", "2"])
+    assert rc == 1
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("FLOQUET_TLS_THREADS", "2")
-    out = tmp_path / "sweep.csv"
-    rc = cli.main(
-        ["quasienergy", "--omega0", "1", "--f", "0.5",
-         "--omega-sweep", "1.6:2.0:4", "-o", str(out)]
-    )
-    assert rc == 0
-    _, rows = read_csv(out)
-    assert len(rows) == 4
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["quasienergy", "--omega0", "1", "--f", "0.5", "--omega-sweep", "a:2:3"], "'a:2:3'"),
+        (["resonance", "--f-grid", "0.1:x:3"], "'0.1:x:3'"),
+        (["resonance", "--n-list", "1,x", "--f-grid", "0.1:1:3"], "'1,x'"),
+        (["resonance", "--f-grid", "0:1:3", "--log-grid"], "'0:1:3'"),
+    ],
+)
+def test_malformed_input_is_a_usage_error(argv, bad, capsys):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and bad in lines[0]
+    assert "Traceback" not in captured.err
 
 
 def test_stdout_output(capsys):

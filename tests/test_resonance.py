@@ -96,11 +96,13 @@ def test_resonance_curve_monotone_for_first_resonance():
     assert all(b > a for a, b in zip(omegas, omegas[1:]))
 
 
-def test_series_matches_root_for_small_drive():
-    sig = bloch_siegert_coefficients(1, 8)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_series_matches_root_for_small_drive(n):
+    sig = bloch_siegert_coefficients(n, 8)
     for f_amp in (0.1, 0.3, 0.5):
-        series = 1.0 + sum(float(s) * f_amp ** (2 * m) for m, s in enumerate(sig, 1))
-        root = find_resonance(1, f_amp, 1.0, 50).omega_res
+        shift = sum(float(s) * f_amp ** (2 * m) for m, s in enumerate(sig, 1))
+        series = 1.0 / (2 * n - 1) + shift
+        root = find_resonance(n, f_amp, 1.0, 50).omega_res
         assert abs(series - root) < 1e-6
 
 
@@ -147,6 +149,38 @@ def test_third_resonance_leading_order():
     assert bloch_siegert_coefficients(3, 1) == [Q(5, 96)]
 
 
+# the tables the benchmark's resonance workload and the README print, pinned
+# digit for digit so a change of method cannot alter them
+GOLDEN_TABLES = {
+    (1, 8): [
+        "1/16", "1/1024", "-35/131072", "103/8388608", "1873/805306368",
+        "-1577257/3710851743744", "67429531/17099604835172352",
+        "304008125947/39397489540237099008",
+    ],
+    (3, 8): [
+        "5/96", "-2125/221184", "1146875/254803968", "-3244765625/1174136684544",
+        "2045715078125/1352605460594688", "-558332576171875/1038800993736720384",
+        "-147308657861328125/1196698744784701882368",
+        "5336168146954345703125/11028775631935812547903488",
+    ],
+    (2, 12): [
+        "3/32", "-135/8192", "2133/1048576", "588789/536870912", "-98579025/68719476736",
+        "19157942853/17592186044416", "-7366346590257/11258999068426240",
+        "3554433354578481/11529215046068469760",
+        "-126814284501549453/1475739525896764129280",
+        "-287875038812532160941/9444732965739290427392000",
+        "124202023470713015792631/1692496147460480844588646400",
+        "-319552975851525137346833781/4332790137498830962146934784000",
+    ],
+}
+GOLDEN_TABLES[(2, 8)] = GOLDEN_TABLES[(2, 12)][:8]
+
+
+@pytest.mark.parametrize("n, max_m", sorted(GOLDEN_TABLES))
+def test_coefficient_tables_are_pinned(n, max_m):
+    assert bloch_siegert_coefficients(n, max_m) == [Q(s) for s in GOLDEN_TABLES[(n, max_m)]]
+
+
 def test_closed_forms_match_recursion():
     for n in range(2, 11):
         assert bloch_siegert_coefficients(n, 1)[0] == sigma_closed_form(n, 1)
@@ -165,6 +199,10 @@ def test_closed_form_values():
 def test_instability_detected_for_small_truncation():
     with pytest.raises((SeriesInstabilityError, DomainError)):
         bloch_siegert_coefficients(3, 6, n_trunc=8)
+    # odd N: the top odd mode has no even neighbour above it, so sigma_6
+    # differs from N + 4 (it would not if that missing coupling were kept)
+    with pytest.raises(SeriesInstabilityError):
+        bloch_siegert_coefficients(1, 3, n_trunc=3)
 
 
 def test_shift_series_evaluation():
