@@ -20,7 +20,7 @@ polynomial closed forms.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -180,10 +180,11 @@ class RplFourierSolution:
     __call__ = evaluate
 
     def sample(self, m):
-        """Bloch vectors at t_j = j T / m, j = 0..m-1, by one inverse FFT.
+        """Bloch vectors at t_j = j T / m, j = 0..m-1, by one inverse real FFT.
 
-        On the uniform grid harmonic n lands exactly in bin n mod m, so any
-        m >= 1 is valid, m < 2N included.
+        On the uniform grid harmonic n lands exactly in bin k = n mod m; a
+        bin above m/2 folds onto m - k conjugated, so any m >= 1 is valid,
+        m < 2N included.
         """
         w = float(self.params.omega)
         w0 = float(self.params.omega0)
@@ -194,43 +195,36 @@ class RplFourierSolution:
         coeffs[0, odd] = w0 * x[odd]
         coeffs[1, odd] = -1j * (n[odd] * w * x[odd])
         coeffs[2, ~odd] = x[~odd]
-        spec = np.zeros((3, m), dtype=complex)
-        np.add.at(spec, (slice(None), n % m), coeffs)
-        out = np.fft.ifft(spec, axis=-1).real * m
+        k = n % m
+        fold = 2 * k > m
+        k = np.where(fold, m - k, k)
+        # irfft halves every bin but 0 and m/2, and drops their imaginary parts
+        weight = np.where((k == 0) | (2 * k == m), m, 0.5 * m)
+        spec = np.zeros((3, m // 2 + 1), dtype=complex)
+        np.add.at(spec, (slice(None), k), np.where(fold, coeffs.conj(), coeffs) * weight)
+        out = np.fft.irfft(spec, n=m, axis=-1)
         out[2] += float(self.z0)
         return out.T
 
-    def mean_norm(self, samples=256):
-        norms = np.linalg.norm(self.sample(samples), axis=-1)
-        return norms.mean(), (norms.max() - norms.min())
-
     def normalized(self, samples=256):
         """Rescale onto the unit sphere by the mean sampled radius."""
-        r_bar, spread = self.mean_norm(samples)
+        norms = np.linalg.norm(self.sample(samples), axis=-1)
+        r_bar = norms.mean()
         if r_bar == 0:
             raise DomainError("cannot normalize the zero solution")
         scale = 1.0 / r_bar
-        return RplFourierSolution(
-            N=self.N,
+        return replace(
+            self,
             z0=float(self.z0) * scale,
             x=[float(v) * scale for v in self.x],
-            params=self.params,
             normalization="unit-sphere",
-            norm_spread=spread / r_bar,
+            norm_spread=(norms.max() - norms.min()) / r_bar,
             exact=False,
         )
 
     def antipode(self):
         """The mirrored periodic solution -X(t)."""
-        return RplFourierSolution(
-            N=self.N,
-            z0=-self.z0,
-            x=[-v for v in self.x],
-            params=self.params,
-            normalization=self.normalization,
-            norm_spread=self.norm_spread,
-            exact=self.exact,
-        )
+        return replace(self, z0=-self.z0, x=[-v for v in self.x])
 
 
 def solve_coefficients(sys, z0_choice="unit"):

@@ -18,9 +18,11 @@ the ODE route, truncated Fourier solutions and closed-form orbits all
 qualify.  An orbit that also has a method ``sample(m)``, such as a truncated
 Fourier solution (one inverse FFT in place of a harmonic sum per time) or a
 periodic orbit of the ODE route (a grid shared by its batch), is sampled
-through it on the uniform grids.  Fourier averages are taken on uniform
-grids (spectrally accurate for smooth periodic integrands), with the grid
-doubled until the constant term settles.
+through it.  Averages are taken on uniform grids (spectrally accurate for
+smooth periodic integrands), each sampled once: 2048 points, doubled up to
+65536 only while the mean of chi still differs by 1e-10 from its mean on
+the grid of half the size.  eps_d, the mean of a trigonometric polynomial
+of degree N + 1, is exact on such a grid for N + 1 < 2048.
 
 Sweeps (:func:`sweep_branches`) on the ODE route integrate their periodic
 orbits in batches in s = omega t (:func:`bloch_dynamics.periodic_orbits`);
@@ -127,10 +129,6 @@ class FloquetState:
     residual: float = 0.0  # max pointwise Schroedinger residual
 
 
-def _drive_omega(drive):
-    return float(drive.omega)
-
-
 def _orbit_grid(orbit, period, m):
     ts = np.arange(m) * (period / m)
     sample = getattr(orbit, "sample", None)
@@ -164,23 +162,28 @@ def _series_from_samples(values, omega, harmonics):
     return TrigSeries(omega=omega, a0=spec[0].real, cos_coeffs=cos, sin_coeffs=sin)
 
 
+def _settled_samples(orbit, drive, m):
+    """``_chi_samples`` of the first grid of m, 2m, ... 65536 samples on which the
+    mean of chi is within 1e-10 of its mean over every second sample."""
+    samples = _chi_samples(orbit, drive, m)
+    while abs(samples[4].mean() - samples[4][::2].mean()) >= _A0_SETTLE and m < _MAX_GRID:
+        m *= 2
+        samples = _chi_samples(orbit, drive, m)
+    return samples
+
+
+def _eps_d(xs, hs, radius):
+    """eps_d, the mean of (h . X)/(2R) on a uniform grid."""
+    return float(np.mean(np.sum(hs * xs, axis=-1)) / (2.0 * radius))
+
+
 def chi_series(orbit, drive, harmonics=64):
     """Fourier series of chi along the orbit, constant term = quasienergy.
 
-    The sampling grid is doubled until the constant term changes by less
-    than 1e-10.
+    Read off the settled grid, starting at 2 max(1024, 4 harmonics) samples.
     """
-    m = max(_MIN_GRID, 4 * harmonics)
-    _, _, _, _, chi = _chi_samples(orbit, drive, m)
-    series = _series_from_samples(chi, _drive_omega(drive), harmonics)
-    while m < _MAX_GRID:
-        m *= 2
-        _, _, _, _, chi = _chi_samples(orbit, drive, m)
-        refined = _series_from_samples(chi, _drive_omega(drive), harmonics)
-        if abs(refined.a0 - series.a0) < _A0_SETTLE:
-            return refined
-        series = refined
-    return series
+    chi = _settled_samples(orbit, drive, 2 * max(_MIN_GRID, 4 * harmonics))[4]
+    return _series_from_samples(chi, float(drive.omega), harmonics)
 
 
 def split_geometric_dynamic(orbit, drive, grid=4096):
@@ -191,37 +194,34 @@ def split_geometric_dynamic(orbit, drive, grid=4096):
     quasienergy of :func:`chi_series` up to quadrature error.
     """
     ts, xs, hs, radius, _ = _chi_samples(orbit, drive, grid)
-    eps_d = float(np.mean(np.sum(hs * xs, axis=-1)) / (2.0 * radius))
-    m = grid
-    freqs = 2j * math.pi * np.fft.rfftfreq(m, d=drive.T / m)
-    dx = np.fft.irfft(np.fft.rfft(xs[:, 0]) * freqs, n=m)
-    dy = np.fft.irfft(np.fft.rfft(xs[:, 1]) * freqs, n=m)
+    eps_d = _eps_d(xs, hs, radius)
+    freqs = 2j * math.pi * np.fft.rfftfreq(grid, d=drive.T / grid)
+    dx = np.fft.irfft(np.fft.rfft(xs[:, 0]) * freqs, n=grid)
+    dy = np.fft.irfft(np.fft.rfft(xs[:, 1]) * freqs, n=grid)
     num = xs[:, 0] * dy - xs[:, 1] * dx
     eps_g = float(np.mean(num / (2.0 * radius * (radius + xs[:, 2]))))
     return eps_g, eps_d
 
 
-def quasienergy_classical(orbit, drive, method="ode", harmonics=64):
+def quasienergy_classical(orbit, drive, method="ode"):
     """Quasienergy of a periodic classical orbit, with split attached.
 
-    If the orbit passes too close to the south pole the antipodal orbit is
-    used instead and the result mapped back (eps -> -eps, eps_d -> -eps_d).
+    Both averages come from one settled grid.  If the orbit passes too close
+    to the south pole the antipodal orbit is used instead and the result
+    mapped back (eps -> -eps, eps_d -> -eps_d).
     """
-    try:
-        series = chi_series(orbit, drive, harmonics=harmonics)
-        _, eps_d = split_geometric_dynamic(orbit, drive)
-        return QuasienergyResult.from_raw(series.a0, eps_d, _drive_omega(drive), method)
-    except SouthPoleError:
-        if hasattr(orbit, "antipode"):
-            flipped = orbit.antipode()
-        else:
-            def flipped(t):
-                return -np.asarray(orbit(t))
 
-        series = chi_series(flipped, drive, harmonics=harmonics)
-        _, eps_d = split_geometric_dynamic(flipped, drive)
-        res = QuasienergyResult.from_raw(series.a0, eps_d, _drive_omega(drive), method)
-        return res.mirrored()
+    def from_grid(orb):
+        _, xs, hs, radius, chi = _settled_samples(orb, drive, 2 * _MIN_GRID)
+        eps_d = _eps_d(xs, hs, radius)
+        return QuasienergyResult.from_raw(float(chi.mean()), eps_d, float(drive.omega), method)
+
+    try:
+        return from_grid(orbit)
+    except SouthPoleError:
+        antipode = getattr(orbit, "antipode", None)
+        flipped = antipode() if antipode else lambda t: -np.asarray(orbit(t))
+        return from_grid(flipped).mirrored()
 
 
 def floquet_state(orbit, drive, grid=4096, harmonics=256):
@@ -232,7 +232,7 @@ def floquet_state(orbit, drive, grid=4096, harmonics=256):
     by spectral differentiation.
     """
     ts, xs, hs, radius, chi = _chi_samples(orbit, drive, grid)
-    series = _series_from_samples(chi, _drive_omega(drive), harmonics)
+    series = _series_from_samples(chi, float(drive.omega), harmonics)
     denom = radius + xs[:, 2]
     phi = np.empty((grid, 2), dtype=complex)
     norm = 1.0 / np.sqrt(2.0 * radius * denom)
@@ -252,7 +252,7 @@ def floquet_state(orbit, drive, grid=4096, harmonics=256):
     hu[:, 1] = 0.5 * ((hs[:, 0] + 1j * hs[:, 1]) * u[:, 0] - hs[:, 2] * u[:, 1])
     res = hu - eps * u - 1j * du
     residual = float(np.linalg.norm(res, axis=-1).max())
-    return FloquetState(times=ts, u=u, epsilon=eps, omega=_drive_omega(drive), residual=residual)
+    return FloquetState(times=ts, u=u, epsilon=eps, omega=float(drive.omega), residual=residual)
 
 
 def grad_omega0(orbit, drive, grid=4096):
@@ -344,6 +344,8 @@ def sweep_branches(
     """
     if method == "auto":
         method = "fourier" if params_base.G == 0 else "ode"
+    if method == "fourier" and n_trunc < 2:
+        raise DomainError(f"truncation order must be >= 2, got {n_trunc}")
     omegas = [float(w) for w in omega_grid]
     results = []
     prev = None

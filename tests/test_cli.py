@@ -234,13 +234,12 @@ def test_validate_detects_injected_sign_error(tmp_path, monkeypatch):
 
 def test_validate_split_detects_eps_d_error(tmp_path, monkeypatch):
     """Mutation test: a 1e-4 relative error in eps_d must fail the split check."""
-    real_split = quasienergy.split_geometric_dynamic
+    real_eps_d = quasienergy._eps_d
 
-    def tampered(orbit, drive, grid=4096):
-        eps_g, eps_d = real_split(orbit, drive, grid)
-        return eps_g, eps_d * (1.0 + 1e-4)
+    def tampered(xs, hs, radius):
+        return real_eps_d(xs, hs, radius) * (1.0 + 1e-4)
 
-    monkeypatch.setattr(quasienergy, "split_geometric_dynamic", tampered)
+    monkeypatch.setattr(quasienergy, "_eps_d", tampered)
     rc = cli.main(["validate", "--only", "split", "-o", str(tmp_path / "r.json")])
     assert rc == 3
 
@@ -300,6 +299,16 @@ def test_tolerance_below_batch_floor_exits_2(tmp_path, capsys):
                    "--omega-sweep", "0.5:2:16", "--tol", "5e-14", "-o", str(out)])
     assert rc == 2
     assert "tolerance must lie in [8.88e-14, 1e-6], got 5e-14" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fourier_sweep_below_truncation_two_exits_2(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    rc = cli.main(["quasienergy", "--omega0", "1", "--f", "0.5", "--omega-sweep", "0.5:2:3",
+                   "--n-trunc", "1", "-o", str(out)])
+    assert rc == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["error: truncation order must be >= 2, got 1"]
     assert not out.exists()
 
 

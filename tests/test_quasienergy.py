@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from floquet_tls import fourier_rpl
-from floquet_tls.bloch_dynamics import DriveParams
+from floquet_tls.bloch_dynamics import DriveParams, periodic_orbit
 from floquet_tls.errors import DomainError, SouthPoleError
 from floquet_tls.exact_models import rpc_quasienergies, rpc_trajectory, toy_example
 from floquet_tls.quasienergy import (
@@ -327,3 +327,94 @@ def test_elliptic_drive_gradients():
     }
     assert euler_residual(p, grads, res.epsilon) < 1e-6
     assert abs(res.epsilon - res.eps_g - res.eps_d) < 1e-8
+
+
+class _GridRecorder:
+    """Orbit wrapper recording the size of every grid it is sampled on."""
+
+    def __init__(self, orbit):
+        self.orbit = orbit
+        self.grids = []
+        if hasattr(orbit, "sample"):
+            self.sample = self._sample
+
+    def _sample(self, m):
+        self.grids.append(m)
+        return self.orbit.sample(m)
+
+    def __call__(self, t):
+        self.grids.append(np.size(t))
+        return self.orbit(t)
+
+
+@pytest.mark.parametrize("route", ["fourier", "ode"])
+def test_settled_orbit_is_sampled_once(route):
+    p = rpl(1.0, 0.8, 1.7)
+    if route == "fourier":
+        orbit = fourier_rpl.solve_auto(p, "phi1").normalized()
+    else:
+        orbit = periodic_orbit(p)
+    rec = _GridRecorder(orbit)
+    quasienergy_classical(rec, p, method=route)
+    assert rec.grids == [2048]
+    assert hasattr(rec, "sample")
+
+
+def test_unsettled_orbit_doubles_without_resampling():
+    # a strong-drive orbit passing near the south pole: a0 never settles
+    p = rpl(1.0, 15.0, 0.05)
+    rec = _GridRecorder(fourier_rpl.solve_auto(p, "phi1").normalized())
+    quasienergy_classical(rec, p, method="fourier")
+    assert rec.grids == [2048 << k for k in range(6)]  # 2048 .. 65536, each once
+
+
+def _south_pole_orbit(p):
+    big = math.hypot(p.F, p.omega0 - p.omega)
+
+    def orbit(t):
+        t = np.asarray(t, dtype=float)
+        out = np.empty(t.shape + (3,))
+        out[..., 0] = p.F * np.cos(p.omega * t) / big
+        out[..., 1] = p.F * np.sin(p.omega * t) / big
+        out[..., 2] = (p.omega0 - p.omega) / big
+        return out
+
+    return orbit
+
+
+@pytest.mark.parametrize("kind", ["rpc", "fourier", "ode", "south_pole"])
+def test_quasienergy_classical_matches_series_and_split(kind):
+    if kind == "rpc":
+        p = rpc(omega0=1.0, F=0.7, omega=1.4)
+        orbit = rpc_trajectory(p, +1)
+    elif kind == "fourier":
+        p = rpl(1.0, 0.8, 1.7)
+        orbit = fourier_rpl.solve_auto(p, "phi1").normalized()
+    elif kind == "ode":
+        p = DriveParams(1.0, 0.5, 0.3, 1.3)
+        orbit = periodic_orbit(p)
+    else:
+        p = rpc(omega0=1.0, F=1e-3, omega=3.0)
+        orbit = _south_pole_orbit(p)
+    res = quasienergy_classical(orbit, p)
+    sign = 1.0
+    if kind == "south_pole":
+        # the reference routes do not flip: hand them the antipode
+        sign, orbit = -1.0, (lambda t, o=orbit: -o(t))
+    assert abs(res.epsilon - sign * chi_series(orbit, p).a0) <= 1e-12
+    assert abs(res.eps_d - sign * split_geometric_dynamic(orbit, p)[1]) <= 1e-14
+
+
+def test_sample_folds_onto_any_grid():
+    for p, n_trunc, grids in (
+        (rpl(1.0, 0.8, 1.7), 20, (1, 2, 3, 255, 40, 41)),
+        (rpl(1.0, 1.2, 0.9), 21, (1, 2, 3, 255, 42, 43)),
+        (rpl(1.0, 20.0, 0.05), 404, (256,)),  # harmonics 128, 384, ... on bin m/2
+    ):
+        sol = fourier_rpl.solve_auto(p, "phi1", start=n_trunc).normalized()
+        assert sol.N == n_trunc
+        for m in grids:
+            got = sol.sample(m)
+            assert got.shape == (m, 3)
+            assert np.abs(got - sol.evaluate(np.arange(m) * (p.T / m))).max() <= 1e-12
+            assert np.array_equal(sol.antipode().sample(m), -got)
