@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import DegenerateMonodromyError, DomainError, FloquetTlsError, IntegrationError
 
@@ -187,6 +186,17 @@ def _check_tol(tol, batch=1):
         )
 
 
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on the first integration.
+
+    Importing scipy.integrate takes longer than most commands that need no
+    ODE, so the package does not import it when it loads.
+    """
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
+
+
 def _integrate(rhs, t_span, y0, tol, dense_output=True):
     res = solve_ivp(
         rhs,
@@ -344,6 +354,15 @@ def periodic_orbit(params, tol=DEFAULT_TOL, t0=0.0):
     eigenvalue-1 eigenvector of the one-period propagator: a batch of one
     of :func:`periodic_orbits`, so a single point and a sweep share one
     integrator.  Its tolerance bound is that of a full batch.
+
+    Alone, a point is less accurate than inside a sweep at the same tol.
+    DOP853 bounds the error per step, not over the period, and the steps of
+    a batch are chosen for all its members together, so a member runs on
+    finer steps than it would alone.  At (omega0, F, G, omega) = (1, 0.5,
+    0.5, 0.7368) and tol 1e-12 the lone orbit is 2.1e-10 from the closed
+    form, and still 5.3e-11 at tol / 4; in the 16-point batch 0.3368,
+    0.4368, ..., 1.8368 it is 2.7e-14 off, and 8.9e-12 as the lowest
+    frequency of the batch 0.7368 ... 2.
     """
     _check_tol(tol, BATCH_SIZE)
     (orbit,) = _orbit_batch(

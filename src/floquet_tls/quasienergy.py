@@ -344,6 +344,8 @@ def sweep_branches(
     """
     if method == "auto":
         method = "fourier" if params_base.G == 0 else "ode"
+    if method == "fourier" and params_base.G != 0:
+        raise DomainError("fourier route requires G = 0")
     if method == "fourier" and n_trunc < 2:
         raise DomainError(f"truncation order must be >= 2, got {n_trunc}")
     omegas = [float(w) for w in omega_grid]

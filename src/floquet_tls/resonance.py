@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .bloch_dynamics import DriveParams
 from .errors import BracketNotFoundError, DomainError, SeriesInstabilityError
@@ -130,6 +129,17 @@ def _scan_roots(fn, lo, hi, points):
     if vals[-1] == 0.0:
         brackets.append((grid[-1], grid[-1]))
     return brackets
+
+
+def brentq(*args, **kwargs):
+    """scipy.optimize.brentq, imported on the first root refinement.
+
+    Only resonance searches refine roots, so the package does not import
+    scipy.optimize when it loads.
+    """
+    from scipy.optimize import brentq as scipy_brentq
+
+    return scipy_brentq(*args, **kwargs)
 
 
 def _refine(fn, lo, hi):

@@ -23,6 +23,7 @@ from floquet_tls.bloch_dynamics import (
     so3_angle,
 )
 from floquet_tls.errors import DegenerateMonodromyError, DomainError, IntegrationError
+from floquet_tls.exact_models import rpc_trajectory
 from floquet_tls.quasienergy import sweep_branches
 
 
@@ -253,6 +254,49 @@ def test_batched_orbits_are_no_less_accurate_than_lone_ones():
         ts = np.linspace(0.0, p.T, 101)
         lone = np.abs(periodic_orbit(p)(ts) - ref(ts)).max()
         assert np.abs(orbit(ts) - ref(ts)).max() <= lone
+
+
+def test_lone_orbit_accuracy_gap():
+    # the gap stated in the periodic_orbit docstring: a lone orbit is held
+    # to 1e-9 only, the same point inside a batch to 1e-11
+    omega = 0.7368
+    p = rpc_params(omega0=1.0, F=0.5, omega=omega)
+    ts = np.linspace(0.0, p.T, 201)
+    ref = rpc_trajectory(p)(ts)
+    ref /= np.linalg.norm(ref, axis=-1, keepdims=True)
+    grid = omega + 0.1 * np.arange(-4, 12)
+    in_batch = list(periodic_orbits(1.0, 0.5, 0.5, grid))[4]
+    assert np.abs(periodic_orbit(p)(ts) - ref).max() <= 1e-9
+    assert np.abs(in_batch(ts) - ref).max() <= 1e-11
+
+
+def test_every_integration_calls_the_module_solve_ivp(monkeypatch):
+    # the benchmark tracer counts bloch_dynamics.rhs_evals by wrapping this
+    # name, so no run may reach scipy's solve_ivp around it
+    import scipy.integrate
+
+    inner, outer = [], []
+    scipy_solve_ivp = scipy.integrate.solve_ivp
+    lazy_solve_ivp = bloch_dynamics.solve_ivp
+
+    def counting(fn, seen):
+        def wrapper(*args, **kwargs):
+            res = fn(*args, **kwargs)
+            seen.append(res.nfev)
+            return res
+
+        return wrapper
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", counting(scipy_solve_ivp, inner))
+    monkeypatch.setattr(bloch_dynamics, "solve_ivp", counting(lazy_solve_ivp, outer))
+    p = DriveParams(1.0, 0.5, 0.3, 1.0)
+    assert len(list(periodic_orbits(1.0, 0.5, 0.3, [0.8, 1.0, 1.2]))) == 3
+    monodromy_so3(p)
+    evolve_classical(p, [0.0, 0.0, 1.0], 0.0, p.T)
+    # two runs for the batch of orbits, one each for the other two
+    assert len(outer) == 4
+    assert outer == inner
+    assert min(outer) > 0
 
 
 def test_periodic_orbit_sample_matches_call():

@@ -312,6 +312,16 @@ def test_fourier_sweep_below_truncation_two_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_fourier_sweep_with_nonzero_g_exits_2(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    rc = cli.main(["quasienergy", "--omega0", "1", "--f", "0.5", "--g", "0.3", "--method", "fourier",
+                   "--omega-sweep", "0.5:2:3", "-o", str(out)])
+    assert rc == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["error: fourier route requires G = 0"]
+    assert not out.exists()
+
+
 def test_full_batch_at_tol_1e13_gets_its_tolerance(tmp_path):
     args = ["quasienergy", "--omega0", "1", "--f", "0.5", "--g", "0.3",
             "--omega-sweep", "0.5:2:16", "--tol", "1e-13", "-o", str(tmp_path / "sweep.csv")]

@@ -1,0 +1,73 @@
+"""scipy is loaded only by commands that integrate an ODE or refine a root.
+
+The Fourier route and the exact Bloch-Siegert series need only numpy, and
+importing scipy.integrate takes longer than such a command.  Each case runs
+in a fresh interpreter, because this one has scipy loaded already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import floquet_tls
+
+SRC = str(Path(floquet_tls.__file__).resolve().parent.parent)
+
+# prints the scipy modules loaded after the body has run
+SCRIPT = """\
+import json, sys
+{body}
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+MAIN = """\
+from floquet_tls.cli import main
+assert main(json.loads(sys.argv[1])) == 0
+"""
+
+
+def scipy_modules_after(body, argv=()):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT.format(body=body), json.dumps(list(argv))],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("module", ["floquet_tls", "floquet_tls.cli"])
+def test_import_loads_no_scipy(module):
+    assert scipy_modules_after(f"import {module}") == []
+
+
+SWEEP = ["quasienergy", "--omega0", "1", "--f", "0.5", "--omega-sweep", "0.5:2:4"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--omega0", "1", "--f", "0.5", "--omega", "2", "--method", "fourier"],
+        SWEEP + ["--method", "fourier"],
+        SWEEP + ["--method", "auto"],
+        ["bloch-siegert", "--n", "2", "--max-m", "4"],
+    ],
+    ids=["solve-fourier", "sweep-fourier", "sweep-auto", "bloch-siegert"],
+)
+def test_numpy_only_commands_load_no_scipy(tmp_path, argv):
+    argv = argv + ["--output", str(tmp_path / "out")]
+    assert scipy_modules_after(MAIN, argv) == []
+
+
+def test_ode_solve_loads_scipy_integrate(tmp_path):
+    argv = ["solve", "--omega0", "1", "--f", "0.5", "--g", "0.3", "--omega", "2",
+            "--method", "ode", "--output", str(tmp_path / "out")]
+    assert "scipy.integrate" in scipy_modules_after(MAIN, argv)
