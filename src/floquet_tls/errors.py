@@ -18,9 +18,10 @@ class DegenerateMonodromyError(FloquetTlsError):
 
 
 class SouthPoleError(FloquetTlsError):
-    """Orbit touches the south pole where the section is undefined.
+    """Orbit passes within 1e-3 R of the south pole, where the section is singular.
 
-    Remedy: use the antipodal orbit -X(t) and map eps -> -eps mod omega.
+    Remedy: use the antipodal orbit -X(t) and map eps -> -eps mod omega;
+    ``quasienergy_classical`` does so itself.
     """
 
 

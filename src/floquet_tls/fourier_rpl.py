@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bloch_dynamics import DriveParams
-from .errors import DomainError, ResonanceError
+from .errors import DomainError, ResonanceError, SeriesInstabilityError
 
 # stands in for a vanishing trailing minor when the next ratio divides by it
 # (Lentz's guard for continued fractions); keeps r_k * r_{k+1} = b_k intact
@@ -288,18 +288,42 @@ def solve_coefficients(sys, z0_choice="unit"):
 
 
 def solve_auto(params, z0_choice="phi1", start=20, step=8, coeff_tol=1e-10, n_max=400):
-    """Grow the truncation order until the top coefficient is negligible.
+    """Smallest truncation order N = start + step k whose top coefficient is negligible.
 
-    Stops once |x_N| / max_n |x_n| < coeff_tol (checked on the normalized
-    magnitudes), growing N by ``step`` from ``start``.
+    N is converged once max(|x_N|, |x_{N-1}|) <= coeff_tol max_n |x_n|.  The
+    search gallops, k = 0, 1, 3, 7, ..., up to the first converged order and
+    then bisects back to the first one, so a point that converges at step k
+    costs at most 2 ceil(log2(k + 1)) + 1 ladder solves.  The cap grows with
+    f = |F / omega| on the Jacobi-Anger scale, beyond which the Bessel
+    coefficients J_n(f) fall off faster than exponentially:
+    max(n_max, start, ceil(f + 12 f^(1/3) + 25) + step).  An order still
+    unconverged at the cap raises SeriesInstabilityError.
     """
-    n_ = start
-    while True:
-        sol = solve_coefficients(build_system(params, n_), z0_choice)
-        mags = np.array([abs(float(v)) for v in sol.x])
-        top = max(mags[-1], mags[-2] if n_ >= 2 else 0.0)
-        if top <= coeff_tol * mags.max():
-            return sol
-        if n_ >= n_max:
-            return sol
-        n_ += step
+    f = abs(params.F / params.omega)
+    n_max = max(n_max, start, math.ceil(f + 12 * f ** (1 / 3) + 25) + step)
+    k_max = -(-(n_max - start) // step)
+
+    def probe(k):
+        sol = solve_coefficients(build_system(params, start + step * k), z0_choice)
+        mags = np.abs(np.asarray(sol.x, dtype=float))
+        tail, peak = max(mags[-1], mags[-2]), mags.max()
+        return sol, tail <= coeff_tol * peak, tail / peak if peak else 0.0
+
+    lo, hi = -1, 0  # the first converged step lies in (lo, hi]: lo unconverged
+    sol, converged, tail = probe(hi)
+    while not converged:
+        if hi == k_max:
+            raise SeriesInstabilityError(
+                f"truncation N = {sol.N} unconverged at its cap: "
+                f"tail ratio {tail:.3g} > coeff_tol {coeff_tol:g}"
+            )
+        lo, hi = hi, min(2 * hi + 1, k_max)
+        sol, converged, tail = probe(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        mid_sol, converged, _ = probe(mid)
+        if converged:
+            hi, sol = mid, mid_sol
+        else:
+            lo = mid
+    return sol

@@ -21,8 +21,15 @@ periodic orbit of the ODE route (a grid shared by its batch), is sampled
 through it.  Averages are taken on uniform grids (spectrally accurate for
 smooth periodic integrands), each sampled once: 2048 points, doubled up to
 65536 only while the mean of chi still differs by 1e-10 from its mean on
-the grid of half the size.  eps_d, the mean of a trigonometric polynomial
-of degree N + 1, is exact on such a grid for N + 1 < 2048.
+the grid of half the size; a grid still unsettled at 65536 raises
+SeriesInstabilityError.  eps_d, the mean of a trigonometric polynomial of
+degree N + 1, is exact on such a grid for N + 1 < 2048.
+
+chi is singular at the south pole, R + Z = 0.  An orbit that comes within
+1e-3 R of it (min (R + Z) on the grid) is handed by
+:func:`quasienergy_classical` to its antipode -X(t), whose section has its
+pole at +z; :func:`chi_series` and :func:`floquet_state` keep the -z section
+and raise SouthPoleError.
 
 Sweeps (:func:`sweep_branches`) on the ODE route integrate their periodic
 orbits in batches in s = omega t (:func:`bloch_dynamics.periodic_orbits`);
@@ -38,9 +45,15 @@ import numpy as np
 
 from .bloch_dynamics import DriveParams, periodic_orbit, periodic_orbits
 from . import fourier_rpl
-from .errors import ContinuityWarning, DomainError, FloquetTlsError, SouthPoleError
+from .errors import (
+    ContinuityWarning,
+    DomainError,
+    FloquetTlsError,
+    SeriesInstabilityError,
+    SouthPoleError,
+)
 
-_SOUTH_POLE_MARGIN = 1e-6
+_SOUTH_POLE_MARGIN = 1e-3
 _A0_SETTLE = 1e-10
 _MIN_GRID = 1024
 _MAX_GRID = 1 << 16
@@ -146,7 +159,7 @@ def _chi_samples(orbit, drive, m):
     denom = radius + xs[..., 2]
     if denom.min() <= _SOUTH_POLE_MARGIN * radius:
         raise SouthPoleError(
-            "orbit passes within 1e-6 R of the south pole; "
+            f"orbit passes within {_SOUTH_POLE_MARGIN:g} R of the south pole; "
             "use the antipodal orbit -X(t) and map eps -> -eps mod omega"
         )
     chi = 0.5 * (hs[..., 2] + (hs[..., 0] * xs[..., 0] + hs[..., 1] * xs[..., 1]) / denom)
@@ -164,9 +177,17 @@ def _series_from_samples(values, omega, harmonics):
 
 def _settled_samples(orbit, drive, m):
     """``_chi_samples`` of the first grid of m, 2m, ... 65536 samples on which the
-    mean of chi is within 1e-10 of its mean over every second sample."""
+    mean of chi is within 1e-10 of its mean over every second sample.
+
+    Raises SeriesInstabilityError if the 65536-sample grid has not settled.
+    """
     samples = _chi_samples(orbit, drive, m)
-    while abs(samples[4].mean() - samples[4][::2].mean()) >= _A0_SETTLE and m < _MAX_GRID:
+    while (delta := abs(samples[4].mean() - samples[4][::2].mean())) >= _A0_SETTLE:
+        if m >= _MAX_GRID:
+            raise SeriesInstabilityError(
+                f"mean of chi unsettled on {m} samples: "
+                f"{delta:.3g} from its mean over every second sample"
+            )
         m *= 2
         samples = _chi_samples(orbit, drive, m)
     return samples
@@ -206,9 +227,10 @@ def split_geometric_dynamic(orbit, drive, grid=4096):
 def quasienergy_classical(orbit, drive, method="ode"):
     """Quasienergy of a periodic classical orbit, with split attached.
 
-    Both averages come from one settled grid.  If the orbit passes too close
-    to the south pole the antipodal orbit is used instead and the result
-    mapped back (eps -> -eps, eps_d -> -eps_d).
+    Both averages come from one settled grid.  If the orbit passes within
+    1e-3 R of the south pole, where chi needs ever finer grids to settle,
+    the antipodal orbit is used instead and the result mapped back
+    (eps -> -eps, eps_d -> -eps_d).
     """
 
     def from_grid(orb):

@@ -1,6 +1,7 @@
 """Command-line surface: artifacts, exit codes, determinism."""
 
 import csv
+import functools
 import json
 import math
 import os
@@ -290,6 +291,40 @@ def test_failed_ode_point_marks_only_its_row(tmp_path, monkeypatch, capsys):
     got = patched.read_text().splitlines()
     assert got[6] == "1,NaN,NaN,NaN,NaN,0"
     assert got[:6] + got[7:] == want[:6] + want[7:]
+
+
+def test_unsettled_sweep_point_is_a_nan_row(tmp_path, monkeypatch, capsys):
+    # the (1, 15, 0.05) point settles on 32768 samples, its neighbour on 16384
+    monkeypatch.setattr(quasienergy, "_MAX_GRID", 16384)
+    out = tmp_path / "sweep.json"
+    rc = cli.main(["quasienergy", "--omega0", "1", "--f", "15", "--omega-sweep", "0.05:0.08:2",
+                   "--method", "fourier", "--format", "json", "-o", str(out)])
+    assert rc == 2  # one failed point of two
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("omega=0.05: mean of chi unsettled on 16384")
+    rows = json.loads(out.read_text())["rows"]
+    assert rows[0] == [0.05, None, None, None, None, 0]
+    assert all(v is not None for v in rows[1])
+
+
+def test_unconverged_truncation_fails_loudly(tmp_path, monkeypatch, capsys):
+    # at (1, 20, 0.05) no order up to the cap N = 524 reaches coeff_tol = 1e-40; at 0.08 one does
+    strict = functools.partial(fourier_rpl.solve_auto, coeff_tol=1e-40)
+    monkeypatch.setattr(fourier_rpl, "solve_auto", strict)
+    reason = "truncation N = 524 unconverged at its cap: tail ratio 3.44e-30 > coeff_tol 1e-40"
+    out = tmp_path / "traj.csv"
+    rc = cli.main(["solve", "--omega0", "1", "--f", "20", "--omega", "0.05", "--method", "fourier",
+                   "-o", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {reason}"]
+    assert not out.exists()
+    rc = cli.main(["quasienergy", "--omega0", "1", "--f", "20", "--omega-sweep", "0.05:0.08:2",
+                   "--method", "fourier", "-o", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [f"omega=0.05: {reason}"]
+    rows = out.read_text().splitlines()
+    assert rows[1] == "0.050000000000000003,NaN,NaN,NaN,NaN,0"
+    assert "NaN" not in rows[2]
 
 
 def test_tolerance_below_batch_floor_exits_2(tmp_path, capsys):

@@ -8,7 +8,8 @@ import pytest
 from scipy.optimize import brentq
 
 from floquet_tls.bloch_dynamics import DriveParams, periodic_orbit
-from floquet_tls.errors import DomainError, ResonanceError
+from floquet_tls import fourier_rpl
+from floquet_tls.errors import DomainError, ResonanceError, SeriesInstabilityError
 from floquet_tls.fourier_rpl import (
     build_system,
     minors,
@@ -277,6 +278,67 @@ def test_solve_auto_growth_rule():
     assert solve_auto(rpl(1.0, 0.5, 2.0), "phi1").N == 20
 
 
+def _linear_scan_order(p, start, step=8, coeff_tol=1e-10):
+    """Reference for solve_auto: the first converged order N = start + step k, k = 0, 1, 2, ..."""
+    n = start
+    while True:
+        sol = solve_coefficients(build_system(p, n), "phi1")
+        mags = np.abs(np.asarray(sol.x, dtype=float))
+        if max(mags[-1], mags[-2]) <= coeff_tol * mags.max():
+            return n
+        n += step
+
+
+class _BuildCounter:
+    """Wrapper on build_system recording every truncation order it builds."""
+
+    def __init__(self, monkeypatch):
+        self.orders = []
+        real = fourier_rpl.build_system
+
+        def counting(params, n_trunc, exact=False):
+            self.orders.append(n_trunc)
+            return real(params, n_trunc, exact)
+
+        monkeypatch.setattr(fourier_rpl, "build_system", counting)
+
+
+@pytest.mark.parametrize("start", [7, 20, 33])
+def test_solve_auto_matches_linear_scan(start, monkeypatch):
+    for F in (0.05, 0.7, 3.0, 9.0):
+        for omega in (0.09, 0.35, 1.3, 2.7):
+            p = rpl(1.0, F, omega)
+            n_ref = _linear_scan_order(p, start)
+            builds = _BuildCounter(monkeypatch)
+            assert solve_auto(p, "phi1", start=start).N == n_ref
+            k = (n_ref - start) // 8
+            assert len(builds.orders) <= 2 * math.ceil(math.log2(k + 1)) + 2
+            monkeypatch.undo()
+
+
+def test_solve_auto_cap_grows_with_drive(monkeypatch):
+    # coeff_tol < 0: no order converges, so the search ends at its cap
+    caps = []
+    for f in (10.0, 400.0, 1000.0, 3000.0):
+        builds = _BuildCounter(monkeypatch)
+        with pytest.raises(SeriesInstabilityError):
+            solve_auto(rpl(1.0, f * 0.05, 0.05), "phi1", coeff_tol=-1.0)
+        caps.append(max(builds.orders))
+        assert caps[-1] >= f + 12 * f ** (1 / 3) + 25
+        monkeypatch.undo()
+    assert caps[0] == 404  # the fixed cap n_max = 400, rounded up to a candidate order
+    assert caps == sorted(set(caps))
+
+
+def test_solve_auto_unconverged_at_cap_raises():
+    p = rpl(1.0, 20.0, 0.05)
+    # the scaled cap, N = 524, leaves a tail ratio of 3.4e-30
+    with pytest.raises(SeriesInstabilityError, match=r"N = 524 unconverged .* tail ratio 3\.44e-30"):
+        solve_auto(p, "phi1", coeff_tol=1e-40)
+    # a smaller n_max does not lower the scaled cap
+    assert solve_auto(p, "phi1", n_max=100).N == 460
+
+
 def test_normalized_solution_unit_sphere():
     p = rpl(1.0, 0.8, 2.3)
     sol = solve_auto(p, "phi1").normalized()
@@ -310,7 +372,7 @@ def test_y_determined_by_x_derivative():
 )
 def test_sample_matches_evaluate_on_uniform_grid(omega0, F, omega, n_trunc):
     p = rpl(omega0, F, omega)
-    sol = solve_auto(p, "phi1", start=n_trunc).normalized()
+    sol = solve_coefficients(build_system(p, n_trunc), "phi1").normalized()
     assert sol.N == n_trunc
     # m = 256 < 2N at N = 404: harmonics fold onto bins n mod m
     for m in (256, 1024, 4096, 65536):

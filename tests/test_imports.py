@@ -6,6 +6,7 @@ in a fresh interpreter, because this one has scipy loaded already.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -65,6 +66,16 @@ SWEEP = ["quasienergy", "--omega0", "1", "--f", "0.5", "--omega-sweep", "0.5:2:4
 def test_numpy_only_commands_load_no_scipy(tmp_path, argv):
     argv = argv + ["--output", str(tmp_path / "out")]
     assert scipy_modules_after(MAIN, argv) == []
+
+
+def test_strong_drive_fourier_sweep_loads_no_scipy(tmp_path):
+    out = tmp_path / "out"
+    argv = ["quasienergy", "--omega0", "1", "--f", "20", "--omega-sweep", "0.05:0.08:2",
+            "--method", "fourier", "--output", str(out)]
+    assert scipy_modules_after(MAIN, argv) == []
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 2
+    assert all(math.isfinite(float(v)) for row in rows for v in row)
 
 
 def test_ode_solve_loads_scipy_integrate(tmp_path):

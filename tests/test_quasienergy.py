@@ -6,8 +6,14 @@ import numpy as np
 import pytest
 
 from floquet_tls import fourier_rpl
-from floquet_tls.bloch_dynamics import DriveParams, periodic_orbit
-from floquet_tls.errors import DomainError, SouthPoleError
+from floquet_tls import quasienergy
+from floquet_tls.bloch_dynamics import (
+    DriveParams,
+    monodromy_su2,
+    periodic_orbit,
+    quasienergy_from_monodromy,
+)
+from floquet_tls.errors import DomainError, SeriesInstabilityError, SouthPoleError
 from floquet_tls.exact_models import rpc_quasienergies, rpc_trajectory, toy_example
 from floquet_tls.quasienergy import (
     QuasienergyResult,
@@ -332,11 +338,14 @@ def test_elliptic_drive_gradients():
 class _GridRecorder:
     """Orbit wrapper recording the size of every grid it is sampled on."""
 
-    def __init__(self, orbit):
+    def __init__(self, orbit, grids=None):
         self.orbit = orbit
-        self.grids = []
+        self.grids = [] if grids is None else grids
         if hasattr(orbit, "sample"):
             self.sample = self._sample
+        if hasattr(orbit, "antipode"):
+            # the antipode records into the same list
+            self.antipode = lambda: _GridRecorder(orbit.antipode(), self.grids)
 
     def _sample(self, m):
         self.grids.append(m)
@@ -361,11 +370,37 @@ def test_settled_orbit_is_sampled_once(route):
 
 
 def test_unsettled_orbit_doubles_without_resampling():
-    # a strong-drive orbit passing near the south pole: a0 never settles
+    # a strong-drive orbit passing 1.7e-5 R from the south pole: its first
+    # grid raises SouthPoleError, and a0 of the antipode settles only on a
+    # grid finer than 2048
     p = rpl(1.0, 15.0, 0.05)
     rec = _GridRecorder(fourier_rpl.solve_auto(p, "phi1").normalized())
     quasienergy_classical(rec, p, method="fourier")
-    assert rec.grids == [2048 << k for k in range(6)]  # 2048 .. 65536, each once
+    first, *grids = rec.grids
+    assert first == 2048
+    assert len(grids) >= 2 and grids[0] == 2048
+    assert all(b == 2 * a for a, b in zip(grids, grids[1:]))  # strictly doubling, each once
+    assert grids[-1] < 65536
+
+
+def test_unsettled_at_grid_cap_raises(monkeypatch):
+    # the antipode of the (1, 15, 0.05) orbit settles only on 32768 samples
+    monkeypatch.setattr(quasienergy, "_MAX_GRID", 4096)
+    p = rpl(1.0, 15.0, 0.05)
+    orbit = fourier_rpl.solve_auto(p, "phi1").normalized()
+    with pytest.raises(SeriesInstabilityError, match="unsettled on 4096 samples"):
+        quasienergy_classical(orbit, p, method="fourier")
+
+
+@pytest.mark.parametrize("F, omega", [(20.0, 0.05), (15.0, 0.05), (7.0, 0.0875)])
+def test_strong_drive_fourier_matches_su2_eigenphase(F, omega):
+    # once wrong by 4.4e-3, 2.8e-5 and 1.1e-5: an unconverged truncation
+    # and two orbits passing within 2e-5 R of the south pole
+    p = rpl(1.0, F, omega)
+    eps = quasienergy_at(p, method="fourier").epsilon_mod
+    ref = quasienergy_from_monodromy(monodromy_su2(p, tol=1e-13), p.T)
+    d = [(eps - sign * ref) % omega for sign in (1, -1)]
+    assert min(min(v, omega - v) for v in d) <= 1e-10
 
 
 def _south_pole_orbit(p):
@@ -411,7 +446,7 @@ def test_sample_folds_onto_any_grid():
         (rpl(1.0, 1.2, 0.9), 21, (1, 2, 3, 255, 42, 43)),
         (rpl(1.0, 20.0, 0.05), 404, (256,)),  # harmonics 128, 384, ... on bin m/2
     ):
-        sol = fourier_rpl.solve_auto(p, "phi1", start=n_trunc).normalized()
+        sol = fourier_rpl.solve_coefficients(fourier_rpl.build_system(p, n_trunc), "phi1").normalized()
         assert sol.N == n_trunc
         for m in grids:
             got = sol.sample(m)
