@@ -2,8 +2,12 @@
 
 Resonances of the linear problem are the zeros of det A^(N)(omega): there
 the constant term z0 of the periodic solution vanishes together with the
-mean of Z(t), which is the resonance condition d(eps)/d(omega0) = 0.  At
-F = 0 the n-th resonance sits at omega0/(2n-1); its drive-amplitude series
+mean of Z(t), which is the resonance condition d(eps)/d(omega0) = 0.  Its
+sign changes are bracketed on a frequency grid, or around a warm start,
+and refined by Brent's method (``brentq``, in this module, so a resonance
+search loads no scipy module).
+
+At F = 0 the n-th resonance sits at omega0/(2n-1); its drive-amplitude series
 
     omega_res^(n)(F) = omega0/(2n-1) + sum_m sigma_2m^(n) omega0^(1-2m) F^(2m)
 
@@ -131,15 +135,75 @@ def _scan_roots(fn, lo, hi, points):
     return brackets
 
 
-def brentq(*args, **kwargs):
-    """scipy.optimize.brentq, imported on the first root refinement.
+_RTOL_MIN = 4 * np.finfo(float).eps
 
-    Only resonance searches refine roots, so the package does not import
-    scipy.optimize when it loads.
+
+def brentq(f, a, b, xtol, rtol, maxiter=100):
+    """Root of f in the sign-change bracket [a, b] by Brent's method.
+
+    A step-for-step transcription of scipy.optimize.brentq (R. P. Brent,
+    Algorithms for Minimization Without Derivatives, 1973, ch. 4): the same
+    iterates, the same root, the same errors, without importing
+    scipy.optimize.  xpre/xcur/xblk are the previous iterate, the current
+    best and the opposite-sign end; each step interpolates (secant or
+    inverse quadratic) when that stays short, else bisects, and is never
+    shorter than delta = (xtol + rtol |xcur|)/2.  Ends, tolerances and f
+    values are cast to Python floats, so a step overflows to inf silently,
+    as a C double does, not with numpy's RuntimeWarning.
     """
-    from scipy.optimize import brentq as scipy_brentq
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _RTOL_MIN:
+        raise ValueError(f"rtol too small ({rtol:g} < {_RTOL_MIN:g})")
+    if maxiter < 0:
+        raise ValueError("maxiter must be >= 0")
 
-    return scipy_brentq(*args, **kwargs)
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur, xtol, rtol = float(a), float(b), float(xtol), float(rtol)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless a short interpolation step exists
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C gets inf or NaN here and bisects
+                pass
+        limit = 3 * abs(sbis) - delta
+        if 2 * abs(stry) < (abs(spre) if abs(spre) < limit else limit):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 def _refine(fn, lo, hi):

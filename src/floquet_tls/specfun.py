@@ -15,9 +15,11 @@ Algorithms:
   * K, E by the arithmetic-geometric mean; negative parameter is mapped to
     [0, 1) by the imaginary-modulus transformation first.
 
-All functions are pure and keep no global state.
+All functions are pure; bessel_j0_zero memoizes its results, because the
+resonance search asks for the same few zeros at every amplitude.
 """
 
+import functools
 import math
 
 from .errors import DomainError
@@ -25,6 +27,7 @@ from .errors import DomainError
 _SERIES_CUTOFF = 12.0
 _MAX_ORDER = 200
 _MAX_ARG = 1.0e4
+_MAX_J0_ZERO = 400
 
 
 def _bessel_series(n, x):
@@ -93,10 +96,11 @@ def bessel_j(n, x):
     return sign * _bessel_miller(n, ax)
 
 
+@functools.lru_cache(maxsize=None)
 def bessel_j0_zero(n):
-    """n-th positive zero of J_0, 1 <= n <= 50, absolute error <= 1e-10."""
-    if int(n) != n or not (1 <= int(n) <= 50):
-        raise DomainError(f"zero index out of range [1, 50]: {n}")
+    """n-th positive zero of J_0, 1 <= n <= 400, absolute error <= 1e-10."""
+    if int(n) != n or not (1 <= int(n) <= _MAX_J0_ZERO):
+        raise DomainError(f"zero index out of range [1, {_MAX_J0_ZERO}]: {n}")
     n = int(n)
     beta = (n - 0.25) * math.pi
     x = beta + 1.0 / (8.0 * beta)  # McMahon guess, error O(beta^-3)

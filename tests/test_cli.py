@@ -171,6 +171,21 @@ def test_resonance_command(tmp_path):
         assert abs(x) < 0.5
 
 
+def test_resonance_fiftieth_curve(tmp_path):
+    # tracking asks for the neighbouring zero j_{0,51}; at N = 120 the
+    # determinant ratios reach 2^+-1000, and Brent extrapolation steps that
+    # overflow fall back to bisection without a RuntimeWarning
+    out = tmp_path / "res.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["resonance", "--n-list", "50", "--n-trunc", "120",
+                       "--f-grid", "0.01:0.02:2", "-o", str(out)])
+    assert rc == 0
+    _, rows = read_csv(out)
+    assert [row[:2] for row in rows] == [[50, 0.01], [50, 0.02]]
+    assert all(abs(row[2] - 1 / 99) < 1e-5 for row in rows)
+
+
 def test_bloch_siegert_json_exact(tmp_path):
     out = tmp_path / "bs.json"
     rc = cli.main(

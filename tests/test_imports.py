@@ -1,8 +1,9 @@
-"""scipy is loaded only by commands that integrate an ODE or refine a root.
+"""scipy is loaded only by commands that integrate an ODE.
 
-The Fourier route and the exact Bloch-Siegert series need only numpy, and
-importing scipy.integrate takes longer than such a command.  Each case runs
-in a fresh interpreter, because this one has scipy loaded already.
+The Fourier route, the resonance search and the exact Bloch-Siegert series
+need only numpy, and importing scipy takes longer than such a command.
+Each case runs in a fresh interpreter, because this one has scipy loaded
+already.
 """
 
 import json
@@ -60,8 +61,9 @@ SWEEP = ["quasienergy", "--omega0", "1", "--f", "0.5", "--omega-sweep", "0.5:2:4
         SWEEP + ["--method", "fourier"],
         SWEEP + ["--method", "auto"],
         ["bloch-siegert", "--n", "2", "--max-m", "4"],
+        ["resonance", "--n-list", "1,2", "--f-grid", "0.02:0.5:3", "--log-grid"],
     ],
-    ids=["solve-fourier", "sweep-fourier", "sweep-auto", "bloch-siegert"],
+    ids=["solve-fourier", "sweep-fourier", "sweep-auto", "bloch-siegert", "resonance"],
 )
 def test_numpy_only_commands_load_no_scipy(tmp_path, argv):
     argv = argv + ["--output", str(tmp_path / "out")]

@@ -1,6 +1,7 @@
 """Resonance curves, Bloch-Siegert rationals, triangle coordinates."""
 
 import math
+import warnings
 from fractions import Fraction as Q
 
 import numpy as np
@@ -9,8 +10,11 @@ import pytest
 from floquet_tls.bloch_dynamics import DriveParams
 from floquet_tls.errors import BracketNotFoundError, DomainError, SeriesInstabilityError
 from floquet_tls.resonance import (
+    _det_fn,
+    _scan_roots,
     bloch_siegert_coefficients,
     bloch_siegert_shift,
+    brentq,
     find_resonance,
     from_triangle,
     general_form_check,
@@ -129,6 +133,77 @@ def test_warm_start_tracks_root():
     for f_amp, pt in zip(fs, pts):
         fresh = find_resonance(2, float(f_amp), 1.0, 50)
         assert abs(pt.omega_res - fresh.omega_res) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Brent's method against scipy.optimize.brentq
+
+RTOL = 4 * np.finfo(float).eps  # the tolerances of resonance._refine
+XTOL = 1e-12
+
+
+def _root_or_error(solver, f, a, b, xtol=XTOL, rtol=RTOL, maxiter=100):
+    try:
+        return solver(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def _brent_cases():
+    shapes = [
+        lambda r: (lambda x: x - r),
+        lambda r: (lambda x: math.exp(x) - math.exp(r)),
+        lambda r: (lambda x: math.cos(3 * x) - math.cos(3 * r)),
+        lambda r: (lambda x: (x - r) ** 3),
+        lambda r: (lambda x: (x - r) ** 5),
+        lambda r: (lambda x: math.tanh(40 * (x - r))),
+        lambda r: (lambda x: math.copysign(abs(x - r) ** 0.5, x - r)),  # cusp
+        lambda r: (lambda x: 1e-250 * (x - r)),  # f(a) f(b) underflows
+        lambda r: (lambda x: np.float64(1e300) * np.float64(x - r) ** 3),  # overflows
+    ]
+    rng = np.random.default_rng(3)
+    cases = []
+    for shape in shapes:
+        for _ in range(12):
+            r = rng.uniform(-2, 2)
+            a, b = r - rng.uniform(1e-6, 3), r + rng.uniform(1e-6, 3)
+            cases.append((shape(r), b, a) if rng.random() < 0.5 else (shape(r), a, b))
+    for f_amp, n_trunc in [(0.01, 50), (0.5, 50), (10.0, 80), (30.0, 120)]:
+        fn = _det_fn(f_amp, 1.0, n_trunc)
+        hi = 1.8 * resonance_interpolation(1, f_amp, 1.0)
+        cases += [(fn, a, b) for a, b in _scan_roots(fn, 0.45 / 7, hi, 1200) if a != b]
+    return cases
+
+
+def test_brentq_is_scipy_bit_for_bit():
+    from scipy.optimize import brentq as scipy_brentq
+
+    cases = _brent_cases()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ours = [_root_or_error(brentq, f, a, b) for f, a, b in cases]
+        # maxiter 8 makes both solvers give up on the slow cases
+        ours += [_root_or_error(brentq, f, a, b, maxiter=8) for f, a, b in cases]
+    theirs = [_root_or_error(scipy_brentq, f, a, b) for f, a, b in cases]
+    theirs += [_root_or_error(scipy_brentq, f, a, b, maxiter=8) for f, a, b in cases]
+    assert ours == theirs
+    assert sum(isinstance(r, float) for r in ours) > len(cases)
+    assert any(r[0] is RuntimeError for r in ours if isinstance(r, tuple))
+
+
+def test_brentq_error_contracts():
+    line = lambda x: x - 0.3  # noqa: E731
+    with pytest.raises(ValueError, match="xtol too small"):
+        brentq(line, 0, 1, xtol=0.0, rtol=RTOL)
+    with pytest.raises(ValueError, match="rtol too small"):
+        brentq(line, 0, 1, xtol=XTOL, rtol=RTOL / 2)
+    with pytest.raises(ValueError, match="different signs"):
+        brentq(line, 0.5, 1, xtol=XTOL, rtol=RTOL)
+    with pytest.raises(ValueError, match="NaN"):
+        brentq(lambda x: math.nan if x > 0.5 else x - 0.3, 0, 1, xtol=XTOL, rtol=RTOL)
+    with pytest.raises(RuntimeError, match="Failed to converge after 3 iterations"):
+        brentq(lambda x: x**3 - 0.3, 0, 1, xtol=XTOL, rtol=RTOL, maxiter=3)
+    assert brentq(line, 0.3, 1, xtol=XTOL, rtol=RTOL) == 0.3  # a root at an end
 
 
 # ---------------------------------------------------------------------------

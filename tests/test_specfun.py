@@ -93,11 +93,23 @@ def test_j0_zeros_are_roots_and_increasing():
     assert abs((zeros[49] - zeros[48]) - math.pi) < 1e-3
 
 
+def test_j0_zeros_match_scipy_up_to_400():
+    ref = scipy.special.jn_zeros(0, 400)
+    ours = np.array([bessel_j0_zero(n) for n in range(1, 401)])
+    assert np.abs(ours - ref).max() < 1e-12
+
+
+def test_j0_zero_is_memoized():
+    assert bessel_j0_zero(3) is bessel_j0_zero(3)
+
+
 def test_j0_zero_domain():
     with pytest.raises(DomainError):
         bessel_j0_zero(0)
     with pytest.raises(DomainError):
-        bessel_j0_zero(51)
+        bessel_j0_zero(401)
+    with pytest.raises(DomainError):
+        bessel_j0_zero(2.5)
 
 
 def test_elliptic_trivial():
