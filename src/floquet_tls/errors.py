@@ -18,10 +18,11 @@ class DegenerateMonodromyError(FloquetTlsError):
 
 
 class SouthPoleError(FloquetTlsError):
-    """Orbit passes within 1e-3 R of the south pole, where the section is singular.
+    """Orbit passes within 1e-3 R of the pole of its section, where chi is singular.
 
-    Remedy: use the antipodal orbit -X(t) and map eps -> -eps mod omega;
-    ``quasienergy_classical`` does so itself.
+    ``quasienergy_classical`` averages an orbit near the south pole on the
+    +z section and adds omega times the counter-clockwise turns of
+    arg(X + iY), which keeps the branch of the -z section.
     """
 
 

@@ -222,10 +222,6 @@ class RplFourierSolution:
             exact=False,
         )
 
-    def antipode(self):
-        """The mirrored periodic solution -X(t)."""
-        return replace(self, z0=-self.z0, x=[-v for v in self.x])
-
 
 def solve_coefficients(sys, z0_choice="unit"):
     """Fourier coefficients from the first column of the inverse.

@@ -25,11 +25,12 @@ the grid of half the size; a grid still unsettled at 65536 raises
 SeriesInstabilityError.  eps_d, the mean of a trigonometric polynomial of
 degree N + 1, is exact on such a grid for N + 1 < 2048.
 
-chi is singular at the south pole, R + Z = 0.  An orbit that comes within
-1e-3 R of it (min (R + Z) on the grid) is handed by
-:func:`quasienergy_classical` to its antipode -X(t), whose section has its
-pole at +z; :func:`chi_series` and :func:`floquet_state` keep the -z section
-and raise SouthPoleError.
+chi is singular at the south pole, R + Z = 0.  :func:`quasienergy_classical`
+averages an orbit that comes within 1e-3 R of it on the section with its pole
+at +z, chi_+ = ((h1 X + h2 Y)/(R - Z) - h3) / 2, and reports the -z branch
+mean(chi_+) + n omega, n the counter-clockwise turns of arg(X + iY) over one
+period.  :func:`chi_series` and :func:`floquet_state` keep the -z section and
+raise SouthPoleError.
 
 Sweeps (:func:`sweep_branches`) on the ODE route integrate their periodic
 orbits in batches in s = omega t (:func:`bloch_dynamics.periodic_orbits`);
@@ -39,7 +40,7 @@ values unchanged.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -100,15 +101,7 @@ class QuasienergyResult:
     @classmethod
     def from_raw(cls, eps_raw, eps_d, omega, method):
         branch = math.floor(eps_raw / omega)
-        return cls(
-            epsilon=eps_raw,
-            epsilon_mod=eps_raw - branch * omega,
-            eps_g=eps_raw - eps_d,
-            eps_d=eps_d,
-            branch=branch,
-            method=method,
-            omega=omega,
-        )
+        return cls(eps_raw, eps_raw - branch * omega, eps_raw - eps_d, eps_d, branch, method, omega)
 
     def shifted(self, k):
         """Same physical state reported on the branch epsilon + k omega.
@@ -116,18 +109,13 @@ class QuasienergyResult:
         The shift is carried by the geometric part so epsilon = g + d and
         d(eps)/d(omega) = eps_g / omega keep holding on the new branch.
         """
-        return QuasienergyResult(
-            epsilon=self.epsilon + k * self.omega,
-            epsilon_mod=self.epsilon_mod,
-            eps_g=self.eps_g + k * self.omega,
-            eps_d=self.eps_d,
-            branch=self.branch + k,
-            method=self.method,
-            omega=self.omega,
+        shift = k * self.omega
+        return replace(
+            self, epsilon=self.epsilon + shift, eps_g=self.eps_g + shift, branch=self.branch + k
         )
 
     def mirrored(self):
-        """Branch data of the antipodal orbit: eps -> -eps, d -> -d."""
+        """Branch data of the mirrored orbit -X(t): eps -> -eps, d -> -d."""
         return QuasienergyResult.from_raw(-self.epsilon, -self.eps_d, self.omega, self.method)
 
 
@@ -151,19 +139,34 @@ def _orbit_grid(orbit, period, m):
     return ts, xs
 
 
-def _chi_samples(orbit, drive, m):
+def _chi_samples(orbit, drive, m, pole=-1):
+    """chi at m samples on the section with its pole at pole * z; +z negates Z and h3."""
     ts, xs = _orbit_grid(orbit, drive.T, m)
     hs = np.asarray(drive.field(ts), dtype=float)
-    r = np.linalg.norm(xs, axis=-1)
-    radius = r.mean()
-    denom = radius + xs[..., 2]
+    radius = np.linalg.norm(xs, axis=-1).mean()
+    z, h3 = (xs[..., 2], hs[..., 2]) if pole < 0 else (-xs[..., 2], -hs[..., 2])
+    denom = radius + z
     if denom.min() <= _SOUTH_POLE_MARGIN * radius:
         raise SouthPoleError(
-            f"orbit passes within {_SOUTH_POLE_MARGIN:g} R of the south pole; "
-            "use the antipodal orbit -X(t) and map eps -> -eps mod omega"
+            f"orbit passes within {_SOUTH_POLE_MARGIN:g} R of the "
+            f"{'south' if pole < 0 else 'north'} pole, where its section is singular"
         )
-    chi = 0.5 * (hs[..., 2] + (hs[..., 0] * xs[..., 0] + hs[..., 1] * xs[..., 1]) / denom)
+    chi = 0.5 * (h3 + (hs[..., 0] * xs[..., 0] + hs[..., 1] * xs[..., 1]) / denom)
     return ts, xs, hs, radius, chi
+
+
+def _turns(orbit, period, xs):
+    """Counter-clockwise turns of arg(X + iY) over one period, on the grid xs doubled
+    until every step is below pi/2; SeriesInstabilityError if one is not at 65536 samples."""
+    while True:
+        angle = np.arctan2(xs[:, 1], xs[:, 0])
+        steps = np.diff(angle, append=angle[0])  # closed: the raw steps sum to 0
+        wraps = np.round(steps / (2.0 * math.pi))  # crossings of the branch cut at pi
+        if np.abs(steps - 2.0 * math.pi * wraps).max() < 0.5 * math.pi:
+            return -int(wraps.sum())
+        if len(xs) >= _MAX_GRID:
+            raise SeriesInstabilityError(f"winding of arg(X + iY) unresolved on {len(xs)} samples")
+        _, xs = _orbit_grid(orbit, period, 2 * len(xs))
 
 
 def _series_from_samples(values, omega, harmonics):
@@ -175,13 +178,13 @@ def _series_from_samples(values, omega, harmonics):
     return TrigSeries(omega=omega, a0=spec[0].real, cos_coeffs=cos, sin_coeffs=sin)
 
 
-def _settled_samples(orbit, drive, m):
+def _settled_samples(orbit, drive, m, pole=-1):
     """``_chi_samples`` of the first grid of m, 2m, ... 65536 samples on which the
     mean of chi is within 1e-10 of its mean over every second sample.
 
     Raises SeriesInstabilityError if the 65536-sample grid has not settled.
     """
-    samples = _chi_samples(orbit, drive, m)
+    samples = _chi_samples(orbit, drive, m, pole)
     while (delta := abs(samples[4].mean() - samples[4][::2].mean())) >= _A0_SETTLE:
         if m >= _MAX_GRID:
             raise SeriesInstabilityError(
@@ -189,7 +192,7 @@ def _settled_samples(orbit, drive, m):
                 f"{delta:.3g} from its mean over every second sample"
             )
         m *= 2
-        samples = _chi_samples(orbit, drive, m)
+        samples = _chi_samples(orbit, drive, m, pole)
     return samples
 
 
@@ -227,23 +230,18 @@ def split_geometric_dynamic(orbit, drive, grid=4096):
 def quasienergy_classical(orbit, drive, method="ode"):
     """Quasienergy of a periodic classical orbit, with split attached.
 
-    Both averages come from one settled grid.  If the orbit passes within
-    1e-3 R of the south pole, where chi needs ever finer grids to settle,
-    the antipodal orbit is used instead and the result mapped back
-    (eps -> -eps, eps_d -> -eps_d).
+    Both averages come from one settled grid: on the +z section, taken to the
+    -z branch by the winding of arg(X + iY), if the orbit passes within 1e-3 R
+    of the south pole, where chi needs ever finer grids to settle.
     """
-
-    def from_grid(orb):
-        _, xs, hs, radius, chi = _settled_samples(orb, drive, 2 * _MIN_GRID)
-        eps_d = _eps_d(xs, hs, radius)
-        return QuasienergyResult.from_raw(float(chi.mean()), eps_d, float(drive.omega), method)
-
+    omega = float(drive.omega)
     try:
-        return from_grid(orbit)
+        _, xs, hs, radius, chi = _settled_samples(orbit, drive, 2 * _MIN_GRID)
+        eps = float(chi.mean())
     except SouthPoleError:
-        antipode = getattr(orbit, "antipode", None)
-        flipped = antipode() if antipode else lambda t: -np.asarray(orbit(t))
-        return from_grid(flipped).mirrored()
+        _, xs, hs, radius, chi = _settled_samples(orbit, drive, 2 * _MIN_GRID, pole=1)
+        eps = float(chi.mean()) + _turns(orbit, drive.T, xs) * omega
+    return QuasienergyResult.from_raw(eps, _eps_d(xs, hs, radius), omega, method)
 
 
 def floquet_state(orbit, drive, grid=4096, harmonics=256):
@@ -326,6 +324,17 @@ def euler_residual(params, grads, epsilon):
     return abs(epsilon - total)
 
 
+def _route(params, method):
+    """'fourier' or 'ode' for ``method`` at ``params``, 'auto' resolved by G."""
+    if method == "auto":
+        return "fourier" if params.G == 0 else "ode"
+    if method not in ("fourier", "ode"):
+        raise DomainError(f"unknown method {method!r}")
+    if method == "fourier" and params.G != 0:
+        raise DomainError("fourier route requires G = 0")
+    return method
+
+
 def quasienergy_at(params, method="auto", n_trunc=20, tol=1e-12):
     """Quasienergy at a single parameter point.
 
@@ -333,13 +342,7 @@ def quasienergy_at(params, method="auto", n_trunc=20, tol=1e-12):
     solution; 'ode' integrates the equation of motion; 'auto' picks
     'fourier' for G = 0 and 'ode' otherwise.
     """
-    if method == "auto":
-        method = "fourier" if params.G == 0 else "ode"
-    if method == "fourier" and params.G != 0:
-        raise DomainError("fourier route requires G = 0")
-    if method not in ("fourier", "ode"):
-        raise DomainError(f"unknown method {method!r}")
-    if method == "fourier":
+    if _route(params, method) == "fourier":
         sol = fourier_rpl.solve_auto(params, "phi1", start=n_trunc).normalized()
         return quasienergy_classical(sol, params, method="fourier")
     return quasienergy_classical(periodic_orbit(params, tol=tol), params, method="ode")
@@ -362,12 +365,10 @@ def sweep_branches(
     raises a FloquetTlsError is None in the returned list,
     ``on_error(omega, exc)`` is called for it in grid order, and the
     continuation goes on from the last point that succeeded.  Without it
-    the first such error is raised.
+    the first such error is raised.  An unknown method, or G != 0 on the
+    Fourier route, raises DomainError before any point.
     """
-    if method == "auto":
-        method = "fourier" if params_base.G == 0 else "ode"
-    if method == "fourier" and params_base.G != 0:
-        raise DomainError("fourier route requires G = 0")
+    method = _route(params_base, method)
     if method == "fourier" and n_trunc < 2:
         raise DomainError(f"truncation order must be >= 2, got {n_trunc}")
     omegas = [float(w) for w in omega_grid]

@@ -322,6 +322,17 @@ def test_unsettled_sweep_point_is_a_nan_row(tmp_path, monkeypatch, capsys):
     assert all(v is not None for v in rows[1])
 
 
+def test_near_pole_first_row_keeps_minus_z_branch(tmp_path):
+    # the (1, 15, 0.05) orbit passes 1.7e-5 R from the south pole; its first
+    # row was once reported on branch -97
+    out = tmp_path / "sweep.csv"
+    rc = cli.main(["quasienergy", "--omega0", "1", "--f", "15", "--omega-sweep", "0.05:0.08:2",
+                   "--method", "fourier", "-o", str(out)])
+    assert rc == 0
+    _, rows = read_csv(out)
+    assert rows[0][5] == -92
+
+
 def test_unconverged_truncation_fails_loudly(tmp_path, monkeypatch, capsys):
     # at (1, 20, 0.05) no order up to the cap N = 524 reaches coeff_tol = 1e-40; at 0.08 one does
     strict = functools.partial(fourier_rpl.solve_auto, coeff_tol=1e-40)

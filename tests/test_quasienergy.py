@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from floquet_tls import fourier_rpl
+from floquet_tls import bloch_dynamics, fourier_rpl
 from floquet_tls import quasienergy
 from floquet_tls.bloch_dynamics import (
     DriveParams,
@@ -133,11 +133,55 @@ def test_south_pole_flip():
 
     with pytest.raises(SouthPoleError):
         chi_series(orbit, p)
-    # auto-antipode: the reported value still belongs to the passed orbit
+    # averaged on the +z section (mean -1/2 + O(F^2)) and taken back by its
+    # one counter-clockwise turn: the -z branch itself, not only mod omega
     res = quasienergy_classical(orbit, p)
     eps_plus = 0.5 * (p.omega + big)
-    d = (res.epsilon - eps_plus) % p.omega
-    assert min(d, p.omega - d) < 1e-8
+    assert abs(res.epsilon - eps_plus) < 1e-12
+    assert res.branch == 0
+
+
+def test_near_pole_branch_is_that_of_minus_z_section(monkeypatch):
+    # a Fourier orbit passing 7.6e-4 R from the south pole: its -z mean,
+    # resolved on a fine grid once the margin is lifted, is the reported epsilon
+    p = rpl(1.0, 3.652, 0.4056)
+    sol = fourier_rpl.solve_auto(p, "phi1").normalized()
+    res = quasienergy_classical(sol, p, method="fourier")
+    # (1, 15, 0.05) passes 1.7e-5 R from the pole; its branch was once -97
+    assert quasienergy_at(rpl(1.0, 15.0, 0.05), method="fourier").branch == -92
+    monkeypatch.setattr(quasienergy, "_SOUTH_POLE_MARGIN", 0.0)
+    assert abs(res.epsilon - chi_series(sol, p).a0) <= 1e-10
+
+
+def test_turns_refines_until_steps_are_below_quarter_turn(monkeypatch):
+    p = rpc(omega0=1.0, F=1e-3, omega=3.0)
+    orbit = _south_pole_orbit(p)
+    ts = np.arange(4) * (p.T / 4)
+    coarse = orbit(ts)  # steps of exactly pi/2
+    assert quasienergy._turns(orbit, p.T, coarse) == 1
+
+    def reverse(t):
+        return orbit(-np.asarray(t))
+
+    assert quasienergy._turns(reverse, p.T, reverse(ts)) == -1
+    monkeypatch.setattr(quasienergy, "_MAX_GRID", 4)
+    with pytest.raises(SeriesInstabilityError, match="unresolved on 4 samples"):
+        quasienergy._turns(orbit, p.T, coarse)
+
+
+def test_ode_orbit_near_south_pole_uses_batch_grid(monkeypatch):
+    # the ODE orbit at (1, 7, 2.2) passes 1.3e-5 R from the south pole
+    p = rpl(1.0, 7.0, 2.2)
+    orbit = periodic_orbit(p)
+
+    def dense_output(self, t):
+        raise AssertionError("dense output called")
+
+    monkeypatch.setattr(bloch_dynamics.Trajectory, "__call__", dense_output)
+    with pytest.raises(SouthPoleError):
+        chi_series(orbit, p)
+    res = quasienergy_classical(orbit, p, method="ode")
+    assert abs(res.epsilon - quasienergy_at(p, method="fourier").epsilon) <= 1e-9
 
 
 def test_floquet_state_static_field():
@@ -298,6 +342,14 @@ def test_sweep_continuity():
         assert abs(r.epsilon - r.branch * w - r.epsilon_mod) < 1e-10
 
 
+def test_sweep_rejects_unknown_method_once():
+    errors = []
+    with pytest.raises(DomainError, match="unknown method 'bogus'"):
+        sweep_branches(rpl(1.0, 0.5, 1.0), [0.5, 1.0, 1.5], method="bogus",
+                       on_error=lambda w, exc: errors.append(w))
+    assert errors == []
+
+
 def test_continuation_warns_on_large_jump():
     from floquet_tls.errors import ContinuityWarning
     from floquet_tls.quasienergy import continue_branch
@@ -343,9 +395,6 @@ class _GridRecorder:
         self.grids = [] if grids is None else grids
         if hasattr(orbit, "sample"):
             self.sample = self._sample
-        if hasattr(orbit, "antipode"):
-            # the antipode records into the same list
-            self.antipode = lambda: _GridRecorder(orbit.antipode(), self.grids)
 
     def _sample(self, m):
         self.grids.append(m)
@@ -371,7 +420,7 @@ def test_settled_orbit_is_sampled_once(route):
 
 def test_unsettled_orbit_doubles_without_resampling():
     # a strong-drive orbit passing 1.7e-5 R from the south pole: its first
-    # grid raises SouthPoleError, and a0 of the antipode settles only on a
+    # grid raises SouthPoleError, and a0 on the +z section settles only on a
     # grid finer than 2048
     p = rpl(1.0, 15.0, 0.05)
     rec = _GridRecorder(fourier_rpl.solve_auto(p, "phi1").normalized())
@@ -384,7 +433,7 @@ def test_unsettled_orbit_doubles_without_resampling():
 
 
 def test_unsettled_at_grid_cap_raises(monkeypatch):
-    # the antipode of the (1, 15, 0.05) orbit settles only on 32768 samples
+    # the (1, 15, 0.05) orbit settles on the +z section only on 32768 samples
     monkeypatch.setattr(quasienergy, "_MAX_GRID", 4096)
     p = rpl(1.0, 15.0, 0.05)
     orbit = fourier_rpl.solve_auto(p, "phi1").normalized()
@@ -434,9 +483,14 @@ def test_quasienergy_classical_matches_series_and_split(kind):
     res = quasienergy_classical(orbit, p)
     sign = 1.0
     if kind == "south_pole":
-        # the reference routes do not flip: hand them the antipode
+        # the reference routes keep the -z section: hand them -X(t), whose
+        # mean is that of the +z section of X, negated; the branch is
+        # held by test_south_pole_flip
         sign, orbit = -1.0, (lambda t, o=orbit: -o(t))
-    assert abs(res.epsilon - sign * chi_series(orbit, p).a0) <= 1e-12
+        d = (res.epsilon + chi_series(orbit, p).a0) % p.omega
+        assert min(d, p.omega - d) <= 1e-12
+    else:
+        assert abs(res.epsilon - chi_series(orbit, p).a0) <= 1e-12
     assert abs(res.eps_d - sign * split_geometric_dynamic(orbit, p)[1]) <= 1e-14
 
 
@@ -452,4 +506,3 @@ def test_sample_folds_onto_any_grid():
             got = sol.sample(m)
             assert got.shape == (m, 3)
             assert np.abs(got - sol.evaluate(np.arange(m) * (p.T / m))).max() <= 1e-12
-            assert np.array_equal(sol.antipode().sample(m), -got)
