@@ -59,6 +59,8 @@ def _parse_sweep(text):
         start, stop, count = float(start), float(stop), int(count)
     except ValueError:
         raise _UsageExit(f"sweep must be start:stop:count, got {text!r}") from None
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise _UsageExit(f"sweep ends must be finite, got {text!r}")
     if count < 2:
         raise _UsageExit("sweep count must be at least 2")
     return start, stop, count
@@ -204,7 +206,9 @@ def cmd_resonance(args):
     try:
         n_list = [int(v) for v in args.n_list.split(",") if v]
     except ValueError:
-        raise _UsageExit(f"--n-list takes comma-separated integers, got {args.n_list!r}") from None
+        n_list = []
+    if not n_list:
+        raise _UsageExit(f"--n-list takes comma-separated integers, got {args.n_list!r}")
     start, stop, count = _parse_sweep(args.f_grid)
     if args.log_grid:
         if min(start, stop) <= 0:
@@ -304,14 +308,13 @@ def _random_nonresonant_points(rng, count):
 def _check_gradients(rng):
     worst = 0.0
     delta = 1e-4
+
+    def eps_at(params):
+        return quasienergy.quasienergy_at(params, method="fourier").epsilon
+
     for p in _random_nonresonant_points(rng, 5):
         sol = fourier_rpl.solve_auto(p, "phi1").normalized()
         res = quasienergy.quasienergy_classical(sol, p, method="fourier")
-
-        def eps_at(params):
-            s = fourier_rpl.solve_auto(params, "phi1").normalized()
-            return quasienergy.quasienergy_classical(s, params, method="fourier").epsilon
-
         fd_w0 = (
             eps_at(DriveParams(p.omega0 + delta, p.F, 0.0, p.omega))
             - eps_at(DriveParams(p.omega0 - delta, p.F, 0.0, p.omega))
@@ -333,12 +336,11 @@ def _check_gradients(rng):
 def _check_homogeneity(rng):
     worst = 0.0
     for p in _random_nonresonant_points(rng, 3):
-        base = quasienergy.quasienergy_at(p, method="fourier").epsilon
+        res = quasienergy.quasienergy_at(p, method="fourier")
         for lam in (0.5, 2.0, 10.0):
             scaled = quasienergy.quasienergy_at(p.scaled(lam), method="fourier").epsilon
-            worst = max(worst, abs(scaled - lam * base) / lam)
+            worst = max(worst, abs(scaled - lam * res.epsilon) / lam)
         sol = fourier_rpl.solve_auto(p, "phi1").normalized()
-        res = quasienergy.quasienergy_classical(sol, p, method="fourier")
         grads = {
             "omega0": quasienergy.grad_omega0(sol, p),
             "F": quasienergy.grad_f(sol, p),

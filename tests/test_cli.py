@@ -420,6 +420,9 @@ def test_threads_option_is_gone(capsys):
         (["resonance", "--f-grid", "0.1:x:3"], "'0.1:x:3'"),
         (["resonance", "--n-list", "1,x", "--f-grid", "0.1:1:3"], "'1,x'"),
         (["resonance", "--f-grid", "0:1:3", "--log-grid"], "'0:1:3'"),
+        (["quasienergy", "--omega0", "1", "--f", "0.5", "--omega-sweep", "0.5:nan:3"], "'0.5:nan:3'"),
+        (["resonance", "--f-grid", "0.1:inf:3"], "'0.1:inf:3'"),
+        (["resonance", "--n-list", ",", "--f-grid", "0.1:1:3"], "','"),
     ],
 )
 def test_malformed_input_is_a_usage_error(argv, bad, capsys):
