@@ -6,10 +6,14 @@ period, and extracts monodromy matrices, periodic initial conditions and
 quasienergies from them.
 
 Periodic orbits are computed in batches over a frequency grid: in s = omega t
-every point has period 2 pi, so one DOP853 run with dense output integrates
-the propagators M(s) of up to BATCH_SIZE points side by side.  Each orbit is
-its propagator applied to its fixed point, X(s) = M(s) x0 with M(2 pi) x0 =
-x0 (:func:`periodic_orbits`).  A single point is a batch of one.
+every point has period 2 pi, and the propagators M(s) of up to BATCH_SIZE
+points are products of the same S uniform sixth-order Magnus steps (Blanes,
+Casas & Ros, BIT 40 (2000) 434), each step a rotation held as its SU(2)
+element (a unit quaternion).  Each orbit is its propagator applied to its fixed point,
+X(s) = M(s) x0 with M(2 pi) x0 = x0 (:func:`periodic_orbits`).  A single
+point is a batch of one.  This path needs numpy only; scipy's DOP853 runs
+:func:`evolve_classical`, :func:`monodromy_so3` and :func:`monodromy_su2`,
+which serve as an independent check of it.
 """
 
 import functools
@@ -22,14 +26,29 @@ from .errors import DegenerateMonodromyError, DomainError, FloquetTlsError, Inte
 
 DEFAULT_TOL = 1e-12
 
-# points per batched integration; bounds the dense-output memory of a sweep
-# and the tolerance factor sqrt(BATCH_SIZE) of its error control
+# points per batch of periodic orbits; bounds the memory of a sweep's grids
 BATCH_SIZE = 16
 
-# DOP853 raises any rtol below 100 eps to that floor with only a warning, and
-# a batch of g points runs at tol / sqrt(g): the least tolerance a full batch
-# honours (about 8.9e-14)
-TOL_MIN = 100 * np.finfo(float).eps * math.sqrt(BATCH_SIZE)
+# Magnus steps per period of a batch: powers of two from MIN_STEPS up to
+# MAX_STEPS, the first whose error estimate meets the tolerance
+MIN_STEPS = 1 << 11
+MAX_STEPS = 1 << 16
+
+# least tolerance of a periodic orbit, several times the rounding error
+# (below 1e-14) of a product of MAX_STEPS rotations
+TOL_MIN = 5e-14
+
+# DOP853 raises any rtol below 100 eps to that floor with only a warning
+_DOP853_TOL_MIN = 100 * np.finfo(float).eps
+
+# steps per block of the prefix-product scan, and per chunk of the step
+# exponents and of the grid's rotations, which bounds their temporaries
+_BLOCK = 16
+_CHUNK = 1 << 12
+
+# Gauss-Legendre nodes on [0, 1]
+_SQ15 = math.sqrt(15.0)
+_NODES = (0.5 - _SQ15 / 10.0, 0.5, 0.5 + _SQ15 / 10.0)
 
 # eigenvalue-1 eigenspace counts as degenerate below this rotation angle
 DEGENERACY_ANGLE = 1e-7
@@ -127,10 +146,10 @@ class Trajectory:
 
 @dataclass
 class PeriodicOrbit(Trajectory):
-    """Periodic orbit integrated as one member of a batch.
+    """Periodic orbit computed as one member of a batch.
 
     ``sol`` maps times to this member's states; ``sample(m)`` gives the
-    states on the uniform grid t_j = j T / m from the batch's shared grid.
+    states on the uniform grid t_j = j T / m from the batch's state grid.
     """
 
     batch: object = field(repr=False, default=None)
@@ -138,54 +157,49 @@ class PeriodicOrbit(Trajectory):
 
     def sample(self, m):
         """Bloch vectors (m, 3) at t_j = j T / m, j = 0..m-1."""
-        return self.batch.sample(m)[:, self.index].T
+        return self.batch.sample(m, self.index).T
 
 
 class _OrbitBatch:
-    """Orbits of a batch over s = omega t in [0, 2 pi]: X_k(s) = M_k(s) x0_k.
+    """Orbits of a batch over s = omega t in [0, 2 pi): X_k(s) = M_k(s) x0_k.
 
-    ``sol`` is the dense output of the propagators, with element (i, j) of
-    M_k in row (i * 3 + j) * size + k; ``x0`` (3, size) holds the fixed
-    points.  The grid t_j = j T / m is s_j = 2 pi j / m for every member, so
-    a grid is evaluated once for the whole batch.  The largest grid so far
-    is kept and a grid size dividing it takes a stride of it; for a
-    power-of-two stride the strided s_j are bit-identical to those of a
-    direct evaluation.
+    ``grid`` (3, size, S) holds the states X_k(s_j) at s_j = 2 pi j / S, the
+    ends of the Magnus steps; ``coef`` (3, size) holds (F, G, omega0) /
+    omega_k.  A grid of m samples that divides S is a stride of it.  Any
+    other s, of a finer or an incommensurate grid or of a call, takes one
+    partial Magnus step from the grid state before it.  Only the states are
+    kept, not the propagators.
     """
 
-    def __init__(self, sol, omegas, x0):
-        self.sol = sol
+    def __init__(self, coef, omegas, grid):
+        self.coef = coef
         self.omegas = omegas
-        self.x0 = x0
-        self._grid = None
+        self.grid = grid
 
-    def _states(self, s):
-        """States (3, size, n) of every member at s (n,)."""
-        m = self.sol(s).reshape(3, 3, len(self.omegas), -1)
-        return np.einsum("ijkn,jk->ikn", m, self.x0)
+    def _states(self, k, s):
+        """States (3, n) of member k at s (n,), taken modulo 2 pi."""
+        steps = self.grid.shape[-1]
+        h = 2.0 * math.pi / steps
+        s = np.mod(s, 2.0 * math.pi)
+        j = np.minimum((s // h).astype(int), steps - 1)
+        q = _magnus_steps(self.coef[:, k], j * h, s - j * h)
+        return _rotate(q, self.grid[:, k, j])
 
     def at(self, k, t):
         """States (3, n) of member k at the times t (n,)."""
-        return self._states(self.omegas[k] * t)[:, k]
+        return self._states(k, self.omegas[k] * t)
 
-    def sample(self, m):
-        """States (3, size, m) of every member at s_j = 2 pi j / m."""
-        cached = self._grid
-        if cached is not None and cached.shape[-1] % m == 0:
-            return cached[..., :: cached.shape[-1] // m]
-        grid = self._states(np.arange(m) * (2.0 * math.pi / m))
-        if cached is None or m > cached.shape[-1]:
-            self._grid = grid
-        return grid
+    def sample(self, m, k):
+        """States (3, m) of member k at s_j = 2 pi j / m."""
+        steps = self.grid.shape[-1]
+        if steps % m == 0:
+            return self.grid[:, k, :: steps // m]
+        return self._states(k, np.arange(m) * (2.0 * math.pi / m))
 
 
-def _check_tol(tol, batch=1):
-    lo = TOL_MIN * math.sqrt(batch / BATCH_SIZE)
+def _check_tol(tol, lo=_DOP853_TOL_MIN):
     if not (lo <= tol <= 1e-6):
-        raise DomainError(
-            f"tolerance must lie in [{lo:.3g}, 1e-6], got {tol}: batches of {batch} point(s) "
-            f"integrate at tol/sqrt({batch}), and DOP853 goes no lower than 100 eps"
-        )
+        raise DomainError(f"tolerance must lie in [{lo:.3g}, 1e-6], got {tol}")
 
 
 def solve_ivp(*args, **kwargs):
@@ -350,20 +364,20 @@ def periodic_orbit(params, tol=DEFAULT_TOL):
     Returns a PeriodicOrbit over [0, T] whose initial state is the
     eigenvalue-1 eigenvector of the one-period propagator: a batch of one
     of :func:`periodic_orbits`, so a single point and a sweep share one
-    integrator.  Its tolerance bound is that of a full batch.
+    integrator and one error test.
 
-    Alone, a point is less accurate than inside a sweep at the same tol.
-    DOP853 bounds the error per step, not over the period, and the steps of
-    a batch are chosen for all its members together, so a member runs on
-    finer steps than it would alone.  At (omega0, F, G, omega) = (1, 0.5,
-    0.5, 0.7368) and tol 1e-12 the lone orbit is 3.8e-13 from the closed
-    form, against 1.3e-15 in the 16-point batch 0.3368, 0.4368, ...,
-    1.8368.  Over 16 random points (F in [0.2, 1.5], omega in [0.4, 2.5])
-    the worst lone orbit is 7.9e-13 off for circular and 6.2e-12 for
-    elliptic drive (G/F in [0.1, 0.9]), where a lone orbit is still about
-    4.6 times (median) further off than the same point inside a batch.
+    A lone point passes the same error test as inside a sweep: the estimate
+    bounds each member's one-period error, not the error per step.  At
+    (omega0, F, G, omega) = (1, 0.5, 0.5, 0.7368) and tol 1e-12 the lone
+    orbit and the same point in the 16-point batch 0.3368, 0.4368, ...,
+    1.8368 are both 1.2e-15 from the closed form.  Over 16 random points
+    (F in [0.2, 1.5], omega in [0.4, 2.5]) the worst lone orbit is 1.3e-15
+    from the closed form for circular drive, and 7.5e-15 from a 65536-step
+    orbit for elliptic drive (G/F in [0.1, 0.9]); each lone orbit was
+    bit-identical to the same point in a 16-point batch, whose steps were
+    as many as its own.
     """
-    _check_tol(tol, BATCH_SIZE)
+    _check_tol(tol, TOL_MIN)
     (orbit,) = _orbit_batch(params.omega0, params.F, params.G, [params.omega], tol)
     if isinstance(orbit, FloquetTlsError):
         raise orbit
@@ -374,24 +388,23 @@ def periodic_orbits(omega0, F, G, omegas, tol=DEFAULT_TOL):
     """Periodic orbits of h = (F cos wt, G sin wt, omega0) for every w in omegas.
 
     In s = w t every point has period 2 pi, so the points are integrated
-    together in batches of at most BATCH_SIZE: one DOP853 run with dense
-    output for the propagators M(s), s in [0, 2 pi], then the fixed points
-    x0 of M(2 pi) one by one; each orbit is X(s) = M(s) x0.  scipy controls
-    the RMS error over all components, so a batch of g points runs at
-    tol / sqrt(g), and no point's error bound is looser than it is alone.
-    For circular polarization the fixed point (F, 0, omega0 - w)/Omega is
-    known in closed form and used in place of M(2 pi)'s; this keeps the
-    isolated points where the monodromy degenerates to the identity
-    (Omega T multiple of 2 pi) usable.
+    together in batches of at most BATCH_SIZE.  A batch's propagators M(s)
+    are prefix products of S uniform sixth-order Magnus steps; S is the
+    least power of two from MIN_STEPS on at which every point's one-period
+    error estimate, |M(2 pi) on S steps - M(2 pi) on S/2| / 63 (Richardson
+    at order 6), is at most tol.  A point still above tol at MAX_STEPS
+    steps fails alone with IntegrationError.  Each orbit is X(s) = M(s) x0,
+    x0 the fixed point of M(2 pi).  For circular polarization the fixed
+    point (F, 0, omega0 - w)/Omega is known in closed form and used in
+    place of M(2 pi)'s; this keeps the isolated points where the monodromy
+    degenerates to the identity (Omega T multiple of 2 pi) usable.
 
     Returns an iterator that yields, in the order of omegas, each point's
     PeriodicOrbit or the FloquetTlsError raised for that point.  Batches
     are integrated as they are reached, so a consumer that does not keep
-    the orbits holds one batch at a time.  A batch whose run fails is
-    integrated again point by point, so that one bad point does not fail
-    its neighbours.
+    the orbits holds one batch at a time.
     """
-    _check_tol(tol, BATCH_SIZE)
+    _check_tol(tol, TOL_MIN)
     return _batched_orbits(omega0, F, G, [float(w) for w in omegas], tol)
 
 
@@ -407,65 +420,172 @@ def _batched_orbits(omega0, F, G, omegas, tol):
                 slots[j] = exc
             else:
                 valid.append(j)
-        found = _orbits_or_errors(omega0, F, G, [chunk[j] for j in valid], tol) if valid else []
+        found = _orbit_batch(omega0, F, G, [chunk[j] for j in valid], tol) if valid else []
         for j, orbit in zip(valid, found):
             slots[j] = orbit
         yield from slots
 
 
-def _orbits_or_errors(omega0, F, G, omegas, tol):
-    """_orbit_batch, with a failed run of several points retried point by point."""
-    try:
-        return _orbit_batch(omega0, F, G, omegas, tol)
-    except IntegrationError as exc:
-        if len(omegas) == 1:
-            return [exc]
-        return [r for w in omegas for r in _orbits_or_errors(omega0, F, G, [w], tol)]
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
 
-def _cross_rhs(fw, gw, w0w):
-    """d/ds of the columns x of a (3, n) array: a x x, a = (fw cos s, gw sin s, w0w)."""
+def _magnus_steps(coef, s0, tau):
+    """SU(2) elements (2, ...) of the sixth-order Magnus steps s0 -> s0 + tau.
 
-    def rhs(s, y):
-        x = y.reshape(3, -1)
-        a0 = fw * math.cos(s)
-        a1 = gw * math.sin(s)
-        out = np.empty_like(x)
-        out[0] = a1 * x[2] - w0w * x[1]
-        out[1] = w0w * x[0] - a0 * x[2]
-        out[2] = a0 * x[1] - a1 * x[0]
-        return out.reshape(-1)
+    The field is a(s) = coef * (cos s, sin s, 1); coef[i], s0 and tau
+    broadcast together.  The exponent is that of Blanes, Casas & Ros on the
+    three Gauss nodes, with the commutators of so(3) written as cross
+    products; its exponential, the rotation by |Omega| about Omega, is the
+    element (a, b) of U = [[a, -b*], [b, a*]] = exp(-i Omega . sigma / 2).
+    """
+    cos = [np.cos(s0 + c * tau) for c in _NODES]
+    sin = [np.sin(s0 + c * tau) for c in _NODES]
+    fw, gw, w0w = coef
+    d, e = _SQ15 / 3.0 * tau, 10.0 / 3.0 * tau
+    # alpha1 = tau a at the middle node; alpha2 and alpha3, the scaled first
+    # and second differences over the nodes, have no z part
+    x1, y1, z1 = fw * (tau * cos[1]), gw * (tau * sin[1]), w0w * tau
+    x2, y2 = fw * (d * (cos[2] - cos[0])), gw * (d * (sin[2] - sin[0]))
+    x3 = fw * (e * (cos[2] - 2.0 * cos[1] + cos[0]))
+    y3 = gw * (e * (sin[2] - 2.0 * sin[1] + sin[0]))
+    c1 = (-z1 * y2, z1 * x2, x1 * y2 - y1 * x2)  # [alpha1, alpha2]
+    c2 = _cross((x1, y1, z1), (2.0 * x3 + c1[0], 2.0 * y3 + c1[1], c1[2]))  # -60 C2
+    left = (c1[0] - 20.0 * x1 - x3, c1[1] - 20.0 * y1 - y3, c1[2] - 20.0 * z1)
+    right = (x2 - c2[0] / 60.0, y2 - c2[1] / 60.0, c2[2] / -60.0)
+    lr = _cross(left, right)
+    omega = (x1 + x3 / 12.0 + lr[0] / 240.0, y1 + y3 / 12.0 + lr[1] / 240.0, z1 + lr[2] / 240.0)
+    angle = np.sqrt(omega[0] ** 2 + omega[1] ** 2 + omega[2] ** 2)
+    # sin(angle / 2) / angle, 1/2 at angle 0
+    scale = np.divide(np.sin(0.5 * angle), angle, out=np.full_like(angle, 0.5), where=angle > 0)
+    u = np.empty((2,) + angle.shape, dtype=complex)
+    u[0].real, u[0].imag = np.cos(0.5 * angle), -scale * omega[2]
+    u[1].real, u[1].imag = scale * omega[1], -scale * omega[0]
+    return u
 
-    return rhs
+
+def _su2_mul(p, q):
+    """Products p q of SU(2) elements (2, ...): the rotation q, then p."""
+    a1, b1 = p
+    a2, b2 = q
+    return np.stack([a1 * a2 - b1.conj() * b2, b1 * a2 + a1.conj() * b2])
+
+
+def _prefix(q):
+    """In place, q[..., j] <- q[..., j] ... q[..., 0] for (2, ..., n) SU(2) elements.
+
+    A blocked scan: the products inside blocks of _BLOCK steps, the same
+    scan over the block totals, then each block times the total before it.
+    q must be C-contiguous and n a power of two.  Returns q.
+    """
+    n = q.shape[-1]
+    b = min(n, _BLOCK)
+    view = q.reshape(q.shape[:-1] + (n // b, b))
+    # blocks[:, i, ..., k] is step i of block k, so the scan runs on whole rows
+    blocks = np.moveaxis(view, -1, 1).copy()
+    for i in range(1, b):
+        blocks[:, i] = _su2_mul(blocks[:, i], blocks[:, i - 1])
+    if n > b:
+        totals = _prefix(blocks[:, -1].copy())
+        for i in range(b - 1):
+            blocks[:, i, ..., 1:] = _su2_mul(blocks[:, i, ..., 1:], totals[..., :-1])
+        blocks[:, -1] = totals
+    view[...] = np.moveaxis(blocks, 1, -1)
+    return q
+
+
+def _total(q):
+    """Product q[..., n-1] ... q[..., 0] of (2, ..., n) SU(2) elements, n a power of two."""
+    while q.shape[-1] > 1:
+        q = _su2_mul(q[..., 1::2], q[..., ::2])
+    return q[..., 0]
+
+
+def _norm2(q):
+    """|a|^2 + |b|^2 of SU(2) elements (2, ...) q."""
+    return q[0].real ** 2 + q[0].imag ** 2 + q[1].real ** 2 + q[1].imag ** 2
+
+
+def _quaternion(q):
+    """Components (w, x, y, z) of SU(2) elements (2, ...): w + (x, y, z) = cos + sin n."""
+    return q[0].real, -q[1].imag, q[1].real, -q[0].imag
+
+
+def _rotate(q, v):
+    """Vectors (3, ...) v rotated by the SU(2) elements (2, ...) q."""
+    w, *u = _quaternion(q)
+    t = [2.0 * x for x in _cross(u, v)]
+    return np.stack([a + w * b + c for a, b, c in zip(v, t, _cross(u, t))])
+
+
+def _rotation_matrices(q):
+    """Rotation matrices (3, 3, ...) of the SU(2) elements (2, ...) q, normalized."""
+    w, x, y, z = _quaternion(q / np.sqrt(_norm2(q)))
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        ]
+    )
+
+
+def _steps(coef, steps):
+    """SU(2) elements (2, size, steps) of the Magnus steps s_j -> s_j+1, s_j = 2 pi j / steps."""
+    h = 2.0 * math.pi / steps
+    q = np.empty((2, coef.shape[1], steps), dtype=complex)
+    for lo in range(0, steps, _CHUNK):
+        s0 = np.arange(lo, min(steps, lo + _CHUNK)) * h
+        q[..., lo : lo + _CHUNK] = _magnus_steps(coef[..., None], s0, h)
+    return q
 
 
 def _orbit_batch(omega0, F, G, omegas, tol):
-    """Periodic orbits of one batch over s = omega t in [0, 2 pi].
+    """Periodic orbits of one batch over s = omega t in [0, 2 pi).
 
     Entry k is the PeriodicOrbit at omegas[k], or the FloquetTlsError its
-    fixed point raised.  Raises IntegrationError when the run fails.
+    error estimate or fixed point raised.
     """
     omegas = np.asarray(omegas, dtype=float)
     size = len(omegas)
-    fw, gw, w0w = F / omegas, G / omegas, omega0 / omegas
-    # column j * size + k is column j of the propagator of point k
-    rhs = _cross_rhs(np.tile(fw, 3), np.tile(gw, 3), np.tile(w0w, 3))
-    y0 = np.repeat(np.eye(3), size, axis=1)
-    res = _integrate(rhs, (0.0, 2.0 * math.pi), y0.ravel(), tol / math.sqrt(size))
-    errors = [None] * size
+    coef = np.stack([F / omegas, G / omegas, omega0 / omegas])
+    steps = MIN_STEPS
+    coarse = _rotation_matrices(_total(_steps(coef, steps // 2)))
+    while True:
+        prop = _prefix(_steps(coef, steps))
+        mono = _rotation_matrices(prop[..., -1])
+        estimate = np.abs(mono - coarse).max(axis=(0, 1)) / 63.0
+        if steps == MAX_STEPS or (estimate <= tol).all():
+            break
+        coarse, steps = mono, 2 * steps
+    errors = [
+        None
+        if e <= tol
+        else IntegrationError(
+            f"monodromy error estimate {e:.3g} above tol {tol:g} at S = {steps} Magnus steps"
+        )
+        for e in estimate
+    ]
     if G == F and F > 0:
         x0 = np.stack([np.full(size, F), np.zeros(size), omega0 - omegas])
         x0 /= np.linalg.norm(x0, axis=0)
         x0[:, x0[2] < -1e-9] *= -1.0
     else:
-        mono = res.y[:, -1].reshape(3, 3, size)
         x0 = np.zeros((3, size))
         for k in range(size):
-            try:
-                x0[:, k] = periodic_initial_state(mono[:, :, k])
-            except FloquetTlsError as exc:
-                errors[k] = exc
-    batch = _OrbitBatch(res.sol, omegas, x0)
+            if errors[k] is None:
+                try:
+                    x0[:, k] = periodic_initial_state(mono[:, :, k])
+                except FloquetTlsError as exc:
+                    errors[k] = exc
+    # the norms of the products drift by about 1e-16 per step, their rotations do not
+    prop /= np.sqrt(_norm2(prop))
+    grid = np.empty((3, size, steps))
+    grid[..., 0] = x0
+    ends = prop[..., :-1]
+    for lo in range(0, steps - 1, _CHUNK):
+        grid[..., 1 + lo : 1 + lo + _CHUNK] = _rotate(ends[..., lo : lo + _CHUNK], x0[..., None])
+    batch = _OrbitBatch(coef, omegas, grid)
     return [
         PeriodicOrbit(
             period=2.0 * math.pi / omega, sol=functools.partial(batch.at, k), batch=batch, index=k

@@ -31,7 +31,10 @@ from .errors import FloquetTlsError
 
 SCHEMA_VERSION = "1"
 
-_TOL_HELP = f"ODE-route tolerance in [{TOL_MIN:.3g}, 1e-6], so a full batch gets it"
+_TOL_HELP = (
+    f"ODE-route tolerance in [{TOL_MIN:.3g}, 1e-6]: bound on the estimated "
+    "one-period error of each periodic orbit's propagator"
+)
 
 
 class _UsageExit(Exception):

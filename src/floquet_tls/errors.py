@@ -10,7 +10,9 @@ class DomainError(FloquetTlsError, ValueError):
 
 
 class IntegrationError(FloquetTlsError):
-    """The ODE integrator failed (step-size underflow or similar)."""
+    """An ODE integration failed: DOP853 stopped (step-size underflow or
+    similar), or a periodic orbit's error estimate stayed above its
+    tolerance at the most Magnus steps allowed."""
 
 
 class DegenerateMonodromyError(FloquetTlsError):

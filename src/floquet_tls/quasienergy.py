@@ -140,10 +140,14 @@ def _orbit_grid(orbit, period, m):
 
 
 def _chi_samples(orbit, drive, m, pole=-1):
-    """chi at m samples on the section with its pole at pole * z; +z negates Z and h3."""
+    """(ts, xs, hs, R, chi, pole): chi at m samples on the section with its pole
+    at pole * z; +z negates Z and h3.  pole=None takes +z if these samples come
+    within 1e-3 R of -z, and -z otherwise."""
     ts, xs = _orbit_grid(orbit, drive.T, m)
     hs = np.asarray(drive.field(ts), dtype=float)
     radius = np.linalg.norm(xs, axis=-1).mean()
+    if pole is None:
+        pole = 1 if (radius + xs[..., 2]).min() <= _SOUTH_POLE_MARGIN * radius else -1
     z, h3 = (xs[..., 2], hs[..., 2]) if pole < 0 else (-xs[..., 2], -hs[..., 2])
     denom = radius + z
     if denom.min() <= _SOUTH_POLE_MARGIN * radius:
@@ -152,7 +156,7 @@ def _chi_samples(orbit, drive, m, pole=-1):
             f"{'south' if pole < 0 else 'north'} pole, where its section is singular"
         )
     chi = 0.5 * (h3 + (hs[..., 0] * xs[..., 0] + hs[..., 1] * xs[..., 1]) / denom)
-    return ts, xs, hs, radius, chi
+    return ts, xs, hs, radius, chi, pole
 
 
 def _turns(orbit, period, xs):
@@ -182,7 +186,9 @@ def _settled_samples(orbit, drive, m, pole=-1):
     """``_chi_samples`` of the first grid of m, 2m, ... 65536 samples on which the
     mean of chi is within 1e-10 of its mean over every second sample.
 
-    Raises SeriesInstabilityError if the 65536-sample grid has not settled.
+    The settle test compares means on one grid, so with pole=None each grid
+    may choose its own section.  Raises SeriesInstabilityError if the
+    65536-sample grid has not settled.
     """
     samples = _chi_samples(orbit, drive, m, pole)
     while (delta := abs(samples[4].mean() - samples[4][::2].mean())) >= _A0_SETTLE:
@@ -217,7 +223,7 @@ def split_geometric_dynamic(orbit, drive, grid=4096):
     with the derivatives taken spectrally.  Their sum reproduces the
     quasienergy of :func:`chi_series` up to quadrature error.
     """
-    ts, xs, hs, radius, _ = _chi_samples(orbit, drive, grid)
+    ts, xs, hs, radius, *_ = _chi_samples(orbit, drive, grid)
     eps_d = _eps_d(xs, hs, radius)
     freqs = 2j * math.pi * np.fft.rfftfreq(grid, d=drive.T / grid)
     dx = np.fft.irfft(np.fft.rfft(xs[:, 0]) * freqs, n=grid)
@@ -231,16 +237,15 @@ def quasienergy_classical(orbit, drive, method="ode"):
     """Quasienergy of a periodic classical orbit, with split attached.
 
     Both averages come from one settled grid: on the +z section, taken to the
-    -z branch by the winding of arg(X + iY), if the orbit passes within 1e-3 R
-    of the south pole, where chi needs ever finer grids to settle.
+    -z branch by the winding of arg(X + iY), if the grid passes within 1e-3 R
+    of the south pole, where chi needs ever finer grids to settle.  Each grid
+    is sampled once.
     """
     omega = float(drive.omega)
-    try:
-        _, xs, hs, radius, chi = _settled_samples(orbit, drive, 2 * _MIN_GRID)
-        eps = float(chi.mean())
-    except SouthPoleError:
-        _, xs, hs, radius, chi = _settled_samples(orbit, drive, 2 * _MIN_GRID, pole=1)
-        eps = float(chi.mean()) + _turns(orbit, drive.T, xs) * omega
+    _, xs, hs, radius, chi, pole = _settled_samples(orbit, drive, 2 * _MIN_GRID, pole=None)
+    eps = float(chi.mean())
+    if pole > 0:
+        eps += _turns(orbit, drive.T, xs) * omega
     return QuasienergyResult.from_raw(eps, _eps_d(xs, hs, radius), omega, method)
 
 
@@ -251,7 +256,7 @@ def floquet_state(orbit, drive, grid=4096, harmonics=256):
     phase, and reports the maximal pointwise Schroedinger residual checked
     by spectral differentiation.
     """
-    ts, xs, hs, radius, chi = _chi_samples(orbit, drive, grid)
+    ts, xs, hs, radius, chi, _ = _chi_samples(orbit, drive, grid)
     series = _series_from_samples(chi, float(drive.omega), harmonics)
     denom = radius + xs[:, 2]
     phi = np.empty((grid, 2), dtype=complex)

@@ -9,6 +9,7 @@ import pytest
 from floquet_tls import bloch_dynamics
 from floquet_tls.bloch_dynamics import (
     BATCH_SIZE,
+    MIN_STEPS,
     TOL_MIN,
     DriveParams,
     adjoint_rotation,
@@ -63,17 +64,21 @@ def test_tolerance_domain():
         evolve_classical(p, [0, 0, 1], 0.0, 1.0, tol=1e-3)
 
 
-def test_tolerance_floor_follows_batch_size():
+def test_orbit_tolerance_range_is_fixed():
+    # periodic orbits take [TOL_MIN, 1e-6] whatever the batch size; the DOP853
+    # functions keep DOP853's own floor 100 eps = 2.2e-14
     p = DriveParams(1.0, 0.5, 0.3, 1.0)
-    assert TOL_MIN / math.sqrt(BATCH_SIZE) == 100 * np.finfo(float).eps
-    # a lone run honours DOP853's floor 100 eps = 2.2e-14, a full batch TOL_MIN
+    assert TOL_MIN == 5e-14
     monodromy_so3(p, tol=3e-14)
     with pytest.raises(DomainError):
         monodromy_so3(p, tol=2e-14)
-    with pytest.raises(DomainError):
-        periodic_orbit(p, tol=0.99 * TOL_MIN)
-    with pytest.raises(DomainError):
-        periodic_orbits(1.0, 0.5, 0.3, [1.0], tol=0.99 * TOL_MIN)
+    for tol in (0.99 * TOL_MIN, 1.01e-6):
+        with pytest.raises(DomainError, match=r"tolerance must lie in \[5e-14, 1e-6\]"):
+            periodic_orbit(p, tol=tol)
+        with pytest.raises(DomainError):
+            periodic_orbits(1.0, 0.5, 0.3, [1.0], tol=tol)
+    periodic_orbit(p, tol=TOL_MIN)
+    periodic_orbit(p, tol=1e-6)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         orbits = list(periodic_orbits(1.0, 0.5, 0.3, np.linspace(0.5, 2.0, BATCH_SIZE), TOL_MIN))
@@ -257,8 +262,8 @@ def test_batched_orbits_are_no_less_accurate_than_lone_ones():
 
 
 def test_lone_orbit_accuracy_gap():
-    # the gap stated in the periodic_orbit docstring: a lone orbit is held
-    # to 5e-12 only, the same point inside a batch to 1e-11
+    # the periodic_orbit docstring: a lone orbit passes the same error test
+    # as the same point inside a batch, and both are 1.2e-15 off
     omega = 0.7368
     p = rpc_params(omega0=1.0, F=0.5, omega=omega)
     ts = np.linspace(0.0, p.T, 201)
@@ -266,13 +271,14 @@ def test_lone_orbit_accuracy_gap():
     ref /= np.linalg.norm(ref, axis=-1, keepdims=True)
     grid = omega + 0.1 * np.arange(-4, 12)
     in_batch = list(periodic_orbits(1.0, 0.5, 0.5, grid))[4]
-    assert np.abs(periodic_orbit(p)(ts) - ref).max() <= 5e-12
-    assert np.abs(in_batch(ts) - ref).max() <= 1e-11
+    assert np.abs(periodic_orbit(p)(ts) - ref).max() <= 1e-13
+    assert np.abs(in_batch(ts) - ref).max() <= 1e-13
 
 
 def test_every_integration_calls_the_module_solve_ivp(monkeypatch):
     # the benchmark tracer counts bloch_dynamics.rhs_evals by wrapping this
-    # name, so no run may reach scipy's solve_ivp around it
+    # name, so no run may reach scipy's solve_ivp around it; periodic orbits
+    # are Magnus products and make no run at all
     import scipy.integrate
 
     inner, outer = [], []
@@ -290,15 +296,14 @@ def test_every_integration_calls_the_module_solve_ivp(monkeypatch):
     monkeypatch.setattr(scipy.integrate, "solve_ivp", counting(scipy_solve_ivp, inner))
     monkeypatch.setattr(bloch_dynamics, "solve_ivp", counting(lazy_solve_ivp, outer))
     p = DriveParams(1.0, 0.5, 0.3, 1.0)
-    assert len(list(periodic_orbits(1.0, 0.5, 0.3, [0.8, 1.0, 1.2]))) == 3
-    monodromy_so3(p)
-    evolve_classical(p, [0.0, 0.0, 1.0], 0.0, p.T)
-    # one run for the batch of orbits, one each for the other two
-    assert len(outer) == 3
-    # a grid of BATCH_SIZE + 1 points is two batches, one run each
     grid = np.linspace(0.5, 2.0, BATCH_SIZE + 1)
     assert len(list(periodic_orbits(1.0, 0.5, 0.3, grid))) == BATCH_SIZE + 1
-    assert len(outer) == 5
+    periodic_orbit(p)
+    assert outer == inner == []
+    monodromy_so3(p)
+    evolve_classical(p, [0.0, 0.0, 1.0], 0.0, p.T)
+    # one run each
+    assert len(outer) == 2
     assert outer == inner
     assert min(outer) > 0
 
@@ -328,23 +333,29 @@ def test_periodic_orbit_is_a_batch_of_one():
 
 
 def test_periodic_orbits_report_failures_per_point(monkeypatch):
-    grid = [0.6, 0.9, 1.2, -1.0, 1.5]
-    real_batch = bloch_dynamics._orbit_batch
-
-    def failing_batch(omega0, F, G, omegas, tol):
-        if 1.2 in omegas:
-            raise IntegrationError("injected failure")
-        return real_batch(omega0, F, G, omegas, tol)
-
-    monkeypatch.setattr(bloch_dynamics, "_orbit_batch", failing_batch)
+    # at omega = 0.01 the field is about 100 omega, and 2048 Magnus steps
+    # leave an error estimate above 1e-12
+    monkeypatch.setattr(bloch_dynamics, "MAX_STEPS", MIN_STEPS)
+    grid = [0.6, 0.9, 0.01, -1.0, 1.5]
     orbits = list(periodic_orbits(1.0, 0.5, 0.3, grid))
     assert isinstance(orbits[2], IntegrationError)
+    assert "above tol 1e-12 at S = 2048 Magnus steps" in str(orbits[2])
     assert isinstance(orbits[3], DomainError)  # omega must be positive
     for i in (0, 1, 4):
         p = DriveParams(1.0, 0.5, 0.3, grid[i])
         ts = np.linspace(0.0, p.T, 50)
-        # rerun alone, after the batch failed
+        # the failed point leaves its neighbours as they are alone
         assert np.array_equal(orbits[i](ts), periodic_orbit(p)(ts))
+
+
+def test_step_count_search_meets_the_tolerance():
+    # F/omega = 80: 2048 steps leave an estimate of 2.1e-12, 4096 meet 1e-12
+    p = DriveParams(1.0, 7.0, 0.0, 0.0875)
+    orbit = periodic_orbit(p)
+    assert orbit.batch.grid.shape[-1] == 2 * MIN_STEPS
+    mono = monodromy_so3(p, tol=3e-14)
+    x0 = orbit(0.0)
+    assert np.abs(mono @ x0 - x0).max() < 1e-11
 
 
 def test_elliptic_sweep_matches_su2_eigenphase():
@@ -358,3 +369,33 @@ def test_elliptic_sweep_matches_su2_eigenphase():
             for d in ((res.epsilon - eps) % p.omega, (res.epsilon + eps) % p.omega)
         )
         assert dist < 1e-9
+
+
+def test_longest_products_keep_their_norm(monkeypatch):
+    # the norm of a product of S steps drifts by about 1e-16 per step, 2e-12
+    # at MAX_STEPS, unless the products are normalized
+    monkeypatch.setattr(bloch_dynamics, "MIN_STEPS", bloch_dynamics.MAX_STEPS)
+    grid = [0.6, 0.8]
+    for omega, orbit in zip(grid, periodic_orbits(1.0, 0.5, 0.5, grid)):
+        p = rpc_params(omega0=1.0, F=0.5, omega=omega)
+        states = orbit.sample(bloch_dynamics.MAX_STEPS)
+        assert np.abs(np.linalg.norm(states, axis=-1) - 1.0).max() < 1e-14
+        ts = np.arange(0, bloch_dynamics.MAX_STEPS, 997) * (p.T / bloch_dynamics.MAX_STEPS)
+        ref = rpc_trajectory(p)(ts)
+        ref /= np.linalg.norm(ref, axis=-1, keepdims=True)
+        assert np.abs(states[::997] - ref).max() < 1e-13
+
+
+def test_strong_drive_sweep_matches_su2_eigenphase():
+    # F/omega = 80 at the first point: its batch needs more than MIN_STEPS steps
+    base = DriveParams(1.0, 7.0, 0.0, 1.0)
+    grid = np.linspace(0.0875, 0.12, 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the sweep jumps branches further on
+        res = sweep_branches(base, grid, method="ode")[0]
+    p = DriveParams(1.0, 7.0, 0.0, float(grid[0]))
+    eps = quasienergy_from_monodromy(monodromy_su2(p, tol=1e-13), p.T)
+    dist = min(
+        min(d, p.omega - d) for d in ((res.epsilon - eps) % p.omega, (res.epsilon + eps) % p.omega)
+    )
+    assert dist <= 1e-10

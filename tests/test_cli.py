@@ -353,14 +353,39 @@ def test_unconverged_truncation_fails_loudly(tmp_path, monkeypatch, capsys):
     assert "NaN" not in rows[2]
 
 
-def test_tolerance_below_batch_floor_exits_2(tmp_path, capsys):
-    # a 16-point batch runs at tol/4, below DOP853's 100 eps floor here
+@pytest.mark.parametrize("count", [1, 16])
+def test_tolerance_below_orbit_floor_exits_2(tmp_path, capsys, count):
+    # the floor of a periodic orbit's error bound does not depend on the batch size
     out = tmp_path / "sweep.csv"
-    rc = cli.main(["quasienergy", "--omega0", "1", "--f", "0.5", "--g", "0.3",
-                   "--omega-sweep", "0.5:2:16", "--tol", "5e-14", "-o", str(out)])
+    if count == 1:
+        argv = ["solve", "--omega", "1", "--method", "ode"]
+    else:
+        argv = ["quasienergy", "--omega-sweep", f"0.5:2:{count}"]
+    argv += ["--omega0", "1", "--f", "0.5", "--g", "0.3", "--tol", "4e-14", "-o", str(out)]
+    rc = cli.main(argv)
     assert rc == 2
-    assert "tolerance must lie in [8.88e-14, 1e-6], got 5e-14" in capsys.readouterr().err
+    assert "tolerance must lie in [5e-14, 1e-6], got 4e-14" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_orbit_above_tolerance_at_step_cap_fails_loudly(tmp_path, monkeypatch, capsys):
+    # with the cap at 2048 Magnus steps, omega = 0.01 (a field about 100
+    # omega) keeps an error estimate above 1e-12; omega = 1 meets it
+    monkeypatch.setattr(bloch_dynamics, "MAX_STEPS", bloch_dynamics.MIN_STEPS)
+    reason = "monodromy error estimate 3.23e-10 above tol 1e-12 at S = 2048 Magnus steps"
+    out = tmp_path / "sweep.csv"
+    rc = cli.main(["solve", "--omega0", "1", "--f", "0.5", "--g", "0.3", "--omega", "0.01",
+                   "--method", "ode", "-o", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {reason}"]
+    assert not out.exists()
+    rc = cli.main(["quasienergy", "--omega0", "1", "--f", "0.5", "--g", "0.3",
+                   "--omega-sweep", "0.01:1:2", "-o", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [f"omega=0.01: {reason}"]
+    rows = out.read_text().splitlines()
+    assert rows[1] == "0.01,NaN,NaN,NaN,NaN,0"
+    assert "NaN" not in rows[2]
 
 
 def test_fourier_sweep_below_truncation_two_exits_2(tmp_path, capsys):

@@ -1,9 +1,9 @@
-"""scipy is loaded only by commands that integrate an ODE.
+"""scipy is loaded only by ``validate``, whose DOP853 checks use it.
 
-The Fourier route, the resonance search and the exact Bloch-Siegert series
-need only numpy, and importing scipy takes longer than such a command.
-Each case runs in a fresh interpreter, because this one has scipy loaded
-already.
+The Fourier and ODE routes, the resonance search and the exact
+Bloch-Siegert series need only numpy, and importing scipy takes longer than
+such a command.  Each case runs in a fresh interpreter, because this one
+has scipy loaded already.
 """
 
 import json
@@ -52,18 +52,23 @@ def test_import_loads_no_scipy(module):
 
 
 SWEEP = ["quasienergy", "--omega0", "1", "--f", "0.5", "--omega-sweep", "0.5:2:4"]
+SOLVE = ["solve", "--omega0", "1", "--f", "0.5", "--omega", "2"]
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ["solve", "--omega0", "1", "--f", "0.5", "--omega", "2", "--method", "fourier"],
+        SOLVE + ["--method", "fourier"],
+        SOLVE + ["--g", "0.3", "--method", "ode"],
         SWEEP + ["--method", "fourier"],
         SWEEP + ["--method", "auto"],
+        SWEEP + ["--method", "ode"],
+        SWEEP + ["--g", "0.3"],
         ["bloch-siegert", "--n", "2", "--max-m", "4"],
         ["resonance", "--n-list", "1,2", "--f-grid", "0.02:0.5:3", "--log-grid"],
     ],
-    ids=["solve-fourier", "sweep-fourier", "sweep-auto", "bloch-siegert", "resonance"],
+    ids=["solve-fourier", "solve-ode", "sweep-fourier", "sweep-auto", "sweep-ode", "sweep-elliptic",
+         "bloch-siegert", "resonance"],
 )
 def test_numpy_only_commands_load_no_scipy(tmp_path, argv):
     argv = argv + ["--output", str(tmp_path / "out")]
@@ -80,7 +85,7 @@ def test_strong_drive_fourier_sweep_loads_no_scipy(tmp_path):
     assert all(math.isfinite(float(v)) for row in rows for v in row)
 
 
-def test_ode_solve_loads_scipy_integrate(tmp_path):
-    argv = ["solve", "--omega0", "1", "--f", "0.5", "--g", "0.3", "--omega", "2",
-            "--method", "ode", "--output", str(tmp_path / "out")]
+def test_validate_loads_scipy_integrate(tmp_path):
+    # its RPC and lift checks run DOP853 (monodromy_su2, monodromy_so3)
+    argv = ["validate", "--only", "rpc_oracle", "--output", str(tmp_path / "out")]
     assert "scipy.integrate" in scipy_modules_after(MAIN, argv)
