@@ -10,6 +10,7 @@ failure.  Identical configuration and seed produce byte-identical output.
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -318,21 +319,17 @@ def _check_gradients(rng):
     for p in _random_nonresonant_points(rng, 5):
         sol = fourier_rpl.solve_auto(p, "phi1").normalized()
         res = quasienergy.quasienergy_classical(sol, p, method="fourier")
-        fd_w0 = (
-            eps_at(DriveParams(p.omega0 + delta, p.F, 0.0, p.omega))
-            - eps_at(DriveParams(p.omega0 - delta, p.F, 0.0, p.omega))
-        ) / (2 * delta)
-        worst = max(worst, abs(fd_w0 - quasienergy.grad_omega0(sol, p)))
-        fd_f = (
-            eps_at(DriveParams(p.omega0, p.F + delta, 0.0, p.omega))
-            - eps_at(DriveParams(p.omega0, p.F - delta, 0.0, p.omega))
-        ) / (2 * delta)
-        worst = max(worst, abs(fd_f - quasienergy.grad_f(sol, p)))
-        fd_w = (
-            eps_at(DriveParams(p.omega0, p.F, 0.0, p.omega + delta))
-            - eps_at(DriveParams(p.omega0, p.F, 0.0, p.omega - delta))
-        ) / (2 * delta)
-        worst = max(worst, abs(fd_w - quasienergy.grad_omega(res)))
+        for field, grad in (
+            ("omega0", quasienergy.grad_omega0(sol, p)),
+            ("F", quasienergy.grad_f(sol, p)),
+            ("omega", quasienergy.grad_omega(res)),
+        ):
+            x = getattr(p, field)
+            fd = (
+                eps_at(dataclasses.replace(p, **{field: x + delta}))
+                - eps_at(dataclasses.replace(p, **{field: x - delta}))
+            ) / (2 * delta)
+            worst = max(worst, abs(fd - grad))
     return worst, 1e-5
 
 

@@ -18,19 +18,21 @@ the ODE route, truncated Fourier solutions and closed-form orbits all
 qualify.  An orbit that also has a method ``sample(m)``, such as a truncated
 Fourier solution (one inverse FFT in place of a harmonic sum per time) or a
 periodic orbit of the ODE route (a grid shared by its batch), is sampled
-through it.  Averages are taken on uniform grids (spectrally accurate for
-smooth periodic integrands), each sampled once: 2048 points, doubled up to
-65536 only while the mean of chi still differs by 1e-10 from its mean on
-the grid of half the size; a grid still unsettled at 65536 raises
-SeriesInstabilityError.  eps_d, the mean of a trigonometric polynomial of
-degree N + 1, is exact on such a grid for N + 1 < 2048.
+through it.  Every average over the orbit (the quasienergy, its split and
+the Floquet state's phase) reads one settled uniform grid, spectrally
+accurate for smooth periodic integrands and sampled once: 2048 points,
+doubled up to 65536 only while the mean of chi still differs by 1e-10 from
+its mean on the grid of half the size; a grid still unsettled at 65536
+raises SeriesInstabilityError.  eps_d, the mean of a trigonometric
+polynomial of degree N + 1, is exact on such a grid for N + 1 < 2048.  The
+gradients, which do not involve chi, read X/R on 2048 points.
 
 chi is singular at the south pole, R + Z = 0.  :func:`quasienergy_classical`
 averages an orbit that comes within 1e-3 R of it on the section with its pole
 at +z, chi_+ = ((h1 X + h2 Y)/(R - Z) - h3) / 2, and reports the -z branch
 mean(chi_+) + n omega, n the counter-clockwise turns of arg(X + iY) over one
-period.  :func:`chi_series` and :func:`floquet_state` keep the -z section and
-raise SouthPoleError.
+period.  :func:`chi_series`, :func:`split_geometric_dynamic` and
+:func:`floquet_state` keep the -z section and raise SouthPoleError.
 
 Sweeps (:func:`sweep_branches`) on the ODE route integrate their periodic
 orbits in batches in s = omega t (:func:`bloch_dynamics.periodic_orbits`);
@@ -75,16 +77,6 @@ class TrigSeries:
         ang = np.multiply.outer(t, n * self.omega)
         return self.a0 + np.cos(ang) @ self.cos_coeffs + np.sin(ang) @ self.sin_coeffs
 
-    def phase_integral(self, t):
-        """Oscillating part of int_0^t of the series (a0 term excluded)."""
-        t = np.asarray(t, dtype=float)
-        n = np.arange(1, len(self.cos_coeffs) + 1)
-        ang = np.multiply.outer(t, n * self.omega)
-        nw = n * self.omega
-        value = np.sin(ang) @ (self.cos_coeffs / nw) - np.cos(ang) @ (self.sin_coeffs / nw)
-        # integration constant: vanish at t = 0
-        return value + np.sum(self.sin_coeffs / nw)
-
 
 @dataclass
 class QuasienergyResult:
@@ -121,7 +113,10 @@ class QuasienergyResult:
 
 @dataclass
 class FloquetState:
-    """Periodic factor u(t) of a Floquet solution psi = u exp(-i eps t)."""
+    """Periodic factor u(t) of a Floquet solution psi = u exp(-i eps t).
+
+    ``times`` is the settled grid of the orbit's chi (see the module notes).
+    """
 
     times: np.ndarray
     u: np.ndarray  # shape (M, 2), u at the sample times
@@ -216,21 +211,26 @@ def chi_series(orbit, drive, harmonics=64):
     return _series_from_samples(chi, float(drive.omega), harmonics)
 
 
-def split_geometric_dynamic(orbit, drive, grid=4096):
+def _ddt(values, period):
+    """Spectral time derivative, along axis 0, of uniform samples over one period."""
+    m = len(values)
+    freqs = 2j * math.pi * np.fft.fftfreq(m, d=period / m)
+    return np.fft.ifft(np.fft.fft(values, axis=0) * freqs[:, None], axis=0)
+
+
+def split_geometric_dynamic(orbit, drive):
     """Time averages of the geometric and dynamical parts of chi.
 
     eps_d averages (h . X)/(2R); eps_g averages (X Y' - Y X')/(2R(R+Z))
-    with the derivatives taken spectrally.  Their sum reproduces the
-    quasienergy of :func:`chi_series` up to quadrature error.
+    with the derivatives taken spectrally, both on the settled grid of chi.
+    Their sum reproduces the quasienergy of :func:`chi_series` up to
+    quadrature error.
     """
-    ts, xs, hs, radius, *_ = _chi_samples(orbit, drive, grid)
-    eps_d = _eps_d(xs, hs, radius)
-    freqs = 2j * math.pi * np.fft.rfftfreq(grid, d=drive.T / grid)
-    dx = np.fft.irfft(np.fft.rfft(xs[:, 0]) * freqs, n=grid)
-    dy = np.fft.irfft(np.fft.rfft(xs[:, 1]) * freqs, n=grid)
+    _, xs, hs, radius, *_ = _settled_samples(orbit, drive, 2 * _MIN_GRID)
+    dx, dy = _ddt(xs[:, :2], drive.T).real.T
     num = xs[:, 0] * dy - xs[:, 1] * dx
     eps_g = float(np.mean(num / (2.0 * radius * (radius + xs[:, 2]))))
-    return eps_g, eps_d
+    return eps_g, _eps_d(xs, hs, radius)
 
 
 def quasienergy_classical(orbit, drive, method="ode"):
@@ -249,58 +249,54 @@ def quasienergy_classical(orbit, drive, method="ode"):
     return QuasienergyResult.from_raw(eps, _eps_d(xs, hs, radius), omega, method)
 
 
-def floquet_state(orbit, drive, grid=4096, harmonics=256):
+def floquet_state(orbit, drive):
     """Floquet solution u(t) exp(-i eps t) reconstructed from the orbit.
 
-    Builds the Bloch-sphere section, integrates the chi series for the
-    phase, and reports the maximal pointwise Schroedinger residual checked
-    by spectral differentiation.
+    On the settled grid of chi: eps = mean(chi), and the phase of u is the
+    spectral integral of chi - eps, zero at t = 0, applied to the
+    Bloch-sphere section.  Reports the maximal pointwise Schroedinger
+    residual, checked by spectral differentiation.
     """
-    ts, xs, hs, radius, chi, _ = _chi_samples(orbit, drive, grid)
-    series = _series_from_samples(chi, float(drive.omega), harmonics)
+    ts, xs, hs, radius, chi, _ = _settled_samples(orbit, drive, 2 * _MIN_GRID)
+    m = len(ts)
+    eps = float(chi.mean())
+    spec = np.fft.rfft(chi)
+    spec[0] = 0.0
+    spec[1:] /= 2j * math.pi * np.fft.rfftfreq(m, d=drive.T / m)[1:]
+    osc = np.fft.irfft(spec, n=m)
     denom = radius + xs[:, 2]
-    phi = np.empty((grid, 2), dtype=complex)
-    norm = 1.0 / np.sqrt(2.0 * radius * denom)
-    phi[:, 0] = norm * denom
-    phi[:, 1] = norm * (xs[:, 0] + 1j * xs[:, 1])
-    osc = series.phase_integral(ts)
-    u = np.exp(-1j * osc)[:, None] * phi
-    eps = series.a0
+    phi = np.stack([denom, xs[:, 0] + 1j * xs[:, 1]], axis=-1)  # the section, unnormalized
+    u = (np.exp(-1j * (osc - osc[0])) / np.sqrt(2.0 * radius * denom))[:, None] * phi
 
-    # residual of (H - eps) u - i u' via spectral differentiation
-    freqs = 2j * math.pi * np.fft.fftfreq(grid, d=drive.T / grid)
-    du = np.stack(
-        [np.fft.ifft(np.fft.fft(u[:, j]) * freqs) for j in (0, 1)], axis=-1
-    )
+    # residual of (H - eps) u - i u'
     hu = np.empty_like(u)
     hu[:, 0] = 0.5 * (hs[:, 2] * u[:, 0] + (hs[:, 0] - 1j * hs[:, 1]) * u[:, 1])
     hu[:, 1] = 0.5 * ((hs[:, 0] + 1j * hs[:, 1]) * u[:, 0] - hs[:, 2] * u[:, 1])
-    res = hu - eps * u - 1j * du
+    res = hu - eps * u - 1j * _ddt(u, drive.T)
     residual = float(np.linalg.norm(res, axis=-1).max())
     return FloquetState(times=ts, u=u, epsilon=eps, omega=float(drive.omega), residual=residual)
 
 
-def grad_omega0(orbit, drive, grid=4096):
+def _unit_modes(orbit, drive):
+    """Mean and first harmonic 2 <X e^(-i w t)> / R of the orbit on 2048 samples."""
+    _, xs = _orbit_grid(orbit, drive.T, 2 * _MIN_GRID)
+    spec = np.fft.rfft(xs / np.linalg.norm(xs, axis=-1).mean(), axis=0) / len(xs)
+    return spec[0].real, 2.0 * spec[1]
+
+
+def grad_omega0(orbit, drive):
     """d(eps)/d(omega0) = mean(Z) / (2R) along the periodic orbit."""
-    _, xs = _orbit_grid(orbit, drive.T, grid)
-    radius = np.linalg.norm(xs, axis=-1).mean()
-    return float(xs[:, 2].mean() / (2.0 * radius))
+    return float(_unit_modes(orbit, drive)[0][2] / 2.0)
 
 
-def grad_f(orbit, drive, grid=4096):
+def grad_f(orbit, drive):
     """d(eps)/dF = x_c / 4, the cos(wt) coefficient of X(t)/R."""
-    _, xs = _orbit_grid(orbit, drive.T, grid)
-    radius = np.linalg.norm(xs, axis=-1).mean()
-    spec = np.fft.rfft(xs[:, 0] / radius) / grid
-    return float(2.0 * spec[1].real / 4.0)
+    return float(_unit_modes(orbit, drive)[1][0].real / 4.0)
 
 
-def grad_g(orbit, drive, grid=4096):
+def grad_g(orbit, drive):
     """d(eps)/dG = y_s / 4, the sin(wt) coefficient of Y(t)/R."""
-    _, xs = _orbit_grid(orbit, drive.T, grid)
-    radius = np.linalg.norm(xs, axis=-1).mean()
-    spec = np.fft.rfft(xs[:, 1] / radius) / grid
-    return float(-2.0 * spec[1].imag / 4.0)
+    return float(-_unit_modes(orbit, drive)[1][1].imag / 4.0)
 
 
 def grad_omega(result):

@@ -11,7 +11,7 @@ Algorithms:
   * J_n via the ascending power series for |x| <= 12 and Miller's downward
     recurrence with even-order normalization otherwise.
   * Zeros of J_0 from a two-term McMahon asymptotic guess refined by Newton
-    iteration (J_0' = -J_1).
+    iteration (J_0' = -J_1) until its step stops shrinking.
   * K, E by the arithmetic-geometric mean; negative parameter is mapped to
     [0, 1) by the imaginary-modulus transformation first.
 
@@ -104,13 +104,13 @@ def bessel_j0_zero(n):
     n = int(n)
     beta = (n - 0.25) * math.pi
     x = beta + 1.0 / (8.0 * beta)  # McMahon guess, error O(beta^-3)
+    last = math.inf
     for _ in range(60):
-        f = bessel_j(0, x)
-        df = -bessel_j(1, x)
-        step = f / df
-        x -= step
-        if abs(step) < 1e-13:
+        step = bessel_j(0, x) / -bessel_j(1, x)
+        if abs(step) >= last:  # Newton has reached the roundoff of x
             break
+        x -= step
+        last = abs(step)
     return x
 
 

@@ -226,6 +226,29 @@ def test_floquet_monodromy_property():
     assert np.abs(propagated - expect).max() < 1e-6
 
 
+@pytest.mark.parametrize("F, omega, bound", [(20.0, 0.05, 1e-9), (5.0, 0.2, 1e-10)])
+def test_floquet_state_and_split_read_the_settled_grid(F, omega, bound):
+    # on a fixed 4096-point grid with 256 phase harmonics the residuals were
+    # 7.7 and 0.12, and at (1, 20, 0.05) both epsilons were 9.6e-9 off
+    p = rpl(1.0, F, omega)
+    orbit = fourier_rpl.solve_auto(p, "phi1").normalized()
+    fs = floquet_state(orbit, p)
+    assert fs.residual <= bound
+    assert fs.u.shape == (len(fs.times), 2)
+    ref = quasienergy_classical(orbit, p, method="fourier").epsilon
+    for eps in (fs.epsilon, sum(split_geometric_dynamic(orbit, p))):
+        d = (eps - ref) % omega
+        assert min(d, omega - d) <= 1e-12
+
+
+def test_minus_z_averages_raise_near_south_pole():
+    p = rpc(omega0=1.0, F=1e-3, omega=3.0)
+    orbit = _south_pole_orbit(p)
+    for average in (chi_series, split_geometric_dynamic, floquet_state):
+        with pytest.raises(SouthPoleError):
+            average(orbit, p)
+
+
 def test_grad_omega0_rpc():
     p = rpc(omega0=1.0, F=0.5, omega=0.7)
     big = math.hypot(p.F, p.omega0 - p.omega)

@@ -13,6 +13,7 @@ import pytest
 import scipy.special
 from scipy.integrate import quad
 
+from floquet_tls import specfun
 from floquet_tls.errors import DomainError
 from floquet_tls.specfun import bessel_j, bessel_j0_zero, elliptic_e, elliptic_k
 
@@ -97,6 +98,26 @@ def test_j0_zeros_match_scipy_up_to_400():
     ref = scipy.special.jn_zeros(0, 400)
     ours = np.array([bessel_j0_zero(n) for n in range(1, 401)])
     assert np.abs(ours - ref).max() < 1e-12
+
+
+def test_j0_zero_newton_stops_at_roundoff(monkeypatch):
+    # the stop test once was |step| < 1e-13: j_{0,4} took 29 iterations, and
+    # n = 329, 336, 348 ... 395 ran all 60 without meeting it
+    calls = []
+
+    def counting(n, x):
+        calls.append(n)
+        return bessel_j(n, x)
+
+    monkeypatch.setattr(specfun, "bessel_j", counting)
+    bessel_j0_zero.cache_clear()
+    try:
+        for n in range(1, 401):
+            calls.clear()
+            bessel_j0_zero(n)
+            assert len(calls) <= 2 * 8, n  # J_0 and J_1 per Newton iteration
+    finally:
+        bessel_j0_zero.cache_clear()
 
 
 def test_j0_zero_is_memoized():
