@@ -1,19 +1,18 @@
 """Time-domain route: classical spin motion and two-level propagators.
 
-Integrates the classical equation of motion dX/dt = h(t) x X on the Bloch
-sphere and the Schroedinger equation i dpsi/dt = (h . s) psi over one drive
-period, and extracts monodromy matrices, periodic initial conditions and
-quasienergies from them.
+Propagates the classical equation of motion dX/dt = h(t) x X on the Bloch
+sphere and the Schroedinger equation i dpsi/dt = (h . s) psi, and extracts
+monodromy matrices, periodic initial conditions and quasienergies from them.
 
-Periodic orbits are computed in batches over a frequency grid: in s = omega t
-every point has period 2 pi, and the propagators M(s) of up to BATCH_SIZE
-points are products of the same S uniform sixth-order Magnus steps (Blanes,
-Casas & Ros, BIT 40 (2000) 434), each step a rotation held as its SU(2)
-element (a unit quaternion).  Each orbit is its propagator applied to its fixed point,
-X(s) = M(s) x0 with M(2 pi) x0 = x0 (:func:`periodic_orbits`).  A single
-point is a batch of one.  This path needs numpy only; scipy's DOP853 runs
-:func:`evolve_classical`, :func:`monodromy_so3` and :func:`monodromy_su2`,
-which serve as an independent check of it.
+Everything is integrated in s = omega t, where every point has period
+2 pi: the propagators M(s) of up to BATCH_SIZE points are prefix products of
+the same S uniform sixth-order Magnus steps (Blanes, Casas & Ros, BIT 40
+(2000) 434), each step a rotation held as its SU(2) element (a unit
+quaternion).  Each periodic orbit is its propagator applied to its fixed
+point, X(s) = M(s) x0 with M(2 pi) x0 = x0 (:func:`periodic_orbits`).  The
+monodromies are the one-period product of one point, and
+:func:`evolve_classical` applies the products to its initial state.  The
+module needs numpy only; the tests check it against scipy's DOP853.
 """
 
 import functools
@@ -29,17 +28,14 @@ DEFAULT_TOL = 1e-12
 # points per batch of periodic orbits; bounds the memory of a sweep's grids
 BATCH_SIZE = 16
 
-# Magnus steps per period of a batch: powers of two from MIN_STEPS up to
+# Magnus steps per period covered: powers of two from MIN_STEPS up to
 # MAX_STEPS, the first whose error estimate meets the tolerance
 MIN_STEPS = 1 << 11
 MAX_STEPS = 1 << 16
 
-# least tolerance of a periodic orbit, several times the rounding error
+# least tolerance of every integration, several times the rounding error
 # (below 1e-14) of a product of MAX_STEPS rotations
 TOL_MIN = 5e-14
-
-# DOP853 raises any rtol below 100 eps to that floor with only a warning
-_DOP853_TOL_MIN = 100 * np.finfo(float).eps
 
 # steps per block of the prefix-product scan, and per chunk of the step
 # exponents and of the grid's rotations, which bounds their temporaries
@@ -133,7 +129,7 @@ def field_at(params, t):
 
 @dataclass
 class Trajectory:
-    """Dense-output solution of the classical equation of motion."""
+    """Solution of the classical equation of motion; ``sol`` maps times (n,) to states (3, n)."""
 
     period: float
     sol: object = field(repr=False, default=None)
@@ -161,112 +157,99 @@ class PeriodicOrbit(Trajectory):
 
 
 class _OrbitBatch:
-    """Orbits of a batch over s = omega t in [0, 2 pi): X_k(s) = M_k(s) x0_k.
+    """States X_k(s) = M_k(s) x0_k of a batch over s = omega t in [s0, s0 + span].
 
-    ``grid`` (3, size, S) holds the states X_k(s_j) at s_j = 2 pi j / S, the
-    ends of the Magnus steps; ``coef`` (3, size) holds (F, G, omega0) /
-    omega_k.  A grid of m samples that divides S is a stride of it.  Any
-    other s, of a finer or an incommensurate grid or of a call, takes one
-    partial Magnus step from the grid state before it.  Only the states are
-    kept, not the propagators.
+    ``grid`` (3, size, S) holds the states X_k(s_j) at s_j = s0 + j span / S,
+    the starts of the Magnus steps; ``coef`` (3, size) holds (F, G, omega0) /
+    omega_k.  Any other s, of a finer or an incommensurate grid or of a call,
+    takes one partial Magnus step from the grid state before it, or from the
+    nearest end outside the span.  Only the states are kept, not the
+    propagators.  For periodic orbits (s0 = 0, span = 2 pi) a grid of m
+    samples that divides S is a stride of it.
     """
 
-    def __init__(self, coef, omegas, grid):
+    def __init__(self, coef, omegas, grid, s0=0.0, span=2.0 * math.pi):
         self.coef = coef
         self.omegas = omegas
         self.grid = grid
+        self.s0 = s0
+        self.span = span
 
-    def _states(self, k, s):
-        """States (3, n) of member k at s (n,), taken modulo 2 pi."""
+    def states(self, k, s):
+        """States (3, n) of member k at s (n,)."""
         steps = self.grid.shape[-1]
-        h = 2.0 * math.pi / steps
-        s = np.mod(s, 2.0 * math.pi)
-        j = np.minimum((s // h).astype(int), steps - 1)
-        q = _magnus_steps(self.coef[:, k], j * h, s - j * h)
+        h = self.span / steps
+        j = np.clip(((s - self.s0) // h).astype(int), 0, steps - 1)
+        start = self.s0 + j * h
+        q = _magnus_steps(self.coef[:, k], start, s - start)
         return _rotate(q, self.grid[:, k, j])
 
     def at(self, k, t):
-        """States (3, n) of member k at the times t (n,)."""
-        return self._states(k, self.omegas[k] * t)
+        """States (3, n) of periodic member k at the times t (n,)."""
+        return self.states(k, np.mod(self.omegas[k] * t, 2.0 * math.pi))
 
     def sample(self, m, k):
-        """States (3, m) of member k at s_j = 2 pi j / m."""
+        """States (3, m) of periodic member k at s_j = 2 pi j / m."""
         steps = self.grid.shape[-1]
         if steps % m == 0:
             return self.grid[:, k, :: steps // m]
-        return self._states(k, np.arange(m) * (2.0 * math.pi / m))
+        return self.states(k, np.arange(m) * (2.0 * math.pi / m))
 
 
-def _check_tol(tol, lo=_DOP853_TOL_MIN):
-    if not (lo <= tol <= 1e-6):
-        raise DomainError(f"tolerance must lie in [{lo:.3g}, 1e-6], got {tol}")
+def _check_tol(tol):
+    if not (TOL_MIN <= tol <= 1e-6):
+        raise DomainError(f"tolerance must lie in [{TOL_MIN:.3g}, 1e-6], got {tol}")
 
 
 def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported on the first integration.
+    """scipy.integrate.solve_ivp, imported on call; nothing in the package calls it.
 
-    Importing scipy.integrate takes longer than most commands that need no
-    ODE, so the package does not import it when it loads.
+    perfbench/tracer.py probes this name; ROADMAP.md item 1 drops both.
     """
     from scipy.integrate import solve_ivp as scipy_solve_ivp
 
     return scipy_solve_ivp(*args, **kwargs)
 
 
-def _integrate(rhs, t_span, y0, tol, dense_output=True):
-    res = solve_ivp(
-        rhs,
-        t_span,
-        y0,
-        method="DOP853",
-        rtol=tol,
-        atol=tol,
-        dense_output=dense_output,
-    )
-    if not res.success:
-        raise IntegrationError(f"integration failed: {res.message}")
-    return res
+def _propagate(params, s0, span, tol):
+    """Coefficients, prefix products and total rotation of one point over [s0, s0 + span]."""
+    _check_tol(tol)
+    omegas = np.array([params.omega])
+    coef = np.stack([params.F / omegas, params.G / omegas, params.omega0 / omegas])
+    prop, mono, (error,) = _products(coef, s0, span, tol)
+    if error is not None:
+        raise error
+    return coef, prop, mono[..., 0]
 
 
 def evolve_classical(params, x0, t0, t1, tol=DEFAULT_TOL):
-    """Integrate dX/dt = h(t) x X from t0 to t1 with dense output."""
-    _check_tol(tol)
+    """Trajectory of dX/dt = h(t) x X with X(t0) = x0, over [t0, t1].
+
+    t1 may precede t0.  The states are the Magnus prefix products over the
+    span applied to x0, with the error estimate of the product over the
+    whole span at most tol; a time off the step grid is one partial step
+    from the grid state before it.
+    """
     x0 = np.asarray(x0, dtype=float)
-
-    def rhs(t, x):
-        h = params.field(t)
-        return np.cross(h, x)
-
-    res = _integrate(rhs, (t0, t1), x0, tol)
-    return Trajectory(period=params.T, sol=res.sol)
+    if t1 == t0:
+        _check_tol(tol)
+        return Trajectory(period=params.T, sol=lambda t: np.repeat(x0[:, None], len(t), axis=1))
+    s0, span = params.omega * t0, params.omega * (t1 - t0)
+    coef, prop, _ = _propagate(params, s0, span, tol)
+    batch = _OrbitBatch(coef, None, _state_grid(prop, x0[:, None]), s0, span)
+    return Trajectory(period=params.T, sol=lambda t: batch.states(0, params.omega * t))
 
 
 def monodromy_so3(params, tol=DEFAULT_TOL, t0=0.0):
-    """One-period propagator of the classical motion, a rotation matrix."""
-    _check_tol(tol)
-
-    def rhs(t, y):
-        r = y.reshape(3, 3)
-        h = params.field(t)
-        return np.cross(h, r, axisa=-1, axisb=0).T.ravel()
-
-    res = _integrate(rhs, (t0, t0 + params.T), np.eye(3).ravel(), tol)
-    return res.y[:, -1].reshape(3, 3)
+    """One-period propagator of the classical motion from t0, a rotation matrix."""
+    return _propagate(params, params.omega * t0, 2.0 * math.pi, tol)[2]
 
 
 def monodromy_su2(params, tol=DEFAULT_TOL, t0=0.0):
-    """One-period propagator of i dU/dt = (h . s) U, an SU(2) matrix."""
-    _check_tol(tol)
-
-    def rhs(t, y):
-        u = y.reshape(2, 2)
-        h = params.field(t)
-        ham = h[0] * _SPIN[0] + h[1] * _SPIN[1] + h[2] * _SPIN[2]
-        return (-1j * ham @ u).ravel()
-
-    y0 = np.eye(2, dtype=complex).ravel()
-    res = _integrate(rhs, (t0, t0 + params.T), y0, tol)
-    return res.y[:, -1].reshape(2, 2)
+    """One-period propagator of i dU/dt = (h . s) U from t0, an SU(2) matrix."""
+    _, prop, _ = _propagate(params, params.omega * t0, 2.0 * math.pi, tol)
+    a, b = prop[:, 0, -1] / math.sqrt(_norm2(prop[:, 0, -1]))
+    return np.array([[a, -b.conjugate()], [b, a.conjugate()]])
 
 
 def so3_angle(m):
@@ -370,14 +353,9 @@ def periodic_orbit(params, tol=DEFAULT_TOL):
     bounds each member's one-period error, not the error per step.  At
     (omega0, F, G, omega) = (1, 0.5, 0.5, 0.7368) and tol 1e-12 the lone
     orbit and the same point in the 16-point batch 0.3368, 0.4368, ...,
-    1.8368 are both 1.2e-15 from the closed form.  Over 16 random points
-    (F in [0.2, 1.5], omega in [0.4, 2.5]) the worst lone orbit is 1.3e-15
-    from the closed form for circular drive, and 7.5e-15 from a 65536-step
-    orbit for elliptic drive (G/F in [0.1, 0.9]); each lone orbit was
-    bit-identical to the same point in a 16-point batch, whose steps were
-    as many as its own.
+    1.8368 are both 1.2e-15 from the closed form.
     """
-    _check_tol(tol, TOL_MIN)
+    _check_tol(tol)
     (orbit,) = _orbit_batch(params.omega0, params.F, params.G, [params.omega], tol)
     if isinstance(orbit, FloquetTlsError):
         raise orbit
@@ -404,7 +382,7 @@ def periodic_orbits(omega0, F, G, omegas, tol=DEFAULT_TOL):
     are integrated as they are reached, so a consumer that does not keep
     the orbits holds one batch at a time.
     """
-    _check_tol(tol, TOL_MIN)
+    _check_tol(tol)
     return _batched_orbits(omega0, F, G, [float(w) for w in omegas], tol)
 
 
@@ -530,14 +508,57 @@ def _rotation_matrices(q):
     )
 
 
-def _steps(coef, steps):
-    """SU(2) elements (2, size, steps) of the Magnus steps s_j -> s_j+1, s_j = 2 pi j / steps."""
-    h = 2.0 * math.pi / steps
+def _steps(coef, s0, span, steps):
+    """SU(2) elements (2, size, steps) of the steps s_j -> s_j+1, s_j = s0 + j span / steps."""
+    h = span / steps
     q = np.empty((2, coef.shape[1], steps), dtype=complex)
     for lo in range(0, steps, _CHUNK):
-        s0 = np.arange(lo, min(steps, lo + _CHUNK)) * h
-        q[..., lo : lo + _CHUNK] = _magnus_steps(coef[..., None], s0, h)
+        s = s0 + np.arange(lo, min(steps, lo + _CHUNK)) * h
+        q[..., lo : lo + _CHUNK] = _magnus_steps(coef[..., None], s, h)
     return q
+
+
+def _products(coef, s0, span, tol):
+    """Prefix products of a batch's Magnus steps over s in [s0, s0 + span].
+
+    S steps per period covered (rounded up to a power of two), chosen as in
+    :func:`periodic_orbits` from the estimate for the product over the span.
+    Returns the products (2, size, n), not normalized, the rotations
+    (3, 3, size) of their totals, and each member's IntegrationError or None.
+    """
+    # the slack keeps a span of one period, up to rounding, at one period
+    periods = 1 << max(0, math.ceil(math.log2(abs(span) / (2.0 * math.pi)) - 1e-12))
+    steps = MIN_STEPS * periods
+    coarse = _rotation_matrices(_total(_steps(coef, s0, span, steps // 2)))
+    while True:
+        prop = _prefix(_steps(coef, s0, span, steps))
+        mono = _rotation_matrices(prop[..., -1])
+        estimate = np.abs(mono - coarse).max(axis=(0, 1)) / 63.0
+        if steps >= MAX_STEPS * periods or (estimate <= tol).all():
+            break
+        coarse, steps = mono, 2 * steps
+    errors = [
+        None
+        if e <= tol
+        else IntegrationError(
+            f"monodromy error estimate {e:.3g} above tol {tol:g} at S = {steps} Magnus steps"
+        )
+        for e in estimate
+    ]
+    return prop, mono, errors
+
+
+def _state_grid(prop, x0):
+    """States (3, size, n) of x0 (3, size) at the step starts; normalizes the products in place."""
+    # the norms of the products drift by about 1e-16 per step, their rotations do not
+    prop /= np.sqrt(_norm2(prop))
+    steps = prop.shape[-1]
+    grid = np.empty(x0.shape + (steps,))
+    grid[..., 0] = x0
+    ends = prop[..., :-1]
+    for lo in range(0, steps - 1, _CHUNK):
+        grid[..., 1 + lo : 1 + lo + _CHUNK] = _rotate(ends[..., lo : lo + _CHUNK], x0[..., None])
+    return grid
 
 
 def _orbit_batch(omega0, F, G, omegas, tol):
@@ -549,23 +570,8 @@ def _orbit_batch(omega0, F, G, omegas, tol):
     omegas = np.asarray(omegas, dtype=float)
     size = len(omegas)
     coef = np.stack([F / omegas, G / omegas, omega0 / omegas])
-    steps = MIN_STEPS
-    coarse = _rotation_matrices(_total(_steps(coef, steps // 2)))
-    while True:
-        prop = _prefix(_steps(coef, steps))
-        mono = _rotation_matrices(prop[..., -1])
-        estimate = np.abs(mono - coarse).max(axis=(0, 1)) / 63.0
-        if steps == MAX_STEPS or (estimate <= tol).all():
-            break
-        coarse, steps = mono, 2 * steps
-    errors = [
-        None
-        if e <= tol
-        else IntegrationError(
-            f"monodromy error estimate {e:.3g} above tol {tol:g} at S = {steps} Magnus steps"
-        )
-        for e in estimate
-    ]
+    # the fixed points come from the products before their normalization
+    prop, mono, errors = _products(coef, 0.0, 2.0 * math.pi, tol)
     if G == F and F > 0:
         x0 = np.stack([np.full(size, F), np.zeros(size), omega0 - omegas])
         x0 /= np.linalg.norm(x0, axis=0)
@@ -578,14 +584,7 @@ def _orbit_batch(omega0, F, G, omegas, tol):
                     x0[:, k] = periodic_initial_state(mono[:, :, k])
                 except FloquetTlsError as exc:
                     errors[k] = exc
-    # the norms of the products drift by about 1e-16 per step, their rotations do not
-    prop /= np.sqrt(_norm2(prop))
-    grid = np.empty((3, size, steps))
-    grid[..., 0] = x0
-    ends = prop[..., :-1]
-    for lo in range(0, steps - 1, _CHUNK):
-        grid[..., 1 + lo : 1 + lo + _CHUNK] = _rotate(ends[..., lo : lo + _CHUNK], x0[..., None])
-    batch = _OrbitBatch(coef, omegas, grid)
+    batch = _OrbitBatch(coef, omegas, _state_grid(prop, x0))
     return [
         PeriodicOrbit(
             period=2.0 * math.pi / omega, sol=functools.partial(batch.at, k), batch=batch, index=k

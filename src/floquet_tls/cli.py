@@ -392,8 +392,9 @@ def _check_lift(rng):
     lifted = exact_models.lift_spectrum(1, eps, p.omega)
     m3 = monodromy_so3(p)
     rho = so3_angle(m3)
-    so3_set = sorted({0.0, (rho / p.T) % p.omega, (-rho / p.T) % p.omega})
-    for a, b in zip(lifted, so3_set):
+    # a list, not a set: at rho = pi the two nonzero phases coincide
+    so3_phases = sorted([0.0, (rho / p.T) % p.omega, (-rho / p.T) % p.omega])
+    for a, b in zip(lifted, so3_phases, strict=True):
         worst = max(worst, _circ_dist(a, b, p.omega))
     return worst, 1e-8
 

@@ -10,9 +10,8 @@ class DomainError(FloquetTlsError, ValueError):
 
 
 class IntegrationError(FloquetTlsError):
-    """An ODE integration failed: DOP853 stopped (step-size underflow or
-    similar), or a periodic orbit's error estimate stayed above its
-    tolerance at the most Magnus steps allowed."""
+    """An integration's error estimate stayed above its tolerance at the
+    most Magnus steps allowed."""
 
 
 class DegenerateMonodromyError(FloquetTlsError):

@@ -1,9 +1,9 @@
-"""scipy is loaded only by ``validate``, whose DOP853 checks use it.
+"""No command loads scipy, which is a test dependency only.
 
-The Fourier and ODE routes, the resonance search and the exact
-Bloch-Siegert series need only numpy, and importing scipy takes longer than
-such a command.  Each case runs in a fresh interpreter, because this one
-has scipy loaded already.
+The Fourier and ODE routes, the resonance search, the exact Bloch-Siegert
+series and ``validate`` need only numpy, and importing scipy takes longer
+than such a command.  Each case runs in a fresh interpreter, because this
+one has scipy loaded already.
 """
 
 import json
@@ -66,9 +66,10 @@ SOLVE = ["solve", "--omega0", "1", "--f", "0.5", "--omega", "2"]
         SWEEP + ["--g", "0.3"],
         ["bloch-siegert", "--n", "2", "--max-m", "4"],
         ["resonance", "--n-list", "1,2", "--f-grid", "0.02:0.5:3", "--log-grid"],
+        ["validate"],
     ],
     ids=["solve-fourier", "solve-ode", "sweep-fourier", "sweep-auto", "sweep-ode", "sweep-elliptic",
-         "bloch-siegert", "resonance"],
+         "bloch-siegert", "resonance", "validate"],
 )
 def test_numpy_only_commands_load_no_scipy(tmp_path, argv):
     argv = argv + ["--output", str(tmp_path / "out")]
@@ -84,8 +85,3 @@ def test_strong_drive_fourier_sweep_loads_no_scipy(tmp_path):
     assert len(rows) == 2
     assert all(math.isfinite(float(v)) for row in rows for v in row)
 
-
-def test_validate_loads_scipy_integrate(tmp_path):
-    # its RPC and lift checks run DOP853 (monodromy_su2, monodromy_so3)
-    argv = ["validate", "--only", "rpc_oracle", "--output", str(tmp_path / "out")]
-    assert "scipy.integrate" in scipy_modules_after(MAIN, argv)
