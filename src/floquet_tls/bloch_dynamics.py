@@ -163,9 +163,9 @@ class _OrbitBatch:
     the starts of the Magnus steps; ``coef`` (3, size) holds (F, G, omega0) /
     omega_k.  Any other s, of a finer or an incommensurate grid or of a call,
     takes one partial Magnus step from the grid state before it, or from the
-    nearest end outside the span.  Only the states are kept, not the
-    propagators.  For periodic orbits (s0 = 0, span = 2 pi) a grid of m
-    samples that divides S is a stride of it.
+    nearest end for an s past the span by rounding.  Only the states are
+    kept, not the propagators.  For periodic orbits (s0 = 0, span = 2 pi) a
+    grid of m samples that divides S is a stride of it.
     """
 
     def __init__(self, coef, omegas, grid, s0=0.0, span=2.0 * math.pi):
@@ -228,16 +228,33 @@ def evolve_classical(params, x0, t0, t1, tol=DEFAULT_TOL):
     t1 may precede t0.  The states are the Magnus prefix products over the
     span applied to x0, with the error estimate of the product over the
     whole span at most tol; a time off the step grid is one partial step
-    from the grid state before it.
+    from the grid state before it.  The trajectory raises DomainError for a
+    time outside the span by more than 1e-12 of max(|t0|, |t1|).
     """
     x0 = np.asarray(x0, dtype=float)
     if t1 == t0:
         _check_tol(tol)
-        return Trajectory(period=params.T, sol=lambda t: np.repeat(x0[:, None], len(t), axis=1))
-    s0, span = params.omega * t0, params.omega * (t1 - t0)
-    coef, prop, _ = _propagate(params, s0, span, tol)
-    batch = _OrbitBatch(coef, None, _state_grid(prop, x0[:, None]), s0, span)
-    return Trajectory(period=params.T, sol=lambda t: batch.states(0, params.omega * t))
+
+        def states(t):
+            return np.repeat(x0[:, None], len(t), axis=1)
+
+    else:
+        s0, span = params.omega * t0, params.omega * (t1 - t0)
+        coef, prop, _ = _propagate(params, s0, span, tol)
+        batch = _OrbitBatch(coef, None, _state_grid(prop, x0[:, None]), s0, span)
+
+        def states(t):
+            return batch.states(0, params.omega * t)
+
+    lo, hi = min(t0, t1), max(t0, t1)
+    slack = 1e-12 * max(abs(t0), abs(t1))
+
+    def sol(t):
+        if np.any(t < lo - slack) or np.any(t > hi + slack):
+            raise DomainError(f"time outside the span [{lo:g}, {hi:g}] of the trajectory")
+        return states(t)
+
+    return Trajectory(period=params.T, sol=sol)
 
 
 def monodromy_so3(params, tol=DEFAULT_TOL, t0=0.0):

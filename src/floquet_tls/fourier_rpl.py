@@ -274,7 +274,8 @@ def solve_coefficients(sys, z0_choice="unit"):
             )
         z0, x = 1.0, -f_amp / r[0]
     else:
-        sign = math.prod(math.copysign(1.0, v) for v in r[1:])  # sign(phi_2)
+        # sign(phi_2): the parity of the ratios r_2..r_N with their sign bit set
+        sign = -1.0 if np.count_nonzero(np.signbit(r)[1:]) % 2 else 1.0
         z0, x = sign * r[0], -sign * f_amp
     xs = [x]
     for i in range(2, n_ + 1):

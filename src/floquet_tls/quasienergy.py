@@ -34,19 +34,26 @@ mean(chi_+) + n omega, n the counter-clockwise turns of arg(X + iY) over one
 period.  :func:`chi_series`, :func:`split_geometric_dynamic` and
 :func:`floquet_state` keep the -z section and raise SouthPoleError.
 
-Sweeps (:func:`sweep_branches`) on the ODE route integrate their periodic
-orbits in batches in s = omega t (:func:`bloch_dynamics.periodic_orbits`);
-a point that fails is reported on its own and leaves the other points'
-values unchanged.
+Sweeps (:func:`sweep_branches`) average their orbits in blocks of up to
+16 rows.  On the ODE route the orbits of a block are one batch integrated
+in s = omega t (:func:`bloch_dynamics.periodic_orbits`); on the Fourier
+route each point's truncation is solved on its own and the block's grids
+come from one inverse FFT.  On the grid s_j = 2 pi j / m every row sees the
+same field, so chi, its settle test, the pole margin and eps_d are
+reductions over the rows, the same formulas a lone orbit uses as a block of
+one.  A row that fails the settle or the margin test on 2048 samples goes
+on alone as in :func:`quasienergy_classical`.  A point that fails is
+reported on its own and leaves the other points' values unchanged.
 """
 
 import math
 import warnings
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
-from .bloch_dynamics import DriveParams, periodic_orbit, periodic_orbits
+from .bloch_dynamics import BATCH_SIZE, DriveParams, periodic_orbit, periodic_orbits
 from . import fourier_rpl
 from .errors import (
     ContinuityWarning,
@@ -126,46 +133,64 @@ class FloquetState:
 
 
 def _orbit_grid(orbit, period, m):
+    """Times t_j = j T / m, j = 0..m-1, and the orbit's states (3, m) there."""
     ts = np.arange(m) * (period / m)
     sample = getattr(orbit, "sample", None)
     xs = np.asarray(sample(m) if sample is not None else orbit(ts), dtype=float)
     if xs.shape != (m, 3):
         raise DomainError(f"orbit must map (m,) times to (m, 3) states, got {xs.shape}")
-    return ts, xs
+    return ts, xs.T
+
+
+def _section(xs, hs, pole):
+    """Mean radius R, chi and the margin test of orbit grids xs (..., 3, m) in the
+    field hs (3, m), on the section with its pole at pole * z; +z negates Z and h3.
+
+    Every reduction runs over the last axis, so a lone orbit (3, m) and a block
+    (rows, 3, m) share these formulas and a row's values do not depend on the
+    other rows.  ``near`` is true where the orbit comes within 1e-3 R of the
+    pole; chi is not to be used there.
+    """
+    radius = np.sqrt(np.sum(xs * xs, axis=-2)).mean(axis=-1)
+    denom = radius[..., None] - pole * xs[..., 2, :]
+    near = denom.min(axis=-1) <= _SOUTH_POLE_MARGIN * radius
+    with np.errstate(divide="ignore", invalid="ignore"):  # only where near
+        chi = 0.5 * (-pole * hs[2] + (hs[0] * xs[..., 0, :] + hs[1] * xs[..., 1, :]) / denom)
+    return radius, chi, near
 
 
 def _chi_samples(orbit, drive, m, pole=-1):
-    """(ts, xs, hs, R, chi, pole): chi at m samples on the section with its pole
-    at pole * z; +z negates Z and h3.  pole=None takes +z if these samples come
-    within 1e-3 R of -z, and -z otherwise."""
+    """(ts, xs, hs, R, chi, pole): states xs and field hs (3, m) and chi at m samples,
+    on the section with its pole at pole * z.  pole=None takes +z if these
+    samples come within 1e-3 R of -z, and -z otherwise."""
     ts, xs = _orbit_grid(orbit, drive.T, m)
-    hs = np.asarray(drive.field(ts), dtype=float)
-    radius = np.linalg.norm(xs, axis=-1).mean()
-    if pole is None:
-        pole = 1 if (radius + xs[..., 2]).min() <= _SOUTH_POLE_MARGIN * radius else -1
-    z, h3 = (xs[..., 2], hs[..., 2]) if pole < 0 else (-xs[..., 2], -hs[..., 2])
-    denom = radius + z
-    if denom.min() <= _SOUTH_POLE_MARGIN * radius:
+    hs = np.asarray(drive.field(ts), dtype=float).T
+    side = -1 if pole is None else pole
+    radius, chi, near = _section(xs, hs, side)
+    if near and pole is None:
+        side = 1
+        radius, chi, near = _section(xs, hs, side)
+    if near:
         raise SouthPoleError(
             f"orbit passes within {_SOUTH_POLE_MARGIN:g} R of the "
-            f"{'south' if pole < 0 else 'north'} pole, where its section is singular"
+            f"{'south' if side < 0 else 'north'} pole, where its section is singular"
         )
-    chi = 0.5 * (h3 + (hs[..., 0] * xs[..., 0] + hs[..., 1] * xs[..., 1]) / denom)
-    return ts, xs, hs, radius, chi, pole
+    return ts, xs, hs, radius, chi, side
 
 
 def _turns(orbit, period, xs):
-    """Counter-clockwise turns of arg(X + iY) over one period, on the grid xs doubled
-    until every step is below pi/2; SeriesInstabilityError if one is not at 65536 samples."""
+    """Counter-clockwise turns of arg(X + iY) over one period, on the states xs (3, m)
+    doubled until every step is below pi/2; SeriesInstabilityError if one is not at 65536 samples."""
     while True:
-        angle = np.arctan2(xs[:, 1], xs[:, 0])
+        angle = np.arctan2(xs[1], xs[0])
         steps = np.diff(angle, append=angle[0])  # closed: the raw steps sum to 0
         wraps = np.round(steps / (2.0 * math.pi))  # crossings of the branch cut at pi
         if np.abs(steps - 2.0 * math.pi * wraps).max() < 0.5 * math.pi:
             return -int(wraps.sum())
-        if len(xs) >= _MAX_GRID:
-            raise SeriesInstabilityError(f"winding of arg(X + iY) unresolved on {len(xs)} samples")
-        _, xs = _orbit_grid(orbit, period, 2 * len(xs))
+        m = xs.shape[-1]
+        if m >= _MAX_GRID:
+            raise SeriesInstabilityError(f"winding of arg(X + iY) unresolved on {m} samples")
+        _, xs = _orbit_grid(orbit, period, 2 * m)
 
 
 def _series_from_samples(values, omega, harmonics):
@@ -198,8 +223,8 @@ def _settled_samples(orbit, drive, m, pole=-1):
 
 
 def _eps_d(xs, hs, radius):
-    """eps_d, the mean of (h . X)/(2R) on a uniform grid."""
-    return float(np.mean(np.sum(hs * xs, axis=-1)) / (2.0 * radius))
+    """eps_d, the mean of (h . X)/(2R), of orbit grids xs (..., 3, m) in the field hs (3, m)."""
+    return np.mean(np.sum(hs * xs, axis=-2), axis=-1) / (2.0 * radius)
 
 
 def chi_series(orbit, drive, harmonics=64):
@@ -212,10 +237,10 @@ def chi_series(orbit, drive, harmonics=64):
 
 
 def _ddt(values, period):
-    """Spectral time derivative, along axis 0, of uniform samples over one period."""
-    m = len(values)
+    """Spectral time derivative, along the last axis, of uniform samples over one period."""
+    m = values.shape[-1]
     freqs = 2j * math.pi * np.fft.fftfreq(m, d=period / m)
-    return np.fft.ifft(np.fft.fft(values, axis=0) * freqs[:, None], axis=0)
+    return np.fft.ifft(np.fft.fft(values, axis=-1) * freqs, axis=-1)
 
 
 def split_geometric_dynamic(orbit, drive):
@@ -227,10 +252,10 @@ def split_geometric_dynamic(orbit, drive):
     quadrature error.
     """
     _, xs, hs, radius, *_ = _settled_samples(orbit, drive, 2 * _MIN_GRID)
-    dx, dy = _ddt(xs[:, :2], drive.T).real.T
-    num = xs[:, 0] * dy - xs[:, 1] * dx
-    eps_g = float(np.mean(num / (2.0 * radius * (radius + xs[:, 2]))))
-    return eps_g, _eps_d(xs, hs, radius)
+    dx, dy = _ddt(xs[:2], drive.T).real
+    num = xs[0] * dy - xs[1] * dx
+    eps_g = float(np.mean(num / (2.0 * radius * (radius + xs[2]))))
+    return eps_g, float(_eps_d(xs, hs, radius))
 
 
 def quasienergy_classical(orbit, drive, method="ode"):
@@ -246,7 +271,7 @@ def quasienergy_classical(orbit, drive, method="ode"):
     eps = float(chi.mean())
     if pole > 0:
         eps += _turns(orbit, drive.T, xs) * omega
-    return QuasienergyResult.from_raw(eps, _eps_d(xs, hs, radius), omega, method)
+    return QuasienergyResult.from_raw(eps, float(_eps_d(xs, hs, radius)), omega, method)
 
 
 def floquet_state(orbit, drive):
@@ -264,24 +289,27 @@ def floquet_state(orbit, drive):
     spec[0] = 0.0
     spec[1:] /= 2j * math.pi * np.fft.rfftfreq(m, d=drive.T / m)[1:]
     osc = np.fft.irfft(spec, n=m)
-    denom = radius + xs[:, 2]
-    phi = np.stack([denom, xs[:, 0] + 1j * xs[:, 1]], axis=-1)  # the section, unnormalized
-    u = (np.exp(-1j * (osc - osc[0])) / np.sqrt(2.0 * radius * denom))[:, None] * phi
+    denom = radius + xs[2]
+    phi = np.stack([denom, xs[0] + 1j * xs[1]])  # the section, unnormalized
+    u = np.exp(-1j * (osc - osc[0])) / np.sqrt(2.0 * radius * denom) * phi
 
     # residual of (H - eps) u - i u'
-    hu = np.empty_like(u)
-    hu[:, 0] = 0.5 * (hs[:, 2] * u[:, 0] + (hs[:, 0] - 1j * hs[:, 1]) * u[:, 1])
-    hu[:, 1] = 0.5 * ((hs[:, 0] + 1j * hs[:, 1]) * u[:, 0] - hs[:, 2] * u[:, 1])
+    hu = 0.5 * np.stack(
+        [
+            hs[2] * u[0] + (hs[0] - 1j * hs[1]) * u[1],
+            (hs[0] + 1j * hs[1]) * u[0] - hs[2] * u[1],
+        ]
+    )
     res = hu - eps * u - 1j * _ddt(u, drive.T)
-    residual = float(np.linalg.norm(res, axis=-1).max())
-    return FloquetState(times=ts, u=u, epsilon=eps, omega=float(drive.omega), residual=residual)
+    residual = float(np.linalg.norm(res, axis=0).max())
+    return FloquetState(times=ts, u=u.T, epsilon=eps, omega=float(drive.omega), residual=residual)
 
 
 def _unit_modes(orbit, drive):
     """Mean and first harmonic 2 <X e^(-i w t)> / R of the orbit on 2048 samples."""
     _, xs = _orbit_grid(orbit, drive.T, 2 * _MIN_GRID)
-    spec = np.fft.rfft(xs / np.linalg.norm(xs, axis=-1).mean(), axis=0) / len(xs)
-    return spec[0].real, 2.0 * spec[1]
+    spec = np.fft.rfft(xs / np.linalg.norm(xs, axis=0).mean(), axis=-1) / xs.shape[-1]
+    return spec[:, 0].real, 2.0 * spec[:, 1]
 
 
 def grad_omega0(orbit, drive):
@@ -354,13 +382,13 @@ def sweep_branches(
 ):
     """Quasienergies along an omega sweep, continued into smooth branches.
 
-    On the ODE route the periodic orbits of the whole grid are integrated in
-    batches in s = omega t (:func:`bloch_dynamics.periodic_orbits`); on the
-    Fourier route each point is solved by :func:`quasienergy_at`.  The
-    reported branch is chosen from the candidates {eps_mod + k w} and
-    {-eps_mod + k w}, k = -2..2, nearest to the previous point (minimal
-    jump).  A ContinuityWarning is issued when the smallest jump exceeds
-    omega/4.
+    The orbits are averaged in blocks of up to 16 rows (see the module
+    notes); on the Fourier route each point's truncation order is chosen by
+    :func:`fourier_rpl.solve_auto`.  A row agrees with :func:`quasienergy_at`
+    at its point up to rounding, not bit for bit.  The reported branch is
+    chosen from the candidates {eps_mod + k w} and {-eps_mod + k w},
+    k = -2..2, nearest to the previous point (minimal jump).  A
+    ContinuityWarning is issued when the smallest jump exceeds omega/4.
 
     Failures are reported per point.  With ``on_error``, a point that
     raises a FloquetTlsError is None in the returned list,
@@ -390,40 +418,107 @@ def sweep_branches(
 
 
 def _sweep_points(base, omegas, method, n_trunc, tol):
-    """Each point's QuasienergyResult or FloquetTlsError, in grid order."""
+    """Each point's QuasienergyResult or FloquetTlsError, in grid order, in blocks of BATCH_SIZE."""
+    m = 2 * _MIN_GRID
+    s = np.arange(m) * (2.0 * math.pi / m)
+    field = np.stack([base.F * np.cos(s), base.G * np.sin(s), np.full(m, float(base.omega0))])
     if method == "ode":
         orbits = periodic_orbits(base.omega0, base.F, base.G, omegas, tol=tol)
     else:
-        orbits = [None] * len(omegas)  # solved point by point below
-    for omega, orbit in zip(omegas, orbits):
+        orbits = (_fourier_solution(base, omega, n_trunc) for omega in omegas)
+    for start in range(0, len(omegas), BATCH_SIZE):
+        block = list(islice(orbits, BATCH_SIZE))
+        yield from _block_points(base, omegas[start : start + BATCH_SIZE], block, method, field)
+
+
+def _fourier_solution(base, omega, n_trunc):
+    """The phi1 solution of :func:`fourier_rpl.solve_auto` at omega, unnormalized, or its error."""
+    try:
+        params = DriveParams(base.omega0, base.F, base.G, omega)
+        return fourier_rpl.solve_auto(params, "phi1", start=n_trunc)
+    except FloquetTlsError as exc:
+        return exc
+
+
+def _fourier_grid(sols, m):
+    """States (rows, 3, m) of truncated solutions with N < m/2 at s_j = 2 pi j / m.
+
+    One inverse real FFT: harmonic n of a row goes straight into bin n,
+    weighted m/2 since the transform halves every bin but 0 and m/2.
+    """
+    spec = np.zeros((len(sols), 3, m // 2 + 1), dtype=complex)
+    for row, sol in zip(spec, sols):
+        x = np.asarray(sol.x, dtype=float) * (0.5 * m)
+        odd = np.arange(1, sol.N + 1, 2)
+        row[0, odd] = sol.params.omega0 * x[::2]
+        row[1, odd] = -1j * (odd * sol.params.omega * x[::2])
+        row[2, 0] = m * sol.z0
+        row[2, 2 : sol.N + 1 : 2] = x[1::2]
+    return np.fft.irfft(spec, n=m, axis=-1)
+
+
+def _block_points(base, omegas, orbits, method, field):
+    """QuasienergyResult or FloquetTlsError of each row of one block.
+
+    The rows' grids of m samples at s_j = 2 pi j / m, where every row sees
+    the field (F cos s_j, G sin s_j, omega0), are averaged together by
+    :func:`_section` and :func:`_eps_d`.  A row that is not settled on them,
+    comes within the pole margin, or has N >= m/2 harmonics takes the path
+    of :func:`quasienergy_classical`.  chi and eps_d do not change when X is
+    scaled by a positive factor, so a Fourier row is averaged unnormalized
+    and keeps its solution's orbit family.
+    """
+    m = field.shape[-1]
+    rows = [
+        k
+        for k, orbit in enumerate(orbits)
+        if not isinstance(orbit, FloquetTlsError) and (method == "ode" or 2 * orbit.N < m)
+    ]
+    settled = {}
+    if rows:
+        if method == "ode":
+            xs = np.stack([orbits[k].batch.sample(m, orbits[k].index) for k in rows])
+        else:
+            xs = _fourier_grid([orbits[k] for k in rows], m)
+        radius, chi, near = _section(xs, field, -1)
+        eps = chi.mean(axis=-1)
+        ok = ~near & (np.abs(eps - chi[:, ::2].mean(axis=-1)) < _A0_SETTLE)
+        eps_d = _eps_d(xs, field, radius)
+        settled = {k: (float(eps[i]), float(eps_d[i])) for i, k in enumerate(rows) if ok[i]}
+    for k, (omega, orbit) in enumerate(zip(omegas, orbits)):
         if isinstance(orbit, FloquetTlsError):
             yield orbit
-            continue
-        try:
-            params = DriveParams(base.omega0, base.F, base.G, omega)
-            if orbit is None:
-                point = quasienergy_at(params, method=method, n_trunc=n_trunc, tol=tol)
-            else:
-                point = quasienergy_classical(orbit, params, method="ode")
-        except FloquetTlsError as exc:
-            point = exc
-        yield point
+        elif k in settled:
+            yield QuasienergyResult.from_raw(*settled[k], omega, method)
+        else:
+            try:
+                params = DriveParams(base.omega0, base.F, base.G, omega)
+                if method == "fourier":
+                    orbit = orbit.normalized()
+                yield quasienergy_classical(orbit, params, method=method)
+            except FloquetTlsError as exc:
+                yield exc
 
 
 def continue_branch(point, prev):
-    """Representative of ``point`` (own or mirrored family) nearest ``prev``."""
-    best = None
-    best_dist = math.inf
-    for cand_base in (point, point.mirrored()):
-        base_k = math.floor((prev.epsilon - cand_base.epsilon) / cand_base.omega + 0.5)
+    """Representative of ``point`` (own or mirrored family) nearest ``prev``.
+
+    The ten candidates +-epsilon + k omega, k within two of the branch
+    nearest ``prev``, are compared as floats; only the chosen one is built.
+    """
+    omega = point.omega
+    best, best_dist = None, math.inf
+    for sign in (1.0, -1.0):
+        eps = sign * point.epsilon
+        base_k = math.floor((prev.epsilon - eps) / omega + 0.5)
         for k in range(base_k - 2, base_k + 3):
-            cand = cand_base.shifted(k)
-            dist = abs(cand.epsilon - prev.epsilon)
+            dist = abs(eps + k * omega - prev.epsilon)
             if dist < best_dist:
-                best, best_dist = cand, dist
-    if best_dist > point.omega / 4.0:
+                best, best_dist = (sign, k), dist
+    if best_dist > omega / 4.0:
         warnings.warn(
             f"branch continuation jump {best_dist:.3e} exceeds omega/4",
             ContinuityWarning,
         )
-    return best
+    sign, k = best
+    return (point if sign > 0 else point.mirrored()).shifted(k)

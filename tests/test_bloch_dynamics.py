@@ -252,6 +252,20 @@ def test_evolve_classical_matches_dop853():
         assert np.array_equal(traj(t0), x0)
 
 
+def test_evolve_classical_refuses_times_outside_its_span():
+    # 3T over [0, T] was once answered by one partial Magnus step off the end
+    p = DriveParams(1.0, 0.5, 0.3, 1.0)
+    for t0, t1 in ((0.0, p.T), (p.T, 0.0), (1.0, 1.0)):
+        traj = evolve_classical(p, [0.0, 0.0, 1.0], t0, t1)
+        traj(np.linspace(t0, t1, 5))
+        traj(max(t0, t1) * (1.0 + 1e-15))  # rounding at the end
+        for t in (3.0 * p.T, min(t0, t1) - 1e-3, [t0, max(t0, t1) + 1e-3]):
+            with pytest.raises(DomainError, match="outside the span"):
+                traj(t)
+    orbit = periodic_orbit(p)  # periodic orbits wrap s mod 2 pi
+    assert np.abs(orbit(3.0 * p.T) - orbit(0.0)).max() < 1e-12
+
+
 def test_monodromy_step_cap_raises(monkeypatch):
     # F/omega = 80: 2048 steps leave an estimate of 2.1e-12 above 1e-12
     monkeypatch.setattr(bloch_dynamics, "MAX_STEPS", MIN_STEPS)

@@ -264,15 +264,19 @@ def _reject_constant(name):
     raise ValueError(f"bare {name} is not JSON")
 
 
-def test_failed_sweep_point_is_json_null(tmp_path, monkeypatch):
-    real_at = quasienergy.quasienergy_at
+def _fail_solve_auto_at(monkeypatch, omega):
+    real_solve = fourier_rpl.solve_auto
 
-    def failing_at(params, **kwargs):
-        if params.omega == 2.0:
+    def failing_solve(params, *args, **kwargs):
+        if params.omega == omega:
             raise DomainError("injected failure")
-        return real_at(params, **kwargs)
+        return real_solve(params, *args, **kwargs)
 
-    monkeypatch.setattr(quasienergy, "quasienergy_at", failing_at)
+    monkeypatch.setattr(fourier_rpl, "solve_auto", failing_solve)
+
+
+def test_failed_sweep_point_is_json_null(tmp_path, monkeypatch):
+    _fail_solve_auto_at(monkeypatch, 2.0)
     args = ["quasienergy", "--omega0", "1", "--f", "0.5", "--omega-sweep", "1.0:3.0:21"]
     out_json, out_csv = tmp_path / "sweep.json", tmp_path / "sweep.csv"
     assert cli.main(args + ["--format", "json", "-o", str(out_json)]) == 0
@@ -300,6 +304,21 @@ def test_failed_ode_point_marks_only_its_row(tmp_path, monkeypatch, capsys):
         return real_state(m)
 
     monkeypatch.setattr(bloch_dynamics, "periodic_initial_state", failing_state)
+    assert cli.main(args + ["-o", str(patched)]) == 0
+    assert "omega=1: injected failure" in capsys.readouterr().err
+    want = clean.read_text().splitlines()
+    got = patched.read_text().splitlines()
+    assert got[6] == "1,NaN,NaN,NaN,NaN,0"
+    assert got[:6] + got[7:] == want[:6] + want[7:]
+
+
+def test_failed_fourier_point_marks_only_its_row(tmp_path, monkeypatch, capsys):
+    # the failed row leaves its block of 16, whose other rows keep their bytes
+    args = ["quasienergy", "--omega0", "1", "--f", "0.5", "--method", "fourier",
+            "--omega-sweep", "0.5:2.4:20"]
+    clean, patched = tmp_path / "clean.csv", tmp_path / "patched.csv"
+    assert cli.main(args + ["-o", str(clean)]) == 0
+    _fail_solve_auto_at(monkeypatch, 1.0)
     assert cli.main(args + ["-o", str(patched)]) == 0
     assert "omega=1: injected failure" in capsys.readouterr().err
     want = clean.read_text().splitlines()

@@ -157,13 +157,13 @@ def test_turns_refines_until_steps_are_below_quarter_turn(monkeypatch):
     p = rpc(omega0=1.0, F=1e-3, omega=3.0)
     orbit = _south_pole_orbit(p)
     ts = np.arange(4) * (p.T / 4)
-    coarse = orbit(ts)  # steps of exactly pi/2
+    coarse = orbit(ts).T  # states (3, m), steps of exactly pi/2
     assert quasienergy._turns(orbit, p.T, coarse) == 1
 
     def reverse(t):
         return orbit(-np.asarray(t))
 
-    assert quasienergy._turns(reverse, p.T, reverse(ts)) == -1
+    assert quasienergy._turns(reverse, p.T, reverse(ts).T) == -1
     monkeypatch.setattr(quasienergy, "_MAX_GRID", 4)
     with pytest.raises(SeriesInstabilityError, match="unresolved on 4 samples"):
         quasienergy._turns(orbit, p.T, coarse)
@@ -363,6 +363,36 @@ def test_sweep_continuity():
     for r, w in zip(results, grid):
         assert 0.0 <= r.epsilon_mod < w
         assert abs(r.epsilon - r.branch * w - r.epsilon_mod) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "F, G, sweep, method",
+    [
+        (0.3, 0.0, (0.25, 2.2, 80), "fourier"),
+        (1.0, 0.0, (0.25, 2.2, 80), "fourier"),
+        (1.8, 0.0, (0.25, 2.2, 80), "fourier"),
+        (15.0, 0.0, (0.05, 0.08, 2), "fourier"),  # near-pole and unsettled rows
+        (0.5, 0.3, (0.4, 2.0, 20), "ode"),  # two blocks
+    ],
+)
+def test_sweep_blocks_match_per_point_results(F, G, sweep, method):
+    base = DriveParams(1.0, F, G, 1.0)
+    omegas = [float(w) for w in np.linspace(*sweep)]
+    prev = None
+    for omega, row in zip(omegas, sweep_branches(base, omegas, method=method)):
+        want = quasienergy_at(DriveParams(1.0, F, G, omega), method=method)
+        if prev is not None:
+            want = quasienergy.continue_branch(want, prev)
+        prev = want
+        assert row.branch == want.branch
+        for name in ("epsilon", "epsilon_mod", "eps_g", "eps_d"):
+            v = getattr(want, name)
+            assert abs(getattr(row, name) - v) <= 1e-13 * max(1.0, abs(v))
+    if method == "fourier":
+        # one point fewer moves every row to another place in its block
+        rows = quasienergy._sweep_points(base, omegas, method, 20, 1e-12)
+        moved = quasienergy._sweep_points(base, omegas[1:], method, 20, 1e-12)
+        assert list(rows)[1:] == list(moved)
 
 
 def test_sweep_rejects_unknown_method_once():
