@@ -15,6 +15,7 @@ import io
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -181,9 +182,15 @@ def cmd_quasienergy(args):
     def report(omega, exc):
         print(f"omega={omega:g}: {exc}", file=sys.stderr)
 
-    points = quasienergy.sweep_branches(
-        params_base, grid, method=args.method, n_trunc=args.n_trunc, tol=args.tol, on_error=report
-    )
+    def show(message, *_):
+        print(f"warning: {message}", file=sys.stderr)
+
+    # the warning filters still apply; a warning they let through is one line
+    with warnings.catch_warnings():
+        warnings.showwarning = show
+        points = quasienergy.sweep_branches(
+            params_base, grid, method=args.method, n_trunc=args.n_trunc, tol=args.tol, on_error=report
+        )
     rows = []
     for omega, point in zip(grid, points):
         if point is None:

@@ -180,35 +180,12 @@ class RplFourierSolution:
     __call__ = evaluate
 
     def sample(self, m):
-        """Bloch vectors at t_j = j T / m, j = 0..m-1, by one inverse real FFT.
+        """Bloch vectors (m, 3) at t_j = j T / m, j = 0..m-1, from :func:`sample_grid`."""
+        return sample_grid([self], m)[0].T
 
-        On the uniform grid harmonic n lands exactly in bin k = n mod m; a
-        bin above m/2 folds onto m - k conjugated, so any m >= 1 is valid,
-        m < 2N included.
-        """
-        w = float(self.params.omega)
-        w0 = float(self.params.omega0)
-        x = np.asarray([float(v) for v in self.x])
-        n = np.arange(1, self.N + 1)
-        odd = n % 2 == 1
-        coeffs = np.zeros((3, self.N), dtype=complex)
-        coeffs[0, odd] = w0 * x[odd]
-        coeffs[1, odd] = -1j * (n[odd] * w * x[odd])
-        coeffs[2, ~odd] = x[~odd]
-        k = n % m
-        fold = 2 * k > m
-        k = np.where(fold, m - k, k)
-        # irfft halves every bin but 0 and m/2, and drops their imaginary parts
-        weight = np.where((k == 0) | (2 * k == m), m, 0.5 * m)
-        spec = np.zeros((3, m // 2 + 1), dtype=complex)
-        np.add.at(spec, (slice(None), k), np.where(fold, coeffs.conj(), coeffs) * weight)
-        out = np.fft.irfft(spec, n=m, axis=-1)
-        out[2] += float(self.z0)
-        return out.T
-
-    def normalized(self, samples=256):
-        """Rescale onto the unit sphere by the mean sampled radius."""
-        norms = np.linalg.norm(self.sample(samples), axis=-1)
+    def normalized(self):
+        """Rescale onto the unit sphere by the mean radius on 256 samples."""
+        norms = np.linalg.norm(self.sample(256), axis=-1)
         r_bar = norms.mean()
         if r_bar == 0:
             raise DomainError("cannot normalize the zero solution")
@@ -221,6 +198,33 @@ class RplFourierSolution:
             norm_spread=(norms.max() - norms.min()) / r_bar,
             exact=False,
         )
+
+
+def sample_grid(sols, m):
+    """Bloch vectors (len(sols), 3, m) of truncated solutions at t_j = j T / m, each
+    on the period of its own parameters, by one inverse real FFT.
+
+    On the uniform grid harmonic n lands exactly in bin k = n mod m; a bin
+    above m/2 folds onto m - k conjugated, so any m >= 1 is valid, m <= 2N
+    included.
+    """
+    n = np.arange(max(sol.N for sol in sols) + 1)
+    coeffs = np.zeros((len(sols), 3, len(n)), dtype=complex)
+    for row, sol in zip(coeffs, sols):
+        x = np.asarray(sol.x, dtype=float)
+        odd = n[1 : sol.N + 1 : 2]
+        row[0, odd] = float(sol.params.omega0) * x[::2]
+        row[1, odd] = -1j * (odd * float(sol.params.omega) * x[::2])
+        row[2, 0] = float(sol.z0)
+        row[2, 2 : sol.N + 1 : 2] = x[1::2]
+    k = n % m
+    fold = 2 * k > m
+    k = np.where(fold, m - k, k)
+    # irfft halves every bin but 0 and m/2, and drops their imaginary parts
+    weight = np.where((k == 0) | (2 * k == m), m, 0.5 * m)
+    spec = np.zeros((len(sols), 3, m // 2 + 1), dtype=complex)
+    np.add.at(spec, (..., k), np.where(fold, coeffs.conj(), coeffs) * weight)
+    return np.fft.irfft(spec, n=m, axis=-1)
 
 
 def solve_coefficients(sys, z0_choice="unit"):

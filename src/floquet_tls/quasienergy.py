@@ -15,17 +15,18 @@ enclosed by the orbit.
 
 Orbits are passed as vectorized callables t -> (..., 3); trajectories from
 the ODE route, truncated Fourier solutions and closed-form orbits all
-qualify.  An orbit that also has a method ``sample(m)``, such as a truncated
-Fourier solution (one inverse FFT in place of a harmonic sum per time) or a
-periodic orbit of the ODE route (a grid shared by its batch), is sampled
-through it.  Every average over the orbit (the quasienergy, its split and
-the Floquet state's phase) reads one settled uniform grid, spectrally
-accurate for smooth periodic integrands and sampled once: 2048 points,
-doubled up to 65536 only while the mean of chi still differs by 1e-10 from
-its mean on the grid of half the size; a grid still unsettled at 65536
-raises SeriesInstabilityError.  eps_d, the mean of a trigonometric
-polynomial of degree N + 1, is exact on such a grid for N + 1 < 2048.  The
-gradients, which do not involve chi, read X/R on 2048 points.
+qualify.  An orbit that also has a method ``sample(m)``, such as a periodic
+orbit of the ODE route (a grid shared by its batch), is sampled through it,
+and truncated Fourier solutions by one inverse FFT
+(:func:`fourier_rpl.sample_grid`).  Every average over an orbit (the
+quasienergy, its split and the Floquet state's phase) reads one settled
+uniform grid, spectrally accurate for smooth periodic integrands and sampled
+once: 2048 points, doubled up to 65536 only while the mean of chi still
+differs by 1e-10 from its mean on the grid of half the size; a grid still
+unsettled at 65536 raises SeriesInstabilityError.  eps_d, the mean of a
+trigonometric polynomial of degree N + 1, is exact on such a grid for
+N + 1 < 2048.  The gradients, which do not involve chi, read X/R on 2048
+points.
 
 chi is singular at the south pole, R + Z = 0.  :func:`quasienergy_classical`
 averages an orbit that comes within 1e-3 R of it on the section with its pole
@@ -34,16 +35,18 @@ mean(chi_+) + n omega, n the counter-clockwise turns of arg(X + iY) over one
 period.  :func:`chi_series`, :func:`split_geometric_dynamic` and
 :func:`floquet_state` keep the -z section and raise SouthPoleError.
 
-Sweeps (:func:`sweep_branches`) average their orbits in blocks of up to
-16 rows.  On the ODE route the orbits of a block are one batch integrated
-in s = omega t (:func:`bloch_dynamics.periodic_orbits`); on the Fourier
-route each point's truncation is solved on its own and the block's grids
-come from one inverse FFT.  On the grid s_j = 2 pi j / m every row sees the
-same field, so chi, its settle test, the pole margin and eps_d are
-reductions over the rows, the same formulas a lone orbit uses as a block of
-one.  A row that fails the settle or the margin test on 2048 samples goes
-on alone as in :func:`quasienergy_classical`.  A point that fails is
-reported on its own and leaves the other points' values unchanged.
+One loop settles every average (:func:`_settle`), on grids of shape
+(rows, 3, m): a lone orbit is a block of one row, and a sweep
+(:func:`sweep_branches`) a sequence of blocks of up to 16.  On the ODE route
+the orbits of a block are one batch integrated in s = omega t
+(:func:`bloch_dynamics.periodic_orbits`); on the Fourier route each point's
+truncation is solved on its own and the block's grids come from one inverse
+FFT.  Only the rows that have not settled double their grid, at most
+16 x 2048 samples at a time.  A row's values are reductions over its own
+samples, so a sweep row equals :func:`quasienergy_at` at its point bit for
+bit, and a point that fails is reported on its own.  chi and eps_d do not
+change when X is scaled by a positive factor, so a Fourier solution is
+averaged unnormalized.
 """
 
 import math
@@ -53,7 +56,7 @@ from itertools import islice
 
 import numpy as np
 
-from .bloch_dynamics import BATCH_SIZE, DriveParams, periodic_orbit, periodic_orbits
+from .bloch_dynamics import BATCH_SIZE, DriveParams, periodic_orbits
 from . import fourier_rpl
 from .errors import (
     ContinuityWarning,
@@ -133,54 +136,53 @@ class FloquetState:
 
 
 def _orbit_grid(orbit, period, m):
-    """Times t_j = j T / m, j = 0..m-1, and the orbit's states (3, m) there."""
-    ts = np.arange(m) * (period / m)
+    """The orbit's states (3, m) at t_j = j T / m, j = 0..m-1."""
     sample = getattr(orbit, "sample", None)
-    xs = np.asarray(sample(m) if sample is not None else orbit(ts), dtype=float)
+    xs = sample(m) if sample is not None else orbit(np.arange(m) * (period / m))
+    xs = np.asarray(xs, dtype=float)
     if xs.shape != (m, 3):
         raise DomainError(f"orbit must map (m,) times to (m, 3) states, got {xs.shape}")
-    return ts, xs.T
+    return xs.T
 
 
-def _section(xs, hs, pole):
-    """Mean radius R, chi and the margin test of orbit grids xs (..., 3, m) in the
-    field hs (3, m), on the section with its pole at pole * z; +z negates Z and h3.
+def _grids(orbits, period=None):
+    """grid(rows, m): states (len(rows), 3, m) of orbits[k], k in rows, at t_j = j T / m;
+    one inverse FFT for truncated Fourier solutions, else :func:`_orbit_grid`."""
+    if all(isinstance(orbit, fourier_rpl.RplFourierSolution) for orbit in orbits):
+        return lambda rows, m: fourier_rpl.sample_grid([orbits[k] for k in rows], m)
+    return lambda rows, m: np.stack([_orbit_grid(orbits[k], period, m) for k in rows])
 
-    Every reduction runs over the last axis, so a lone orbit (3, m) and a block
-    (rows, 3, m) share these formulas and a row's values do not depend on the
-    other rows.  ``near`` is true where the orbit comes within 1e-3 R of the
-    pole; chi is not to be used there.
+
+def _field(drive):
+    """m -> the field (3, m) of drive at t_j = j T / m."""
+    return lambda m: np.asarray(drive.field(np.arange(m) * (drive.T / m)), dtype=float).T
+
+
+def _chi_samples(grid, rows, m, field, flip):
+    """(xs, hs, radius, pole, chi, near) of the orbits ``rows`` of grid on m samples.
+
+    The states xs (rows, 3, m) and the field hs (3, m) give each row's mean
+    radius R and chi on the section with its pole at pole * z (+z negates Z
+    and h3): -z, or with ``flip`` +z for a row within 1e-3 R of -z.  ``near``
+    marks the rows within 1e-3 R of their pole, where chi is not to be used.
+    Every reduction runs over the last axis, so a row's values do not depend
+    on the other rows.
     """
+    xs, hs = grid(rows, m), field(m)
     radius = np.sqrt(np.sum(xs * xs, axis=-2)).mean(axis=-1)
-    denom = radius[..., None] - pole * xs[..., 2, :]
+    near = (radius[:, None] + xs[:, 2]).min(axis=-1) <= _SOUTH_POLE_MARGIN * radius
+    pole = np.where(near & flip, 1.0, -1.0)
+    denom = radius[:, None] - pole[:, None] * xs[:, 2]
     near = denom.min(axis=-1) <= _SOUTH_POLE_MARGIN * radius
     with np.errstate(divide="ignore", invalid="ignore"):  # only where near
-        chi = 0.5 * (-pole * hs[2] + (hs[0] * xs[..., 0, :] + hs[1] * xs[..., 1, :]) / denom)
-    return radius, chi, near
+        chi = 0.5 * ((hs[0] * xs[:, 0] + hs[1] * xs[:, 1]) / denom - pole[:, None] * hs[2])
+    return xs, hs, radius, pole, chi, near
 
 
-def _chi_samples(orbit, drive, m, pole=-1):
-    """(ts, xs, hs, R, chi, pole): states xs and field hs (3, m) and chi at m samples,
-    on the section with its pole at pole * z.  pole=None takes +z if these
-    samples come within 1e-3 R of -z, and -z otherwise."""
-    ts, xs = _orbit_grid(orbit, drive.T, m)
-    hs = np.asarray(drive.field(ts), dtype=float).T
-    side = -1 if pole is None else pole
-    radius, chi, near = _section(xs, hs, side)
-    if near and pole is None:
-        side = 1
-        radius, chi, near = _section(xs, hs, side)
-    if near:
-        raise SouthPoleError(
-            f"orbit passes within {_SOUTH_POLE_MARGIN:g} R of the "
-            f"{'south' if side < 0 else 'north'} pole, where its section is singular"
-        )
-    return ts, xs, hs, radius, chi, side
-
-
-def _turns(orbit, period, xs):
-    """Counter-clockwise turns of arg(X + iY) over one period, on the states xs (3, m)
-    doubled until every step is below pi/2; SeriesInstabilityError if one is not at 65536 samples."""
+def _turns(grid, k, xs):
+    """Counter-clockwise turns of arg(X + iY) of orbit k of grid over one period, on
+    its states xs (3, m) doubled until every step is below pi/2;
+    SeriesInstabilityError if one is not at 65536 samples."""
     while True:
         angle = np.arctan2(xs[1], xs[0])
         steps = np.diff(angle, append=angle[0])  # closed: the raw steps sum to 0
@@ -190,7 +192,69 @@ def _turns(orbit, period, xs):
         m = xs.shape[-1]
         if m >= _MAX_GRID:
             raise SeriesInstabilityError(f"winding of arg(X + iY) unresolved on {m} samples")
-        _, xs = _orbit_grid(orbit, period, 2 * m)
+        xs = grid([k], 2 * m)[0]
+
+
+def _settle(grid, count, field, m, flip=False):
+    """Yield (k, (xs, hs, radius, chi, turns)) for each of the ``count`` orbits of
+    grid once its grid has settled, or (k, the FloquetTlsError of orbit k).
+
+    An orbit's grid of m, 2m, ... 65536 samples has settled when the mean of
+    chi on it is within 1e-10 of its mean over every second sample; the
+    orbits that have not settled double their grid together.  Each grid is sampled once
+    and chooses its section as :func:`_chi_samples`; ``turns`` is the
+    winding of a +z row and 0 on -z.  At most max(1, 16 * 2048 / m) orbits
+    are sampled at once, so a request never holds more than 16 grids of
+    2048 samples.
+    """
+    rows = list(range(count))
+    while rows:
+        later = []
+        size = max(1, BATCH_SIZE * 2 * _MIN_GRID // m)
+        for chunk in (rows[lo : lo + size] for lo in range(0, len(rows), size)):
+            xs, hs, radius, pole, chi, near = _chi_samples(grid, chunk, m, field, flip)
+            delta = np.abs(chi.mean(axis=-1) - chi[:, ::2].mean(axis=-1))
+            for i, k in enumerate(chunk):
+                if near[i]:
+                    yield k, SouthPoleError(
+                        f"orbit passes within {_SOUTH_POLE_MARGIN:g} R of the "
+                        f"{'south' if pole[i] < 0 else 'north'} pole, where its section is singular"
+                    )
+                elif delta[i] < _A0_SETTLE:
+                    try:
+                        turns = _turns(grid, k, xs[i]) if pole[i] > 0 else 0
+                    except FloquetTlsError as exc:
+                        yield k, exc
+                    else:
+                        yield k, (xs[i], hs, radius[i], chi[i], turns)
+                elif m >= _MAX_GRID:
+                    yield k, SeriesInstabilityError(
+                        f"mean of chi unsettled on {m} samples: "
+                        f"{delta[i]:.3g} from its mean over every second sample"
+                    )
+                else:
+                    later.append(k)
+        rows, m = later, 2 * m
+
+
+def _settled(orbit, drive, m=2 * _MIN_GRID):
+    """(xs, hs, radius, chi, turns) of the settled -z grid of a lone orbit; raises its error."""
+    ((_, got),) = _settle(_grids([orbit], drive.T), 1, _field(drive), m)
+    if isinstance(got, FloquetTlsError):
+        raise got
+    return got
+
+
+def _quasienergies(grid, field, omegas, method):
+    """QuasienergyResult or FloquetTlsError of each orbit of grid, in order."""
+    points = [None] * len(omegas)
+    for k, got in _settle(grid, len(omegas), field, 2 * _MIN_GRID, flip=True):
+        if not isinstance(got, FloquetTlsError):
+            xs, hs, radius, chi, turns = got
+            eps = float(chi.mean()) + turns * omegas[k]
+            got = QuasienergyResult.from_raw(eps, float(_eps_d(xs, hs, radius)), omegas[k], method)
+        points[k] = got
+    return points
 
 
 def _series_from_samples(values, omega, harmonics):
@@ -200,26 +264,6 @@ def _series_from_samples(values, omega, harmonics):
     cos = 2.0 * spec[1 : nmax + 1].real
     sin = -2.0 * spec[1 : nmax + 1].imag
     return TrigSeries(omega=omega, a0=spec[0].real, cos_coeffs=cos, sin_coeffs=sin)
-
-
-def _settled_samples(orbit, drive, m, pole=-1):
-    """``_chi_samples`` of the first grid of m, 2m, ... 65536 samples on which the
-    mean of chi is within 1e-10 of its mean over every second sample.
-
-    The settle test compares means on one grid, so with pole=None each grid
-    may choose its own section.  Raises SeriesInstabilityError if the
-    65536-sample grid has not settled.
-    """
-    samples = _chi_samples(orbit, drive, m, pole)
-    while (delta := abs(samples[4].mean() - samples[4][::2].mean())) >= _A0_SETTLE:
-        if m >= _MAX_GRID:
-            raise SeriesInstabilityError(
-                f"mean of chi unsettled on {m} samples: "
-                f"{delta:.3g} from its mean over every second sample"
-            )
-        m *= 2
-        samples = _chi_samples(orbit, drive, m, pole)
-    return samples
 
 
 def _eps_d(xs, hs, radius):
@@ -232,7 +276,7 @@ def chi_series(orbit, drive, harmonics=64):
 
     Read off the settled grid, starting at 2 max(1024, 4 harmonics) samples.
     """
-    chi = _settled_samples(orbit, drive, 2 * max(_MIN_GRID, 4 * harmonics))[4]
+    chi = _settled(orbit, drive, 2 * max(_MIN_GRID, 4 * harmonics))[3]
     return _series_from_samples(chi, float(drive.omega), harmonics)
 
 
@@ -251,7 +295,7 @@ def split_geometric_dynamic(orbit, drive):
     Their sum reproduces the quasienergy of :func:`chi_series` up to
     quadrature error.
     """
-    _, xs, hs, radius, *_ = _settled_samples(orbit, drive, 2 * _MIN_GRID)
+    xs, hs, radius, *_ = _settled(orbit, drive)
     dx, dy = _ddt(xs[:2], drive.T).real
     num = xs[0] * dy - xs[1] * dx
     eps_g = float(np.mean(num / (2.0 * radius * (radius + xs[2]))))
@@ -261,17 +305,15 @@ def split_geometric_dynamic(orbit, drive):
 def quasienergy_classical(orbit, drive, method="ode"):
     """Quasienergy of a periodic classical orbit, with split attached.
 
+    The orbit is averaged as a block of one row (see the module notes).
     Both averages come from one settled grid: on the +z section, taken to the
     -z branch by the winding of arg(X + iY), if the grid passes within 1e-3 R
-    of the south pole, where chi needs ever finer grids to settle.  Each grid
-    is sampled once.
+    of the south pole, where chi needs ever finer grids to settle.
     """
-    omega = float(drive.omega)
-    _, xs, hs, radius, chi, pole = _settled_samples(orbit, drive, 2 * _MIN_GRID, pole=None)
-    eps = float(chi.mean())
-    if pole > 0:
-        eps += _turns(orbit, drive.T, xs) * omega
-    return QuasienergyResult.from_raw(eps, float(_eps_d(xs, hs, radius)), omega, method)
+    (point,) = _quasienergies(_grids([orbit], drive.T), _field(drive), [float(drive.omega)], method)
+    if isinstance(point, FloquetTlsError):
+        raise point
+    return point
 
 
 def floquet_state(orbit, drive):
@@ -282,8 +324,9 @@ def floquet_state(orbit, drive):
     Bloch-sphere section.  Reports the maximal pointwise Schroedinger
     residual, checked by spectral differentiation.
     """
-    ts, xs, hs, radius, chi, _ = _settled_samples(orbit, drive, 2 * _MIN_GRID)
-    m = len(ts)
+    xs, hs, radius, chi, _ = _settled(orbit, drive)
+    m = len(chi)
+    ts = np.arange(m) * (drive.T / m)
     eps = float(chi.mean())
     spec = np.fft.rfft(chi)
     spec[0] = 0.0
@@ -307,7 +350,7 @@ def floquet_state(orbit, drive):
 
 def _unit_modes(orbit, drive):
     """Mean and first harmonic 2 <X e^(-i w t)> / R of the orbit on 2048 samples."""
-    _, xs = _orbit_grid(orbit, drive.T, 2 * _MIN_GRID)
+    xs = _orbit_grid(orbit, drive.T, 2 * _MIN_GRID)
     spec = np.fft.rfft(xs / np.linalg.norm(xs, axis=0).mean(), axis=-1) / xs.shape[-1]
     return spec[:, 0].real, 2.0 * spec[:, 1]
 
@@ -371,10 +414,10 @@ def quasienergy_at(params, method="auto", n_trunc=20, tol=1e-12):
     solution; 'ode' integrates the equation of motion; 'auto' picks
     'fourier' for G = 0 and 'ode' otherwise.
     """
-    if _route(params, method) == "fourier":
-        sol = fourier_rpl.solve_auto(params, "phi1", start=n_trunc).normalized()
-        return quasienergy_classical(sol, params, method="fourier")
-    return quasienergy_classical(periodic_orbit(params, tol=tol), params, method="ode")
+    (point,) = _sweep_points(params, [params.omega], _route(params, method), n_trunc, tol)
+    if isinstance(point, FloquetTlsError):
+        raise point
+    return point
 
 
 def sweep_branches(
@@ -384,8 +427,8 @@ def sweep_branches(
 
     The orbits are averaged in blocks of up to 16 rows (see the module
     notes); on the Fourier route each point's truncation order is chosen by
-    :func:`fourier_rpl.solve_auto`.  A row agrees with :func:`quasienergy_at`
-    at its point up to rounding, not bit for bit.  The reported branch is
+    :func:`fourier_rpl.solve_auto`.  Before continuation a row equals
+    :func:`quasienergy_at` at its point bit for bit.  The reported branch is
     chosen from the candidates {eps_mod + k w} and {-eps_mod + k w},
     k = -2..2, nearest to the previous point (minimal jump).  A
     ContinuityWarning is issued when the smallest jump exceeds omega/4.
@@ -418,17 +461,25 @@ def sweep_branches(
 
 
 def _sweep_points(base, omegas, method, n_trunc, tol):
-    """Each point's QuasienergyResult or FloquetTlsError, in grid order, in blocks of BATCH_SIZE."""
-    m = 2 * _MIN_GRID
-    s = np.arange(m) * (2.0 * math.pi / m)
-    field = np.stack([base.F * np.cos(s), base.G * np.sin(s), np.full(m, float(base.omega0))])
+    """Each point's QuasienergyResult or FloquetTlsError, in grid order.
+
+    The orbits are averaged in blocks of BATCH_SIZE rows by
+    :func:`_quasienergies`.  On the grid s_j = 2 pi j / m every row sees the
+    same field (F cos s_j, G sin s_j, omega0), that of the drive at omega = 1.
+    """
     if method == "ode":
         orbits = periodic_orbits(base.omega0, base.F, base.G, omegas, tol=tol)
     else:
         orbits = (_fourier_solution(base, omega, n_trunc) for omega in omegas)
+    field = _field(DriveParams(base.omega0, base.F, base.G, 1.0))
     for start in range(0, len(omegas), BATCH_SIZE):
         block = list(islice(orbits, BATCH_SIZE))
-        yield from _block_points(base, omegas[start : start + BATCH_SIZE], block, method, field)
+        rows = [k for k, orbit in enumerate(block) if not isinstance(orbit, FloquetTlsError)]
+        grid = _grids([block[k] for k in rows])
+        points = _quasienergies(grid, field, [omegas[start + k] for k in rows], method)
+        for k, point in zip(rows, points):
+            block[k] = point
+        yield from block
 
 
 def _fourier_solution(base, omega, n_trunc):
@@ -438,66 +489,6 @@ def _fourier_solution(base, omega, n_trunc):
         return fourier_rpl.solve_auto(params, "phi1", start=n_trunc)
     except FloquetTlsError as exc:
         return exc
-
-
-def _fourier_grid(sols, m):
-    """States (rows, 3, m) of truncated solutions with N < m/2 at s_j = 2 pi j / m.
-
-    One inverse real FFT: harmonic n of a row goes straight into bin n,
-    weighted m/2 since the transform halves every bin but 0 and m/2.
-    """
-    spec = np.zeros((len(sols), 3, m // 2 + 1), dtype=complex)
-    for row, sol in zip(spec, sols):
-        x = np.asarray(sol.x, dtype=float) * (0.5 * m)
-        odd = np.arange(1, sol.N + 1, 2)
-        row[0, odd] = sol.params.omega0 * x[::2]
-        row[1, odd] = -1j * (odd * sol.params.omega * x[::2])
-        row[2, 0] = m * sol.z0
-        row[2, 2 : sol.N + 1 : 2] = x[1::2]
-    return np.fft.irfft(spec, n=m, axis=-1)
-
-
-def _block_points(base, omegas, orbits, method, field):
-    """QuasienergyResult or FloquetTlsError of each row of one block.
-
-    The rows' grids of m samples at s_j = 2 pi j / m, where every row sees
-    the field (F cos s_j, G sin s_j, omega0), are averaged together by
-    :func:`_section` and :func:`_eps_d`.  A row that is not settled on them,
-    comes within the pole margin, or has N >= m/2 harmonics takes the path
-    of :func:`quasienergy_classical`.  chi and eps_d do not change when X is
-    scaled by a positive factor, so a Fourier row is averaged unnormalized
-    and keeps its solution's orbit family.
-    """
-    m = field.shape[-1]
-    rows = [
-        k
-        for k, orbit in enumerate(orbits)
-        if not isinstance(orbit, FloquetTlsError) and (method == "ode" or 2 * orbit.N < m)
-    ]
-    settled = {}
-    if rows:
-        if method == "ode":
-            xs = np.stack([orbits[k].batch.sample(m, orbits[k].index) for k in rows])
-        else:
-            xs = _fourier_grid([orbits[k] for k in rows], m)
-        radius, chi, near = _section(xs, field, -1)
-        eps = chi.mean(axis=-1)
-        ok = ~near & (np.abs(eps - chi[:, ::2].mean(axis=-1)) < _A0_SETTLE)
-        eps_d = _eps_d(xs, field, radius)
-        settled = {k: (float(eps[i]), float(eps_d[i])) for i, k in enumerate(rows) if ok[i]}
-    for k, (omega, orbit) in enumerate(zip(omegas, orbits)):
-        if isinstance(orbit, FloquetTlsError):
-            yield orbit
-        elif k in settled:
-            yield QuasienergyResult.from_raw(*settled[k], omega, method)
-        else:
-            try:
-                params = DriveParams(base.omega0, base.F, base.G, omega)
-                if method == "fourier":
-                    orbit = orbit.normalized()
-                yield quasienergy_classical(orbit, params, method=method)
-            except FloquetTlsError as exc:
-                yield exc
 
 
 def continue_branch(point, prev):
@@ -517,7 +508,7 @@ def continue_branch(point, prev):
                 best, best_dist = (sign, k), dist
     if best_dist > omega / 4.0:
         warnings.warn(
-            f"branch continuation jump {best_dist:.3e} exceeds omega/4",
+            f"branch continuation jump {best_dist:.3e} exceeds omega/4 at omega={omega:g}",
             ContinuityWarning,
         )
     sign, k = best

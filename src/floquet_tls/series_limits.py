@@ -229,28 +229,10 @@ def series_sqrt_consts(a, k):
     if a[0].constant != 1:
         raise DomainError("sqrt expects leading coefficient 1")
     u = [t.constant for t in a]
-    exact = not any(isinstance(c, float) for c in u)
-    out = [Fraction(1) if exact else 1.0] + [0] * k
-    # out = sum binom(1/2, j) (a - 1)^j, computed by Cauchy powers
-    du = [0] + u[1:]
-    power = [1] + [0] * k
-    coeff = Fraction(1)
-    for j in range(1, k + 1):
-        coeff = coeff * (Fraction(1, 2) - (j - 1)) / j
-        new = [0] * (k + 1)
-        for i in range(k + 1):
-            if power[i] == 0:
-                continue
-            for l in range(k + 1 - i):
-                if du[l] != 0:
-                    new[i + l] += power[i] * du[l]
-        power = new
-        if all(p == 0 for p in power):
-            break
-        for i in range(k + 1):
-            if power[i] != 0:
-                out[i] = out[i] + coeff * power[i]
-    return [TrigPoly.const(c) for c in out]
+    s = [1.0 if any(isinstance(c, float) for c in u) else Fraction(1)]
+    for j in range(1, k + 1):  # s^2 = u: 2 s_j = u_j - sum_{i=1}^{j-1} s_i s_{j-i}
+        s.append(HALF * (u[j] - sum(s[i] * s[j - i] for i in range(1, j))))
+    return [TrigPoly.const(c) for c in s]
 
 
 def _check_constant_radius(r2, rel=1e-8):

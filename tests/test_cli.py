@@ -16,7 +16,7 @@ import pytest
 import floquet_tls
 from floquet_tls import bloch_dynamics, cli, fourier_rpl, quasienergy
 from floquet_tls.bloch_dynamics import DriveParams, periodic_orbit
-from floquet_tls.errors import DegenerateMonodromyError, DomainError
+from floquet_tls.errors import ContinuityWarning, DegenerateMonodromyError, DomainError
 from floquet_tls.exact_models import rpc_quasienergies
 
 
@@ -427,13 +427,29 @@ def test_fourier_sweep_with_nonzero_g_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_full_batch_at_tol_1e13_gets_its_tolerance(tmp_path):
+def test_full_batch_at_tol_1e13_gets_its_tolerance(tmp_path, capsys):
     args = ["quasienergy", "--omega0", "1", "--f", "0.5", "--g", "0.3",
             "--omega-sweep", "0.5:2:16", "--tol", "1e-13", "-o", str(tmp_path / "sweep.csv")]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert cli.main(args) == 0
     assert [str(w.message) for w in caught if issubclass(w.category, UserWarning)] == []
+    assert capsys.readouterr().err == ""  # the sweep prints its own warnings
+
+
+def test_sweep_warning_is_one_line_without_path(tmp_path, capsys):
+    args = ["quasienergy", "--omega0", "1", "--f", "7", "--omega-sweep", "0.07:0.05:2",
+            "-o", str(tmp_path / "sweep.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        assert cli.main(args) == 0
+    assert capsys.readouterr().err == (
+        "warning: branch continuation jump 1.590e-02 exceeds omega/4 at omega=0.05\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContinuityWarning, match="jump 1.590e-02"):
+            cli.main(args)
 
 
 @pytest.mark.parametrize("module", ["floquet_tls", "floquet_tls.cli"])

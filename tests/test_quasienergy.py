@@ -156,17 +156,18 @@ def test_near_pole_branch_is_that_of_minus_z_section(monkeypatch):
 def test_turns_refines_until_steps_are_below_quarter_turn(monkeypatch):
     p = rpc(omega0=1.0, F=1e-3, omega=3.0)
     orbit = _south_pole_orbit(p)
+    grid = quasienergy._grids([orbit], p.T)  # row 0 of a block of one
     ts = np.arange(4) * (p.T / 4)
     coarse = orbit(ts).T  # states (3, m), steps of exactly pi/2
-    assert quasienergy._turns(orbit, p.T, coarse) == 1
+    assert quasienergy._turns(grid, 0, coarse) == 1
 
     def reverse(t):
         return orbit(-np.asarray(t))
 
-    assert quasienergy._turns(reverse, p.T, reverse(ts).T) == -1
+    assert quasienergy._turns(quasienergy._grids([reverse], p.T), 0, reverse(ts).T) == -1
     monkeypatch.setattr(quasienergy, "_MAX_GRID", 4)
     with pytest.raises(SeriesInstabilityError, match="unresolved on 4 samples"):
-        quasienergy._turns(orbit, p.T, coarse)
+        quasienergy._turns(grid, 0, coarse)
 
 
 def test_ode_orbit_near_south_pole_uses_batch_grid(monkeypatch):
@@ -378,21 +379,63 @@ def test_sweep_continuity():
 def test_sweep_blocks_match_per_point_results(F, G, sweep, method):
     base = DriveParams(1.0, F, G, 1.0)
     omegas = [float(w) for w in np.linspace(*sweep)]
+    rows = list(quasienergy._sweep_points(base, omegas, method, 20, 1e-12))
+    for omega, row in zip(omegas, rows):
+        # before continuation a row is its point alone, bit for bit
+        assert row == quasienergy_at(DriveParams(1.0, F, G, omega), method=method)
     prev = None
-    for omega, row in zip(omegas, sweep_branches(base, omegas, method=method)):
-        want = quasienergy_at(DriveParams(1.0, F, G, omega), method=method)
-        if prev is not None:
-            want = quasienergy.continue_branch(want, prev)
-        prev = want
-        assert row.branch == want.branch
-        for name in ("epsilon", "epsilon_mod", "eps_g", "eps_d"):
-            v = getattr(want, name)
-            assert abs(getattr(row, name) - v) <= 1e-13 * max(1.0, abs(v))
+    for row, point in zip(rows, sweep_branches(base, omegas, method=method)):
+        prev = row if prev is None else quasienergy.continue_branch(row, prev)
+        assert point == prev
     if method == "fourier":
         # one point fewer moves every row to another place in its block
-        rows = quasienergy._sweep_points(base, omegas, method, 20, 1e-12)
         moved = quasienergy._sweep_points(base, omegas[1:], method, 20, 1e-12)
-        assert list(rows)[1:] == list(moved)
+        assert rows[1:] == list(moved)
+
+
+def test_unsettled_sweep_row_samples_each_grid_once(monkeypatch):
+    # both rows settle only on grids finer than 2048; the row at 0.05 passes
+    # 1.7e-5 R from the south pole and is averaged on the +z section
+    requests = []  # (omegas of the rows, m) of every Fourier grid request
+    real = fourier_rpl.sample_grid
+
+    def sample_grid(sols, m):
+        requests.append(([sol.params.omega for sol in sols], m))
+        return real(sols, m)
+
+    monkeypatch.setattr(fourier_rpl, "sample_grid", sample_grid)
+    base = rpl(1.0, 15.0, 1.0)
+    rows = list(quasienergy._sweep_points(base, [0.05, 0.08], "fourier", 20, 1e-12))
+    assert rows[0].branch == -92
+    for w in (0.05, 0.08):
+        grids = [m for ws, m in requests for v in ws if v == w]
+        assert len(grids) >= 2 and grids[0] == 2048 and grids[-1] < 65536
+        assert all(b == 2 * a for a, b in zip(grids, grids[1:]))  # strictly doubling, each once
+
+
+@pytest.mark.parametrize("method, G", [("fourier", 0.0), ("ode", 0.3)])
+def test_grid_requests_hold_at_most_sixteen_grids_of_2048(monkeypatch, method, G):
+    # with the settle threshold at 0 no row settles, so every row doubles
+    # its grid up to the cap together with the others
+    requests = []
+    real = quasienergy._chi_samples
+
+    def chi_samples(grid, rows, m, field, flip):
+        requests.append((len(rows), m))
+        return real(grid, rows, m, field, flip)
+
+    monkeypatch.setattr(quasienergy, "_chi_samples", chi_samples)
+    monkeypatch.setattr(quasienergy, "_A0_SETTLE", 0.0)
+    monkeypatch.setattr(quasienergy, "_MAX_GRID", 16384)
+    omegas = [float(w) for w in np.linspace(0.5, 2.0, 16)]
+    rows = list(quasienergy._sweep_points(DriveParams(1.0, 0.5, G, 1.0), omegas, method, 20, 1e-12))
+    assert all(isinstance(r, SeriesInstabilityError) for r in rows)
+    assert all("unsettled on 16384 samples" in str(r) for r in rows)
+    for m in (2048, 4096, 8192, 16384):
+        sizes = [n for n, mm in requests if mm == m]
+        assert sum(sizes) == 16  # each row once per grid
+        assert max(sizes) <= max(1, 16 * 2048 // m)
+    assert {m for _, m in requests} == {2048, 4096, 8192, 16384}
 
 
 def test_sweep_rejects_unknown_method_once():
