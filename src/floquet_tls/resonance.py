@@ -5,7 +5,9 @@ the constant term z0 of the periodic solution vanishes together with the
 mean of Z(t), which is the resonance condition d(eps)/d(omega0) = 0.  Its
 sign changes are bracketed on a frequency grid, or around a warm start,
 and refined by Brent's method (``brentq``, in this module, so a resonance
-search loads no scipy module).
+search loads no scipy module).  The global scan takes the sign of the
+determinant on its whole grid in one array pass of the minors ratio ladder
+(``_det_signs``); refinement and tracking evaluate it point by point.
 
 At F = 0 the n-th resonance sits at omega0/(2n-1); its drive-amplitude series
 
@@ -29,7 +31,7 @@ import numpy as np
 
 from .bloch_dynamics import DriveParams
 from .errors import BracketNotFoundError, DomainError, SeriesInstabilityError
-from .fourier_rpl import build_system, minors
+from .fourier_rpl import _TINY, build_system, minors
 from .specfun import bessel_j0_zero
 
 SQRT3 = math.sqrt(3.0)
@@ -104,6 +106,8 @@ def _det_fn(f_amp, omega0, n_trunc):
     Sign and log2 magnitude come from the minors ladder; the exponent is
     clamped to +-1000, so far from the first frequency the value keeps its
     sign without overflowing or underflowing to zero.
+    ``fn.signs(omegas)`` gives the signs of fn over an array of frequencies
+    at once, from :func:`_det_signs`.
     """
     state = {"ref": None}
 
@@ -116,13 +120,55 @@ def _det_fn(f_amp, omega0, n_trunc):
             state["ref"] = log2_abs
         return sign * 2.0 ** min(max(log2_abs - state["ref"], -1000.0), 1000.0)
 
+    fn.signs = lambda omegas: _det_signs(f_amp, omega0, n_trunc, omegas)
     return fn
 
 
+def _det_signs(f_amp, omega0, n_trunc, omegas):
+    """sign(det A^(N)) at every frequency of an array; 0 where slog2 gives 0.
+
+    The float ladder of ``fourier_rpl.minors`` run across the array: the
+    entries are those of ``build_system``, written the same way, and a
+    vanishing ratio meets the same ``_TINY`` guard, so each sign is the one
+    ``minors(build_system(...)).slog2()`` gives at that frequency.
+    """
+    w, w0, f_amp, half = np.asarray(omegas, dtype=float), float(omega0), float(f_amp), 0.5
+    n_trunc = int(n_trunc)
+
+    def diag(n):
+        return n * n * w * w - w0 * w0 if n % 2 else -n * w
+
+    r = diag(n_trunc)
+    negative = np.zeros(w.shape, dtype=bool)
+    zero = np.zeros(w.shape, dtype=bool)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k in range(n_trunc - 1, 0, -1):
+            if k % 2:  # -sup * sub of rows k (odd) and k + 1
+                b = -(half * f_amp) * (-k * half * f_amp * w)
+            else:
+                b = -(-(k + 1) * half * f_amp * w) * (half * f_amp)
+            live = b != 0
+            r = np.where(live & (r == 0.0), _TINY, r)
+            zero |= r == 0.0
+            negative ^= np.signbit(r)
+            r = diag(k) + np.where(live, b / r, 0.0)
+    zero |= r == 0.0
+    negative ^= np.signbit(r)
+    return np.where(zero, 0.0, np.where(negative, -1.0, 1.0))
+
+
 def _scan_roots(fn, lo, hi, points):
-    """Brackets of sign changes of fn on a log-spaced grid."""
+    """Brackets of sign changes of fn on a log-spaced grid.
+
+    fn is evaluated in grid order up to its first nonzero value, which
+    fixes its reference exactly as a point-by-point scan would; the signs
+    of the whole grid come from ``fn.signs``.
+    """
     grid = np.geomspace(lo, hi, points)
-    vals = np.array([fn(w) for w in grid])
+    for w in grid:
+        if fn(w) != 0.0:
+            break
+    vals = fn.signs(grid)
     brackets = []
     for i in range(len(grid) - 1):
         a, b = vals[i], vals[i + 1]
@@ -252,8 +298,9 @@ def find_resonance(n, f_amp, omega0=1.0, n_trunc=50, seed=None):
             f"for resonance {n}; increase the truncation order",
             suggested_n=n_trunc + 16,
         )
-    roots = sorted(_refine(fn, a, b) for a, b in brackets)
-    root = roots[-n]
+    # brackets are disjoint and ascending, so the n-th largest root lies in
+    # the n-th last bracket
+    root = _refine(fn, *brackets[-n])
     return ResonancePoint(n=n, F=f_amp, omega_res=root, N=n_trunc, residual=abs(fn(root)))
 
 

@@ -9,8 +9,11 @@ import pytest
 
 from floquet_tls.bloch_dynamics import DriveParams
 from floquet_tls.errors import BracketNotFoundError, DomainError, SeriesInstabilityError
+from floquet_tls.fourier_rpl import build_system, minors
 from floquet_tls.resonance import (
     _det_fn,
+    _det_signs,
+    _refine,
     _scan_roots,
     bloch_siegert_coefficients,
     bloch_siegert_shift,
@@ -133,6 +136,55 @@ def test_warm_start_tracks_root():
     for f_amp, pt in zip(fs, pts):
         fresh = find_resonance(2, float(f_amp), 1.0, 50)
         assert abs(pt.omega_res - fresh.omega_res) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the array pass of the global scan against the scalar ladder
+
+
+def _scalar_signs(f_amp, omega0, n_trunc, grid):
+    return np.array([minors(build_system(rpl(omega0, f_amp, w), n_trunc)).slog2()[0] for w in grid])
+
+
+@pytest.mark.parametrize("f_amp, n_trunc", [(0.01, 50), (0.5, 50), (10.0, 80), (30.0, 120), (0.0, 50)])
+def test_det_signs_match_scalar_ladder_on_scan_grid(f_amp, n_trunc):
+    # the settings of _brent_cases, and the undriven ladder
+    hi = 1.8 * resonance_interpolation(1, f_amp, 1.0)
+    grid = np.geomspace(0.45 / 7, hi, 1200)
+    signs = _det_signs(f_amp, 1.0, n_trunc, grid)
+    assert np.array_equal(signs, _scalar_signs(f_amp, 1.0, n_trunc, grid))
+    assert set(np.unique(signs)) == {-1.0, 1.0}
+
+
+def test_det_signs_at_a_vanishing_trailing_minor():
+    # omega0 = 3, omega = 1, N = 3: a_3 = 9 omega^2 - omega0^2 = 0.  Driven,
+    # the ladder substitutes _TINY for r_3 and det A^(3) = -6 is not zero;
+    # undriven, nothing couples the rows and the zero stands
+    grid = np.array([0.5, 1.0, 1.5])
+    assert minors(build_system(rpl(3.0, 1.0, 1.0), 3)).slog2()[0] == -1.0
+    assert list(_det_signs(1.0, 3.0, 3, grid)) == list(_scalar_signs(1.0, 3.0, 3, grid))
+    assert list(_det_signs(0.0, 3.0, 3, grid)) == list(_scalar_signs(0.0, 3.0, 3, grid))
+    assert _det_signs(0.0, 3.0, 3, grid)[1] == 0.0
+
+
+@pytest.mark.parametrize("f_amp", [0.5, 10.0])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_unseeded_root_equals_scalar_scan_refined_by_brentq(n, f_amp):
+    # the scan grid of find_resonance, its signs taken point by point
+    fn = _det_fn(f_amp, 1.0, 50)
+    hi = 1.8 * resonance_interpolation(1, f_amp, 1.0)
+    grid = np.geomspace(0.45 / (2 * n + 1), hi, max(1200, 250 * (n + 2)))
+    vals = [fn(w) for w in grid]
+    brackets = [
+        (grid[i], grid[i] if vals[i] == 0.0 else grid[i + 1])
+        for i in range(len(grid) - 1)
+        if vals[i] == 0.0 or (vals[i] > 0) != (vals[i + 1] > 0)
+    ]
+    brackets += [(grid[-1], grid[-1])] if vals[-1] == 0.0 else []
+    root = sorted(_refine(fn, a, b) for a, b in brackets)[-n]
+    pt = find_resonance(n, f_amp, 1.0, 50)
+    assert pt.omega_res == root
+    assert pt.residual == abs(fn(root))
 
 
 # ---------------------------------------------------------------------------
