@@ -11,6 +11,7 @@ failure.  Identical configuration and seed produce byte-identical output.
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -457,7 +458,15 @@ def _add_common(sub, output_default="-"):
     sub.add_argument("--seed", type=int, default=0)
 
 
+@functools.cache
 def build_parser():
+    """The argument parser of every command, built on the first call and then shared.
+
+    Each :func:`main` call parses into a fresh namespace, so nothing carries
+    over between calls.  Callers must not mutate the returned parser (add
+    arguments, change defaults): the change would reach every later call in
+    the process.
+    """
     parser = _Parser(prog="floquet-tls", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 

@@ -292,13 +292,18 @@ def solve_auto(params, z0_choice="phi1", start=20, step=8, coeff_tol=1e-10, n_ma
     """Smallest truncation order N = start + step k whose top coefficient is negligible.
 
     N is converged once max(|x_N|, |x_{N-1}|) <= coeff_tol max_n |x_n|.  The
-    search gallops, k = 0, 1, 3, 7, ..., up to the first converged order and
-    then bisects back to the first one, so a point that converges at step k
-    costs at most 2 ceil(log2(k + 1)) + 1 ladder solves.  The cap grows with
-    f = |F / omega| on the Jacobi-Anger scale, beyond which the Bessel
-    coefficients J_n(f) fall off faster than exponentially:
-    max(n_max, start, ceil(f + 12 f^(1/3) + 25) + step).  An order still
-    unconverged at the cap raises SeriesInstabilityError.
+    coefficients fall off like the Bessel functions J_n(f), f = |F / omega|,
+    so the search starts at the step of the Jacobi-Anger estimate
+    N = f + 8 f^(1/3) + 2.  From there it gallops 1, 2, 4, ... steps away,
+    upward while unconverged and downward while converged, and then bisects
+    back to the first converged order.  A probe builds and solves one ladder,
+    O(N) in Python.  A point whose first converged step lies d steps from the
+    estimate costs at most 2 ceil(log2(d + 1)) + 2 probes; the estimate is
+    within one step for strong drives, which then cost two or three.  The
+    cap grows with f on the Jacobi-Anger scale, beyond which J_n(f) falls off
+    faster than exponentially: max(n_max, start, ceil(f + 12 f^(1/3) + 25) +
+    step).  An order still unconverged at the cap raises
+    SeriesInstabilityError.
     """
     f = abs(params.F / params.omega)
     n_max = max(n_max, start, math.ceil(f + 12 * f ** (1 / 3) + 25) + step)
@@ -310,16 +315,28 @@ def solve_auto(params, z0_choice="phi1", start=20, step=8, coeff_tol=1e-10, n_ma
         tail, peak = max(mags[-1], mags[-2]), mags.max()
         return sol, tail <= coeff_tol * peak, tail / peak if peak else 0.0
 
-    lo, hi = -1, 0  # the first converged step lies in (lo, hi]: lo unconverged
-    sol, converged, tail = probe(hi)
-    while not converged:
-        if hi == k_max:
-            raise SeriesInstabilityError(
-                f"truncation N = {sol.N} unconverged at its cap: "
-                f"tail ratio {tail:.3g} > coeff_tol {coeff_tol:g}"
-            )
-        lo, hi = hi, min(2 * hi + 1, k_max)
-        sol, converged, tail = probe(hi)
+    guess = min(k_max, max(0, math.floor((f + 8 * f ** (1 / 3) + 2 - start) / step)))
+    sol, converged, tail = probe(guess)
+    # the first converged step lies in (lo, hi]: lo unconverged, hi converged
+    if converged:
+        lo, hi, dist = -1, guess, 1
+        while hi > 0:
+            k = max(guess - dist, 0)
+            k_sol, converged, _ = probe(k)
+            if not converged:
+                lo = k
+                break
+            hi, sol, dist = k, k_sol, 2 * dist
+    else:
+        lo, hi, dist = guess, guess, 1
+        while not converged:
+            if hi == k_max:
+                raise SeriesInstabilityError(
+                    f"truncation N = {sol.N} unconverged at its cap: "
+                    f"tail ratio {tail:.3g} > coeff_tol {coeff_tol:g}"
+                )
+            lo, hi, dist = hi, min(guess + dist, k_max), 2 * dist
+            sol, converged, tail = probe(hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         mid_sol, converged, _ = probe(mid)

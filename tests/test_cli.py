@@ -512,3 +512,65 @@ def test_solve_json_harmonic_table(tmp_path):
     assert payload["schema_version"] == cli.SCHEMA_VERSION
     assert len(payload["harmonics"]["x"]) >= 20
     assert payload["config"]["method"] == "fourier"
+
+
+_SHARED_PARSER_RUNS = [
+    ["solve", "--omega0", "1", "--f", "0.5", "--g", "0.3", "--omega", "2", "--samples", "16"],
+    ["solve", "--omega0", "1", "--f", "0.5", "--omega", "2", "--samples", "16"],
+    ["resonance", "--n-list", "1,2", "--f-grid", "0.1:2:3", "--log-grid"],
+    ["resonance", "--n-list", "1,2", "--f-grid", "0.1:2:3"],
+    ["bloch-siegert", "--n", "1", "--max-m", "3", "--format", "json"],
+    ["bloch-siegert", "--n", "1", "--max-m", "3"],
+    ["solve", "--omega0", "1", "--f", "0.5", "--format", "json"],  # no --omega: usage error
+    ["solve", "--omega0", "1", "--f", "0.5", "--omega", "2", "--samples", "16"],
+]
+
+
+def _run_each(tmp_path, capsys, argvs):
+    """Exit code, output file bytes and stderr of one cli.main call per argv."""
+    out = tmp_path / "out"
+    results = []
+    for argv in argvs:
+        out.unlink(missing_ok=True)
+        rc = cli.main(argv + ["-o", str(out)])
+        results.append((rc, out.read_bytes() if out.exists() else None, capsys.readouterr().err))
+    return results
+
+
+def test_parser_is_built_on_the_first_call_and_then_shared():
+    # a fresh interpreter: importing the CLI builds no parser, two commands build one
+    script = (
+        "from floquet_tls import cli\n"
+        "print(cli.build_parser.cache_info().misses)\n"
+        "for _ in range(2):\n"
+        "    assert cli.main(['bloch-siegert', '--n', '1', '--max-m', '1', '-o', '/dev/null']) == 0\n"
+        "print(cli.build_parser.cache_info().misses)\n"
+    )
+    src = str(Path(floquet_tls.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "1"]
+
+
+def test_shared_parser_carries_nothing_between_calls(tmp_path, capsys, monkeypatch):
+    shared = _run_each(tmp_path, capsys, _SHARED_PARSER_RUNS)
+    assert [rc for rc, _, _ in shared] == [0, 0, 0, 0, 0, 0, 1, 0]
+    # a parser built fresh for every call is the reference
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = _run_each(tmp_path, capsys, _SHARED_PARSER_RUNS)
+    assert shared == fresh
+    # the runs without an option differ from those with it, and the usage
+    # error leaves the next call as it would be alone
+    assert shared[0][1] != shared[1][1]
+    assert shared[2][1] != shared[3][1]
+    assert shared[4][1].startswith(b"{") and not shared[5][1].startswith(b"{")
+    assert shared[7] == shared[1]
+
+
+def test_shared_parser_namespaces_hold_only_their_own_options():
+    for argv in _SHARED_PARSER_RUNS[:6] + _SHARED_PARSER_RUNS[:6][::-1]:
+        assert cli.build_parser().parse_args(argv) == cli.build_parser.__wrapped__().parse_args(argv)

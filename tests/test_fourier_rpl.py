@@ -309,6 +309,43 @@ def test_solve_auto_matches_linear_scan(start, monkeypatch):
             monkeypatch.undo()
 
 
+# the (F, omega start, omega stop) strong-drive sweeps of perfbench/workloads.py
+_STRONG_SWEEPS = ((4.0, 0.2, 0.1), (7.0, 0.07, 0.05), (9.0, 0.045, 0.036), (12.0, 0.04, 0.04 * 12 / 13))
+_STRONG_POINTS = (
+    [(1.0, 15.0, 0.05), (1.0, 20.0, 0.05)]
+    + [(1.0, F, omega) for F, *omegas in _STRONG_SWEEPS for omega in omegas]
+    + [(omega0, f * 0.06, 0.06) for omega0 in (1.0, 1.3) for f in (20, 35, 60, 100, 170, 280, 400)]
+)
+
+
+@pytest.mark.parametrize("omega0, F, omega", _STRONG_POINTS)
+def test_solve_auto_starts_strong_drives_at_the_jacobi_anger_order(omega0, F, omega, monkeypatch):
+    # F / omega from 20 to 400: the estimate f + 8 f^(1/3) + 2 lies within a
+    # step of the answer, so the search moves at most one step from it
+    p = rpl(omega0, F, omega)
+    n_ref = _linear_scan_order(p, 20)
+    builds = _BuildCounter(monkeypatch)
+    assert solve_auto(p, "phi1").N == n_ref
+    assert len(builds.orders) <= 3
+
+
+@pytest.mark.parametrize("coeff_tol", [1e-2, 1e-4, 1e-6])
+def test_solve_auto_gallops_down_from_an_overshooting_estimate(coeff_tol, monkeypatch):
+    # a loose coeff_tol converges below the Jacobi-Anger order, so the search
+    # starts above the answer and has to come down to the first converged step
+    for F, omega in ((4.0, 0.1), (7.0, 0.05), (9.0, 0.036), (12.0, 0.04), (20.0, 0.05)):
+        p = rpl(1.0, F, omega)
+        f = F / omega
+        guess = math.floor((f + 8 * f ** (1 / 3) + 2 - 20) / 8)
+        n_ref = _linear_scan_order(p, 20, coeff_tol=coeff_tol)
+        k = (n_ref - 20) // 8
+        assert guess > k
+        builds = _BuildCounter(monkeypatch)
+        assert solve_auto(p, "phi1", coeff_tol=coeff_tol).N == n_ref
+        assert len(builds.orders) <= 2 * math.ceil(math.log2(guess - k + 1)) + 2
+        monkeypatch.undo()
+
+
 def test_solve_auto_cap_grows_with_drive(monkeypatch):
     # coeff_tol < 0: no order converges, so the search ends at its cap
     caps = []
