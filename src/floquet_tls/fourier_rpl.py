@@ -22,6 +22,7 @@ polynomial closed forms.
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
@@ -77,21 +78,14 @@ def build_system(params, n_trunc, exact=False):
         f_amp = float(params.F)
         half = 0.5
 
-    diag = []
-    for n in range(1, n_trunc + 1):
-        if n % 2:
-            diag.append(n * n * w * w - w0 * w0)
-        else:
-            diag.append(-n * w)
-    sup = []
-    sub = []
-    for n in range(1, n_trunc):
-        if n % 2:
-            sup.append(half * f_amp)  # row n odd
-            sub.append(-n * half * f_amp * w)  # row n+1 even, column n
-        else:
-            sup.append(-(n + 1) * half * f_amp * w)  # row n even, column n+1
-            sub.append(half * f_amp)  # row n+1 odd
+    # odd rows n sit at even list positions, even rows at odd ones
+    diag = [None] * n_trunc
+    diag[0::2] = [n * n * w * w - w0 * w0 for n in range(1, n_trunc + 1, 2)]
+    diag[1::2] = [-n * w for n in range(2, n_trunc + 1, 2)]
+    sup = [half * f_amp] * (n_trunc - 1)  # row n odd
+    sub = [half * f_amp] * (n_trunc - 1)  # row n+1 odd
+    sup[1::2] = [-(n + 1) * half * f_amp * w for n in range(2, n_trunc, 2)]  # row n even, column n+1
+    sub[0::2] = [-n * half * f_amp * w for n in range(1, n_trunc, 2)]  # row n+1 even, column n
     return TridiagonalSystem(N=n_trunc, diag=diag, sup=sup, sub=sub, params=params, exact=exact)
 
 
@@ -124,8 +118,8 @@ class MinorsLadder:
             raise DomainError("slog2 reads the float ratios; use det on the exact path")
         if 0.0 in self._values:
             return 0.0, -math.inf
-        sign = math.prod(math.copysign(1.0, r) for r in self._values)
-        return sign, sum(math.log2(abs(r)) for r in self._values)
+        sign = math.prod(map(math.copysign, repeat(1.0), self._values))
+        return sign, sum(map(math.log2, map(abs, self._values)))
 
 
 def minors(sys):
@@ -141,12 +135,13 @@ def minors(sys):
             values[k - 1] = cur
             phi_next, phi_next2 = cur, phi_next
         return MinorsLadder(N=n_, exact=True, _values=values)
-    r = values[n_ - 1] = float(sys.diag[n_ - 1])
+    diag, sup, sub = sys.diag, sys.sup, sys.sub
+    r = values[n_ - 1] = diag[n_ - 1]
     for k in range(n_ - 1, 0, -1):
-        b = -float(sys.sup[k - 1]) * float(sys.sub[k - 1])
+        b = -sup[k - 1] * sub[k - 1]
         if b and r == 0.0:
             r = values[k] = _TINY
-        r = values[k - 1] = float(sys.diag[k - 1]) + (b / r if b else 0.0)
+        r = values[k - 1] = diag[k - 1] + (b / r if b else 0.0)
     return MinorsLadder(N=n_, exact=False, _values=values)
 
 
@@ -283,7 +278,7 @@ def solve_coefficients(sys, z0_choice="unit"):
         z0, x = sign * r[0], -sign * f_amp
     xs = [x]
     for i in range(2, n_ + 1):
-        x = x * -float(sys.sub[i - 2]) / r[i - 1] if x else 0.0
+        x = x * -sys.sub[i - 2] / r[i - 1] if x else 0.0
         xs.append(x)
     return RplFourierSolution(N=n_, z0=z0, x=xs, params=sys.params)
 

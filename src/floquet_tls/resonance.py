@@ -7,7 +7,10 @@ sign changes are bracketed on a frequency grid, or around a warm start,
 and refined by Brent's method (``brentq``, in this module, so a resonance
 search loads no scipy module).  The global scan takes the sign of the
 determinant on its whole grid in one array pass of the minors ratio ladder
-(``_det_signs``); refinement and tracking evaluate it point by point.
+(``_det_signs``); refinement and tracking evaluate it point by point, each
+frequency once per search.  Along a curve the warm start is the secant
+through the previous two roots, which usually puts the root inside the
+first bracket tried.
 
 At F = 0 the n-th resonance sits at omega0/(2n-1); its drive-amplitude series
 
@@ -105,20 +108,26 @@ def _det_fn(f_amp, omega0, n_trunc):
 
     Sign and log2 magnitude come from the minors ladder; the exponent is
     clamped to +-1000, so far from the first frequency the value keeps its
-    sign without overflowing or underflowing to zero.
-    ``fn.signs(omegas)`` gives the signs of fn over an array of frequencies
-    at once, from :func:`_det_signs`.
+    sign without overflowing or underflowing to zero.  fn remembers what it
+    returned for each omega, so a frequency asked for again (a bracket end
+    handed on to ``brentq``, the root read back for the residual) builds no
+    second ladder.  ``fn.signs(omegas)`` gives the signs of fn over an array
+    of frequencies at once, from :func:`_det_signs`.
     """
     state = {"ref": None}
+    seen = {}
 
     def fn(omega):
+        if omega in seen:
+            return seen[omega]
         params = DriveParams(omega0=omega0, F=f_amp, G=0.0, omega=omega)
         sign, log2_abs = minors(build_system(params, n_trunc)).slog2()
-        if sign == 0.0:
-            return 0.0
-        if state["ref"] is None:
+        if sign != 0.0 and state["ref"] is None:
             state["ref"] = log2_abs
-        return sign * 2.0 ** min(max(log2_abs - state["ref"], -1000.0), 1000.0)
+        value = seen[omega] = (
+            sign * 2.0 ** min(max(log2_abs - state["ref"], -1000.0), 1000.0) if sign else 0.0
+        )
+        return value
 
     fn.signs = lambda omegas: _det_signs(f_amp, omega0, n_trunc, omegas)
     return fn
@@ -324,27 +333,39 @@ def _track_root(fn, seed, rel0=0.002, grow=1.8, max_rel=0.35):
     return None
 
 
+def _curve_seed(n, f_amp, omega0, points):
+    """Warm start at f_amp from the roots already on the curve.
+
+    The secant through the last two roots, linear in F; the second point,
+    and any point where the secant is undefined (a repeated amplitude) or
+    not finite and positive, takes the last root shifted by the drift the
+    edge interpolation predicts between the two amplitudes.
+    """
+    last = points[-1]
+    if len(points) > 1 and points[-2].F != last.F:
+        before = points[-2]
+        rise = (last.omega_res - before.omega_res) * (f_amp - last.F)
+        seed = last.omega_res + rise / (last.F - before.F)
+        if math.isfinite(seed) and seed > 0:
+            return seed
+    drift = resonance_interpolation(n, f_amp, omega0) - resonance_interpolation(n, last.F, omega0)
+    return last.omega_res + drift
+
+
 def resonance_curve(n, f_grid, omega0=1.0, n_trunc=50):
     """The n-th resonance curve over an amplitude grid.
 
-    The first point is located by a global scan; subsequent points warm
-    start from the previous root shifted by the drift the edge
-    interpolation predicts between the two amplitudes.
+    The first point is located by a global scan; every later point is
+    tracked from a warm start (:func:`_curve_seed`): the secant through the
+    previous two roots, or for the second point the previous root shifted
+    by the drift of the edge interpolation.  Within one point each
+    frequency is evaluated once.
     """
     points = []
-    prev = None
     for f_amp in f_grid:
         f_amp = float(f_amp)
-        seed = None
-        if prev is not None:
-            f_prev, root_prev = prev
-            drift = resonance_interpolation(n, f_amp, omega0) - resonance_interpolation(
-                n, f_prev, omega0
-            )
-            seed = root_prev + drift
-        pt = find_resonance(n, f_amp, omega0=omega0, n_trunc=n_trunc, seed=seed)
-        points.append(pt)
-        prev = (f_amp, pt.omega_res)
+        seed = _curve_seed(n, f_amp, omega0, points) if points else None
+        points.append(find_resonance(n, f_amp, omega0=omega0, n_trunc=n_trunc, seed=seed))
     return points
 
 
@@ -388,19 +409,24 @@ def _shift_series(n, max_m, n_trunc):
     lams = [lam0]
     vecs = [[Fraction(int(i == p)) for i in range(size)]]
     for k in range(1, max_m + 1):
+        # M1 is tridiagonal, so v_q is zero beyond q modes from p: M1 v_(k-1)
+        # and v_k live on the band |i - p| <= k, and lams[q] v_(k-q)
+        # contributes at i only for q <= k - |i - p|
         v = vecs[-1]
-        mv = [
-            diag[i] * v[i]
+        band = range(max(p - k, 0), min(p + k + 1, size))
+        mv = {
+            i: diag[i] * v[i]
             + (upper[i] * v[i + 1] if i + 1 < size else 0)
             + (lower[i - 1] * v[i - 1] if i else 0)
-            for i in range(size)
-        ]
+            for i in band
+        }
         lams.append(mv[p])
-        vecs.append([
-            Fraction(0) if i == p
-            else (mv[i] - sum(lams[q] * vecs[k - q][i] for q in range(1, k + 1))) / gap[i]
-            for i in range(size)
-        ])
+        vec = [Fraction(0)] * size
+        for i in band:
+            if i != p:
+                near = range(1, k - abs(i - p) + 1)
+                vec[i] = (mv[i] - sum(lams[q] * vecs[k - q][i] for q in near)) / gap[i]
+        vecs.append(vec)
     omegas = [Fraction(1, 2 * n - 1)]
     for k in range(1, max_m + 1):
         cross = sum(omegas[j] * omegas[k - j] for j in range(1, k))

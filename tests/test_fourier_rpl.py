@@ -140,6 +140,103 @@ def test_vanishing_trailing_minor():
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+# the loop formulas of the float ladder as first written, kept as the oracle
+# of the list-built entries and the leaner minors, slog2 and coefficients
+
+
+def _loop_entries(params, n_trunc, exact):
+    if exact:
+        w, w0, f_amp = Q(params.omega), Q(params.omega0), Q(params.F)
+        half = Q(1, 2)
+    else:
+        w, w0, f_amp = float(params.omega), float(params.omega0), float(params.F)
+        half = 0.5
+    diag = []
+    for n in range(1, n_trunc + 1):
+        if n % 2:
+            diag.append(n * n * w * w - w0 * w0)
+        else:
+            diag.append(-n * w)
+    sup = []
+    sub = []
+    for n in range(1, n_trunc):
+        if n % 2:
+            sup.append(half * f_amp)
+            sub.append(-n * half * f_amp * w)
+        else:
+            sup.append(-(n + 1) * half * f_amp * w)
+            sub.append(half * f_amp)
+    return diag, sup, sub
+
+
+def _loop_ratios(diag, sup, sub):
+    n_ = len(diag)
+    values = [None] * n_
+    r = values[n_ - 1] = float(diag[n_ - 1])
+    for k in range(n_ - 1, 0, -1):
+        b = -float(sup[k - 1]) * float(sub[k - 1])
+        if b and r == 0.0:
+            r = values[k] = fourier_rpl._TINY
+        r = values[k - 1] = float(diag[k - 1]) + (b / r if b else 0.0)
+    return values
+
+
+def _loop_slog2(values):
+    if 0.0 in values:
+        return 0.0, -math.inf
+    sign = math.prod(math.copysign(1.0, r) for r in values)
+    return sign, sum(math.log2(abs(r)) for r in values)
+
+
+def _loop_phi1_coefficients(sub, r, f_amp):
+    sign = -1.0 if np.count_nonzero(np.signbit(r)[1:]) % 2 else 1.0
+    z0, x = sign * r[0], -sign * f_amp
+    xs = [x]
+    for i in range(2, len(r) + 1):
+        x = x * -float(sub[i - 2]) / r[i - 1] if x else 0.0
+        xs.append(x)
+    return z0, xs
+
+
+def _hexes(values):
+    return [float(v).hex() for v in values]
+
+
+_LADDER_CASES = [
+    (n_trunc, omega0, F, omega)
+    for n_trunc in (2, 3, 50, 51)
+    for omega0, F, omega in ((1.0, 0.7, 0.83), (1.3, 0.0, 0.41), (0.9, 12.5, 0.37))
+] + [(3, 3.0, 1.0, 1.0)]  # a_3 = 0: r_2 divides by _TINY
+
+
+@pytest.mark.parametrize("n_trunc, omega0, F, omega", _LADDER_CASES)
+def test_float_ladder_is_bit_identical_to_the_loop_formulas(n_trunc, omega0, F, omega):
+    p = rpl(omega0, F, omega)
+    sys_ = build_system(p, n_trunc)
+    diag, sup, sub = _loop_entries(p, n_trunc, exact=False)
+    for got, want in ((sys_.diag, diag), (sys_.sup, sup), (sys_.sub, sub)):
+        assert all(type(v) is float for v in got)
+        assert _hexes(got) == _hexes(want)
+    lad = minors(sys_)
+    ratios = _loop_ratios(diag, sup, sub)
+    assert _hexes(lad._values) == _hexes(ratios)
+    if (omega0, F, omega) == (3.0, 1.0, 1.0):
+        assert ratios[2] == fourier_rpl._TINY
+    assert _hexes(lad.slog2()) == _hexes(_loop_slog2(ratios))
+    sol = solve_coefficients(sys_, "phi1")
+    z0, xs = _loop_phi1_coefficients(sub, ratios, F)
+    assert _hexes([sol.z0] + sol.x) == _hexes([z0] + xs)
+
+
+@pytest.mark.parametrize("n_trunc", [2, 3, 50, 51])
+@pytest.mark.parametrize("omega0, F, omega", [(Q(1), Q(7, 10), Q(83, 100)), (Q(13, 10), Q(0), Q(41, 100))])
+def test_exact_entries_equal_the_loop_formulas(n_trunc, omega0, F, omega):
+    sys_ = build_system(rpl(omega0, F, omega), n_trunc, exact=True)
+    diag, sup, sub = _loop_entries(rpl(omega0, F, omega), n_trunc, exact=True)
+    assert (sys_.diag, sys_.sup, sys_.sub) == (diag, sup, sub)
+    assert all(type(v) is Q for v in sys_.diag + sys_.sup + sys_.sub)
+
+
 def test_zero_drive_resonance_roots():
     for n in (1, 2, 3):
         lad = minors(build_system(rpl(1.0, 0.0, 1.0 / (2 * n - 1)), 12))

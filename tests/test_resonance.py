@@ -7,6 +7,7 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
+from floquet_tls import resonance
 from floquet_tls.bloch_dynamics import DriveParams
 from floquet_tls.errors import BracketNotFoundError, DomainError, SeriesInstabilityError
 from floquet_tls.fourier_rpl import build_system, minors
@@ -136,6 +137,52 @@ def test_warm_start_tracks_root():
     for f_amp, pt in zip(fs, pts):
         fresh = find_resonance(2, float(f_amp), 1.0, 50)
         assert abs(pt.omega_res - fresh.omega_res) < 1e-9
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(resonance, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(resonance, name, counted)
+    return calls
+
+
+def test_curves_evaluate_at_most_ten_ladders_per_point(monkeypatch):
+    # the curves of the benchmark's resonance workload; the drift-seeded
+    # search with its repeated bracket ends took about 18 per point
+    ladders = _count_calls(monkeypatch, "minors")
+    points = _count_calls(monkeypatch, "find_resonance")
+    fs = np.geomspace(0.02, 8.0, 60)
+    for n in (1, 2, 3):
+        resonance_curve(n, fs, omega0=1.0, n_trunc=50)
+    assert len(points) == 180
+    assert len(ladders) / len(points) <= 10
+
+
+def test_det_fn_evaluates_each_frequency_once(monkeypatch):
+    ladders = _count_calls(monkeypatch, "minors")
+    fn = _det_fn(0.7, 1.0, 50)
+    first = fn(0.83)
+    assert len(ladders) == 1
+    assert fn(0.83) == first and len(ladders) == 1
+    assert fn(0.84) != first and len(ladders) == 2
+
+
+@pytest.mark.parametrize(
+    "n, fs",
+    [(1, [0.5, 0.5, 0.5]), (2, [1.3] * 4), (1, np.geomspace(8.0, 0.02, 30)), (2, np.geomspace(8.0, 0.02, 30))],
+)
+def test_curve_on_repeated_and_decreasing_grids_matches_fresh_scans(n, fs):
+    # a repeated amplitude leaves the secant undefined; the drift seed stands in
+    pts = resonance_curve(n, fs, omega0=1.0, n_trunc=50)
+    assert [p.F for p in pts] == [float(f) for f in fs]
+    for f_amp, pt in zip(fs, pts):
+        fresh = find_resonance(n, float(f_amp), 1.0, 50)
+        assert abs(pt.omega_res - fresh.omega_res) <= 2e-12
 
 
 # ---------------------------------------------------------------------------
