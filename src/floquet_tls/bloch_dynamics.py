@@ -6,13 +6,15 @@ monodromy matrices, periodic initial conditions and quasienergies from them.
 
 Everything is integrated in s = omega t, where every point has period
 2 pi: the propagators M(s) of up to BATCH_SIZE points are prefix products of
-the same S uniform sixth-order Magnus steps (Blanes, Casas & Ros, BIT 40
-(2000) 434), each step a rotation held as its SU(2) element (a unit
-quaternion).  Each periodic orbit is its propagator applied to its fixed
-point, X(s) = M(s) x0 with M(2 pi) x0 = x0 (:func:`periodic_orbits`).  The
-monodromies are the one-period product of one point, and
-:func:`evolve_classical` applies the products to its initial state.  The
-module needs numpy only; the tests check it against scipy's DOP853.
+the same uniform sixth-order Magnus steps, S per period (Blanes, Casas & Ros,
+BIT 40 (2000) 434), each step a rotation held as its SU(2) element (a unit
+quaternion).  The field obeys h(s + pi) = R_z(pi) h(s), so each periodic
+orbit X(s) = M(s) x0 is integrated over [0, pi] only, x0 the fixed point of
+the half map A = R_z(pi) M(pi), and completed by X(s + pi) = R_z(pi) X(s)
+(:func:`periodic_orbits`).  The monodromies are the one-period product of
+one point, and :func:`evolve_classical` applies the products over its span
+to its initial state; both cover their whole spans.  The module needs numpy
+only; the tests check it against scipy's DOP853.
 """
 
 import functools
@@ -48,6 +50,9 @@ _NODES = (0.5 - _SQ15 / 10.0, 0.5, 0.5 + _SQ15 / 10.0)
 
 # eigenvalue-1 eigenspace counts as degenerate below this rotation angle
 DEGENERACY_ANGLE = 1e-7
+
+# R_z(pi) = diag(-1, -1, 1), which maps the field over one half period onto the next
+_HALF_TURN = np.array([-1.0, -1.0, 1.0])
 
 _SPIN = 0.5 * np.array(
     [
@@ -159,16 +164,19 @@ class PeriodicOrbit(Trajectory):
 class _OrbitBatch:
     """States X_k(s) = M_k(s) x0_k of a batch over s = omega t in [s0, s0 + span].
 
-    ``grid`` (3, size, S) holds the states X_k(s_j) at s_j = s0 + j span / S,
+    ``grid`` (3, size, n) holds the states X_k(s_j) at s_j = s0 + j span / n,
     the starts of the Magnus steps; ``coef`` (3, size) holds (F, G, omega0) /
     omega_k.  Any other s, of a finer or an incommensurate grid or of a call,
     takes one partial Magnus step from the grid state before it, or from the
     nearest end for an s past the span by rounding.  Only the states are
-    kept, not the propagators.  For periodic orbits (s0 = 0, span = 2 pi) a
-    grid of m samples that divides S is a stride of it.
+    kept, not the propagators.  Periodic orbits keep the half period
+    (s0 = 0, span = pi, n = S/2) and are completed by the half-wave symmetry
+    X(s + pi) = R_z(pi) X(s): ``at`` and ``sample`` map s in [pi, 2 pi) to
+    R_z(pi) X(s - pi), and a sample of even m that divides S is a stride of
+    the grid followed by its reflection.
     """
 
-    def __init__(self, coef, omegas, grid, s0=0.0, span=2.0 * math.pi):
+    def __init__(self, coef, omegas, grid, s0, span):
         self.coef = coef
         self.omegas = omegas
         self.grid = grid
@@ -184,16 +192,24 @@ class _OrbitBatch:
         q = _magnus_steps(self.coef[:, k], start, s - start)
         return _rotate(q, self.grid[:, k, j])
 
+    def _periodic(self, k, s):
+        """States (3, n) of periodic member k at s in [0, 2 pi) (n,)."""
+        upper = s >= math.pi
+        x = self.states(k, np.where(upper, s - math.pi, s))
+        x[:2, upper] *= -1.0
+        return x
+
     def at(self, k, t):
         """States (3, n) of periodic member k at the times t (n,)."""
-        return self.states(k, np.mod(self.omegas[k] * t, 2.0 * math.pi))
+        return self._periodic(k, np.mod(self.omegas[k] * t, 2.0 * math.pi))
 
     def sample(self, m, k):
         """States (3, m) of periodic member k at s_j = 2 pi j / m."""
-        steps = self.grid.shape[-1]
-        if steps % m == 0:
-            return self.grid[:, k, :: steps // m]
-        return self.states(k, np.arange(m) * (2.0 * math.pi / m))
+        half = self.grid.shape[-1]
+        if m % 2 == 0 and half % (m // 2) == 0:
+            x = self.grid[:, k, :: 2 * half // m]
+            return np.concatenate([x, x * _HALF_TURN[:, None]], axis=1)
+        return self._periodic(k, np.arange(m) * (2.0 * math.pi / m))
 
 
 def _check_tol(tol):
@@ -216,7 +232,7 @@ def _propagate(params, s0, span, tol):
     _check_tol(tol)
     omegas = np.array([params.omega])
     coef = np.stack([params.F / omegas, params.G / omegas, params.omega0 / omegas])
-    prop, mono, (error,) = _products(coef, s0, span, tol)
+    prop, mono, _, (error,) = _products(coef, s0, span, tol)
     if error is not None:
         raise error
     return coef, prop, mono[..., 0]
@@ -303,12 +319,7 @@ def periodic_initial_state(m):
     DEGENERACY_ANGLE and the fixed space is not one-dimensional.
     """
     m = np.asarray(m, dtype=float)
-    rho = so3_angle(m)
-    if rho < DEGENERACY_ANGLE:
-        raise DegenerateMonodromyError(
-            f"rotation angle {rho:.3e} below {DEGENERACY_ANGLE:.0e}; "
-            "eigenvalue-1 space is not one-dimensional"
-        )
+    _check_degeneracy(m)
     # (M + M^T)/2 = cos(rho) 1 + (1-cos rho) n n^T: the axis is the top
     # eigenvector, well conditioned for rho near pi as well
     w, v = np.linalg.eigh(0.5 * (m + m.T))
@@ -321,6 +332,15 @@ def periodic_initial_state(m):
         if axis[0] < -tie or (abs(axis[0]) <= tie and axis[1] < 0):
             axis = -axis
     return axis
+
+
+def _check_degeneracy(m):
+    rho = so3_angle(m)
+    if rho < DEGENERACY_ANGLE:
+        raise DegenerateMonodromyError(
+            f"rotation angle {rho:.3e} below {DEGENERACY_ANGLE:.0e}; "
+            "eigenvalue-1 space is not one-dimensional"
+        )
 
 
 def quasienergy_from_monodromy(m, period):
@@ -383,16 +403,20 @@ def periodic_orbits(omega0, F, G, omegas, tol=DEFAULT_TOL):
     """Periodic orbits of h = (F cos wt, G sin wt, omega0) for every w in omegas.
 
     In s = w t every point has period 2 pi, so the points are integrated
-    together in batches of at most BATCH_SIZE.  A batch's propagators M(s)
-    are prefix products of S uniform sixth-order Magnus steps; S is the
-    least power of two from MIN_STEPS on at which every point's one-period
-    error estimate, |M(2 pi) on S steps - M(2 pi) on S/2| / 63 (Richardson
-    at order 6), is at most tol.  A point still above tol at MAX_STEPS
-    steps fails alone with IntegrationError.  Each orbit is X(s) = M(s) x0,
-    x0 the fixed point of M(2 pi).  For circular polarization the fixed
-    point (F, 0, omega0 - w)/Omega is known in closed form and used in
-    place of M(2 pi)'s; this keeps the isolated points where the monodromy
-    degenerates to the identity (Omega T multiple of 2 pi) usable.
+    together in batches of at most BATCH_SIZE.  As h(s + pi) = R_z(pi) h(s),
+    R_z(pi) = diag(-1, -1, 1), a batch's propagators M(s) are the prefix
+    products of S/2 uniform sixth-order Magnus steps over [0, pi], and
+    M(2 pi) = A^2 with the half map A = R_z(pi) M(pi).  S is the least power
+    of two from MIN_STEPS on at which every point's one-period error
+    estimate, |A^2 on S/2 steps - A^2 on S/4| / 63 (Richardson at order 6),
+    is at most tol.  A point still above tol at MAX_STEPS steps per period
+    fails alone with IntegrationError, one whose M(2 pi) turns by less than
+    DEGENERACY_ANGLE with DegenerateMonodromyError.  Each orbit is M(s) x0
+    on [0, pi] and R_z(pi) X(s - pi) on [pi, 2 pi), x0 the fixed point of A:
+    the axis of M(2 pi), well conditioned where M(2 pi) nears the identity.
+    For circular polarization the fixed point (F, 0, omega0 - w)/Omega is
+    known in closed form and used in place of A's; this keeps the isolated
+    points where M(2 pi) is the identity (Omega T multiple of 2 pi) usable.
 
     Returns an iterator that yields, in the order of omegas, each point's
     PeriodicOrbit or the FloquetTlsError raised for that point.  Batches
@@ -535,25 +559,29 @@ def _steps(coef, s0, span, steps):
     return q
 
 
-def _products(coef, s0, span, tol):
+def _products(coef, s0, span, tol, half=False):
     """Prefix products of a batch's Magnus steps over s in [s0, s0 + span].
 
     S steps per period covered (rounded up to a power of two), chosen as in
     :func:`periodic_orbits` from the estimate for the product over the span.
-    Returns the products (2, size, n), not normalized, the rotations
-    (3, 3, size) of their totals, and each member's IntegrationError or None.
+    With ``half`` the span is half a period on S/2 steps, the totals are
+    the half maps A = R_z(pi) M(s0 + pi), and the estimate is that of the
+    monodromy A^2.  Returns the products (2, size, n), not normalized, the
+    rotations (3, 3, size) of their totals and of the monodromies tested
+    (the same for a full span), and each member's IntegrationError or None.
     """
     # the slack keeps a span of one period, up to rounding, at one period
     periods = 1 << max(0, math.ceil(math.log2(abs(span) / (2.0 * math.pi)) - 1e-12))
     steps = MIN_STEPS * periods
-    coarse = _rotation_matrices(_total(_steps(coef, s0, span, steps // 2)))
+    share = 2 if half else 1
+    coarse = _totals(_total(_steps(coef, s0, span, steps // (2 * share))), half)[1]
     while True:
-        prop = _prefix(_steps(coef, s0, span, steps))
-        mono = _rotation_matrices(prop[..., -1])
-        estimate = np.abs(mono - coarse).max(axis=(0, 1)) / 63.0
+        prop = _prefix(_steps(coef, s0, span, steps // share))
+        mono, tested = _totals(prop[..., -1], half)
+        estimate = np.abs(tested - coarse).max(axis=(0, 1)) / 63.0
         if steps >= MAX_STEPS * periods or (estimate <= tol).all():
             break
-        coarse, steps = mono, 2 * steps
+        coarse, steps = tested, 2 * steps
     errors = [
         None
         if e <= tol
@@ -562,7 +590,17 @@ def _products(coef, s0, span, tol):
         )
         for e in estimate
     ]
-    return prop, mono, errors
+    return prop, mono, tested, errors
+
+
+def _totals(q, half):
+    """Rotations (3, 3, size) of the products q and the monodromies the error test compares:
+    the same, or for half a period the half maps A = R_z(pi) M(pi) and A^2."""
+    mono = _rotation_matrices(q)
+    if not half:
+        return mono, mono
+    mono *= _HALF_TURN[:, None, None]
+    return mono, np.einsum("ijk,jlk->ilk", mono, mono)
 
 
 def _state_grid(prop, x0):
@@ -581,14 +619,15 @@ def _state_grid(prop, x0):
 def _orbit_batch(omega0, F, G, omegas, tol):
     """Periodic orbits of one batch over s = omega t in [0, 2 pi).
 
-    Entry k is the PeriodicOrbit at omegas[k], or the FloquetTlsError its
-    error estimate or fixed point raised.
+    The products cover [0, pi] (see :func:`periodic_orbits`).  Entry k is
+    the PeriodicOrbit at omegas[k], or the FloquetTlsError its error
+    estimate or fixed point raised.
     """
     omegas = np.asarray(omegas, dtype=float)
     size = len(omegas)
     coef = np.stack([F / omegas, G / omegas, omega0 / omegas])
     # the fixed points come from the products before their normalization
-    prop, mono, errors = _products(coef, 0.0, 2.0 * math.pi, tol)
+    prop, half_map, mono, errors = _products(coef, 0.0, math.pi, tol, half=True)
     if G == F and F > 0:
         x0 = np.stack([np.full(size, F), np.zeros(size), omega0 - omegas])
         x0 /= np.linalg.norm(x0, axis=0)
@@ -598,10 +637,11 @@ def _orbit_batch(omega0, F, G, omegas, tol):
         for k in range(size):
             if errors[k] is None:
                 try:
-                    x0[:, k] = periodic_initial_state(mono[:, :, k])
+                    _check_degeneracy(mono[:, :, k])
+                    x0[:, k] = periodic_initial_state(half_map[:, :, k])
                 except FloquetTlsError as exc:
                     errors[k] = exc
-    batch = _OrbitBatch(coef, omegas, _state_grid(prop, x0))
+    batch = _OrbitBatch(coef, omegas, _state_grid(prop, x0), 0.0, math.pi)
     return [
         PeriodicOrbit(
             period=2.0 * math.pi / omega, sol=functools.partial(batch.at, k), batch=batch, index=k

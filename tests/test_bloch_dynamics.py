@@ -26,7 +26,7 @@ from floquet_tls.bloch_dynamics import (
 )
 from floquet_tls.errors import DegenerateMonodromyError, DomainError, IntegrationError
 from floquet_tls.exact_models import rpc_trajectory
-from floquet_tls.quasienergy import sweep_branches
+from floquet_tls.quasienergy import quasienergy_at, sweep_branches
 
 
 def rpc_params(omega0=1.0, F=0.5, omega=1.0):
@@ -391,10 +391,74 @@ def test_step_count_search_meets_the_tolerance():
     # F/omega = 80: 2048 steps leave an estimate of 2.1e-12, 4096 meet 1e-12
     p = DriveParams(1.0, 7.0, 0.0, 0.0875)
     orbit = periodic_orbit(p)
-    assert orbit.batch.grid.shape[-1] == 2 * MIN_STEPS
+    # S per period: the grid holds the S/2 states of the half period
+    assert 2 * orbit.batch.grid.shape[-1] == 2 * MIN_STEPS == 4096
     mono = dop853.monodromy_so3(p, 3e-14)
     x0 = orbit(0.0)
     assert np.abs(mono @ x0 - x0).max() < 1e-11
+
+
+@pytest.mark.parametrize(
+    "F, G, omega, bound",
+    [
+        (0.5, 0.0, 1.3, 1e-12),
+        (0.8, 0.3, 1.1, 1e-12),
+        (0.5, 0.5, 0.9, 1e-12),
+        (7.0, 0.0, 0.0875, 5e-12),  # F/omega = 80: S = 4096 > MIN_STEPS
+    ],
+)
+def test_reflected_half_period_matches_dop853(F, G, omega, bound):
+    # the orbit is integrated over [0, T/2]; [T/2, T] is R_z(pi) times the first half
+    p = DriveParams(1.0, F, G, omega)
+    orbit = periodic_orbit(p)
+    x0 = periodic_initial_state(dop853.monodromy_so3(p, 3e-14))
+    ts = np.linspace(0.5 * p.T, p.T, 201)
+    ref = dop853.evolve_classical(p, x0, 0.0, p.T, 3e-14)(ts)
+    assert np.abs(orbit(ts) - ref).max() < bound
+    steps = 2 * orbit.batch.grid.shape[-1]
+    for m in (steps, 2 * steps, 1001):
+        got = orbit.sample(m)
+        assert got.shape == (m, 3)
+        assert np.abs(got - orbit(np.arange(m) * (p.T / m))).max() < 1e-12
+
+
+def test_fixed_point_comes_from_the_half_map():
+    # M(2 pi) = A^2 turns by 2.6e-3 here, so its axis is ill conditioned: x0
+    # from A puts eps within 1e-15 of the eigenphase, x0 from A^2 7.8e-12 off
+    p = DriveParams(1.0, 3.0, 1.5, 0.1 + 378 * 2.9 / 399)
+    eps = quasienergy_from_monodromy(dop853.monodromy_su2(p, 3e-14), p.T)
+    got = quasienergy_at(p, method="ode").epsilon
+    dist = min(min(d, p.omega - d) for d in ((got - eps) % p.omega, (got + eps) % p.omega))
+    assert dist <= 1e-13
+
+
+def test_batch_integrates_half_a_period(monkeypatch):
+    # S/2 steps over [0, pi] and S/4 for the Richardson estimate, where a full
+    # period took S + S/2; sampling and calls take no further step grid
+    real_steps = bloch_dynamics._steps
+    counts = []
+
+    def counting_steps(coef, s0, span, steps):
+        counts.append(steps)
+        return real_steps(coef, s0, span, steps)
+
+    monkeypatch.setattr(bloch_dynamics, "_steps", counting_steps)
+    grid = np.linspace(0.5, 2.0, BATCH_SIZE)
+    orbits = list(periodic_orbits(1.0, 0.5, 0.3, grid))
+    for orbit in orbits:
+        orbit.sample(1000)
+        orbit(np.linspace(0.0, orbit.period, 7))
+    assert counts == [MIN_STEPS // 4, MIN_STEPS // 2]
+    assert 2 * orbits[0].batch.grid.shape[-1] == MIN_STEPS
+    # S follows the estimate of M(2 pi) = A^2, as for a full period: at S = 2048
+    # the estimate of the half map A is 6.9e-13 here, that of A^2 1.8e-12
+    p = DriveParams(1.0, 7.0, 3.0, 0.19)
+    counts.clear()
+    monodromy_so3(p)
+    assert counts == [1024, 2048, 4096]
+    counts.clear()
+    periodic_orbit(p)
+    assert counts == [512, 1024, 2048]
 
 
 def test_elliptic_sweep_matches_su2_eigenphase():
