@@ -172,8 +172,8 @@ class _OrbitBatch:
     kept, not the propagators.  Periodic orbits keep the half period
     (s0 = 0, span = pi, n = S/2) and are completed by the half-wave symmetry
     X(s + pi) = R_z(pi) X(s): ``at`` and ``sample`` map s in [pi, 2 pi) to
-    R_z(pi) X(s - pi), and a sample of even m that divides S is a stride of
-    the grid followed by its reflection.
+    R_z(pi) X(s - pi), and a sample of even m is its first half period,
+    ``half_sample``, followed by the reflection of that half.
     """
 
     def __init__(self, coef, omegas, grid, s0, span):
@@ -203,13 +203,20 @@ class _OrbitBatch:
         """States (3, n) of periodic member k at the times t (n,)."""
         return self._periodic(k, np.mod(self.omegas[k] * t, 2.0 * math.pi))
 
+    def half_sample(self, m, k):
+        """States (3, m/2) of periodic member k at s_j = 2 pi j / m, j < m/2, for even m:
+        a stride of the grid where m divides S."""
+        steps = self.grid.shape[-1]
+        if steps % (m // 2) == 0:
+            return self.grid[:, k, :: 2 * steps // m]
+        return self.states(k, np.arange(m // 2) * (2.0 * math.pi / m))
+
     def sample(self, m, k):
         """States (3, m) of periodic member k at s_j = 2 pi j / m."""
-        half = self.grid.shape[-1]
-        if m % 2 == 0 and half % (m // 2) == 0:
-            x = self.grid[:, k, :: 2 * half // m]
-            return np.concatenate([x, x * _HALF_TURN[:, None]], axis=1)
-        return self._periodic(k, np.arange(m) * (2.0 * math.pi / m))
+        if m % 2:
+            return self._periodic(k, np.arange(m) * (2.0 * math.pi / m))
+        x = self.half_sample(m, k)
+        return np.concatenate([x, x * _HALF_TURN[:, None]], axis=1)
 
 
 def _check_tol(tol):

@@ -19,6 +19,7 @@ r_k = a_k + b_k / r_{k+1}, Gautschi's backward recurrence (SIAM Rev. 9,
 polynomial closed forms.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -26,7 +27,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .bloch_dynamics import DriveParams
+from .bloch_dynamics import _HALF_TURN, DriveParams
 from .errors import DomainError, ResonanceError, SeriesInstabilityError
 
 # stands in for a vanishing trailing minor when the next ratio divides by it
@@ -196,30 +197,57 @@ class RplFourierSolution:
 
 
 def sample_grid(sols, m):
-    """Bloch vectors (len(sols), 3, m) of truncated solutions at t_j = j T / m, each
-    on the period of its own parameters, by one inverse real FFT.
-
-    On the uniform grid harmonic n lands exactly in bin k = n mod m; a bin
-    above m/2 folds onto m - k conjugated, so any m >= 1 is valid, m <= 2N
-    included.
+    """Bloch vectors (len(sols), 3, m) of truncated solutions at t_j = j T / m, each on
+    the period of its own parameters: :func:`sample_half_grid` completed by the
+    half-wave symmetry, for odd m every second sample of the grid of 2m.
     """
-    n = np.arange(max(sol.N for sol in sols) + 1)
-    coeffs = np.zeros((len(sols), 3, len(n)), dtype=complex)
+    xs = sample_half_grid(sols, m if m % 2 == 0 else 2 * m)
+    xs = np.concatenate([xs, xs * _HALF_TURN[:, None]], axis=-1)
+    return xs if m % 2 == 0 else xs[..., ::2]
+
+
+@functools.lru_cache(maxsize=None)
+def _twiddle(n):
+    """e^(i pi j / n), j = 0..n-1: the shift by half a bin of the odd harmonics on n samples."""
+    return np.exp(1j * math.pi / n * np.arange(n))
+
+
+def _fold(coeffs, n):
+    """Sums (..., n) of coeffs[..., q] over q mod n."""
+    size = coeffs.shape[-1]
+    padded = np.zeros(coeffs.shape[:-1] + (-(-size // n) * n,), dtype=coeffs.dtype)
+    padded[..., :size] = coeffs
+    return padded.reshape(coeffs.shape[:-1] + (-1, n)).sum(axis=-2)
+
+
+def sample_half_grid(sols, m):
+    """Bloch vectors (len(sols), 3, m/2) of truncated solutions at t_j = j T / m, j < m/2, for
+    even m: the first half period, which gives the second by X(t + T/2) = R_z(pi) X(t).
+
+    With n = m/2 and s_j = pi j / n, the odd modes 2p + 1 make X + iY = e^(i s_j) times
+    sum_p (c+_p e^(2 pi i p j / n) + c-_p e^(-2 pi i (p + 1) j / n)),
+    c+-_p = (omega0 +- (2p + 1) omega) x_(2p+1) / 2: one complex inverse FFT of length n
+    and a twiddle.  Z, the cosine series of the even modes 2q, is one inverse real FFT of
+    length n.  Harmonics fold onto their bins mod n, so any n is exact.
+    """
+    n = m // 2
+    top = max(sol.N for sol in sols)
+    coeffs = np.zeros((len(sols), top + 2 - top % 2))  # z0, x_1, x_2, ...
     for row, sol in zip(coeffs, sols):
-        x = np.asarray(sol.x, dtype=float)
-        odd = n[1 : sol.N + 1 : 2]
-        row[0, odd] = float(sol.params.omega0) * x[::2]
-        row[1, odd] = -1j * (odd * float(sol.params.omega) * x[::2])
-        row[2, 0] = float(sol.z0)
-        row[2, 2 : sol.N + 1 : 2] = x[1::2]
-    k = n % m
-    fold = 2 * k > m
-    k = np.where(fold, m - k, k)
-    # irfft halves every bin but 0 and m/2, and drops their imaginary parts
-    weight = np.where((k == 0) | (2 * k == m), m, 0.5 * m)
-    spec = np.zeros((len(sols), 3, m // 2 + 1), dtype=complex)
-    np.add.at(spec, (..., k), np.where(fold, coeffs.conj(), coeffs) * weight)
-    return np.fft.irfft(spec, n=m, axis=-1)
+        row[0] = float(sol.z0)
+        row[1 : sol.N + 1] = np.asarray(sol.x, dtype=float)
+    odd = coeffs[:, 1::2]
+    omega0, omega = np.array([[float(s.params.omega0), float(s.params.omega)] for s in sols]).T
+    a = omega0[:, None] * odd
+    b = np.arange(1, 2 * odd.shape[-1], 2) * omega[:, None] * odd
+    # c-_p goes to bin -p-1 mod n, that is n - 1 - (p mod n)
+    spec = _fold(0.5 * (a + b), n) + _fold(0.5 * (a - b), n)[:, ::-1]
+    xy = np.fft.ifft(spec, axis=-1, norm="forward") * _twiddle(n)
+    z = _fold(coeffs[:, 0::2], n)
+    # bin q above n/2 is bin n - q; an unscaled irfft doubles every bin but 0 and n/2
+    z[:, 1 : (n + 1) // 2] = 0.5 * (z[:, 1 : (n + 1) // 2] + z[:, : n // 2 : -1])
+    z = np.fft.irfft(z[:, : n // 2 + 1], n=n, axis=-1, norm="forward")
+    return np.stack([xy.real, xy.imag, z], axis=1)
 
 
 def solve_coefficients(sys, z0_choice="unit"):

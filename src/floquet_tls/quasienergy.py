@@ -28,6 +28,13 @@ trigonometric polynomial of degree N + 1, is exact on such a grid for
 N + 1 < 2048.  The gradients, which do not involve chi, read X/R on 2048
 points.
 
+The drive (F cos wt, G sin wt, omega0) obeys h(t + T/2) = R_z(pi) h(t),
+R_z(pi) = diag(-1, -1, 1), and so do its periodic orbits, so chi and h . X
+have period T/2.  A quasienergy of a truncated Fourier solution or of an ODE
+periodic orbit in such a drive reads the first half period, the m/2 samples
+t_j = j T / m, j < m/2, with m still counting samples per period.  Other
+orbits, and chi_series, the split and the Floquet state, read whole periods.
+
 chi is singular at the south pole, R + Z = 0.  :func:`quasienergy_classical`
 averages an orbit that comes within 1e-3 R of it on the section with its pole
 at +z, chi_+ = ((h1 X + h2 Y)/(R - Z) - h3) / 2, and reports the -z branch
@@ -56,7 +63,7 @@ from itertools import islice
 
 import numpy as np
 
-from .bloch_dynamics import BATCH_SIZE, DriveParams, periodic_orbits
+from .bloch_dynamics import BATCH_SIZE, DriveParams, PeriodicOrbit, periodic_orbits
 from . import fourier_rpl
 from .errors import (
     ContinuityWarning,
@@ -145,30 +152,39 @@ def _orbit_grid(orbit, period, m):
     return xs.T
 
 
-def _grids(orbits, period=None):
-    """grid(rows, m): states (len(rows), 3, m) of orbits[k], k in rows, at t_j = j T / m;
-    one inverse FFT for truncated Fourier solutions, else :func:`_orbit_grid`."""
+def _grids(orbits, period=None, half=False):
+    """grid(rows, m): states (len(rows), 3, n) of orbits[k], k in rows, at t_j = j T / m, j < n.
+
+    n = m: one inverse FFT for truncated Fourier solutions, else :func:`_orbit_grid`.
+    With ``half`` the orbits known to obey X(t + T/2) = R_z(pi) X(t), truncated Fourier
+    solutions and ODE periodic orbits, give the first half period, n = m/2.
+    """
+    if half and all(isinstance(orbit, fourier_rpl.RplFourierSolution) for orbit in orbits):
+        return lambda rows, m: fourier_rpl.sample_half_grid([orbits[k] for k in rows], m)
+    if half and all(isinstance(orbit, PeriodicOrbit) for orbit in orbits):
+        return lambda rows, m: np.stack([orbits[k].batch.half_sample(m, orbits[k].index) for k in rows])
     if all(isinstance(orbit, fourier_rpl.RplFourierSolution) for orbit in orbits):
         return lambda rows, m: fourier_rpl.sample_grid([orbits[k] for k in rows], m)
     return lambda rows, m: np.stack([_orbit_grid(orbits[k], period, m) for k in rows])
 
 
 def _field(drive):
-    """m -> the field (3, m) of drive at t_j = j T / m."""
-    return lambda m: np.asarray(drive.field(np.arange(m) * (drive.T / m)), dtype=float).T
+    """(m, n) -> the field (3, n) of drive at t_j = j T / m, j < n."""
+    return lambda m, n: np.asarray(drive.field(np.arange(n) * (drive.T / m)), dtype=float).T
 
 
 def _chi_samples(grid, rows, m, field, flip):
     """(xs, hs, radius, pole, chi, near) of the orbits ``rows`` of grid on m samples.
 
-    The states xs (rows, 3, m) and the field hs (3, m) give each row's mean
-    radius R and chi on the section with its pole at pole * z (+z negates Z
+    The states xs (rows, 3, n) of the grid, n = m or m/2, and the field hs (3, n)
+    give each row's mean radius R and chi on the section with its pole at pole * z (+z negates Z
     and h3): -z, or with ``flip`` +z for a row within 1e-3 R of -z.  ``near``
     marks the rows within 1e-3 R of their pole, where chi is not to be used.
     Every reduction runs over the last axis, so a row's values do not depend
     on the other rows.
     """
-    xs, hs = grid(rows, m), field(m)
+    xs = grid(rows, m)
+    hs = field(m, xs.shape[-1])
     radius = np.sqrt(np.sum(xs * xs, axis=-2)).mean(axis=-1)
     near = (radius[:, None] + xs[:, 2]).min(axis=-1) <= _SOUTH_POLE_MARGIN * radius
     pole = np.where(near & flip, 1.0, -1.0)
@@ -179,33 +195,37 @@ def _chi_samples(grid, rows, m, field, flip):
     return xs, hs, radius, pole, chi, near
 
 
-def _turns(grid, k, xs):
+def _turns(grid, k, xs, half=False):
     """Counter-clockwise turns of arg(X + iY) of orbit k of grid over one period, on
     its states xs (3, m) doubled until every step is below pi/2;
-    SeriesInstabilityError if one is not at 65536 samples."""
+    SeriesInstabilityError if one is not at 65536 samples.  With ``half`` xs is the
+    first half period, closed onto R_z(pi) of its first state, a step of pi mod 2 pi,
+    and the period winds twice the half: 1 - 2 (wraps) times, an odd count.
+    """
     while True:
         angle = np.arctan2(xs[1], xs[0])
-        steps = np.diff(angle, append=angle[0])  # closed: the raw steps sum to 0
+        steps = np.diff(angle, append=angle[0] + math.pi if half else angle[0])  # sum pi or 0
         wraps = np.round(steps / (2.0 * math.pi))  # crossings of the branch cut at pi
         if np.abs(steps - 2.0 * math.pi * wraps).max() < 0.5 * math.pi:
-            return -int(wraps.sum())
-        m = xs.shape[-1]
+            return 1 - 2 * int(wraps.sum()) if half else -int(wraps.sum())
+        m = xs.shape[-1] * (2 if half else 1)
         if m >= _MAX_GRID:
             raise SeriesInstabilityError(f"winding of arg(X + iY) unresolved on {m} samples")
         xs = grid([k], 2 * m)[0]
 
 
 def _settle(grid, count, field, m, flip=False):
-    """Yield (k, (xs, hs, radius, chi, turns)) for each of the ``count`` orbits of
-    grid once its grid has settled, or (k, the FloquetTlsError of orbit k).
+    """Yield (k, (xs, hs, radius, chi, turns, mean, eps_d)) for each of the ``count``
+    orbits of grid once its grid has settled, or (k, the FloquetTlsError of orbit k).
 
     An orbit's grid of m, 2m, ... 65536 samples has settled when the mean of
     chi on it is within 1e-10 of its mean over every second sample; the
     orbits that have not settled double their grid together.  Each grid is sampled once
     and chooses its section as :func:`_chi_samples`; ``turns`` is the
-    winding of a +z row and 0 on -z.  At most max(1, 16 * 2048 / m) orbits
-    are sampled at once, so a request never holds more than 16 grids of
-    2048 samples.
+    winding of a +z row and 0 on -z; ``mean`` and ``eps_d``, the means of chi and
+    (h . X)/(2R), are reduced for a whole chunk at once.  At most
+    max(1, 16 * 2048 / m) orbits are sampled at once, so a request never holds
+    more than 16 grids of 2048 samples.
     """
     rows = list(range(count))
     while rows:
@@ -213,7 +233,9 @@ def _settle(grid, count, field, m, flip=False):
         size = max(1, BATCH_SIZE * 2 * _MIN_GRID // m)
         for chunk in (rows[lo : lo + size] for lo in range(0, len(rows), size)):
             xs, hs, radius, pole, chi, near = _chi_samples(grid, chunk, m, field, flip)
-            delta = np.abs(chi.mean(axis=-1) - chi[:, ::2].mean(axis=-1))
+            mean = chi.mean(axis=-1)
+            delta = np.abs(mean - chi[:, ::2].mean(axis=-1))
+            eps_d = _eps_d(xs, hs, radius)
             for i, k in enumerate(chunk):
                 if near[i]:
                     yield k, SouthPoleError(
@@ -222,11 +244,11 @@ def _settle(grid, count, field, m, flip=False):
                     )
                 elif delta[i] < _A0_SETTLE:
                     try:
-                        turns = _turns(grid, k, xs[i]) if pole[i] > 0 else 0
+                        turns = _turns(grid, k, xs[i], xs.shape[-1] < m) if pole[i] > 0 else 0
                     except FloquetTlsError as exc:
                         yield k, exc
                     else:
-                        yield k, (xs[i], hs, radius[i], chi[i], turns)
+                        yield k, (xs[i], hs, radius[i], chi[i], turns, mean[i], eps_d[i])
                 elif m >= _MAX_GRID:
                     yield k, SeriesInstabilityError(
                         f"mean of chi unsettled on {m} samples: "
@@ -238,7 +260,8 @@ def _settle(grid, count, field, m, flip=False):
 
 
 def _settled(orbit, drive, m=2 * _MIN_GRID):
-    """(xs, hs, radius, chi, turns) of the settled -z grid of a lone orbit; raises its error."""
+    """(xs, hs, radius, chi, turns, mean, eps_d) of the settled -z grid of a lone orbit over
+    its whole period; raises its error."""
     ((_, got),) = _settle(_grids([orbit], drive.T), 1, _field(drive), m)
     if isinstance(got, FloquetTlsError):
         raise got
@@ -250,9 +273,10 @@ def _quasienergies(grid, field, omegas, method):
     points = [None] * len(omegas)
     for k, got in _settle(grid, len(omegas), field, 2 * _MIN_GRID, flip=True):
         if not isinstance(got, FloquetTlsError):
-            xs, hs, radius, chi, turns = got
-            eps = float(chi.mean()) + turns * omegas[k]
-            got = QuasienergyResult.from_raw(eps, float(_eps_d(xs, hs, radius)), omegas[k], method)
+            *_, turns, mean, eps_d = got
+            got = QuasienergyResult.from_raw(
+                float(mean) + turns * omegas[k], float(eps_d), omegas[k], method
+            )
         points[k] = got
     return points
 
@@ -295,11 +319,11 @@ def split_geometric_dynamic(orbit, drive):
     Their sum reproduces the quasienergy of :func:`chi_series` up to
     quadrature error.
     """
-    xs, hs, radius, *_ = _settled(orbit, drive)
+    xs, hs, radius, *_, eps_d = _settled(orbit, drive)
     dx, dy = _ddt(xs[:2], drive.T).real
     num = xs[0] * dy - xs[1] * dx
     eps_g = float(np.mean(num / (2.0 * radius * (radius + xs[2]))))
-    return eps_g, float(_eps_d(xs, hs, radius))
+    return eps_g, float(eps_d)
 
 
 def quasienergy_classical(orbit, drive, method="ode"):
@@ -310,7 +334,8 @@ def quasienergy_classical(orbit, drive, method="ode"):
     -z branch by the winding of arg(X + iY), if the grid passes within 1e-3 R
     of the south pole, where chi needs ever finer grids to settle.
     """
-    (point,) = _quasienergies(_grids([orbit], drive.T), _field(drive), [float(drive.omega)], method)
+    grid = _grids([orbit], drive.T, half=isinstance(drive, DriveParams))
+    (point,) = _quasienergies(grid, _field(drive), [float(drive.omega)], method)
     if isinstance(point, FloquetTlsError):
         raise point
     return point
@@ -324,10 +349,10 @@ def floquet_state(orbit, drive):
     Bloch-sphere section.  Reports the maximal pointwise Schroedinger
     residual, checked by spectral differentiation.
     """
-    xs, hs, radius, chi, _ = _settled(orbit, drive)
+    xs, hs, radius, chi, _, eps, _ = _settled(orbit, drive)
     m = len(chi)
     ts = np.arange(m) * (drive.T / m)
-    eps = float(chi.mean())
+    eps = float(eps)
     spec = np.fft.rfft(chi)
     spec[0] = 0.0
     spec[1:] /= 2j * math.pi * np.fft.rfftfreq(m, d=drive.T / m)[1:]
@@ -475,7 +500,7 @@ def _sweep_points(base, omegas, method, n_trunc, tol):
     for start in range(0, len(omegas), BATCH_SIZE):
         block = list(islice(orbits, BATCH_SIZE))
         rows = [k for k, orbit in enumerate(block) if not isinstance(orbit, FloquetTlsError)]
-        grid = _grids([block[k] for k in rows])
+        grid = _grids([block[k] for k in rows], half=True)
         points = _quasienergies(grid, field, [omegas[start + k] for k in rows], method)
         for k, point in zip(rows, points):
             block[k] = point

@@ -364,6 +364,19 @@ def test_periodic_orbit_sample_matches_call():
     assert np.array_equal(orbits[0].sample(1024), first)
 
 
+def test_half_sample_is_the_first_half_of_sample():
+    orbits = list(periodic_orbits(1.0, 7.0, 0.0, [2.2, 2.3]))
+    batch = orbits[0].batch
+    # 2048 strides the S/2 = 1024 step starts, 4096 and 6 do not
+    assert 2 * batch.grid.shape[-1] == 2048
+    for orbit in orbits:
+        for m in (2048, 4096, 6):
+            half = batch.half_sample(m, orbit.index)
+            assert np.array_equal(half, batch.sample(m, orbit.index)[:, : m // 2])
+            ts = np.arange(m // 2) * (orbit.period / m)
+            assert np.abs(half - orbit(ts).T).max() < 1e-12
+
+
 def test_periodic_orbit_is_a_batch_of_one():
     p = DriveParams(1.0, 0.7, 0.2, 1.9)
     (member,) = periodic_orbits(p.omega0, p.F, p.G, [p.omega])

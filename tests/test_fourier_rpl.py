@@ -509,6 +509,30 @@ def test_sample_matches_evaluate_on_uniform_grid(omega0, F, omega, n_trunc):
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+def test_half_grid_is_the_first_half_period():
+    # a block of mixed N, and N = 404 on m = 256, where harmonics fold onto bins mod m/2
+    block = [solve_auto(rpl(1.0, F, omega), "phi1") for F, omega in ((0.3, 1.0), (5.0, 0.3), (1.8, 0.4))]
+    block.append(solve_coefficients(build_system(rpl(1.0, 20.0, 0.05), 404), "phi1"))
+    assert sorted({sol.N for sol in block}) == [20, 44, 404]
+    for m in (256, 2048, 6):
+        half = fourier_rpl.sample_half_grid(block, m)
+        assert half.shape == (len(block), 3, m // 2)
+        for sol, got in zip(block, half):
+            ref = sol.evaluate(np.arange(m // 2) * (sol.params.T / m)).T
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        full = fourier_rpl.sample_grid(block, m)
+        assert np.abs(half - full[..., : m // 2]).max() <= 1e-12 * np.abs(full).max()
+
+
+@pytest.mark.parametrize("m", [1, 3, 255, 1001])
+def test_sample_on_odd_grids(m):
+    # every second sample of the grid of 2m
+    p = rpl(1.0, 5.0, 0.3)
+    sol = solve_auto(p, "phi1")
+    ref = sol.evaluate(np.arange(m) * (p.T / m))
+    assert np.abs(sol.sample(m) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_sample_exact_coefficients():
     p = rpl(Q(1), Q(1, 2), Q(2))
     sol = solve_coefficients(build_system(p, 8, exact=True), "phi1")

@@ -2,6 +2,7 @@
 
 import math
 
+import dop853
 import numpy as np
 import pytest
 
@@ -168,6 +169,33 @@ def test_turns_refines_until_steps_are_below_quarter_turn(monkeypatch):
     monkeypatch.setattr(quasienergy, "_MAX_GRID", 4)
     with pytest.raises(SeriesInstabilityError, match="unresolved on 4 samples"):
         quasienergy._turns(grid, 0, coarse)
+
+
+@pytest.mark.parametrize("method, omega", [("fourier", 0.05), ("ode", 2.2)])
+def test_half_period_winding_is_the_whole_period_winding(method, omega):
+    # +z rows: (1, 15, 0.05) passes 1.7e-5 R from the south pole, (1, 7, 2.2) 1.3e-5 R
+    F = 15.0 if method == "fourier" else 7.0
+    p = rpl(1.0, F, omega)
+    orbit = fourier_rpl.solve_auto(p, "phi1") if method == "fourier" else periodic_orbit(p)
+    whole, half = quasienergy._grids([orbit], p.T), quasienergy._grids([orbit], p.T, half=True)
+    for m in (256, 2048):
+        xs = half([0], m)[0]
+        assert xs.shape == (3, m // 2)
+        turns = quasienergy._turns(half, 0, xs, half=True)
+        assert turns % 2 == 1 and abs(turns) > 1
+        assert turns == quasienergy._turns(whole, 0, whole([0], m)[0])
+
+
+@pytest.mark.parametrize("omega", [0.5, 0.756, 1.333, 2.038])
+def test_strong_drive_half_period_averages_match_dop853(omega):
+    # (1, 20): the ODE route, and the Fourier route once its tail is below
+    # 1e-13, against the DOP853 eigenphase mod omega (either family)
+    p = rpl(1.0, 20.0, omega)
+    ref = quasienergy_from_monodromy(dop853.monodromy_su2(p, 3e-14), p.T)
+    sol = fourier_rpl.solve_auto(p, "phi1", coeff_tol=1e-13)
+    for res in (quasienergy_classical(sol, p, method="fourier"), quasienergy_at(p, method="ode")):
+        d = [(res.epsilon_mod - sign * ref) % omega for sign in (1, -1)]
+        assert min(min(v, omega - v) for v in d) <= 1e-12
 
 
 def test_ode_orbit_near_south_pole_uses_batch_grid(monkeypatch):
@@ -396,14 +424,15 @@ def test_sweep_blocks_match_per_point_results(F, G, sweep, method):
 def test_unsettled_sweep_row_samples_each_grid_once(monkeypatch):
     # both rows settle only on grids finer than 2048; the row at 0.05 passes
     # 1.7e-5 R from the south pole and is averaged on the +z section
+    # sweep rows are sampled on half a period; m counts samples per period
     requests = []  # (omegas of the rows, m) of every Fourier grid request
-    real = fourier_rpl.sample_grid
+    real = fourier_rpl.sample_half_grid
 
-    def sample_grid(sols, m):
+    def sample_half_grid(sols, m):
         requests.append(([sol.params.omega for sol in sols], m))
         return real(sols, m)
 
-    monkeypatch.setattr(fourier_rpl, "sample_grid", sample_grid)
+    monkeypatch.setattr(fourier_rpl, "sample_half_grid", sample_half_grid)
     base = rpl(1.0, 15.0, 1.0)
     rows = list(quasienergy._sweep_points(base, [0.05, 0.08], "fourier", 20, 1e-12))
     assert rows[0].branch == -92
