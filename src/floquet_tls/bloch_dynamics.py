@@ -8,9 +8,10 @@ Everything is integrated in s = omega t, where every point has period
 2 pi: the propagators M(s) of up to BATCH_SIZE points are prefix products of
 the same uniform sixth-order Magnus steps, S per period (Blanes, Casas & Ros,
 BIT 40 (2000) 434), each step a rotation held as its SU(2) element (a unit
-quaternion).  The field obeys h(s + pi) = R_z(pi) h(s), so each periodic
-orbit X(s) = M(s) x0 is integrated over [0, pi] only, x0 the fixed point of
-the half map A = R_z(pi) M(pi), and completed by X(s + pi) = R_z(pi) X(s)
+quaternion).  The field obeys h(s + pi) = R_z(pi) h(s) and h(-s) = P h(s),
+P = diag(1, -1, 1), so each periodic orbit X(s) = M(s) x0 is integrated over
+[0, pi/2] only, x0 the fixed point of the half map A = R_z(pi) M(pi), and
+completed by X(pi - s) = R_z(pi) P X(s) and X(s + pi) = R_z(pi) X(s)
 (:func:`periodic_orbits`).  The monodromies are the one-period product of
 one point, and :func:`evolve_classical` applies the products over its span
 to its initial state; both cover their whole spans.  The module needs numpy
@@ -53,6 +54,10 @@ DEGENERACY_ANGLE = 1e-7
 
 # R_z(pi) = diag(-1, -1, 1), which maps the field over one half period onto the next
 _HALF_TURN = np.array([-1.0, -1.0, 1.0])
+# P = diag(1, -1, 1), which maps the field at s onto the field at -s, and
+# R_z(pi) P, which maps a periodic orbit at s onto the orbit at pi - s
+_REVERSAL = np.array([1.0, -1.0, 1.0])
+_MIRROR = _HALF_TURN * _REVERSAL
 
 _SPIN = 0.5 * np.array(
     [
@@ -170,7 +175,9 @@ class _OrbitBatch:
     takes one partial Magnus step from the grid state before it, or from the
     nearest end for an s past the span by rounding.  Only the states are
     kept, not the propagators.  Periodic orbits keep the half period
-    (s0 = 0, span = pi, n = S/2) and are completed by the half-wave symmetry
+    (s0 = 0, span = pi, n = S/2), whose first quarter is integrated and
+    whose second is its mirror X(pi - s) = R_z(pi) P X(s) (see
+    :func:`periodic_orbits`), and are completed by the half-wave symmetry
     X(s + pi) = R_z(pi) X(s): ``at`` and ``sample`` map s in [pi, 2 pi) to
     R_z(pi) X(s - pi), and a sample of even m is its first half period,
     ``half_sample``, followed by the reflection of that half.
@@ -410,17 +417,23 @@ def periodic_orbits(omega0, F, G, omegas, tol=DEFAULT_TOL):
     """Periodic orbits of h = (F cos wt, G sin wt, omega0) for every w in omegas.
 
     In s = w t every point has period 2 pi, so the points are integrated
-    together in batches of at most BATCH_SIZE.  As h(s + pi) = R_z(pi) h(s),
-    R_z(pi) = diag(-1, -1, 1), a batch's propagators M(s) are the prefix
-    products of S/2 uniform sixth-order Magnus steps over [0, pi], and
-    M(2 pi) = A^2 with the half map A = R_z(pi) M(pi).  S is the least power
+    together in batches of at most BATCH_SIZE.  The field obeys
+    h(s + pi) = R_z(pi) h(s) and h(-s) = P h(s), R_z(pi) = diag(-1, -1, 1),
+    P = diag(1, -1, 1), so M(s + pi) = R_z(pi) M(s) R_z(pi) M(pi) and
+    M(-s) = P M(s) P.  A batch's propagators M(s) are the prefix products of
+    S/4 uniform sixth-order Magnus steps over [0, pi/2], a step that keeps
+    both symmetries, and M(2 pi) = A^2 with the half map
+    A = R_z(pi) M(pi) = P Q^T P R_z(pi) Q, Q = M(pi/2).  S is the least power
     of two from MIN_STEPS on at which every point's one-period error
-    estimate, |A^2 on S/2 steps - A^2 on S/4| / 63 (Richardson at order 6),
+    estimate, |A^2 on S/4 steps - A^2 on S/8| / 63 (Richardson at order 6),
     is at most tol.  A point still above tol at MAX_STEPS steps per period
     fails alone with IntegrationError, one whose M(2 pi) turns by less than
     DEGENERACY_ANGLE with DegenerateMonodromyError.  Each orbit is M(s) x0
-    on [0, pi] and R_z(pi) X(s - pi) on [pi, 2 pi), x0 the fixed point of A:
-    the axis of M(2 pi), well conditioned where M(2 pi) nears the identity.
+    on [0, pi/2], R_z(pi) P X(pi - s) on [pi/2, pi] and R_z(pi) X(s - pi) on
+    [pi, 2 pi), x0 the fixed point of A: the axis of M(2 pi), well
+    conditioned where M(2 pi) nears the identity.  As P A P = A^T, that axis
+    has y = 0 whenever A is neither the identity nor a half turn, both of
+    which M(2 pi) = I rejects, so P x0 = x0 and X(-s) = P X(s).
     For circular polarization the fixed point (F, 0, omega0 - w)/Omega is
     known in closed form and used in place of A's; this keeps the isolated
     points where M(2 pi) is the identity (Omega T multiple of 2 pi) usable.
@@ -566,25 +579,26 @@ def _steps(coef, s0, span, steps):
     return q
 
 
-def _products(coef, s0, span, tol, half=False):
+def _products(coef, s0, span, tol, quarter=False):
     """Prefix products of a batch's Magnus steps over s in [s0, s0 + span].
 
     S steps per period covered (rounded up to a power of two), chosen as in
     :func:`periodic_orbits` from the estimate for the product over the span.
-    With ``half`` the span is half a period on S/2 steps, the totals are
-    the half maps A = R_z(pi) M(s0 + pi), and the estimate is that of the
-    monodromy A^2.  Returns the products (2, size, n), not normalized, the
-    rotations (3, 3, size) of their totals and of the monodromies tested
-    (the same for a full span), and each member's IntegrationError or None.
+    With ``quarter`` the span is the quarter period [0, pi/2] on S/4 steps,
+    the totals are the half maps A = P Q^T P R_z(pi) Q built from the
+    products Q = M(pi/2), and the estimate is that of the monodromy A^2.
+    Returns the products (2, size, n), not normalized, the rotations
+    (3, 3, size) of their totals and of the monodromies tested (the same
+    without ``quarter``), and each member's IntegrationError or None.
     """
     # the slack keeps a span of one period, up to rounding, at one period
     periods = 1 << max(0, math.ceil(math.log2(abs(span) / (2.0 * math.pi)) - 1e-12))
     steps = MIN_STEPS * periods
-    share = 2 if half else 1
-    coarse = _totals(_total(_steps(coef, s0, span, steps // (2 * share))), half)[1]
+    share = 4 if quarter else 1
+    coarse = _totals(_total(_steps(coef, s0, span, steps // (2 * share))), quarter)[1]
     while True:
         prop = _prefix(_steps(coef, s0, span, steps // share))
-        mono, tested = _totals(prop[..., -1], half)
+        mono, tested = _totals(prop[..., -1], quarter)
         estimate = np.abs(tested - coarse).max(axis=(0, 1)) / 63.0
         if steps >= MAX_STEPS * periods or (estimate <= tol).all():
             break
@@ -600,33 +614,40 @@ def _products(coef, s0, span, tol, half=False):
     return prop, mono, tested, errors
 
 
-def _totals(q, half):
+def _totals(q, quarter):
     """Rotations (3, 3, size) of the products q and the monodromies the error test compares:
-    the same, or for half a period the half maps A = R_z(pi) M(pi) and A^2."""
+    the same, or for a quarter period Q the half maps A = P Q^T P R_z(pi) Q and A^2."""
     mono = _rotation_matrices(q)
-    if not half:
+    if not quarter:
         return mono, mono
-    mono *= _HALF_TURN[:, None, None]
-    return mono, np.einsum("ijk,jlk->ilk", mono, mono)
+    # P R_z(pi) = R_z(pi) P is the mirror, so A = P (Q^T mirror Q)
+    half = _REVERSAL[:, None, None] * np.einsum("jik,j,jlk->ilk", mono, _MIRROR, mono)
+    return half, np.einsum("ijk,jlk->ilk", half, half)
 
 
-def _state_grid(prop, x0):
-    """States (3, size, n) of x0 (3, size) at the step starts; normalizes the products in place."""
+def _state_grid(prop, x0, n=None):
+    """States (3, size, n) of x0 (3, size) at the step starts; normalizes the products in place.
+
+    State j + 1 is x0 under product j.  n defaults to the number of products,
+    which leaves the last one unused; states past the last product are left
+    to the caller.
+    """
     # the norms of the products drift by about 1e-16 per step, their rotations do not
     prop /= np.sqrt(_norm2(prop))
-    steps = prop.shape[-1]
-    grid = np.empty(x0.shape + (steps,))
+    n = n or prop.shape[-1]
+    grid = np.empty(x0.shape + (n,))
     grid[..., 0] = x0
-    ends = prop[..., :-1]
-    for lo in range(0, steps - 1, _CHUNK):
-        grid[..., 1 + lo : 1 + lo + _CHUNK] = _rotate(ends[..., lo : lo + _CHUNK], x0[..., None])
+    ends = prop[..., : n - 1]
+    for lo in range(0, ends.shape[-1], _CHUNK):
+        hi = min(lo + _CHUNK, ends.shape[-1])
+        grid[..., 1 + lo : 1 + hi] = _rotate(ends[..., lo:hi], x0[..., None])
     return grid
 
 
 def _orbit_batch(omega0, F, G, omegas, tol):
     """Periodic orbits of one batch over s = omega t in [0, 2 pi).
 
-    The products cover [0, pi] (see :func:`periodic_orbits`).  Entry k is
+    The products cover [0, pi/2] (see :func:`periodic_orbits`).  Entry k is
     the PeriodicOrbit at omegas[k], or the FloquetTlsError its error
     estimate or fixed point raised.
     """
@@ -634,7 +655,7 @@ def _orbit_batch(omega0, F, G, omegas, tol):
     size = len(omegas)
     coef = np.stack([F / omegas, G / omegas, omega0 / omegas])
     # the fixed points come from the products before their normalization
-    prop, half_map, mono, errors = _products(coef, 0.0, math.pi, tol, half=True)
+    prop, half_map, mono, errors = _products(coef, 0.0, 0.5 * math.pi, tol, quarter=True)
     if G == F and F > 0:
         x0 = np.stack([np.full(size, F), np.zeros(size), omega0 - omegas])
         x0 /= np.linalg.norm(x0, axis=0)
@@ -648,7 +669,12 @@ def _orbit_batch(omega0, F, G, omegas, tol):
                     x0[:, k] = periodic_initial_state(half_map[:, :, k])
                 except FloquetTlsError as exc:
                     errors[k] = exc
-    batch = _OrbitBatch(coef, omegas, _state_grid(prop, x0), 0.0, math.pi)
+    # states at s_j = 2 pi j / S: j <= S/4 from the products, the rest of the
+    # half period the mirror X(pi - s) = R_z(pi) P X(s) of the first quarter
+    quarter = prop.shape[-1]
+    grid = _state_grid(prop, x0, 2 * quarter)
+    grid[..., quarter + 1 :] = grid[..., quarter - 1 : 0 : -1] * _MIRROR[:, None, None]
+    batch = _OrbitBatch(coef, omegas, grid, 0.0, math.pi)
     return [
         PeriodicOrbit(
             period=2.0 * math.pi / omega, sol=functools.partial(batch.at, k), batch=batch, index=k

@@ -435,6 +435,38 @@ def test_reflected_half_period_matches_dop853(F, G, omega, bound):
         assert np.abs(got - orbit(np.arange(m) * (p.T / m))).max() < 1e-12
 
 
+@pytest.mark.parametrize(
+    "F, G, omega, steps, bound",
+    [
+        (0.5, 0.0, 1.3, MIN_STEPS, 1e-12),
+        (0.8, 0.3, 1.1, MIN_STEPS, 1e-12),
+        (0.5, 0.5, 0.9, MIN_STEPS, 1e-12),
+        (7.0, 0.0, 0.0875, 2 * MIN_STEPS, 5e-12),  # F/omega = 80
+    ],
+)
+def test_mirrored_quarter_period_matches_dop853(F, G, omega, steps, bound):
+    # the orbit is integrated over [0, T/4]; [T/4, T/2] is the mirror
+    # X(T/2 - t) = R_z(pi) P X(t) of the first quarter, P = diag(1, -1, 1)
+    p = DriveParams(1.0, F, G, omega)
+    orbit = periodic_orbit(p)
+    assert 2 * orbit.batch.grid.shape[-1] == steps
+    x0 = periodic_initial_state(dop853.monodromy_so3(p, 3e-14))
+    ts = np.linspace(0.25 * p.T, 0.5 * p.T, 201)
+    ref = dop853.evolve_classical(p, x0, 0.0, p.T, 3e-14)(ts)
+    assert np.abs(orbit(ts) - ref).max() < bound
+    # time reversal: X(T - t) = P X(t), on and off the step grid, up to the
+    # rounding of omega (T - t) times the speed of the orbit, about F / omega
+    for ts in (np.arange(steps) * (p.T / steps), np.linspace(0.0, p.T, 1001)):
+        err = np.abs(orbit(p.T - ts) - orbit(ts) * [1.0, -1.0, 1.0]).max()
+        assert err < 3e-15 * (1.0 + F / omega)
+    # the half map from the quarter, P Q^T P R_z(pi) Q, is the half-period product
+    coef = np.array([[F / omega], [G / omega], [1.0 / omega]])
+    _, quarter, _, _ = bloch_dynamics._products(coef, 0.0, 0.5 * math.pi, 1e-12, quarter=True)
+    prop = bloch_dynamics._prefix(bloch_dynamics._steps(coef, 0.0, math.pi, steps // 2))
+    half = np.diag([-1.0, -1.0, 1.0]) @ bloch_dynamics._rotation_matrices(prop[:, 0, -1])
+    assert np.abs(quarter[..., 0] - half).max() < 1e-14
+
+
 def test_fixed_point_comes_from_the_half_map():
     # M(2 pi) = A^2 turns by 2.6e-3 here, so its axis is ill conditioned: x0
     # from A puts eps within 1e-15 of the eigenphase, x0 from A^2 7.8e-12 off
@@ -445,8 +477,8 @@ def test_fixed_point_comes_from_the_half_map():
     assert dist <= 1e-13
 
 
-def test_batch_integrates_half_a_period(monkeypatch):
-    # S/2 steps over [0, pi] and S/4 for the Richardson estimate, where a full
+def test_batch_integrates_a_quarter_period(monkeypatch):
+    # S/4 steps over [0, pi/2] and S/8 for the Richardson estimate, where a full
     # period took S + S/2; sampling and calls take no further step grid
     real_steps = bloch_dynamics._steps
     counts = []
@@ -461,7 +493,7 @@ def test_batch_integrates_half_a_period(monkeypatch):
     for orbit in orbits:
         orbit.sample(1000)
         orbit(np.linspace(0.0, orbit.period, 7))
-    assert counts == [MIN_STEPS // 4, MIN_STEPS // 2]
+    assert counts == [MIN_STEPS // 8, MIN_STEPS // 4]
     assert 2 * orbits[0].batch.grid.shape[-1] == MIN_STEPS
     # S follows the estimate of M(2 pi) = A^2, as for a full period: at S = 2048
     # the estimate of the half map A is 6.9e-13 here, that of A^2 1.8e-12
@@ -471,7 +503,7 @@ def test_batch_integrates_half_a_period(monkeypatch):
     assert counts == [1024, 2048, 4096]
     counts.clear()
     periodic_orbit(p)
-    assert counts == [512, 1024, 2048]
+    assert counts == [256, 512, 1024]
 
 
 def test_elliptic_sweep_matches_su2_eigenphase():
