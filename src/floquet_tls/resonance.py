@@ -2,28 +2,34 @@
 
 Resonances of the linear problem are the zeros of det A^(N)(omega): there
 the constant term z0 of the periodic solution vanishes together with the
-mean of Z(t), which is the resonance condition d(eps)/d(omega0) = 0.  Its
-sign changes are bracketed on a frequency grid, or around a warm start,
-and refined by Brent's method (``brentq``, in this module, so a resonance
-search loads no scipy module).  The global scan takes the sign of the
-determinant on its whole grid in one array pass of the minors ratio ladder
-(``_det_signs``); refinement and tracking evaluate it point by point, each
-frequency once per search.  Along a curve the warm start is the secant
-through the previous two roots, which usually puts the root inside the
-first bracket tried.
+mean of Z(t), which is the resonance condition d(eps)/d(omega0) = 0.
+Every entry of an even row of A^(N) is proportional to omega, so
+eliminating the even modes turns det A^(N) = 0 into the eigenproblem
+(omega/omega0)^2 y = (M0 + u M1) y on the odd modes j <= N, u = (F/omega0)^2,
+with M0 = diag(1/j^2) and M1 tridiagonal and free of omega.  A resonance
+curve takes its roots from one ``numpy.linalg.eigvalsh`` call on the
+matrices of its whole amplitude grid, and one array pass of the minors
+ratio ladder (``_det_signs``) checks that det A^(N) changes sign within
+1e-12 relative of each.  Its residual |omega(N) - omega(N+4)| / omega(N)
+compares the roots of truncations N and N + 4.
+
+A lone point (``find_resonance``) is found by scanning the sign of the
+determinant on a frequency grid, or around a warm start, and refining the
+bracket by Brent's method (``brentq``, in this module, so a resonance
+search loads no scipy module).  It is the independent check of the eigen
+roots, and a curve falls back on it, seeded with the eigen root, where the
+sign check fails.
 
 At F = 0 the n-th resonance sits at omega0/(2n-1); its drive-amplitude series
 
     omega_res^(n)(F) = omega0/(2n-1) + sum_m sigma_2m^(n) omega0^(1-2m) F^(2m)
 
 defines the Bloch-Siegert shift coefficients sigma.  They are computed as
-exact rationals (omega0 = 1 by homogeneity, u = F^2): every entry of an
-even row of A^(N) is proportional to omega, so eliminating the even modes
-turns det A^(N) = 0 into the eigenproblem omega^2 y = (M0 + u M1) y on the
-odd modes, with M0 = diag(1/j^2) and M1 tridiagonal and free of omega.
-Rayleigh-Schroedinger perturbation of the eigenvalue 1/(2n-1)^2 in u
-(Kato, Perturbation Theory for Linear Operators) gives omega^2(u) over
-Fractions, and sigma_2m is the u^m coefficient of its square root.
+exact rationals (omega0 = 1 by homogeneity, u = F^2): Rayleigh-Schroedinger
+perturbation of the eigenvalue 1/(2n-1)^2 of M0 + u M1 in u (Kato,
+Perturbation Theory for Linear Operators) gives omega^2(u) over Fractions,
+and sigma_2m is the u^m coefficient of its square root.  The exact series
+and the float eigen-solve read M1 from one function, ``_odd_couplings``.
 """
 
 import math
@@ -103,6 +109,52 @@ def resonance_interpolation(n, f_amp, omega0):
     return f_amp / bessel_j0_zero(int(n)) + omega0 / (2 * int(n) - 1)
 
 
+def _odd_couplings(n_trunc, one):
+    """M1 on the odd modes j <= N: its diagonal, upper (j, j+2) and lower (j+2, j) entries.
+
+    ``one`` sets the number type: Fraction(1) for the exact series, 1.0 for
+    the float eigen-solve.
+    """
+    modes = range(1, n_trunc + 1, 2)
+    diag = [  # one term per even neighbour j -+ 1 inside the truncation
+        (one / (4 * j * (j + 1)) if j < n_trunc else 0) + (one / (4 * j * (j - 1)) if j > 1 else 0)
+        for j in modes
+    ]
+    upper = [one / (4 * j * (j + 1)) for j in modes[:-1]]
+    lower = [one / (4 * (j + 1) * (j + 2)) for j in modes[:-1]]
+    return diag, upper, lower
+
+
+def _odd_mode_roots(f_amps, omega0, n_trunc):
+    """Every positive root of det A^(N) at each amplitude, largest first.
+
+    omega0 sqrt(lambda) for the eigenvalues lambda of M0 + u M1, u = (F/omega0)^2
+    (module docstring), from one ``eigvalsh`` call on the stack of matrices.
+    M1 is made symmetric by a diagonal similarity, which leaves the
+    eigenvalues alone: its off-diagonal is the square root of the product of
+    the upper and lower entries.  Shape (len(f_amps), ceil(N/2)).
+    """
+    n_trunc = int(n_trunc)
+    diag, upper, lower = _odd_couplings(n_trunc, 1.0)
+    off = np.sqrt(np.multiply(upper, lower))
+    m1 = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    m0 = np.diag(1.0 / np.arange(1, n_trunc + 1, 2) ** 2)
+    u = (np.asarray(f_amps, dtype=float) / omega0) ** 2
+    lams = np.linalg.eigvalsh(m0 + u[:, None, None] * m1)
+    return omega0 * np.sqrt(lams[:, ::-1])
+
+
+def _eigen_roots(n, f_amps, omega0, n_trunc):
+    """The n-th resonance at each amplitude and its residual.
+
+    The residual |omega(N) - omega(N+4)| / omega(N) compares the roots of
+    truncations N and N + 4: the relative change the next four modes make.
+    """
+    here = _odd_mode_roots(f_amps, omega0, n_trunc)[:, n - 1]
+    ahead = _odd_mode_roots(f_amps, omega0, n_trunc + 4)[:, n - 1]
+    return here, np.abs(here - ahead) / here
+
+
 def _det_fn(f_amp, omega0, n_trunc):
     """det A^(N)(omega) over |det A^(N)| at the first omega evaluated.
 
@@ -110,9 +162,9 @@ def _det_fn(f_amp, omega0, n_trunc):
     clamped to +-1000, so far from the first frequency the value keeps its
     sign without overflowing or underflowing to zero.  fn remembers what it
     returned for each omega, so a frequency asked for again (a bracket end
-    handed on to ``brentq``, the root read back for the residual) builds no
-    second ladder.  ``fn.signs(omegas)`` gives the signs of fn over an array
-    of frequencies at once, from :func:`_det_signs`.
+    handed on to ``brentq``) builds no second ladder.  ``fn.signs(omegas)``
+    gives the signs of fn over an array of frequencies at once, from
+    :func:`_det_signs`.
     """
     state = {"ref": None}
     seen = {}
@@ -139,9 +191,11 @@ def _det_signs(f_amp, omega0, n_trunc, omegas):
     The float ladder of ``fourier_rpl.minors`` run across the array: the
     entries are those of ``build_system``, written the same way, and a
     vanishing ratio meets the same ``_TINY`` guard, so each sign is the one
-    ``minors(build_system(...)).slog2()`` gives at that frequency.
+    ``minors(build_system(...)).slog2()`` gives at that frequency.  f_amp is
+    one amplitude for every frequency, or an array of one per frequency.
     """
-    w, w0, f_amp, half = np.asarray(omegas, dtype=float), float(omega0), float(f_amp), 0.5
+    w, w0, half = np.asarray(omegas, dtype=float), float(omega0), 0.5
+    f_amp = np.asarray(f_amp, dtype=float)
     n_trunc = int(n_trunc)
 
     def diag(n):
@@ -282,9 +336,10 @@ def find_resonance(n, f_amp, omega0=1.0, n_trunc=50, seed=None):
     """Locate the n-th resonance frequency at fixed drive amplitude.
 
     Without a seed the determinant is scanned globally and the n-th largest
-    root taken (the curves never cross); with a seed (drift-corrected warm
-    start from a neighbouring amplitude) a bracket is grown around it, kept
-    clear of the adjacent curves, with the global scan as fallback.
+    root taken (the curves never cross); with a seed (a nearby estimate of
+    the root) a bracket is grown around it, kept clear of the adjacent
+    curves, with the global scan as fallback.  The residual is that of the
+    eigen-solve at f_amp (:func:`_eigen_roots`).
     """
     if n < 1 or int(n) != n:
         raise DomainError(f"resonance index must be a positive integer: {n}")
@@ -294,7 +349,7 @@ def find_resonance(n, f_amp, omega0=1.0, n_trunc=50, seed=None):
         max_rel = 0.45 * _neighbour_gap(n, f_amp, omega0)
         root = _track_root(fn, seed, max_rel=max_rel)
         if root is not None:
-            return ResonancePoint(n=n, F=f_amp, omega_res=root, N=n_trunc, residual=abs(fn(root)))
+            return _point(n, f_amp, omega0, n_trunc, root)
     # scan below the (n+1)-th curve and above the first one; the wanted
     # root is the n-th largest of every sign change in between
     lo = 0.45 * omega0 / (2 * n + 1)
@@ -309,8 +364,13 @@ def find_resonance(n, f_amp, omega0=1.0, n_trunc=50, seed=None):
         )
     # brackets are disjoint and ascending, so the n-th largest root lies in
     # the n-th last bracket
-    root = _refine(fn, *brackets[-n])
-    return ResonancePoint(n=n, F=f_amp, omega_res=root, N=n_trunc, residual=abs(fn(root)))
+    return _point(n, f_amp, omega0, n_trunc, _refine(fn, *brackets[-n]))
+
+
+def _point(n, f_amp, omega0, n_trunc, root):
+    """A searched root, with the residual of the eigen-solve at its amplitude."""
+    _, residual = _eigen_roots(n, [f_amp], omega0, n_trunc)
+    return ResonancePoint(n=n, F=f_amp, omega_res=root, N=n_trunc, residual=float(residual[0]))
 
 
 def _track_root(fn, seed, rel0=0.002, grow=1.8, max_rel=0.35):
@@ -333,39 +393,39 @@ def _track_root(fn, seed, rel0=0.002, grow=1.8, max_rel=0.35):
     return None
 
 
-def _curve_seed(n, f_amp, omega0, points):
-    """Warm start at f_amp from the roots already on the curve.
-
-    The secant through the last two roots, linear in F; the second point,
-    and any point where the secant is undefined (a repeated amplitude) or
-    not finite and positive, takes the last root shifted by the drift the
-    edge interpolation predicts between the two amplitudes.
-    """
-    last = points[-1]
-    if len(points) > 1 and points[-2].F != last.F:
-        before = points[-2]
-        rise = (last.omega_res - before.omega_res) * (f_amp - last.F)
-        seed = last.omega_res + rise / (last.F - before.F)
-        if math.isfinite(seed) and seed > 0:
-            return seed
-    drift = resonance_interpolation(n, f_amp, omega0) - resonance_interpolation(n, last.F, omega0)
-    return last.omega_res + drift
-
-
 def resonance_curve(n, f_grid, omega0=1.0, n_trunc=50):
     """The n-th resonance curve over an amplitude grid.
 
-    The first point is located by a global scan; every later point is
-    tracked from a warm start (:func:`_curve_seed`): the secant through the
-    previous two roots, or for the second point the previous root shifted
-    by the drift of the edge interpolation.  Within one point each
-    frequency is evaluated once.
+    One eigen-solve gives every root (:func:`_eigen_roots`); one array pass
+    of the minors ladder (:func:`_det_signs`) then checks that det A^(N)
+    changes sign within 1e-12 relative of each.  A root that fails the
+    check is searched for by :func:`find_resonance`, seeded with it.
     """
+    if n < 1 or int(n) != n:
+        raise DomainError(f"resonance index must be a positive integer: {n}")
+    if n_trunc < 2:
+        raise DomainError(f"truncation order must be >= 2, got {n_trunc}")
+    if not omega0 > 0:
+        raise DomainError(f"omega0 must be positive, got {omega0}")
+    n, fs = int(n), np.array(f_grid, dtype=float)
+    modes = (int(n_trunc) + 1) // 2
+    if n > modes:
+        raise BracketNotFoundError(
+            f"truncation N = {n_trunc} has {modes} odd modes, so det A^(N) has only "
+            f"{modes} resonances; resonance {n} needs a higher truncation order",
+            suggested_n=n_trunc + 16,
+        )
+    roots, residuals = _eigen_roots(n, fs, omega0, n_trunc)
+    # a sign change puts a root of det A^(N) within 1e-12 relative of the eigen root
+    ends = np.outer([1 - 1e-12, 1 + 1e-12], roots).ravel()
+    below, above = _det_signs(np.tile(fs, 2), omega0, n_trunc, ends).reshape(2, -1)
+    changed = below * above < 0
     points = []
-    for f_amp in f_grid:
-        f_amp = float(f_amp)
-        seed = _curve_seed(n, f_amp, omega0, points) if points else None
-        points.append(find_resonance(n, f_amp, omega0=omega0, n_trunc=n_trunc, seed=seed))
+    for f_amp, root, residual, ok in zip(fs.tolist(), roots.tolist(), residuals.tolist(), changed):
+        if ok:
+            points.append(ResonancePoint(n=n, F=f_amp, omega_res=root, N=n_trunc, residual=residual))
+        else:
+            points.append(find_resonance(n, f_amp, omega0=omega0, n_trunc=n_trunc, seed=root))
     return points
 
 
@@ -397,13 +457,7 @@ def _shift_series(n, max_m, n_trunc):
     """
     modes = range(1, n_trunc + 1, 2)
     size, p = len(modes), n - 1
-    diag = [  # one term per even neighbour j -+ 1 inside the truncation
-        (Fraction(1, 4 * j * (j + 1)) if j < n_trunc else 0)
-        + (Fraction(1, 4 * j * (j - 1)) if j > 1 else 0)
-        for j in modes
-    ]
-    upper = [Fraction(1, 4 * j * (j + 1)) for j in modes[:-1]]  # entry (j, j+2)
-    lower = [Fraction(1, 4 * (j + 1) * (j + 2)) for j in modes[:-1]]  # entry (j+2, j)
+    diag, upper, lower = _odd_couplings(n_trunc, Fraction(1))
     lam0 = Fraction(1, (2 * n - 1) ** 2)
     gap = [lam0 - Fraction(1, j * j) for j in modes]
     lams = [lam0]

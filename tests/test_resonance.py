@@ -151,16 +151,87 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-def test_curves_evaluate_at_most_ten_ladders_per_point(monkeypatch):
-    # the curves of the benchmark's resonance workload; the drift-seeded
-    # search with its repeated bracket ends took about 18 per point
+def test_curves_solve_one_eigenproblem_and_one_sign_pass(monkeypatch):
+    # the curves of the benchmark's resonance workload: no root search, no
+    # scalar ladder, one array pass of the determinant signs per curve
     ladders = _count_calls(monkeypatch, "minors")
     points = _count_calls(monkeypatch, "find_resonance")
+    passes = _count_calls(monkeypatch, "_det_signs")
     fs = np.geomspace(0.02, 8.0, 60)
     for n in (1, 2, 3):
-        resonance_curve(n, fs, omega0=1.0, n_trunc=50)
-    assert len(points) == 180
-    assert len(ladders) / len(points) <= 10
+        assert len(resonance_curve(n, fs, omega0=1.0, n_trunc=50)) == 60
+    assert len(points) == 0
+    assert len(ladders) == 0
+    assert len(passes) == 3
+
+
+@pytest.mark.parametrize("n_trunc, omega0", [(6, 1.0), (21, 0.37), (50, 2.5)])
+def test_curve_rows_match_global_scans(n_trunc, omega0):
+    # every positive root of det A^(N) comes from one of the ceil(N/2) odd modes
+    fs = [0.005, 0.07, 0.9, 6.0, 60.0]
+    modes = (n_trunc + 1) // 2
+    assert len(resonance_curve(modes, fs, omega0, n_trunc)) == len(fs)
+    for n in sorted({*range(1, 7), modes + 1}):
+        if n > modes:
+            searches = (
+                lambda: resonance_curve(n, fs, omega0, n_trunc),
+                lambda: find_resonance(n, 0.9, omega0, n_trunc),
+            )
+            for search in searches:
+                with pytest.raises(BracketNotFoundError) as err:
+                    search()
+                assert err.value.suggested_n == n_trunc + 16
+            continue
+        for f_amp, pt in zip(fs, resonance_curve(n, fs, omega0, n_trunc)):
+            fresh = find_resonance(n, f_amp, omega0, n_trunc)
+            assert (pt.n, pt.F, pt.N) == (n, f_amp, n_trunc)
+            assert abs(pt.omega_res - fresh.omega_res) <= 5e-12 * fresh.omega_res
+            assert pt.residual == fresh.residual
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_weak_drive_curve_rows_match_bloch_siegert_series(n):
+    # at F <= 0.05 the sixth-order series is exact to rounding, a bound that
+    # find_resonance, within brentq's absolute xtol of 1e-12, does not meet
+    fs = np.geomspace(1e-4, 0.05, 9)
+    for f_amp, pt in zip(fs, resonance_curve(n, fs, omega0=1.0, n_trunc=50)):
+        series = bloch_siegert_shift(n, float(f_amp), max_m=6)
+        assert abs(pt.omega_res - series) <= 1e-15 * series
+
+
+@pytest.mark.parametrize("fault", ["no sign change", "root off by 1e-9"])
+def test_curve_row_failing_the_sign_check_falls_back_to_seeded_search(monkeypatch, fault):
+    fs = np.geomspace(0.1, 5.0, 7)
+    plain = resonance_curve(2, fs, omega0=1.0, n_trunc=50)
+    seed = plain[3].omega_res
+    if fault == "no sign change":
+        original = resonance._det_signs
+
+        def faulty(f_amp, omega0, n_trunc, omegas):
+            signs = original(f_amp, omega0, n_trunc, omegas)
+            if np.ndim(f_amp):  # the curve's pass: row k below its root, row k + P above
+                signs[3 + len(fs)] = signs[3]
+            return signs
+
+        monkeypatch.setattr(resonance, "_det_signs", faulty)
+    else:
+        original = resonance._eigen_roots
+        seed *= 1 + 1e-9
+
+        def faulty(n, f_amps, omega0, n_trunc):
+            roots, residuals = original(n, f_amps, omega0, n_trunc)
+            if len(roots) == len(fs):
+                roots[3] = seed
+            return roots, residuals
+
+        monkeypatch.setattr(resonance, "_eigen_roots", faulty)
+    searches = _count_calls(monkeypatch, "find_resonance")
+    pts = resonance_curve(2, fs, omega0=1.0, n_trunc=50)
+    assert [args[1] for args in searches] == [fs[3]]
+    assert pts[3] == find_resonance(2, fs[3], 1.0, 50, seed=seed)
+    assert pts[3].residual == plain[3].residual
+    assert abs(pts[3].omega_res - plain[3].omega_res) <= 1e-12 * plain[3].omega_res
+    assert pts[:3] + pts[4:] == plain[:3] + plain[4:]
 
 
 def test_det_fn_evaluates_each_frequency_once(monkeypatch):
@@ -200,6 +271,7 @@ def test_det_signs_match_scalar_ladder_on_scan_grid(f_amp, n_trunc):
     grid = np.geomspace(0.45 / 7, hi, 1200)
     signs = _det_signs(f_amp, 1.0, n_trunc, grid)
     assert np.array_equal(signs, _scalar_signs(f_amp, 1.0, n_trunc, grid))
+    assert np.array_equal(_det_signs(np.full(grid.shape, f_amp), 1.0, n_trunc, grid), signs)
     assert set(np.unique(signs)) == {-1.0, 1.0}
 
 
@@ -231,7 +303,9 @@ def test_unseeded_root_equals_scalar_scan_refined_by_brentq(n, f_amp):
     root = sorted(_refine(fn, a, b) for a, b in brackets)[-n]
     pt = find_resonance(n, f_amp, 1.0, 50)
     assert pt.omega_res == root
-    assert pt.residual == abs(fn(root))
+    here = resonance._odd_mode_roots([f_amp], 1.0, 50)[0, n - 1]
+    ahead = resonance._odd_mode_roots([f_amp], 1.0, 54)[0, n - 1]
+    assert pt.residual == abs(here - ahead) / here
 
 
 # ---------------------------------------------------------------------------
