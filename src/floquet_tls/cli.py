@@ -230,8 +230,9 @@ def cmd_resonance(args):
         grid = np.linspace(start, stop, count)
 
     rows = []
-    for n in n_list:
-        for pt in resonance.resonance_curve(n, grid, omega0=args.omega0, n_trunc=args.n_trunc):
+    curves = resonance.resonance_curves(n_list, grid, omega0=args.omega0, n_trunc=args.n_trunc)
+    for n, curve in zip(n_list, curves):
+        for pt in curve:
             p = DriveParams(omega0=args.omega0, F=pt.F, G=0.0, omega=pt.omega_res)
             tri = resonance.to_triangle(p)
             rows.append([n, pt.F, pt.omega_res, pt.residual, tri.x, tri.y])
@@ -407,6 +408,16 @@ def _check_lift(rng):
     return worst, 1e-8
 
 
+def _check_bloch_siegert(rng):
+    """Exact series against closed forms: sigma_2, sigma_4 for n = 2..8, sigma_6 for n = 3..8."""
+    worst = 0.0
+    for n in range(2, 9):
+        sigmas = resonance.bloch_siegert_coefficients(n, 3 if n > 2 else 2)
+        for m, sigma in enumerate(sigmas, start=1):
+            worst = max(worst, abs(float(sigma - resonance.sigma_closed_form(n, m))))
+    return worst, 0.0
+
+
 _CHECKS = {
     "rpc_oracle": _check_rpc_oracle,
     "toy_oracle": _check_toy_oracle,
@@ -415,6 +426,7 @@ _CHECKS = {
     "split": _check_split,
     "fourier_vs_ode": _check_fourier_vs_ode,
     "lift": _check_lift,
+    "bloch_siegert": _check_bloch_siegert,
 }
 
 

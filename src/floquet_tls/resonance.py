@@ -6,12 +6,13 @@ mean of Z(t), which is the resonance condition d(eps)/d(omega0) = 0.
 Every entry of an even row of A^(N) is proportional to omega, so
 eliminating the even modes turns det A^(N) = 0 into the eigenproblem
 (omega/omega0)^2 y = (M0 + u M1) y on the odd modes j <= N, u = (F/omega0)^2,
-with M0 = diag(1/j^2) and M1 tridiagonal and free of omega.  A resonance
-curve takes its roots from one ``numpy.linalg.eigvalsh`` call on the
-matrices of its whole amplitude grid, and one array pass of the minors
-ratio ladder (``_det_signs``) checks that det A^(N) changes sign within
-1e-12 relative of each.  Its residual |omega(N) - omega(N+4)| / omega(N)
-compares the roots of truncations N and N + 4.
+with M0 = diag(1/j^2) and M1 tridiagonal and free of omega; the n-th
+resonance comes from the n-th largest eigenvalue.  The curves of every index in a
+list (``resonance_curves``) therefore share one ``numpy.linalg.eigvalsh``
+call on the matrices of the whole amplitude grid at truncation N, and one
+at N + 4 for the residual |omega(N) - omega(N+4)| / omega(N); one array
+pass of the minors ratio ladder (``_det_signs``) checks that det A^(N)
+changes sign within 1e-12 relative of every (n, F) root.
 
 A lone point (``find_resonance``) is found by scanning the sign of the
 determinant on a frequency grid, or around a warm start, and refining the
@@ -27,9 +28,11 @@ At F = 0 the n-th resonance sits at omega0/(2n-1); its drive-amplitude series
 defines the Bloch-Siegert shift coefficients sigma.  They are computed as
 exact rationals (omega0 = 1 by homogeneity, u = F^2): Rayleigh-Schroedinger
 perturbation of the eigenvalue 1/(2n-1)^2 of M0 + u M1 in u (Kato,
-Perturbation Theory for Linear Operators) gives omega^2(u) over Fractions,
-and sigma_2m is the u^m coefficient of its square root.  The exact series
-and the float eigen-solve read M1 from one function, ``_odd_couplings``.
+Perturbation Theory for Linear Operators) gives omega^2(u) exactly,
+and sigma_2m is the u^m coefficient of its square root.  The recursion runs
+on Python integers: each perturbation vector is integer numerators over one
+common denominator, reduced by one gcd per order.  The exact series and the
+float eigen-solve read M1 from one function, ``_odd_couplings``.
 """
 
 import math
@@ -149,6 +152,7 @@ def _eigen_roots(n, f_amps, omega0, n_trunc):
 
     The residual |omega(N) - omega(N+4)| / omega(N) compares the roots of
     truncations N and N + 4: the relative change the next four modes make.
+    n may be an integer array, one column per index: shape (len(f_amps), len(n)).
     """
     here = _odd_mode_roots(f_amps, omega0, n_trunc)[:, n - 1]
     ahead = _odd_mode_roots(f_amps, omega0, n_trunc + 4)[:, n - 1]
@@ -393,21 +397,14 @@ def _track_root(fn, seed, rel0=0.002, grow=1.8, max_rel=0.35):
     return None
 
 
-def resonance_curve(n, f_grid, omega0=1.0, n_trunc=50):
-    """The n-th resonance curve over an amplitude grid.
-
-    One eigen-solve gives every root (:func:`_eigen_roots`); one array pass
-    of the minors ladder (:func:`_det_signs`) then checks that det A^(N)
-    changes sign within 1e-12 relative of each.  A root that fails the
-    check is searched for by :func:`find_resonance`, seeded with it.
-    """
+def _curve_index(n, omega0, n_trunc):
+    """n as an int, once n, omega0 and N are checked for a resonance curve."""
     if n < 1 or int(n) != n:
         raise DomainError(f"resonance index must be a positive integer: {n}")
     if n_trunc < 2:
         raise DomainError(f"truncation order must be >= 2, got {n_trunc}")
     if not omega0 > 0:
         raise DomainError(f"omega0 must be positive, got {omega0}")
-    n, fs = int(n), np.array(f_grid, dtype=float)
     modes = (int(n_trunc) + 1) // 2
     if n > modes:
         raise BracketNotFoundError(
@@ -415,18 +412,40 @@ def resonance_curve(n, f_grid, omega0=1.0, n_trunc=50):
             f"{modes} resonances; resonance {n} needs a higher truncation order",
             suggested_n=n_trunc + 16,
         )
-    roots, residuals = _eigen_roots(n, fs, omega0, n_trunc)
+    return int(n)
+
+
+def resonance_curves(n_list, f_grid, omega0=1.0, n_trunc=50):
+    """The curves of every index in n_list over one amplitude grid, in list order.
+
+    Every n is checked before any work.  The eigen-solves at N and N + 4
+    are shared by all curves (:func:`_eigen_roots` reads column n - 1 of
+    each), and one array pass of the minors ladder (:func:`_det_signs`)
+    checks that det A^(N) changes sign within 1e-12 relative of every
+    (n, F) root.  A root that fails the check is searched for by
+    :func:`find_resonance`, seeded with it.
+    """
+    ns = [_curve_index(n, omega0, n_trunc) for n in n_list]
+    fs = np.array(f_grid, dtype=float)
+    roots, residuals = (a.T for a in _eigen_roots(np.array(ns, dtype=int), fs, omega0, n_trunc))
     # a sign change puts a root of det A^(N) within 1e-12 relative of the eigen root
-    ends = np.outer([1 - 1e-12, 1 + 1e-12], roots).ravel()
-    below, above = _det_signs(np.tile(fs, 2), omega0, n_trunc, ends).reshape(2, -1)
-    changed = below * above < 0
-    points = []
-    for f_amp, root, residual, ok in zip(fs.tolist(), roots.tolist(), residuals.tolist(), changed):
-        if ok:
-            points.append(ResonancePoint(n=n, F=f_amp, omega_res=root, N=n_trunc, residual=residual))
-        else:
-            points.append(find_resonance(n, f_amp, omega0=omega0, n_trunc=n_trunc, seed=root))
-    return points
+    ends = np.outer([1 - 1e-12, 1 + 1e-12], roots.ravel()).ravel()
+    below, above = _det_signs(np.tile(fs, 2 * len(ns)), omega0, n_trunc, ends).reshape(2, -1)
+    changed = (below * above < 0).reshape(roots.shape)
+    curves = []
+    for n, row_roots, row_residuals, row_ok in zip(ns, roots.tolist(), residuals.tolist(), changed):
+        curves.append([
+            ResonancePoint(n=n, F=f_amp, omega_res=root, N=n_trunc, residual=residual)
+            if ok
+            else find_resonance(n, f_amp, omega0=omega0, n_trunc=n_trunc, seed=root)
+            for f_amp, root, residual, ok in zip(fs.tolist(), row_roots, row_residuals, row_ok)
+        ])
+    return curves
+
+
+def resonance_curve(n, f_grid, omega0=1.0, n_trunc=50):
+    """The n-th resonance curve over an amplitude grid: :func:`resonance_curves` of [n]."""
+    return resonance_curves([n], f_grid, omega0=omega0, n_trunc=n_trunc)[0]
 
 
 def large_f_fit(n, omega0=1.0, f_lo=10.0, f_hi=100.0, points=25, n_trunc=50):
@@ -450,22 +469,27 @@ def large_f_fit(n, omega0=1.0, f_lo=10.0, f_hi=100.0, points=25, n_trunc=50):
 def _shift_series(n, max_m, n_trunc):
     """omega_1..omega_max_m of omega(u) = sum_k omega_k u^k at truncation N.
 
-    The eigenvalue lambda_0 = 1/(2n-1)^2 of M0 + u M1 on the odd modes
+    The eigenvalue lambda_0 = 1/q^2, q = 2n-1, of M0 + u M1 on the odd modes
     j <= N (module docstring) is continued order by order, its eigenvector
-    fixed to 1 at mode 2n-1; omega = sqrt(lambda) is then expanded term by
-    term from omega_0 = 1/(2n-1).
+    fixed to 1 at mode q; omega = sqrt(lambda) is then expanded term by term
+    from omega_0 = 1/q.  Each perturbation vector v_k is kept as integer
+    numerators over one common denominator: M1 is scaled to integers by the
+    lcm of its denominators, and the gaps lambda_0 - 1/j^2 = (j^2 - q^2)/(q^2 j^2)
+    are divided through the lcm of the band's |j^2 - q^2|, with one gcd
+    reduction per order.  The lambda_k and the omega_k are Fractions.
     """
     modes = range(1, n_trunc + 1, 2)
-    size, p = len(modes), n - 1
-    diag, upper, lower = _odd_couplings(n_trunc, Fraction(1))
-    lam0 = Fraction(1, (2 * n - 1) ** 2)
-    gap = [lam0 - Fraction(1, j * j) for j in modes]
-    lams = [lam0]
-    vecs = [[Fraction(int(i == p)) for i in range(size)]]
+    size, p, q2 = len(modes), n - 1, (2 * n - 1) ** 2
+    # M1 = (diag, upper, lower) / scale, with integer entries
+    rows = [[Fraction(e) for e in row] for row in _odd_couplings(n_trunc, Fraction(1))]
+    scale = math.lcm(*(e.denominator for row in rows for e in row))
+    diag, upper, lower = ([e.numerator * (scale // e.denominator) for e in row] for row in rows)
+    lams = [Fraction(1, q2)]
+    vecs, dens = [[int(i == p) for i in range(size)]], [1]  # v_k = vecs[k] / dens[k]
     for k in range(1, max_m + 1):
-        # M1 is tridiagonal, so v_q is zero beyond q modes from p: M1 v_(k-1)
-        # and v_k live on the band |i - p| <= k, and lams[q] v_(k-q)
-        # contributes at i only for q <= k - |i - p|
+        # M1 is tridiagonal, so v_s is zero beyond s modes from p: M1 v_(k-1)
+        # and v_k live on the band |i - p| <= k, and lams[s] v_(k-s)
+        # contributes at i only for s <= k - |i - p|
         v = vecs[-1]
         band = range(max(p - k, 0), min(p + k + 1, size))
         mv = {
@@ -474,13 +498,24 @@ def _shift_series(n, max_m, n_trunc):
             + (lower[i - 1] * v[i - 1] if i else 0)
             for i in band
         }
-        lams.append(mv[p])
-        vec = [Fraction(0)] * size
+        mv_den = scale * dens[-1]
+        lams.append(Fraction(mv[p], mv_den))
+        # M1 v_(k-1) - sum_s lams[s] v_(k-s) over one common denominator
+        term_dens = [lams[s].denominator * dens[k - s] for s in range(1, k)]
+        common = math.lcm(mv_den, *term_dens)
+        terms = [(lams[s].numerator * (common // d), vecs[k - s]) for s, d in enumerate(term_dens, 1)]
+        gaps = math.lcm(*(abs(modes[i] ** 2 - q2) for i in band if i != p))
+        vec = [0] * size
         for i in band:
             if i != p:
-                near = range(1, k - abs(i - p) + 1)
-                vec[i] = (mv[i] - sum(lams[q] * vecs[k - q][i] for q in near)) / gap[i]
-        vecs.append(vec)
+                near = terms[: k - abs(i - p)]
+                rest = mv[i] * (common // mv_den) - sum(c * w[i] for c, w in near)
+                j2 = modes[i] ** 2
+                vec[i] = rest * q2 * j2 * (gaps // (j2 - q2))
+        den = gaps * common
+        g = math.gcd(den, *(vec[i] for i in band))
+        vecs.append([x // g for x in vec])
+        dens.append(den // g)
     omegas = [Fraction(1, 2 * n - 1)]
     for k in range(1, max_m + 1):
         cross = sum(omegas[j] * omegas[k - j] for j in range(1, k))

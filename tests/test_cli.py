@@ -8,13 +8,14 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import floquet_tls
-from floquet_tls import bloch_dynamics, cli, fourier_rpl, quasienergy
+from floquet_tls import bloch_dynamics, cli, fourier_rpl, quasienergy, resonance
 from floquet_tls.bloch_dynamics import DriveParams, periodic_orbit
 from floquet_tls.errors import ContinuityWarning, DegenerateMonodromyError, DomainError
 from floquet_tls.exact_models import rpc_quasienergies
@@ -186,6 +187,66 @@ def test_resonance_fiftieth_curve(tmp_path):
     assert all(abs(row[2] - 1 / 99) < 1e-5 for row in rows)
 
 
+def _count_resonance_calls(monkeypatch, name):
+    calls = []
+    original = getattr(resonance, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(resonance, name, counted)
+    return calls
+
+
+def test_resonance_command_solves_once_for_every_index(tmp_path, monkeypatch):
+    solves = _count_resonance_calls(monkeypatch, "_odd_mode_roots")
+    passes = _count_resonance_calls(monkeypatch, "_det_signs")
+    args = ["resonance", "--n-list", "1,2,3", "--f-grid", "0.02:8:60", "--log-grid",
+            "--n-trunc", "50", "-o", str(tmp_path / "res.csv")]
+    assert cli.main(args) == 0
+    assert [call[2] for call in solves] == [50, 54]
+    assert len(passes) == 1
+
+
+def _per_index_rows(n_list, grid, omega0=1.0, n_trunc=50):
+    rows = []
+    for n in n_list:
+        for pt in resonance.resonance_curve(n, grid, omega0, n_trunc):
+            tri = resonance.to_triangle(DriveParams(omega0, pt.F, 0.0, pt.omega_res))
+            rows.append([n, pt.F, pt.omega_res, pt.residual, tri.x, tri.y])
+    return rows
+
+
+@pytest.mark.parametrize(
+    "n_list, f_grid",
+    [("1,2,3", "0.02:8:60"), ("3,1,1", "0.02:8:60"), ("3,1,1", "8:0.02:30"), ("2,1", "1.5:0.1:9")],
+)
+def test_resonance_command_bytes_equal_per_index_curves(tmp_path, n_list, f_grid):
+    start, stop, count = f_grid.split(":")
+    grid = np.geomspace(float(start), float(stop), int(count))
+    rows = _per_index_rows([int(n) for n in n_list.split(",")], grid)
+    args = ["resonance", "--n-list", n_list, "--f-grid", f_grid, "--log-grid", "--n-trunc", "50"]
+    out_csv, out_json = tmp_path / "res.csv", tmp_path / "res.json"
+    assert cli.main(args + ["-o", str(out_csv)]) == 0
+    assert cli.main(args + ["--format", "json", "-o", str(out_json)]) == 0
+    header = ["n", "F", "omega_res", "residual", "tri_x", "tri_y"]
+    assert out_csv.read_bytes() == cli._csv_text(header, rows).encode()
+    payload = json.loads(out_json.read_text())
+    assert payload["rows"] == rows
+    assert out_json.read_bytes() == cli._json_text(payload).encode()
+
+
+def test_resonance_command_checks_every_index_before_solving(tmp_path, monkeypatch, capsys):
+    solves = _count_resonance_calls(monkeypatch, "_odd_mode_roots")
+    out = tmp_path / "res.csv"
+    rc = cli.main(["resonance", "--n-list", "1,30", "--f-grid", "0.02:8:6", "-o", str(out)])
+    assert rc == 2
+    assert "resonance 30 needs a higher truncation order" in capsys.readouterr().err
+    assert not out.exists()
+    assert solves == []
+
+
 def test_bloch_siegert_json_exact(tmp_path):
     out = tmp_path / "bs.json"
     rc = cli.main(
@@ -223,6 +284,31 @@ def test_validate_passes(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["all_passed"] is True
     assert {c["name"] for c in payload["checks"]} == {"toy_oracle", "split", "lift"}
+
+
+def test_validate_bloch_siegert_is_exact(tmp_path):
+    out = tmp_path / "report.json"
+    rc = cli.main(["validate", "--only", "bloch_siegert", "-o", str(out)])
+    assert rc == 0
+    payload = json.loads(out.read_text())
+    assert payload["checks"] == [
+        {"name": "bloch_siegert", "passed": True, "worst": 0.0, "tolerance": 0.0}
+    ]
+
+
+def test_validate_bloch_siegert_detects_a_wrong_closed_form(tmp_path, monkeypatch):
+    """Mutation test: sigma_6 off by one part in 10^30 must fail the exact check."""
+    real_closed_form = resonance.sigma_closed_form
+
+    def tampered(n, m):
+        value = real_closed_form(n, m)
+        return value * (1 + Fraction(1, 10**30)) if (n, m) == (8, 3) else value
+
+    monkeypatch.setattr(resonance, "sigma_closed_form", tampered)
+    rc = cli.main(["validate", "--only", "bloch_siegert", "-o", str(tmp_path / "r.json")])
+    assert rc == 3
+    [check] = json.loads((tmp_path / "r.json").read_text())["checks"]
+    assert check["passed"] is False and 0.0 < check["worst"] < 1e-30
 
 
 def test_validate_unknown_check(tmp_path):

@@ -6,6 +6,7 @@ from fractions import Fraction as Q
 
 import numpy as np
 import pytest
+import rational_series
 
 from floquet_tls import resonance
 from floquet_tls.bloch_dynamics import DriveParams
@@ -234,6 +235,26 @@ def test_curve_row_failing_the_sign_check_falls_back_to_seeded_search(monkeypatc
     assert pts[:3] + pts[4:] == plain[:3] + plain[4:]
 
 
+def test_shared_curves_fall_back_only_on_the_row_failing_the_sign_check(monkeypatch):
+    fs = np.geomspace(0.1, 5.0, 7)
+    plain = {n: resonance_curve(n, fs, omega0=1.0, n_trunc=50) for n in (1, 2, 3)}
+    original = resonance._det_signs
+
+    def faulty(f_amp, omega0, n_trunc, omegas):
+        # the ends below every (n, F) root come first, n-major, then those above
+        signs = original(f_amp, omega0, n_trunc, omegas)
+        signs[len(signs) // 2 + 2 * len(fs) + 4] = signs[2 * len(fs) + 4]  # n = 2, F = fs[4]
+        return signs
+
+    monkeypatch.setattr(resonance, "_det_signs", faulty)
+    searches = _count_calls(monkeypatch, "find_resonance")
+    curves = resonance.resonance_curves([3, 1, 2], fs, omega0=1.0, n_trunc=50)
+    assert [(args[0], args[1]) for args in searches] == [(2, fs[4])]
+    assert curves[0] == plain[3] and curves[1] == plain[1]
+    assert curves[2][:4] + curves[2][5:] == plain[2][:4] + plain[2][5:]
+    assert abs(curves[2][4].omega_res - plain[2][4].omega_res) <= 1e-12 * plain[2][4].omega_res
+
+
 def test_det_fn_evaluates_each_frequency_once(monkeypatch):
     ladders = _count_calls(monkeypatch, "minors")
     fn = _det_fn(0.7, 1.0, 50)
@@ -451,6 +472,27 @@ def test_instability_detected_for_small_truncation():
     # differs from N + 4 (it would not if that missing coupling were kept)
     with pytest.raises(SeriesInstabilityError):
         bloch_siegert_coefficients(1, 3, n_trunc=3)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_integer_recursion_equals_fraction_reference(n):
+    # at the default truncation of bloch_siegert_coefficients and at N + 4
+    for max_m in range(1, 13):
+        n_trunc = 2 * max_m + 2 * n + 4
+        for big_n in (n_trunc, n_trunc + 4):
+            assert resonance._shift_series(n, max_m, big_n) == rational_series.shift_series(
+                n, max_m, big_n
+            )
+
+
+@pytest.mark.parametrize("n, max_m, n_trunc", [(3, 6, 8), (1, 3, 3), (2, 4, 3), (1, 5, 1)])
+def test_integer_recursion_equals_fraction_reference_at_small_truncations(n, max_m, n_trunc):
+    # small and odd N, where the series still differs between N and N + 4:
+    # (3, 6, 8) and (1, 3, 3) are test_instability_detected_for_small_truncation's
+    for big_n in (n_trunc, n_trunc + 4):
+        assert resonance._shift_series(n, max_m, big_n) == rational_series.shift_series(
+            n, max_m, big_n
+        )
 
 
 def test_shift_series_evaluation():
