@@ -28,11 +28,16 @@ from itertools import repeat
 import numpy as np
 
 from .bloch_dynamics import _HALF_TURN, DriveParams
-from .errors import DomainError, ResonanceError, SeriesInstabilityError
+from .errors import DomainError, FloquetTlsError, ResonanceError, SeriesInstabilityError
 
 # stands in for a vanishing trailing minor when the next ratio divides by it
 # (Lentz's guard for continued fractions); keeps r_k * r_{k+1} = b_k intact
 _TINY = 1e-150
+
+# the fewest points of a sweep at one probe order that solve_sweep solves as one
+# array ladder: below it the array kernel's per-group cost exceeds the scalar
+# ladder's per-point cost
+_ARRAY_MIN = 6
 
 
 @dataclass
@@ -311,6 +316,75 @@ def solve_coefficients(sys, z0_choice="unit"):
     return RplFourierSolution(N=n_, z0=z0, x=xs, params=sys.params)
 
 
+def _ratio_block(omega0, f_amp, omegas, n_trunc):
+    """The ratios r_k (N, P) of :func:`minors` and the entries A_{k+1,k} (N - 1, P) of
+    :func:`build_system` at P points at once, each column bit for bit that point's ladder.
+
+    omega0, f_amp and omegas are scalars or arrays of the P points.  The entries are
+    written as ``build_system`` writes them, and the ladder runs down the rows in the
+    scalar order: one division and one addition per row.  Where the scalar ladder
+    branches, r_k = a_k + 0.0 for b_k = 0 and Lentz's ``_TINY`` for a vanishing
+    r_{k+1} that b_k != 0 divides, the rows run again with both branches.
+    """
+    w0, f, w = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (omega0, f_amp, omegas)))
+    ns = np.arange(1, n_trunc + 1)
+    diag = np.empty((n_trunc, w.size))
+    diag[0::2] = (ns[0::2] * ns[0::2])[:, None] * w * w - w0 * w0
+    diag[1::2] = -ns[1::2][:, None] * w
+    # A_{k+1,k} = -k F w / 2 for k odd, A_{k,k+1} = -(k + 1) F w / 2 for k even; the rest F / 2
+    hf = 0.5 * f
+    sub = (-0.5 * (ns[:-1] | 1))[:, None] * f * w
+    b = -hf * sub  # -A_{k,k+1} A_{k+1,k}
+    sub[1::2] = hf
+    r = np.empty_like(diag)
+    r[-1] = diag[-1]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        nxt = r[-1]
+        for b_k, a_k, r_k in zip(b[::-1], diag[-2::-1], r[-2::-1]):
+            nxt = np.add(a_k, b_k / nxt, out=r_k)
+        live = b != 0.0
+        if not (live.all() and r[1:].all()):
+            for k in range(n_trunc - 2, -1, -1):
+                r[k + 1] = np.where(live[k] & (r[k + 1] == 0.0), _TINY, r[k + 1])
+                r[k] = diag[k] + np.where(live[k], b[k] / r[k + 1], 0.0)
+    return r, sub
+
+
+def _solve_block(params, n_trunc):
+    """``solve_coefficients(build_system(p, n_trunc), "phi1")`` for every p of params
+    (G = 0), bit for bit, from one :func:`_ratio_block`: z0 (P,) and x (P, N).
+
+    Each column keeps the scalar operation order, x_i = (x_{i-1} (-A_{i,i-1})) / r_i,
+    and its branch x_i = 0.0 once an earlier x vanishes.
+    """
+    f = np.array([float(p.F) for p in params])
+    r, sub = _ratio_block(
+        [float(p.omega0) for p in params], f, [float(p.omega) for p in params], n_trunc
+    )
+    # sign(phi_2): the parity of the ratios r_2..r_N with their sign bit set
+    sign = np.where(np.count_nonzero(np.signbit(r[1:]), axis=0) % 2, -1.0, 1.0)
+    x = np.empty_like(r)
+    x[0] = -sign * f
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        prev = x[0]
+        for neg_sub, r_i, x_i in zip(-sub, r[1:], x[1:]):
+            prev = np.divide(prev * neg_sub, r_i, out=x_i)
+    x[1:][np.logical_or.accumulate(x[:-1] == 0.0, axis=0)] = 0.0
+    return sign * r[0], x.T
+
+
+def _tail_test(x, coeff_tol):
+    """(converged, tail ratio) of solve_auto's test on each coefficient row x (P, N):
+    converged when max(|x_N|, |x_{N-1}|) <= coeff_tol max_n |x_n|.
+    """
+    mags = np.abs(x)
+    last, prev = mags[:, -1], mags[:, -2]
+    tail = np.where(prev > last, prev, last)  # a NaN |x_{N-1}| is passed over
+    peak = mags.max(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return tail <= coeff_tol * peak, np.where(peak != 0.0, tail / peak, 0.0)
+
+
 def solve_auto(params, z0_choice="phi1", start=20, step=8, coeff_tol=1e-10, n_max=400):
     """Smallest truncation order N = start + step k whose top coefficient is negligible.
 
@@ -326,26 +400,87 @@ def solve_auto(params, z0_choice="phi1", start=20, step=8, coeff_tol=1e-10, n_ma
     cap grows with f on the Jacobi-Anger scale, beyond which J_n(f) falls off
     faster than exponentially: max(n_max, start, ceil(f + 12 f^(1/3) + 25) +
     step).  An order still unconverged at the cap raises
-    SeriesInstabilityError.
+    SeriesInstabilityError.  The search itself is :func:`_search`, which
+    :func:`solve_sweep` drives for many points at once.
     """
-    f = abs(params.F / params.omega)
+    search = _search(abs(params.F / params.omega), start, step, coeff_tol, n_max)
+    n_trunc = next(search)
+    while True:
+        try:
+            n_trunc = search.send(_probe(params, n_trunc, z0_choice, coeff_tol))
+        except StopIteration as done:
+            return done.value
+
+
+def _probe(params, n_trunc, z0_choice, coeff_tol):
+    """(solution, converged, tail ratio) of one scalar ladder, as :func:`_search` takes it."""
+    sol = solve_coefficients(build_system(params, n_trunc), z0_choice)
+    mags = np.abs(np.asarray(sol.x, dtype=float))
+    tail, peak = max(mags[-1], mags[-2]), mags.max()
+    return sol, tail <= coeff_tol * peak, tail / peak if peak else 0.0
+
+
+def solve_sweep(base, omegas, start=20, step=8, coeff_tol=1e-10, n_max=400):
+    """``solve_auto(p, "phi1", start, step, coeff_tol, n_max)`` at each omega of a sweep,
+    p = base at that omega, or the FloquetTlsError that point raises, in order.
+
+    Every point runs its own :func:`_search`.  At each step the points pending at the
+    same probe order N are solved together: a group of at least ``_ARRAY_MIN`` points
+    as one array ladder (:func:`_solve_block`), whose solutions hold rows of one
+    coefficient array, a smaller one point by point.  Either way each solution equals
+    :func:`solve_auto`'s at its point bit for bit.
+    """
+    out = [None] * len(omegas)
+    pending = {}  # point -> (params, search, probe order)
+    for i, omega in enumerate(omegas):
+        try:
+            params = DriveParams(base.omega0, base.F, base.G, omega)
+            search = _search(abs(params.F / params.omega), start, step, coeff_tol, n_max)
+            pending[i] = params, search, next(search)
+        except FloquetTlsError as exc:
+            out[i] = exc
+    while pending:
+        groups = {}
+        for i, (*_, n_trunc) in pending.items():
+            groups.setdefault(n_trunc, []).append(i)
+        for n_trunc, rows in groups.items():
+            block = [pending.pop(i)[:2] for i in rows]
+            probes = [None] * len(rows)
+            # an order below 2 is left to build_system, which rejects it point by point
+            if len(rows) >= _ARRAY_MIN and n_trunc >= 2:
+                params = [p for p, _ in block]
+                z0, x = _solve_block(params, n_trunc)
+                sols = [RplFourierSolution(n_trunc, *sol) for sol in zip(z0, x, params)]
+                probes = list(zip(sols, *_tail_test(x, coeff_tol)))
+            for i, (params, search), probe in zip(rows, block, probes):
+                try:
+                    if probe is None:
+                        probe = _probe(params, n_trunc, "phi1", coeff_tol)
+                    pending[i] = params, search, search.send(probe)
+                except StopIteration as done:
+                    out[i] = done.value
+                except FloquetTlsError as exc:
+                    out[i] = exc
+    return out
+
+
+def _search(f, start, step, coeff_tol, n_max):
+    """The search of :func:`solve_auto` at a point of drive ratio f = |F / omega|.
+
+    Yields each probe order N = start + step k and is sent back that probe's
+    (solution, converged, tail ratio).  Returns the solution it settles on,
+    or raises SeriesInstabilityError at the cap.
+    """
     n_max = max(n_max, start, math.ceil(f + 12 * f ** (1 / 3) + 25) + step)
     k_max = -(-(n_max - start) // step)
-
-    def probe(k):
-        sol = solve_coefficients(build_system(params, start + step * k), z0_choice)
-        mags = np.abs(np.asarray(sol.x, dtype=float))
-        tail, peak = max(mags[-1], mags[-2]), mags.max()
-        return sol, tail <= coeff_tol * peak, tail / peak if peak else 0.0
-
     guess = min(k_max, max(0, math.floor((f + 8 * f ** (1 / 3) + 2 - start) / step)))
-    sol, converged, tail = probe(guess)
+    sol, converged, tail = yield start + step * guess
     # the first converged step lies in (lo, hi]: lo unconverged, hi converged
     if converged:
         lo, hi, dist = -1, guess, 1
         while hi > 0:
             k = max(guess - dist, 0)
-            k_sol, converged, _ = probe(k)
+            k_sol, converged, _ = yield start + step * k
             if not converged:
                 lo = k
                 break
@@ -359,10 +494,10 @@ def solve_auto(params, z0_choice="phi1", start=20, step=8, coeff_tol=1e-10, n_ma
                     f"tail ratio {tail:.3g} > coeff_tol {coeff_tol:g}"
                 )
             lo, hi, dist = hi, min(guess + dist, k_max), 2 * dist
-            sol, converged, tail = probe(hi)
+            sol, converged, tail = yield start + step * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        mid_sol, converged, _ = probe(mid)
+        mid_sol, converged, _ = yield start + step * mid
         if converged:
             hi, sol = mid, mid_sol
         else:

@@ -46,14 +46,16 @@ One loop settles every average (:func:`_settle`), on grids of shape
 (rows, 3, m): a lone orbit is a block of one row, and a sweep
 (:func:`sweep_branches`) a sequence of blocks of up to 16.  On the ODE route
 the orbits of a block are one batch integrated in s = omega t
-(:func:`bloch_dynamics.periodic_orbits`); on the Fourier route each point's
-truncation is solved on its own and the block's grids come from one inverse
-FFT.  Only the rows that have not settled double their grid, at most
-16 x 2048 samples at a time.  A row's values are reductions over its own
-samples, so a sweep row equals :func:`quasienergy_at` at its point bit for
-bit, and a point that fails is reported on its own.  chi and eps_d do not
-change when X is scaled by a positive factor, so a Fourier solution is
-averaged unnormalized.
+(:func:`bloch_dynamics.periodic_orbits`); on the Fourier route the whole
+sweep's truncations are solved together (:func:`fourier_rpl.solve_sweep`: one
+array ladder for the points that share a probe order) and the block's grids
+come from one inverse FFT.  Only the rows that have not settled double their
+grid, at most 16 x 2048 samples at a time.  A row's values are reductions
+over its own samples, and a Fourier solution is its point's own whether it
+came from an array ladder or not, so a sweep row equals
+:func:`quasienergy_at` at its point bit for bit, and a point that fails is
+reported on its own.  chi and eps_d do not change when X is scaled by a
+positive factor, so a Fourier solution is averaged unnormalized.
 """
 
 import math
@@ -451,8 +453,9 @@ def sweep_branches(
     """Quasienergies along an omega sweep, continued into smooth branches.
 
     The orbits are averaged in blocks of up to 16 rows (see the module
-    notes); on the Fourier route each point's truncation order is chosen by
-    :func:`fourier_rpl.solve_auto`.  Before continuation a row equals
+    notes); on the Fourier route each point's truncation order is the one
+    :func:`fourier_rpl.solve_auto` chooses, found for the whole sweep at once by
+    :func:`fourier_rpl.solve_sweep`.  Before continuation a row equals
     :func:`quasienergy_at` at its point bit for bit.  The reported branch is
     chosen from the candidates {eps_mod + k w} and {-eps_mod + k w},
     k = -2..2, nearest to the previous point (minimal jump).  A
@@ -491,11 +494,13 @@ def _sweep_points(base, omegas, method, n_trunc, tol):
     The orbits are averaged in blocks of BATCH_SIZE rows by
     :func:`_quasienergies`.  On the grid s_j = 2 pi j / m every row sees the
     same field (F cos s_j, G sin s_j, omega0), that of the drive at omega = 1.
+    The ODE route integrates each block as it is reached; the Fourier route
+    solves every point's truncation first, in one :func:`fourier_rpl.solve_sweep`.
     """
     if method == "ode":
         orbits = periodic_orbits(base.omega0, base.F, base.G, omegas, tol=tol)
     else:
-        orbits = (_fourier_solution(base, omega, n_trunc) for omega in omegas)
+        orbits = iter(fourier_rpl.solve_sweep(base, omegas, start=n_trunc))
     field = _field(DriveParams(base.omega0, base.F, base.G, 1.0))
     for start in range(0, len(omegas), BATCH_SIZE):
         block = list(islice(orbits, BATCH_SIZE))
@@ -505,15 +510,6 @@ def _sweep_points(base, omegas, method, n_trunc, tol):
         for k, point in zip(rows, points):
             block[k] = point
         yield from block
-
-
-def _fourier_solution(base, omega, n_trunc):
-    """The phi1 solution of :func:`fourier_rpl.solve_auto` at omega, unnormalized, or its error."""
-    try:
-        params = DriveParams(base.omega0, base.F, base.G, omega)
-        return fourier_rpl.solve_auto(params, "phi1", start=n_trunc)
-    except FloquetTlsError as exc:
-        return exc
 
 
 def continue_branch(point, prev):

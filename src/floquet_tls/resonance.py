@@ -43,7 +43,7 @@ import numpy as np
 
 from .bloch_dynamics import DriveParams
 from .errors import BracketNotFoundError, DomainError, SeriesInstabilityError
-from .fourier_rpl import _TINY, build_system, minors
+from .fourier_rpl import _ratio_block, build_system, minors
 from .specfun import bessel_j0_zero
 
 SQRT3 = math.sqrt(3.0)
@@ -192,36 +192,14 @@ def _det_fn(f_amp, omega0, n_trunc):
 def _det_signs(f_amp, omega0, n_trunc, omegas):
     """sign(det A^(N)) at every frequency of an array; 0 where slog2 gives 0.
 
-    The float ladder of ``fourier_rpl.minors`` run across the array: the
-    entries are those of ``build_system``, written the same way, and a
-    vanishing ratio meets the same ``_TINY`` guard, so each sign is the one
+    The float ladder of ``fourier_rpl.minors`` run across the array
+    (``fourier_rpl._ratio_block``), so each sign is the one
     ``minors(build_system(...)).slog2()`` gives at that frequency.  f_amp is
     one amplitude for every frequency, or an array of one per frequency.
     """
-    w, w0, half = np.asarray(omegas, dtype=float), float(omega0), 0.5
-    f_amp = np.asarray(f_amp, dtype=float)
-    n_trunc = int(n_trunc)
-
-    def diag(n):
-        return n * n * w * w - w0 * w0 if n % 2 else -n * w
-
-    r = diag(n_trunc)
-    negative = np.zeros(w.shape, dtype=bool)
-    zero = np.zeros(w.shape, dtype=bool)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for k in range(n_trunc - 1, 0, -1):
-            if k % 2:  # -sup * sub of rows k (odd) and k + 1
-                b = -(half * f_amp) * (-k * half * f_amp * w)
-            else:
-                b = -(-(k + 1) * half * f_amp * w) * (half * f_amp)
-            live = b != 0
-            r = np.where(live & (r == 0.0), _TINY, r)
-            zero |= r == 0.0
-            negative ^= np.signbit(r)
-            r = diag(k) + np.where(live, b / r, 0.0)
-    zero |= r == 0.0
-    negative ^= np.signbit(r)
-    return np.where(zero, 0.0, np.where(negative, -1.0, 1.0))
+    r = _ratio_block(omega0, f_amp, omegas, int(n_trunc))[0]
+    negative = np.count_nonzero(np.signbit(r), axis=0) % 2
+    return np.where((r == 0.0).any(axis=0), 0.0, np.where(negative, -1.0, 1.0))
 
 
 def _scan_roots(fn, lo, hi, points):

@@ -350,19 +350,18 @@ def _reject_constant(name):
     raise ValueError(f"bare {name} is not JSON")
 
 
-def _fail_solve_auto_at(monkeypatch, omega):
-    real_solve = fourier_rpl.solve_auto
+def _fail_fourier_sweep_at(monkeypatch, omega):
+    real_solve = fourier_rpl.solve_sweep
 
-    def failing_solve(params, *args, **kwargs):
-        if params.omega == omega:
-            raise DomainError("injected failure")
-        return real_solve(params, *args, **kwargs)
+    def failing_solve(base, omegas, *args, **kwargs):
+        sols = real_solve(base, omegas, *args, **kwargs)
+        return [DomainError("injected failure") if w == omega else s for w, s in zip(omegas, sols)]
 
-    monkeypatch.setattr(fourier_rpl, "solve_auto", failing_solve)
+    monkeypatch.setattr(fourier_rpl, "solve_sweep", failing_solve)
 
 
 def test_failed_sweep_point_is_json_null(tmp_path, monkeypatch):
-    _fail_solve_auto_at(monkeypatch, 2.0)
+    _fail_fourier_sweep_at(monkeypatch, 2.0)
     args = ["quasienergy", "--omega0", "1", "--f", "0.5", "--omega-sweep", "1.0:3.0:21"]
     out_json, out_csv = tmp_path / "sweep.json", tmp_path / "sweep.csv"
     assert cli.main(args + ["--format", "json", "-o", str(out_json)]) == 0
@@ -404,7 +403,7 @@ def test_failed_fourier_point_marks_only_its_row(tmp_path, monkeypatch, capsys):
             "--omega-sweep", "0.5:2.4:20"]
     clean, patched = tmp_path / "clean.csv", tmp_path / "patched.csv"
     assert cli.main(args + ["-o", str(clean)]) == 0
-    _fail_solve_auto_at(monkeypatch, 1.0)
+    _fail_fourier_sweep_at(monkeypatch, 1.0)
     assert cli.main(args + ["-o", str(patched)]) == 0
     assert "omega=1: injected failure" in capsys.readouterr().err
     want = clean.read_text().splitlines()
@@ -440,8 +439,9 @@ def test_near_pole_first_row_keeps_minus_z_branch(tmp_path):
 
 def test_unconverged_truncation_fails_loudly(tmp_path, monkeypatch, capsys):
     # at (1, 20, 0.05) no order up to the cap N = 524 reaches coeff_tol = 1e-40; at 0.08 one does
-    strict = functools.partial(fourier_rpl.solve_auto, coeff_tol=1e-40)
-    monkeypatch.setattr(fourier_rpl, "solve_auto", strict)
+    for name in ("solve_auto", "solve_sweep"):  # a lone point, a sweep
+        strict = functools.partial(getattr(fourier_rpl, name), coeff_tol=1e-40)
+        monkeypatch.setattr(fourier_rpl, name, strict)
     reason = "truncation N = 524 unconverged at its cap: tail ratio 3.44e-30 > coeff_tol 1e-40"
     out = tmp_path / "traj.csv"
     rc = cli.main(["solve", "--omega0", "1", "--f", "20", "--omega", "0.05", "--method", "fourier",

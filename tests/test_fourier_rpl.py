@@ -9,7 +9,7 @@ import pytest
 from scipy.optimize import brentq
 
 from floquet_tls.bloch_dynamics import DriveParams, periodic_orbit
-from floquet_tls import fourier_rpl
+from floquet_tls import fourier_rpl, quasienergy
 from floquet_tls.errors import DomainError, ResonanceError, SeriesInstabilityError
 from floquet_tls.fourier_rpl import (
     build_system,
@@ -464,6 +464,51 @@ def test_solve_auto_unconverged_at_cap_raises():
         solve_auto(p, "phi1", coeff_tol=1e-40)
     # a smaller n_max does not lower the scaled cap
     assert solve_auto(p, "phi1", n_max=100).N == 460
+
+
+def _bits(z0, x):
+    return np.concatenate([[z0], np.asarray(x, dtype=float)]).tobytes()
+
+
+@pytest.mark.parametrize("n_trunc", [25, 28])
+def test_array_ladder_matches_scalar_ladder(n_trunc):
+    # at (1, 0.5, 0.04) a_25 = 625 omega^2 - omega0^2 = 0: at N = 25 it is the
+    # last row, whose vanishing ratio takes Lentz's guard; F = 0 takes the
+    # branches b_k = 0 and x = 0, at (3, 0, 1) with r_3 = a_3 = 0 below r_2
+    params = [rpl(1.0, 0.5, omega) for omega in (0.04, 0.05, 0.3, 2.0)]
+    params += [rpl(1.0, 0.0, 0.7), rpl(3.0, 0.0, 1.0)]
+    assert build_system(params[0], n_trunc).diag[24] == 0.0
+    z0, x = fourier_rpl._solve_block(params, n_trunc)
+    assert x.shape == (len(params), n_trunc)
+    for p, z0_p, x_p in zip(params, z0, x):
+        ref = solve_coefficients(build_system(p, n_trunc), "phi1")
+        assert _bits(z0_p, x_p) == _bits(ref.z0, ref.x)
+
+
+def test_solve_sweep_matches_solve_auto_across_the_array_threshold(monkeypatch):
+    # the same points solved in one group of _ARRAY_MIN, on the array ladder, and
+    # in one group fewer, point by point
+    groups = []
+    real_block = fourier_rpl._solve_block
+
+    def counting_block(params, n_trunc):
+        groups.append(len(params))
+        return real_block(params, n_trunc)
+
+    monkeypatch.setattr(fourier_rpl, "_solve_block", counting_block)
+    base = rpl(1.0, 1.0, 1.0)
+    omegas = [float(w) for w in np.linspace(0.3, 2.0, fourier_rpl._ARRAY_MIN)]
+    full = fourier_rpl.solve_sweep(base, omegas)
+    assert groups and groups[0] == len(omegas)
+    groups.clear()
+    fewer = fourier_rpl.solve_sweep(base, omegas[1:])
+    assert groups == []
+    for omega, sol, other in zip(omegas[1:], full[1:], fewer):
+        ref = solve_auto(rpl(1.0, 1.0, omega), "phi1")
+        assert sol.N == other.N == ref.N
+        assert _bits(sol.z0, sol.x) == _bits(other.z0, other.x) == _bits(ref.z0, ref.x)
+    rows = list(quasienergy._sweep_points(base, omegas, "fourier", 20, 1e-12))
+    assert rows[1:] == list(quasienergy._sweep_points(base, omegas[1:], "fourier", 20, 1e-12))
 
 
 def test_normalized_solution_unit_sphere():

@@ -1,6 +1,8 @@
 """Orbit -> Floquet-state reconstruction, splits, gradients, sweeps."""
 
+import functools
 import math
+import re
 
 import dop853
 import numpy as np
@@ -14,7 +16,7 @@ from floquet_tls.bloch_dynamics import (
     periodic_orbit,
     quasienergy_from_monodromy,
 )
-from floquet_tls.errors import DomainError, SeriesInstabilityError, SouthPoleError
+from floquet_tls.errors import DomainError, FloquetTlsError, SeriesInstabilityError, SouthPoleError
 from floquet_tls.exact_models import rpc_quasienergies, rpc_trajectory, toy_example
 from floquet_tls.quasienergy import (
     QuasienergyResult,
@@ -394,6 +396,39 @@ def test_sweep_continuity():
         assert abs(r.epsilon - r.branch * w - r.epsilon_mod) < 1e-10
 
 
+def _row_key(row):
+    """A sweep row, or the type and message of its error, for comparisons."""
+    return (type(row), str(row)) if isinstance(row, FloquetTlsError) else row
+
+
+def _check_sweep_rows(omega0, F, G, omegas, method, n_trunc=20):
+    base = DriveParams(omega0, F, G, 1.0)
+    rows = list(quasienergy._sweep_points(base, omegas, method, n_trunc, 1e-12))
+    for omega, row in zip(omegas, rows):
+        # before continuation a row is its point alone, bit for bit, failures included
+        alone = functools.partial(quasienergy_at, method=method, n_trunc=n_trunc)
+        if isinstance(row, FloquetTlsError):
+            with pytest.raises(type(row), match=re.escape(str(row))):
+                alone(DriveParams(omega0, F, G, omega))
+        else:
+            assert row == alone(DriveParams(omega0, F, G, omega))
+    prev = None
+    points = sweep_branches(
+        base, omegas, method=method, n_trunc=n_trunc, on_error=lambda w, e: None
+    )
+    for row, point in zip(rows, points):
+        if isinstance(row, FloquetTlsError):
+            assert point is None
+            continue
+        prev = row if prev is None else quasienergy.continue_branch(row, prev)
+        assert point == prev
+    if method == "fourier":
+        # one point fewer moves every row to another place in its block
+        moved = quasienergy._sweep_points(base, omegas[1:], method, n_trunc, 1e-12)
+        assert list(map(_row_key, rows[1:])) == list(map(_row_key, moved))
+    return rows
+
+
 @pytest.mark.parametrize(
     "F, G, sweep, method",
     [
@@ -402,23 +437,35 @@ def test_sweep_continuity():
         (1.8, 0.0, (0.25, 2.2, 80), "fourier"),
         (15.0, 0.0, (0.05, 0.08, 2), "fourier"),  # near-pole and unsettled rows
         (0.5, 0.3, (0.4, 2.0, 20), "ode"),  # two blocks
+        (0.0, 0.0, (0.45, 1.95, 16), "fourier"),  # b_k = 0: x = 0, r_k = a_k
+        pytest.param(
+            4.0, 0.0, (0.1, 2.0, 60), "fourier",  # orders from 20 past 60, galloping up and down
+            marks=pytest.mark.filterwarnings("ignore::floquet_tls.errors.ContinuityWarning"),
+        ),
+        (0.5, 0.0, (-1.0, 2.0, 31), "fourier"),  # DomainError rows at omega <= 0
     ],
 )
 def test_sweep_blocks_match_per_point_results(F, G, sweep, method):
-    base = DriveParams(1.0, F, G, 1.0)
-    omegas = [float(w) for w in np.linspace(*sweep)]
-    rows = list(quasienergy._sweep_points(base, omegas, method, 20, 1e-12))
-    for omega, row in zip(omegas, rows):
-        # before continuation a row is its point alone, bit for bit
-        assert row == quasienergy_at(DriveParams(1.0, F, G, omega), method=method)
-    prev = None
-    for row, point in zip(rows, sweep_branches(base, omegas, method=method)):
-        prev = row if prev is None else quasienergy.continue_branch(row, prev)
-        assert point == prev
-    if method == "fourier":
-        # one point fewer moves every row to another place in its block
-        moved = quasienergy._sweep_points(base, omegas[1:], method, 20, 1e-12)
-        assert rows[1:] == list(moved)
+    _check_sweep_rows(1.0, F, G, [float(w) for w in np.linspace(*sweep)], method)
+
+
+def test_sweep_rows_through_lentz_guard_match_per_point_results(monkeypatch):
+    # (omega0, F) = (3, 0.5) from n_trunc = 3: every point first probes N = 3, and
+    # at omega = 1 the last row a_3 = 9 omega^2 - omega0^2 vanishes, so the array
+    # ladder stores Lentz's _TINY for r_3
+    guarded = []
+    real = fourier_rpl._ratio_block
+
+    def recording(*args):
+        r, sub = real(*args)
+        guarded.append(int((r == fourier_rpl._TINY).sum()))
+        return r, sub
+
+    monkeypatch.setattr(fourier_rpl, "_ratio_block", recording)
+    omegas = [float(w) for w in np.linspace(0.9, 1.1, 21)]
+    rows = _check_sweep_rows(3.0, 0.5, 0.0, omegas, "fourier", n_trunc=3)
+    assert any(guarded)
+    assert not any(isinstance(row, FloquetTlsError) for row in rows)
 
 
 def test_unsettled_sweep_row_samples_each_grid_once(monkeypatch):
