@@ -34,10 +34,10 @@ from .errors import DomainError, FloquetTlsError, ResonanceError, SeriesInstabil
 # (Lentz's guard for continued fractions); keeps r_k * r_{k+1} = b_k intact
 _TINY = 1e-150
 
-# the fewest points of a sweep at one probe order that solve_sweep solves as one
+# the fewest points of a sweep at one probe order that _solve_sweep solves as one
 # array ladder: below it the array kernel's per-group cost exceeds the scalar
 # ladder's per-point cost
-_ARRAY_MIN = 6
+_ARRAY_MIN = 12
 
 
 @dataclass
@@ -322,9 +322,9 @@ def _ratio_block(omega0, f_amp, omegas, n_trunc):
 
     omega0, f_amp and omegas are scalars or arrays of the P points.  The entries are
     written as ``build_system`` writes them, and the ladder runs down the rows in the
-    scalar order: one division and one addition per row.  Where the scalar ladder
-    branches, r_k = a_k + 0.0 for b_k = 0 and Lentz's ``_TINY`` for a vanishing
-    r_{k+1} that b_k != 0 divides, the rows run again with both branches.
+    scalar order, one division and one addition per row, with the scalar ladder's two
+    branches: r_k = a_k + 0.0 for b_k = 0, and Lentz's ``_TINY`` for a vanishing
+    r_{k+1} that b_k != 0 divides.
     """
     w0, f, w = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (omega0, f_amp, omegas)))
     ns = np.arange(1, n_trunc + 1)
@@ -338,15 +338,11 @@ def _ratio_block(omega0, f_amp, omegas, n_trunc):
     sub[1::2] = hf
     r = np.empty_like(diag)
     r[-1] = diag[-1]
+    live = b != 0.0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        nxt = r[-1]
-        for b_k, a_k, r_k in zip(b[::-1], diag[-2::-1], r[-2::-1]):
-            nxt = np.add(a_k, b_k / nxt, out=r_k)
-        live = b != 0.0
-        if not (live.all() and r[1:].all()):
-            for k in range(n_trunc - 2, -1, -1):
-                r[k + 1] = np.where(live[k] & (r[k + 1] == 0.0), _TINY, r[k + 1])
-                r[k] = diag[k] + np.where(live[k], b[k] / r[k + 1], 0.0)
+        for k in range(n_trunc - 2, -1, -1):
+            r[k + 1] = np.where(live[k] & (r[k + 1] == 0.0), _TINY, r[k + 1])
+            r[k] = diag[k] + np.where(live[k], b[k] / r[k + 1], 0.0)
     return r, sub
 
 
@@ -401,7 +397,7 @@ def solve_auto(params, z0_choice="phi1", start=20, step=8, coeff_tol=1e-10, n_ma
     faster than exponentially: max(n_max, start, ceil(f + 12 f^(1/3) + 25) +
     step).  An order still unconverged at the cap raises
     SeriesInstabilityError.  The search itself is :func:`_search`, which
-    :func:`solve_sweep` drives for many points at once.
+    :func:`_solve_sweep` drives for many points at once.
     """
     search = _search(abs(params.F / params.omega), start, step, coeff_tol, n_max)
     n_trunc = next(search)
@@ -420,22 +416,24 @@ def _probe(params, n_trunc, z0_choice, coeff_tol):
     return sol, tail <= coeff_tol * peak, tail / peak if peak else 0.0
 
 
-def solve_sweep(base, omegas, start=20, step=8, coeff_tol=1e-10, n_max=400):
-    """``solve_auto(p, "phi1", start, step, coeff_tol, n_max)`` at each omega of a sweep,
+def _solve_sweep(base, omegas, start, coeff_tol=1e-10):
+    """``solve_auto(p, "phi1", start, coeff_tol=coeff_tol)`` at each omega of a sweep,
     p = base at that omega, or the FloquetTlsError that point raises, in order.
 
     Every point runs its own :func:`_search`.  At each step the points pending at the
     same probe order N are solved together: a group of at least ``_ARRAY_MIN`` points
     as one array ladder (:func:`_solve_block`), whose solutions hold rows of one
     coefficient array, a smaller one point by point.  Either way each solution equals
-    :func:`solve_auto`'s at its point bit for bit.
+    :func:`solve_auto`'s at its point bit for bit.  With G != 0 every point goes to the
+    scalar ladder, whose ``build_system`` raises the DomainError of a point.
     """
     out = [None] * len(omegas)
     pending = {}  # point -> (params, search, probe order)
     for i, omega in enumerate(omegas):
         try:
             params = DriveParams(base.omega0, base.F, base.G, omega)
-            search = _search(abs(params.F / params.omega), start, step, coeff_tol, n_max)
+            # solve_auto's default step and cap
+            search = _search(abs(params.F / params.omega), start, 8, coeff_tol, 400)
             pending[i] = params, search, next(search)
         except FloquetTlsError as exc:
             out[i] = exc
@@ -447,7 +445,7 @@ def solve_sweep(base, omegas, start=20, step=8, coeff_tol=1e-10, n_max=400):
             block = [pending.pop(i)[:2] for i in rows]
             probes = [None] * len(rows)
             # an order below 2 is left to build_system, which rejects it point by point
-            if len(rows) >= _ARRAY_MIN and n_trunc >= 2:
+            if len(rows) >= _ARRAY_MIN and n_trunc >= 2 and base.G == 0:
                 params = [p for p, _ in block]
                 z0, x = _solve_block(params, n_trunc)
                 sols = [RplFourierSolution(n_trunc, *sol) for sol in zip(z0, x, params)]

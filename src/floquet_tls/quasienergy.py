@@ -46,22 +46,23 @@ One loop settles every average (:func:`_settle`), on grids of shape
 (rows, 3, m): a lone orbit is a block of one row, and a sweep
 (:func:`sweep_branches`) a sequence of blocks of up to 16.  On the ODE route
 the orbits of a block are one batch integrated in s = omega t
-(:func:`bloch_dynamics.periodic_orbits`); on the Fourier route the whole
-sweep's truncations are solved together (:func:`fourier_rpl.solve_sweep`: one
-array ladder for the points that share a probe order) and the block's grids
-come from one inverse FFT.  Only the rows that have not settled double their
-grid, at most 16 x 2048 samples at a time.  A row's values are reductions
-over its own samples, and a Fourier solution is its point's own whether it
-came from an array ladder or not, so a sweep row equals
-:func:`quasienergy_at` at its point bit for bit, and a point that fails is
-reported on its own.  chi and eps_d do not change when X is scaled by a
-positive factor, so a Fourier solution is averaged unnormalized.
+(:func:`bloch_dynamics.periodic_orbits`); on the Fourier route the
+truncations of up to 256 points are solved together
+(:func:`fourier_rpl._solve_sweep`: one array ladder for the points that share
+a probe order) and the block's grids come from one inverse FFT.  Only the
+rows that have not settled double their grid, at most 16 x 2048 samples at a
+time.  A row's values are reductions over its own samples, and a Fourier
+solution is its point's own whether it came from an array ladder or not, so
+a sweep row equals :func:`quasienergy_at` at its point bit for bit, and a
+point that fails is reported on its own.  chi and eps_d do not change when X
+is scaled by a positive factor, so a Fourier solution is averaged
+unnormalized.
 """
 
 import math
 import warnings
 from dataclasses import dataclass, replace
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -79,6 +80,8 @@ _SOUTH_POLE_MARGIN = 1e-3
 _A0_SETTLE = 1e-10
 _MIN_GRID = 1024
 _MAX_GRID = 1 << 16
+# the most points of a Fourier sweep whose truncations are solved, and held, at once
+_SOLVE_CHUNK = 16 * BATCH_SIZE
 
 
 @dataclass
@@ -454,8 +457,8 @@ def sweep_branches(
 
     The orbits are averaged in blocks of up to 16 rows (see the module
     notes); on the Fourier route each point's truncation order is the one
-    :func:`fourier_rpl.solve_auto` chooses, found for the whole sweep at once by
-    :func:`fourier_rpl.solve_sweep`.  Before continuation a row equals
+    :func:`fourier_rpl.solve_auto` chooses, found for many points at once by
+    :func:`fourier_rpl._solve_sweep`.  Before continuation a row equals
     :func:`quasienergy_at` at its point bit for bit.  The reported branch is
     chosen from the candidates {eps_mod + k w} and {-eps_mod + k w},
     k = -2..2, nearest to the previous point (minimal jump).  A
@@ -495,12 +498,16 @@ def _sweep_points(base, omegas, method, n_trunc, tol):
     :func:`_quasienergies`.  On the grid s_j = 2 pi j / m every row sees the
     same field (F cos s_j, G sin s_j, omega0), that of the drive at omega = 1.
     The ODE route integrates each block as it is reached; the Fourier route
-    solves every point's truncation first, in one :func:`fourier_rpl.solve_sweep`.
+    solves the truncations of _SOLVE_CHUNK points at a time, in one
+    :func:`fourier_rpl._solve_sweep` per chunk, when its first block is reached.
     """
     if method == "ode":
         orbits = periodic_orbits(base.omega0, base.F, base.G, omegas, tol=tol)
     else:
-        orbits = iter(fourier_rpl.solve_sweep(base, omegas, start=n_trunc))
+        orbits = chain.from_iterable(
+            fourier_rpl._solve_sweep(base, omegas[i : i + _SOLVE_CHUNK], n_trunc)
+            for i in range(0, len(omegas), _SOLVE_CHUNK)
+        )
     field = _field(DriveParams(base.omega0, base.F, base.G, 1.0))
     for start in range(0, len(omegas), BATCH_SIZE):
         block = list(islice(orbits, BATCH_SIZE))

@@ -351,13 +351,13 @@ def _reject_constant(name):
 
 
 def _fail_fourier_sweep_at(monkeypatch, omega):
-    real_solve = fourier_rpl.solve_sweep
+    real_solve = fourier_rpl._solve_sweep
 
     def failing_solve(base, omegas, *args, **kwargs):
         sols = real_solve(base, omegas, *args, **kwargs)
         return [DomainError("injected failure") if w == omega else s for w, s in zip(omegas, sols)]
 
-    monkeypatch.setattr(fourier_rpl, "solve_sweep", failing_solve)
+    monkeypatch.setattr(fourier_rpl, "_solve_sweep", failing_solve)
 
 
 def test_failed_sweep_point_is_json_null(tmp_path, monkeypatch):
@@ -439,7 +439,7 @@ def test_near_pole_first_row_keeps_minus_z_branch(tmp_path):
 
 def test_unconverged_truncation_fails_loudly(tmp_path, monkeypatch, capsys):
     # at (1, 20, 0.05) no order up to the cap N = 524 reaches coeff_tol = 1e-40; at 0.08 one does
-    for name in ("solve_auto", "solve_sweep"):  # a lone point, a sweep
+    for name in ("solve_auto", "_solve_sweep"):  # a lone point, a sweep
         strict = functools.partial(getattr(fourier_rpl, name), coeff_tol=1e-40)
         monkeypatch.setattr(fourier_rpl, name, strict)
     reason = "truncation N = 524 unconverged at its cap: tail ratio 3.44e-30 > coeff_tol 1e-40"

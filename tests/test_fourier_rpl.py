@@ -1,6 +1,7 @@
 """Frequency-domain route: tridiagonal system, minors, coefficients."""
 
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction as Q
 
@@ -498,10 +499,10 @@ def test_solve_sweep_matches_solve_auto_across_the_array_threshold(monkeypatch):
     monkeypatch.setattr(fourier_rpl, "_solve_block", counting_block)
     base = rpl(1.0, 1.0, 1.0)
     omegas = [float(w) for w in np.linspace(0.3, 2.0, fourier_rpl._ARRAY_MIN)]
-    full = fourier_rpl.solve_sweep(base, omegas)
+    full = fourier_rpl._solve_sweep(base, omegas, 20)
     assert groups and groups[0] == len(omegas)
     groups.clear()
-    fewer = fourier_rpl.solve_sweep(base, omegas[1:])
+    fewer = fourier_rpl._solve_sweep(base, omegas[1:], 20)
     assert groups == []
     for omega, sol, other in zip(omegas[1:], full[1:], fewer):
         ref = solve_auto(rpl(1.0, 1.0, omega), "phi1")
@@ -509,6 +510,16 @@ def test_solve_sweep_matches_solve_auto_across_the_array_threshold(monkeypatch):
         assert _bits(sol.z0, sol.x) == _bits(other.z0, other.x) == _bits(ref.z0, ref.x)
     rows = list(quasienergy._sweep_points(base, omegas, "fourier", 20, 1e-12))
     assert rows[1:] == list(quasienergy._sweep_points(base, omegas[1:], "fourier", 20, 1e-12))
+
+
+def test_solve_sweep_rejects_elliptic_drive_at_every_point():
+    # a group large enough for the array ladder still fails each point as solve_auto does
+    base = DriveParams(omega0=1.0, F=1.0, G=0.5, omega=1.0)
+    omegas = [0.5 + 0.1 * k for k in range(fourier_rpl._ARRAY_MIN)]
+    for omega, sol in zip(omegas, fourier_rpl._solve_sweep(base, omegas, 20)):
+        assert isinstance(sol, DomainError)
+        with pytest.raises(DomainError, match=re.escape(str(sol))):
+            solve_auto(DriveParams(omega0=1.0, F=1.0, G=0.5, omega=omega), "phi1")
 
 
 def test_normalized_solution_unit_sphere():

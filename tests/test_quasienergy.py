@@ -401,21 +401,26 @@ def _row_key(row):
     return (type(row), str(row)) if isinstance(row, FloquetTlsError) else row
 
 
-def _check_sweep_rows(omega0, F, G, omegas, method, n_trunc=20):
+def _check_sweep_rows(omega0, F, G, omegas, method, failed=0, n_trunc=20):
+    """Check a sweep's rows against their points alone; exactly ``failed`` of them fail."""
     base = DriveParams(omega0, F, G, 1.0)
     rows = list(quasienergy._sweep_points(base, omegas, method, n_trunc, 1e-12))
+    errors = [w for w, row in zip(omegas, rows) if isinstance(row, FloquetTlsError)]
+    assert len(errors) == failed
+    alone = functools.partial(quasienergy_at, method=method, n_trunc=n_trunc)
     for omega, row in zip(omegas, rows):
         # before continuation a row is its point alone, bit for bit, failures included
-        alone = functools.partial(quasienergy_at, method=method, n_trunc=n_trunc)
         if isinstance(row, FloquetTlsError):
             with pytest.raises(type(row), match=re.escape(str(row))):
                 alone(DriveParams(omega0, F, G, omega))
         else:
             assert row == alone(DriveParams(omega0, F, G, omega))
+    reported = []
+    # without on_error the first failure would raise
+    on_error = (lambda omega, exc: reported.append(omega)) if failed else None
+    points = sweep_branches(base, omegas, method=method, n_trunc=n_trunc, on_error=on_error)
+    assert reported == errors
     prev = None
-    points = sweep_branches(
-        base, omegas, method=method, n_trunc=n_trunc, on_error=lambda w, e: None
-    )
     for row, point in zip(rows, points):
         if isinstance(row, FloquetTlsError):
             assert point is None
@@ -426,7 +431,6 @@ def _check_sweep_rows(omega0, F, G, omegas, method, n_trunc=20):
         # one point fewer moves every row to another place in its block
         moved = quasienergy._sweep_points(base, omegas[1:], method, n_trunc, 1e-12)
         assert list(map(_row_key, rows[1:])) == list(map(_row_key, moved))
-    return rows
 
 
 @pytest.mark.parametrize(
@@ -437,16 +441,26 @@ def _check_sweep_rows(omega0, F, G, omegas, method, n_trunc=20):
         (1.8, 0.0, (0.25, 2.2, 80), "fourier"),
         (15.0, 0.0, (0.05, 0.08, 2), "fourier"),  # near-pole and unsettled rows
         (0.5, 0.3, (0.4, 2.0, 20), "ode"),  # two blocks
-        (0.0, 0.0, (0.45, 1.95, 16), "fourier"),  # b_k = 0: x = 0, r_k = a_k
         pytest.param(
             4.0, 0.0, (0.1, 2.0, 60), "fourier",  # orders from 20 past 60, galloping up and down
             marks=pytest.mark.filterwarnings("ignore::floquet_tls.errors.ContinuityWarning"),
         ),
-        (0.5, 0.0, (-1.0, 2.0, 31), "fourier"),  # DomainError rows at omega <= 0
     ],
 )
 def test_sweep_blocks_match_per_point_results(F, G, sweep, method):
     _check_sweep_rows(1.0, F, G, [float(w) for w in np.linspace(*sweep)], method)
+
+
+@pytest.mark.parametrize(
+    "F, sweep, failed",
+    [
+        # b_k = 0: x = 0, r_k = a_k; below omega0 the winding of the F = 0 orbits is unresolved
+        (0.0, (0.45, 1.95, 16), 6),
+        (0.5, (-1.0, 2.0, 31), 11),  # DomainError rows at omega <= 0
+    ],
+)
+def test_sweep_blocks_with_failed_rows_match_per_point_results(F, sweep, failed):
+    _check_sweep_rows(1.0, F, 0.0, [float(w) for w in np.linspace(*sweep)], "fourier", failed)
 
 
 def test_sweep_rows_through_lentz_guard_match_per_point_results(monkeypatch):
@@ -463,9 +477,30 @@ def test_sweep_rows_through_lentz_guard_match_per_point_results(monkeypatch):
 
     monkeypatch.setattr(fourier_rpl, "_ratio_block", recording)
     omegas = [float(w) for w in np.linspace(0.9, 1.1, 21)]
-    rows = _check_sweep_rows(3.0, 0.5, 0.0, omegas, "fourier", n_trunc=3)
+    _check_sweep_rows(3.0, 0.5, 0.0, omegas, "fourier", n_trunc=3)
     assert any(guarded)
-    assert not any(isinstance(row, FloquetTlsError) for row in rows)
+
+
+def test_fourier_sweep_solves_its_truncations_chunk_by_chunk(monkeypatch):
+    # each chunk is solved when its first block is reached, and the rows do not
+    # depend on where the chunks are cut
+    base = DriveParams(1.0, 1.0, 0.0, 1.0)
+    omegas = [float(w) for w in np.linspace(0.25, 2.2, 80)]
+    whole = list(quasienergy._sweep_points(base, omegas, "fourier", 20, 1e-12))
+    chunks = []
+    real = fourier_rpl._solve_sweep
+
+    def recording(base, omegas, *args):
+        chunks.append(len(omegas))
+        return real(base, omegas, *args)
+
+    monkeypatch.setattr(fourier_rpl, "_solve_sweep", recording)
+    monkeypatch.setattr(quasienergy, "_SOLVE_CHUNK", 32)
+    points = quasienergy._sweep_points(base, omegas, "fourier", 20, 1e-12)
+    first = next(points)
+    assert chunks == [32]
+    assert [first, *points] == whole
+    assert chunks == [32, 32, 16]
 
 
 def test_unsettled_sweep_row_samples_each_grid_once(monkeypatch):
