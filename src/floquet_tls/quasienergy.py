@@ -21,12 +21,16 @@ and truncated Fourier solutions by one inverse FFT
 (:func:`fourier_rpl.sample_grid`).  Every average over an orbit (the
 quasienergy, its split and the Floquet state's phase) reads one settled
 uniform grid, spectrally accurate for smooth periodic integrands and sampled
-once: 2048 points, doubled up to 65536 only while the mean of chi still
-differs by 1e-10 from its mean on the grid of half the size; a grid still
-unsettled at 65536 raises SeriesInstabilityError.  eps_d, the mean of a
-trigonometric polynomial of degree N + 1, is exact on such a grid for
-N + 1 < 2048.  The gradients, which do not involve chi, read X/R on 2048
-points.
+once.  The grid starts at 2048 points, and a quasienergy of a truncated
+Fourier solution of order N at the smallest power of two >= 8 (N + 1),
+clamped to [64, 2048]; it doubles up to 65536 only while the mean of chi
+still differs by 1e-10 from its mean on the grid of half the size, and a
+grid still unsettled at 65536 raises SeriesInstabilityError.  Every grid is
+sampled afresh, so an orbit that settles only on 2048 points or more gives
+the same values whatever its start.  eps_d, the mean of a trigonometric
+polynomial of degree N + 1, is exact on any grid of more than N + 1 points,
+so on every grid of a Fourier solution.  The gradients, which do not
+involve chi, read X/R on 2048 points.
 
 The drive (F cos wt, G sin wt, omega0) obeys h(t + T/2) = R_z(pi) h(t),
 R_z(pi) = diag(-1, -1, 1), and so do its periodic orbits, so chi and h . X
@@ -49,12 +53,13 @@ the orbits of a block are one batch integrated in s = omega t
 (:func:`bloch_dynamics.periodic_orbits`); on the Fourier route the
 truncations of up to 256 points are solved together
 (:func:`fourier_rpl._solve_sweep`: one array ladder for the points that share
-a probe order) and the block's grids come from one inverse FFT.  Only the
-rows that have not settled double their grid, at most 16 x 2048 samples at a
-time.  A row's values are reductions over its own samples, and a Fourier
-solution is its point's own whether it came from an array ladder or not, so
-a sweep row equals :func:`quasienergy_at` at its point bit for bit, and a
-point that fails is reported on its own.  chi and eps_d do not change when X
+a probe order) and the block's grids come from one inverse FFT.  A row joins
+the doubling at its own start, and only the rows that have not settled
+double their grid, at most 16 x 2048 samples at a time.  A row's values are
+reductions over its own samples, and a Fourier solution is its point's own
+whether it came from an array ladder or not, so a sweep row equals
+:func:`quasienergy_at` at its point bit for bit, and a point that fails is
+reported on its own.  chi and eps_d do not change when X
 is scaled by a positive factor, so a Fourier solution is averaged
 unnormalized.
 """
@@ -80,6 +85,8 @@ _SOUTH_POLE_MARGIN = 1e-3
 _A0_SETTLE = 1e-10
 _MIN_GRID = 1024
 _MAX_GRID = 1 << 16
+# the smallest grid a quasienergy of a truncated Fourier solution starts on
+_MIN_START = 64
 # the most points of a Fourier sweep whose truncations are solved, and held, at once
 _SOLVE_CHUNK = 16 * BATCH_SIZE
 
@@ -158,19 +165,29 @@ def _orbit_grid(orbit, period, m):
 
 
 def _grids(orbits, period=None, half=False):
-    """grid(rows, m): states (len(rows), 3, n) of orbits[k], k in rows, at t_j = j T / m, j < n.
+    """(grid, starts): grid(rows, m), the states (len(rows), 3, n) of orbits[k], k in rows,
+    at t_j = j T / m, j < n, and starts[k], the grid orbit k's quasienergy starts on.
 
     n = m: one inverse FFT for truncated Fourier solutions, else :func:`_orbit_grid`.
     With ``half`` the orbits known to obey X(t + T/2) = R_z(pi) X(t), truncated Fourier
     solutions and ODE periodic orbits, give the first half period, n = m/2.
+    A truncated Fourier solution of order N starts on the smallest power of two
+    >= 8 (N + 1), clamped to [64, 2048]; every other orbit on 2048.
     """
-    if half and all(isinstance(orbit, fourier_rpl.RplFourierSolution) for orbit in orbits):
-        return lambda rows, m: fourier_rpl.sample_half_grid([orbits[k] for k in rows], m)
-    if half and all(isinstance(orbit, PeriodicOrbit) for orbit in orbits):
-        return lambda rows, m: np.stack([orbits[k].batch.half_sample(m, orbits[k].index) for k in rows])
+    starts = [
+        min(2 * _MIN_GRID, max(_MIN_START, 1 << (8 * orbit.N + 7).bit_length()))
+        if isinstance(orbit, fourier_rpl.RplFourierSolution)
+        else 2 * _MIN_GRID
+        for orbit in orbits
+    ]
     if all(isinstance(orbit, fourier_rpl.RplFourierSolution) for orbit in orbits):
-        return lambda rows, m: fourier_rpl.sample_grid([orbits[k] for k in rows], m)
-    return lambda rows, m: np.stack([_orbit_grid(orbits[k], period, m) for k in rows])
+        sample = fourier_rpl.sample_half_grid if half else fourier_rpl.sample_grid
+        return (lambda rows, m: sample([orbits[k] for k in rows], m)), starts
+    if half and all(isinstance(orbit, PeriodicOrbit) for orbit in orbits):
+        return (
+            lambda rows, m: np.stack([orbits[k].batch.half_sample(m, orbits[k].index) for k in rows])
+        ), starts
+    return (lambda rows, m: np.stack([_orbit_grid(orbits[k], period, m) for k in rows])), starts
 
 
 def _field(drive):
@@ -219,30 +236,36 @@ def _turns(grid, k, xs, half=False):
         xs = grid([k], 2 * m)[0]
 
 
-def _settle(grid, count, field, m, flip=False):
-    """Yield (k, (xs, hs, radius, chi, turns, mean, eps_d)) for each of the ``count``
-    orbits of grid once its grid has settled, or (k, the FloquetTlsError of orbit k).
+def _settle(grid, starts, field, flip=False):
+    """Yield (k, (xs, hs, radius, chi, turns, mean, eps_d)) for each orbit k of grid once its
+    grid has settled, or (k, the FloquetTlsError of orbit k).
 
-    An orbit's grid of m, 2m, ... 65536 samples has settled when the mean of
-    chi on it is within 1e-10 of its mean over every second sample; the
-    orbits that have not settled double their grid together.  Each grid is sampled once
-    and chooses its section as :func:`_chi_samples`; ``turns`` is the
-    winding of a +z row and 0 on -z; ``mean`` and ``eps_d``, the means of chi and
-    (h . X)/(2R), are reduced for a whole chunk at once.  At most
-    max(1, 16 * 2048 / m) orbits are sampled at once, so a request never holds
-    more than 16 grids of 2048 samples.
+    Orbit k's grid of starts[k], 2 starts[k], ... 65536 samples has settled when
+    the mean of chi on it is within 1e-10 of its mean over every second sample.
+    On each size the orbits starting there and those that have not settled on
+    the size below are sampled together, so the starts are min(starts) times
+    powers of two.  Each grid is sampled once and chooses its section as
+    :func:`_chi_samples`; ``turns`` is the winding of a +z row and 0 on -z;
+    ``mean`` and ``eps_d``, the means of chi and (h . X)/(2R), are reduced for
+    a whole chunk at once.  At most max(1, 16 * 2048 / m) orbits are sampled at
+    once, so a request never holds more than 16 grids of 2048 samples.  An
+    orbit with R = 0, the zero solution, fails with DomainError.
     """
-    rows = list(range(count))
-    while rows:
+    rows, m = [], min(starts, default=0)
+    while rows or any(start >= m for start in starts):
+        rows = sorted(rows + [k for k, start in enumerate(starts) if start == m])
         later = []
         size = max(1, BATCH_SIZE * 2 * _MIN_GRID // m)
         for chunk in (rows[lo : lo + size] for lo in range(0, len(rows), size)):
             xs, hs, radius, pole, chi, near = _chi_samples(grid, chunk, m, field, flip)
             mean = chi.mean(axis=-1)
             delta = np.abs(mean - chi[:, ::2].mean(axis=-1))
-            eps_d = _eps_d(xs, hs, radius)
+            with np.errstate(invalid="ignore"):  # NaN only where R = 0
+                eps_d = _eps_d(xs, hs, radius)
             for i, k in enumerate(chunk):
-                if near[i]:
+                if radius[i] == 0:
+                    yield k, DomainError("orbit is the zero solution, R = 0, where chi is undefined")
+                elif near[i]:
                     yield k, SouthPoleError(
                         f"orbit passes within {_SOUTH_POLE_MARGIN:g} R of the "
                         f"{'south' if pole[i] < 0 else 'north'} pole, where its section is singular"
@@ -266,17 +289,19 @@ def _settle(grid, count, field, m, flip=False):
 
 def _settled(orbit, drive, m=2 * _MIN_GRID):
     """(xs, hs, radius, chi, turns, mean, eps_d) of the settled -z grid of a lone orbit over
-    its whole period; raises its error."""
-    ((_, got),) = _settle(_grids([orbit], drive.T), 1, _field(drive), m)
+    its whole period, starting on m samples; raises its error."""
+    ((_, got),) = _settle(_grids([orbit], drive.T)[0], [m], _field(drive))
     if isinstance(got, FloquetTlsError):
         raise got
     return got
 
 
-def _quasienergies(grid, field, omegas, method):
-    """QuasienergyResult or FloquetTlsError of each orbit of grid, in order."""
+def _quasienergies(orbits, field, omegas, method, period=None, half=False):
+    """QuasienergyResult or FloquetTlsError of each orbit, in order, each averaged from
+    its own start on the grids of :func:`_grids`."""
+    grid, starts = _grids(orbits, period, half)
     points = [None] * len(omegas)
-    for k, got in _settle(grid, len(omegas), field, 2 * _MIN_GRID, flip=True):
+    for k, got in _settle(grid, starts, field, flip=True):
         if not isinstance(got, FloquetTlsError):
             *_, turns, mean, eps_d = got
             got = QuasienergyResult.from_raw(
@@ -339,8 +364,9 @@ def quasienergy_classical(orbit, drive, method="ode"):
     -z branch by the winding of arg(X + iY), if the grid passes within 1e-3 R
     of the south pole, where chi needs ever finer grids to settle.
     """
-    grid = _grids([orbit], drive.T, half=isinstance(drive, DriveParams))
-    (point,) = _quasienergies(grid, _field(drive), [float(drive.omega)], method)
+    (point,) = _quasienergies(
+        [orbit], _field(drive), [float(drive.omega)], method, drive.T, isinstance(drive, DriveParams)
+    )
     if isinstance(point, FloquetTlsError):
         raise point
     return point
@@ -495,7 +521,9 @@ def _sweep_points(base, omegas, method, n_trunc, tol):
     """Each point's QuasienergyResult or FloquetTlsError, in grid order.
 
     The orbits are averaged in blocks of BATCH_SIZE rows by
-    :func:`_quasienergies`.  On the grid s_j = 2 pi j / m every row sees the
+    :func:`_quasienergies`, each row from its own start (:func:`_grids`): a
+    Fourier row from the grid its truncation order gives, an ODE row from
+    2048 samples.  On the grid s_j = 2 pi j / m every row sees the
     same field (F cos s_j, G sin s_j, omega0), that of the drive at omega = 1.
     The ODE route integrates each block as it is reached; the Fourier route
     solves the truncations of _SOLVE_CHUNK points at a time, in one
@@ -512,8 +540,9 @@ def _sweep_points(base, omegas, method, n_trunc, tol):
     for start in range(0, len(omegas), BATCH_SIZE):
         block = list(islice(orbits, BATCH_SIZE))
         rows = [k for k, orbit in enumerate(block) if not isinstance(orbit, FloquetTlsError)]
-        grid = _grids([block[k] for k in rows], half=True)
-        points = _quasienergies(grid, field, [omegas[start + k] for k in rows], method)
+        points = _quasienergies(
+            [block[k] for k in rows], field, [omegas[start + k] for k in rows], method, half=True
+        )
         for k, point in zip(rows, points):
             block[k] = point
         yield from block

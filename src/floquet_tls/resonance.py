@@ -112,19 +112,22 @@ def resonance_interpolation(n, f_amp, omega0):
     return f_amp / bessel_j0_zero(int(n)) + omega0 / (2 * int(n) - 1)
 
 
-def _odd_couplings(n_trunc, one):
+def _odd_couplings(n_trunc):
     """M1 on the odd modes j <= N: its diagonal, upper (j, j+2) and lower (j+2, j) entries.
 
-    ``one`` sets the number type: Fraction(1) for the exact series, 1.0 for
-    the float eigen-solve.
+    Each entry is a tuple of integer denominators d, the entry being the sum of
+    their 1/d: the exact series puts them over one common denominator, and the
+    float eigen-solve divides them itself.
     """
     modes = range(1, n_trunc + 1, 2)
     diag = [  # one term per even neighbour j -+ 1 inside the truncation
-        (one / (4 * j * (j + 1)) if j < n_trunc else 0) + (one / (4 * j * (j - 1)) if j > 1 else 0)
+        tuple(
+            d for d, inside in ((4 * j * (j + 1), j < n_trunc), (4 * j * (j - 1), j > 1)) if inside
+        )
         for j in modes
     ]
-    upper = [one / (4 * j * (j + 1)) for j in modes[:-1]]
-    lower = [one / (4 * (j + 1) * (j + 2)) for j in modes[:-1]]
+    upper = [(4 * j * (j + 1),) for j in modes[:-1]]
+    lower = [(4 * (j + 1) * (j + 2),) for j in modes[:-1]]
     return diag, upper, lower
 
 
@@ -138,7 +141,9 @@ def _odd_mode_roots(f_amps, omega0, n_trunc):
     the upper and lower entries.  Shape (len(f_amps), ceil(N/2)).
     """
     n_trunc = int(n_trunc)
-    diag, upper, lower = _odd_couplings(n_trunc, 1.0)
+    diag, upper, lower = (
+        [sum(1.0 / d for d in ds) for ds in row] for row in _odd_couplings(n_trunc)
+    )
     off = np.sqrt(np.multiply(upper, lower))
     m1 = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     m0 = np.diag(1.0 / np.arange(1, n_trunc + 1, 2) ** 2)
@@ -459,9 +464,9 @@ def _shift_series(n, max_m, n_trunc):
     modes = range(1, n_trunc + 1, 2)
     size, p, q2 = len(modes), n - 1, (2 * n - 1) ** 2
     # M1 = (diag, upper, lower) / scale, with integer entries
-    rows = [[Fraction(e) for e in row] for row in _odd_couplings(n_trunc, Fraction(1))]
-    scale = math.lcm(*(e.denominator for row in rows for e in row))
-    diag, upper, lower = ([e.numerator * (scale // e.denominator) for e in row] for row in rows)
+    rows = _odd_couplings(n_trunc)
+    scale = math.lcm(*(d for row in rows for ds in row for d in ds))
+    diag, upper, lower = ([sum(scale // d for d in ds) for ds in row] for row in rows)
     lams = [Fraction(1, q2)]
     vecs, dens = [[int(i == p) for i in range(size)]], [1]  # v_k = vecs[k] / dens[k]
     for k in range(1, max_m + 1):

@@ -20,7 +20,9 @@ def shift_series(n, max_m, n_trunc):
     """
     modes = range(1, n_trunc + 1, 2)
     size, p = len(modes), n - 1
-    diag, upper, lower = _odd_couplings(n_trunc, Fraction(1))
+    diag, upper, lower = (
+        [sum(Fraction(1, d) for d in ds) for ds in row] for row in _odd_couplings(n_trunc)
+    )
     lam0 = Fraction(1, (2 * n - 1) ** 2)
     gap = [lam0 - Fraction(1, j * j) for j in modes]
     lams = [lam0]

@@ -426,6 +426,20 @@ def test_unsettled_sweep_point_is_a_nan_row(tmp_path, monkeypatch, capsys):
     assert all(v is not None for v in rows[1])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_zero_solution_row_is_a_nan_row_without_a_warning(tmp_path, capsys):
+    # F = 0 at omega = omega0 is the zero solution; one failed row of 21 exits 0
+    out = tmp_path / "sweep.csv"
+    rc = cli.main(["quasienergy", "--omega0", "1", "--f", "0", "--omega-sweep", "1:3:21",
+                   "--method", "fourier", "-o", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "omega=1: orbit is the zero solution, R = 0, where chi is undefined"
+    ]
+    _, rows = read_csv(out)
+    assert all(math.isnan(v) for v in rows[0][1:5]) and rows[1][2] == 0.5
+
+
 def test_near_pole_first_row_keeps_minus_z_branch(tmp_path):
     # the (1, 15, 0.05) orbit passes 1.7e-5 R from the south pole; its first
     # row was once reported on branch -97

@@ -159,7 +159,7 @@ def test_near_pole_branch_is_that_of_minus_z_section(monkeypatch):
 def test_turns_refines_until_steps_are_below_quarter_turn(monkeypatch):
     p = rpc(omega0=1.0, F=1e-3, omega=3.0)
     orbit = _south_pole_orbit(p)
-    grid = quasienergy._grids([orbit], p.T)  # row 0 of a block of one
+    grid, _ = quasienergy._grids([orbit], p.T)  # row 0 of a block of one
     ts = np.arange(4) * (p.T / 4)
     coarse = orbit(ts).T  # states (3, m), steps of exactly pi/2
     assert quasienergy._turns(grid, 0, coarse) == 1
@@ -167,7 +167,7 @@ def test_turns_refines_until_steps_are_below_quarter_turn(monkeypatch):
     def reverse(t):
         return orbit(-np.asarray(t))
 
-    assert quasienergy._turns(quasienergy._grids([reverse], p.T), 0, reverse(ts).T) == -1
+    assert quasienergy._turns(quasienergy._grids([reverse], p.T)[0], 0, reverse(ts).T) == -1
     monkeypatch.setattr(quasienergy, "_MAX_GRID", 4)
     with pytest.raises(SeriesInstabilityError, match="unresolved on 4 samples"):
         quasienergy._turns(grid, 0, coarse)
@@ -179,7 +179,8 @@ def test_half_period_winding_is_the_whole_period_winding(method, omega):
     F = 15.0 if method == "fourier" else 7.0
     p = rpl(1.0, F, omega)
     orbit = fourier_rpl.solve_auto(p, "phi1") if method == "fourier" else periodic_orbit(p)
-    whole, half = quasienergy._grids([orbit], p.T), quasienergy._grids([orbit], p.T, half=True)
+    whole, _ = quasienergy._grids([orbit], p.T)
+    half, _ = quasienergy._grids([orbit], p.T, half=True)
     for m in (256, 2048):
         xs = half([0], m)[0]
         assert xs.shape == (3, m // 2)
@@ -524,29 +525,110 @@ def test_unsettled_sweep_row_samples_each_grid_once(monkeypatch):
         assert all(b == 2 * a for a, b in zip(grids, grids[1:]))  # strictly doubling, each once
 
 
-@pytest.mark.parametrize("method, G", [("fourier", 0.0), ("ode", 0.3)])
-def test_grid_requests_hold_at_most_sixteen_grids_of_2048(monkeypatch, method, G):
-    # with the settle threshold at 0 no row settles, so every row doubles
-    # its grid up to the cap together with the others
+def _fourier_start(n):
+    """The grid a quasienergy of a truncated Fourier solution of order n starts on."""
+    return min(2048, max(64, 2 ** math.ceil(math.log2(8 * (n + 1)))))
+
+
+def _record_chi_samples(monkeypatch):
+    """(rows, m) of every grid request of quasienergy._settle, in order."""
     requests = []
     real = quasienergy._chi_samples
 
     def chi_samples(grid, rows, m, field, flip):
-        requests.append((len(rows), m))
+        requests.append((list(rows), m))
         return real(grid, rows, m, field, flip)
 
     monkeypatch.setattr(quasienergy, "_chi_samples", chi_samples)
+    return requests
+
+
+@pytest.mark.parametrize("method, G", [("fourier", 0.0), ("ode", 0.3)])
+def test_grid_requests_hold_at_most_sixteen_grids_of_2048(monkeypatch, method, G):
+    # with the settle threshold at 0 no row settles, so every row doubles
+    # its grid from its own start up to the cap together with the others
+    requests = _record_chi_samples(monkeypatch)
     monkeypatch.setattr(quasienergy, "_A0_SETTLE", 0.0)
     monkeypatch.setattr(quasienergy, "_MAX_GRID", 16384)
     omegas = [float(w) for w in np.linspace(0.5, 2.0, 16)]
     rows = list(quasienergy._sweep_points(DriveParams(1.0, 0.5, G, 1.0), omegas, method, 20, 1e-12))
     assert all(isinstance(r, SeriesInstabilityError) for r in rows)
     assert all("unsettled on 16384 samples" in str(r) for r in rows)
-    for m in (2048, 4096, 8192, 16384):
-        sizes = [n for n, mm in requests if mm == m]
-        assert sum(sizes) == 16  # each row once per grid
-        assert max(sizes) <= max(1, 16 * 2048 // m)
-    assert {m for _, m in requests} == {2048, 4096, 8192, 16384}
+    if method == "fourier":
+        starts = [_fourier_start(fourier_rpl.solve_auto(rpl(1.0, 0.5, w)).N) for w in omegas]
+        assert max(starts) < 2048
+    else:
+        starts = [2048] * len(omegas)
+    for k, start in enumerate(starts):  # one block: row k is omegas[k]
+        grids = [m for ks, m in requests if k in ks]
+        assert grids[0] == start and grids[-1] == 16384
+        assert all(b == 2 * a for a, b in zip(grids, grids[1:]))  # each row once per grid
+    assert all(len(ks) <= max(1, 16 * 2048 // m) for ks, m in requests)
+
+
+def test_mixed_orders_in_a_block_start_on_their_own_grids(monkeypatch):
+    # one block of truncations of orders 3 to 300: each row starts on the grid
+    # its own order gives and equals its orbit averaged alone, bit for bit
+    orders = [3, 12, 20, 40, 100, 300]
+    omegas = [2.0, 1.5, 1.0, 0.7, 0.4, 0.3]
+    sols = [
+        fourier_rpl.solve_coefficients(fourier_rpl.build_system(rpl(1.0, 0.5, w), n), "phi1")
+        for n, w in zip(orders, omegas)
+    ]
+    field = quasienergy._field(rpl(1.0, 0.5, 1.0))
+    requests = _record_chi_samples(monkeypatch)
+    rows = quasienergy._quasienergies(sols, field, omegas, "fourier", half=True)
+    firsts = [min(m for ks, m in requests if k in ks) for k in range(len(sols))]
+    assert firsts == [64, 128, 256, 512, 1024, 2048] == [_fourier_start(n) for n in orders]
+    for sol, w, row in zip(sols, omegas, rows):
+        assert isinstance(row, QuasienergyResult)
+        assert [row] == quasienergy._quasienergies([sol], field, [w], "fourier", half=True)
+
+
+def test_rows_starting_on_2048_do_not_depend_on_the_smaller_starts(monkeypatch):
+    # (1, 15): orders 356 and 236 at omega = 0.05 and 0.08 start on 2048 and
+    # share a block with orders 28 to 60, which start on 256 and 512
+    base = rpl(1.0, 15.0, 1.0)
+    omegas = [0.05, 0.08, 0.5, 1.0, 2.0]
+    orders = [fourier_rpl.solve_auto(rpl(1.0, 15.0, w)).N for w in omegas]
+    assert orders[0] >= 255 and min(orders) < 127
+    rows = list(quasienergy._sweep_points(base, omegas, "fourier", 20, 1e-12))
+    monkeypatch.setattr(quasienergy, "_MIN_START", 2048)  # every row starts on 2048
+    forced = list(quasienergy._sweep_points(base, omegas, "fourier", 20, 1e-12))
+    for n, row, ref in zip(orders, rows, forced):
+        if _fourier_start(n) == 2048:
+            assert row == ref
+
+
+def test_weak_sweep_rows_match_rows_started_on_2048(monkeypatch):
+    # the weak fourier sweeps of the benchmark: rows that settle below 2048
+    # samples move by roundoff only, on the same branch
+    omegas = [float(w) for w in np.linspace(0.25, 2.2, 80)]
+    for F in (0.3, 1.0, 1.8):
+        base = rpl(1.0, F, 1.0)
+        monkeypatch.setattr(quasienergy, "_MIN_START", 64)
+        rows = sweep_branches(base, omegas, method="fourier")
+        monkeypatch.setattr(quasienergy, "_MIN_START", 2048)
+        forced = sweep_branches(base, omegas, method="fourier")
+        assert rows != forced  # some rows did settle below 2048
+        for row, ref in zip(rows, forced):
+            assert row.branch == ref.branch
+            for name in ("epsilon", "epsilon_mod", "eps_g", "eps_d"):
+                v, r = getattr(row, name), getattr(ref, name)
+                assert abs(v - r) <= 1e-13 * max(1.0, abs(r))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_zero_solution_fails_its_own_row_without_a_warning():
+    # F = 0 at omega = omega0: every coefficient vanishes and R = 0
+    with pytest.raises(DomainError, match="zero solution"):
+        quasienergy_at(rpl(1.0, 0.0, 1.0), method="fourier")
+    failed = []
+    omegas = [float(w) for w in np.linspace(1.0, 3.0, 21)]
+    points = sweep_branches(rpl(1.0, 0.0, 1.0), omegas, method="fourier",
+                            on_error=lambda w, exc: failed.append((w, type(exc))))
+    assert failed == [(1.0, DomainError)]
+    assert all(abs(p.epsilon_mod - 0.5) < 1e-15 for p in points[1:])
 
 
 def test_sweep_rejects_unknown_method_once():
