@@ -9,10 +9,8 @@ failure.  Identical configuration and seed produce byte-identical output.
 """
 
 import argparse
-import csv
 import dataclasses
 import functools
-import io
 import json
 import math
 import sys
@@ -51,14 +49,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageExit(message)
 
 
-def _fmt(x):
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "NaN"
-        return format(x, ".17g")
-    return str(x)
-
-
 def _parse_sweep(text):
     try:
         start, stop, count = text.split(":")
@@ -81,12 +71,19 @@ def _write_text(path, text):
 
 
 def _csv_text(header, rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    return buf.getvalue()
+    """CSV with CRLF line ends: floats as .17g, NaN as NaN, every other cell by str.
+
+    No cell the commands write holds a comma, a quote or a line break, so none is quoted.
+    """
+    lines = [",".join(header)]
+    lines += [
+        ",".join([
+            (format(v, ".17g") if v == v else "NaN") if isinstance(v, float) else str(v)
+            for v in row
+        ])
+        for row in rows
+    ]
+    return "\r\n".join(lines) + "\r\n"
 
 
 def _json_safe(obj):
@@ -142,7 +139,6 @@ def cmd_solve(args):
         harmonics = {"z0": sol.z0, "x": [float(v) for v in sol.x]}
     else:
         states = periodic_orbit(params, tol=args.tol).sample(m)
-    rows = []
     compare_dev = None
     if args.compare:
         if args.method == "fourier":
@@ -153,8 +149,9 @@ def cmd_solve(args):
             other = -other
         compare_dev = float(np.abs(states - other).max())
     norms = np.linalg.norm(states, axis=-1)
-    for i, t in enumerate(ts):
-        rows.append([float(t), states[i, 0], states[i, 1], states[i, 2], float(norms[i])])
+    rows = [
+        [t, *state, norm] for t, state, norm in zip(ts.tolist(), states.tolist(), norms.tolist())
+    ]
     extra = {}
     if harmonics is not None:
         extra["harmonics"] = harmonics

@@ -48,12 +48,12 @@ period.  :func:`chi_series`, :func:`split_geometric_dynamic` and
 
 One loop settles every average (:func:`_settle`), on grids of shape
 (rows, 3, m): a lone orbit is a block of one row, and a sweep
-(:func:`sweep_branches`) a sequence of blocks of up to 16.  On the ODE route
-the orbits of a block are one batch integrated in s = omega t
-(:func:`bloch_dynamics.periodic_orbits`); on the Fourier route the
-truncations of up to 256 points are solved together
+(:func:`sweep_branches`) a sequence of blocks.  On the ODE route a block is
+one batch of up to 16 orbits integrated in s = omega t
+(:func:`bloch_dynamics.periodic_orbits`); on the Fourier route it is up to
+256 points whose truncations are solved together
 (:func:`fourier_rpl._solve_sweep`: one array ladder for the points that share
-a probe order) and the block's grids come from one inverse FFT.  A row joins
+a probe order) and whose grids come from inverse FFTs.  A row joins
 the doubling at its own start, and only the rows that have not settled
 double their grid, at most 16 x 2048 samples at a time.  A row's values are
 reductions over its own samples, and a Fourier solution is its point's own
@@ -66,8 +66,7 @@ unnormalized.
 
 import math
 import warnings
-from dataclasses import dataclass, replace
-from itertools import chain, islice
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,7 +86,7 @@ _MIN_GRID = 1024
 _MAX_GRID = 1 << 16
 # the smallest grid a quasienergy of a truncated Fourier solution starts on
 _MIN_START = 64
-# the most points of a Fourier sweep whose truncations are solved, and held, at once
+# the most points of a Fourier sweep solved, held and averaged at once
 _SOLVE_CHUNK = 16 * BATCH_SIZE
 
 
@@ -131,9 +130,8 @@ class QuasienergyResult:
         d(eps)/d(omega) = eps_g / omega keep holding on the new branch.
         """
         shift = k * self.omega
-        return replace(
-            self, epsilon=self.epsilon + shift, eps_g=self.eps_g + shift, branch=self.branch + k
-        )
+        return QuasienergyResult(self.epsilon + shift, self.epsilon_mod, self.eps_g + shift,
+                                 self.eps_d, self.branch + k, self.method, self.omega)
 
     def mirrored(self):
         """Branch data of the mirrored orbit -X(t): eps -> -eps, d -> -d."""
@@ -481,14 +479,15 @@ def sweep_branches(
 ):
     """Quasienergies along an omega sweep, continued into smooth branches.
 
-    The orbits are averaged in blocks of up to 16 rows (see the module
-    notes); on the Fourier route each point's truncation order is the one
-    :func:`fourier_rpl.solve_auto` chooses, found for many points at once by
-    :func:`fourier_rpl._solve_sweep`.  Before continuation a row equals
-    :func:`quasienergy_at` at its point bit for bit.  The reported branch is
-    chosen from the candidates {eps_mod + k w} and {-eps_mod + k w},
-    k = -2..2, nearest to the previous point (minimal jump).  A
-    ContinuityWarning is issued when the smallest jump exceeds omega/4.
+    The orbits are averaged in blocks (see the module notes): up to 16 rows
+    on the ODE route, up to 256 on the Fourier route, where each point's
+    truncation order is the one :func:`fourier_rpl.solve_auto` chooses, found
+    for a block's points at once by :func:`fourier_rpl._solve_sweep`.  Before
+    continuation a row equals :func:`quasienergy_at` at its point bit for
+    bit.  The reported branch is the candidate nearest to the previous point
+    (minimal jump) among +-epsilon + k w, k within two of the branch nearest
+    that point (:func:`continue_branch`).  A ContinuityWarning is issued when
+    the smallest jump exceeds omega/4.
 
     Failures are reported per point.  With ``on_error``, a point that
     raises a FloquetTlsError is None in the returned list,
@@ -520,28 +519,26 @@ def sweep_branches(
 def _sweep_points(base, omegas, method, n_trunc, tol):
     """Each point's QuasienergyResult or FloquetTlsError, in grid order.
 
-    The orbits are averaged in blocks of BATCH_SIZE rows by
-    :func:`_quasienergies`, each row from its own start (:func:`_grids`): a
-    Fourier row from the grid its truncation order gives, an ODE row from
-    2048 samples.  On the grid s_j = 2 pi j / m every row sees the
-    same field (F cos s_j, G sin s_j, omega0), that of the drive at omega = 1.
-    The ODE route integrates each block as it is reached; the Fourier route
-    solves the truncations of _SOLVE_CHUNK points at a time, in one
-    :func:`fourier_rpl._solve_sweep` per chunk, when its first block is reached.
+    The orbits are averaged a block at a time by :func:`_quasienergies`, each
+    row from its own start (:func:`_grids`): a Fourier row from the grid its
+    truncation order gives, an ODE row from 2048 samples.  On the grid
+    s_j = 2 pi j / m every row sees the same field (F cos s_j, G sin s_j,
+    omega0), that of the drive at omega = 1.  A block is solved when it is
+    reached: BATCH_SIZE ODE orbits integrated as one batch, or the
+    truncations of _SOLVE_CHUNK Fourier points found by one
+    :func:`fourier_rpl._solve_sweep`.
     """
-    if method == "ode":
-        orbits = periodic_orbits(base.omega0, base.F, base.G, omegas, tol=tol)
-    else:
-        orbits = chain.from_iterable(
-            fourier_rpl._solve_sweep(base, omegas[i : i + _SOLVE_CHUNK], n_trunc)
-            for i in range(0, len(omegas), _SOLVE_CHUNK)
-        )
+    size = BATCH_SIZE if method == "ode" else _SOLVE_CHUNK
     field = _field(DriveParams(base.omega0, base.F, base.G, 1.0))
-    for start in range(0, len(omegas), BATCH_SIZE):
-        block = list(islice(orbits, BATCH_SIZE))
+    for start in range(0, len(omegas), size):
+        chunk = omegas[start : start + size]
+        if method == "ode":
+            block = list(periodic_orbits(base.omega0, base.F, base.G, chunk, tol=tol))
+        else:
+            block = fourier_rpl._solve_sweep(base, chunk, n_trunc)
         rows = [k for k, orbit in enumerate(block) if not isinstance(orbit, FloquetTlsError)]
         points = _quasienergies(
-            [block[k] for k in rows], field, [omegas[start + k] for k in rows], method, half=True
+            [block[k] for k in rows], field, [chunk[k] for k in rows], method, half=True
         )
         for k, point in zip(rows, points):
             block[k] = point

@@ -2,6 +2,7 @@
 
 import csv
 import functools
+import io
 import json
 import math
 import os
@@ -266,6 +267,80 @@ def test_bloch_siegert_csv(tmp_path):
     with open(out, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[1] == ["4", "2", "7", "192"]
+
+
+def _reference_csv_text(header, rows):
+    """CSV through csv.writer, cell by cell: floats as .17g, NaN as NaN, else str."""
+
+    def cell(x):
+        if isinstance(x, float):
+            return "NaN" if math.isnan(x) else format(x, ".17g")
+        return str(x)
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([cell(v) for v in row])
+    return buf.getvalue()
+
+
+def _assert_unquoted_csv(text, header):
+    """Every line splits on commas into the header's cells; none needs RFC-4180 quoting."""
+    lines = text.split("\r\n")
+    assert lines[-1] == "" and lines[0] == ",".join(header)
+    for line in lines[:-1]:
+        assert not any(c in line for c in '"\r\n')
+        assert list(csv.reader([line])) == [line.split(",")]
+        assert len(line.split(",")) == len(header)
+
+
+def test_csv_text_bytes_match_csv_writer():
+    sigmas = resonance.bloch_siegert_coefficients(7, 12)
+    big = [[7, 2 * (m + 1), str(s.numerator), str(s.denominator)] for m, s in enumerate(sigmas)]
+    assert max(len(row[2]) for row in big) > 40
+    rows = [
+        [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324],
+        [0.1 + 0.2, 1 / 3, -2.2250738585072014e-308, 1.7976931348623157e308, 1e16 + 2, 1e-7],
+        [123456789.12345679, -9007199254740993.0, 2.0**-1074, 1e22, 0.5, -1.0000000000000002],
+        [np.float64(math.nan), np.float64(-0.0), np.float64(0.1 + 0.2), np.float64(-math.inf),
+         np.float64(5e-324), np.float64(1 / 3)],
+        [0, -2, 10**40, np.int64(-7), 2**63, -(10**30)],
+    ] + [row + ["0", "-1"] for row in big]
+    header = ["a", "b", "c", "d", "e", "f"]
+    text = cli._csv_text(header, rows)
+    assert text == _reference_csv_text(header, rows)
+    _assert_unquoted_csv(text, header)
+    assert text.split("\r\n")[1] == "NaN,inf,-inf,-0,0,4.9406564584124654e-324"
+    assert cli._csv_text(header, []) == "a,b,c,d,e,f\r\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--omega0", "1", "--f", "0.5", "--omega", "2", "--method", "fourier", "--samples", "64"],
+        ["solve", "--omega0", "1", "--f", "0.5", "--g", "0.3", "--omega", "2", "--samples", "64"],
+        ["quasienergy", "--omega0", "1", "--f", "0", "--omega-sweep", "1:3:21", "--method", "fourier"],
+        ["quasienergy", "--omega0", "1", "--f", "0.5", "--g", "0.3", "--omega-sweep", "0.4:2:20"],
+        ["resonance", "--n-list", "1,2,3", "--f-grid", "0.01:10:20", "--log-grid"],
+        ["bloch-siegert", "--n", "7", "--max-m", "12"],
+    ],
+)
+def test_command_csv_bytes_match_csv_writer(tmp_path, monkeypatch, capsys, argv):
+    tables = []
+    real = cli._csv_text
+
+    def recording(header, rows):
+        text = real(header, rows)
+        tables.append((header, rows, text))
+        return text
+
+    monkeypatch.setattr(cli, "_csv_text", recording)
+    out = tmp_path / "out.csv"
+    assert cli.main(argv + ["-o", str(out)]) == 0
+    ((header, rows, text),) = tables
+    assert out.read_bytes() == text.encode() == _reference_csv_text(header, rows).encode()
+    _assert_unquoted_csv(text, header)
 
 
 def test_determinism_byte_identical(tmp_path):

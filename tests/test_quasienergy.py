@@ -1,8 +1,12 @@
 """Orbit -> Floquet-state reconstruction, splits, gradients, sweeps."""
 
+import dataclasses
 import functools
 import math
 import re
+import struct
+import warnings
+from itertools import chain
 
 import dop853
 import numpy as np
@@ -16,7 +20,13 @@ from floquet_tls.bloch_dynamics import (
     periodic_orbit,
     quasienergy_from_monodromy,
 )
-from floquet_tls.errors import DomainError, FloquetTlsError, SeriesInstabilityError, SouthPoleError
+from floquet_tls.errors import (
+    ContinuityWarning,
+    DomainError,
+    FloquetTlsError,
+    SeriesInstabilityError,
+    SouthPoleError,
+)
 from floquet_tls.exact_models import rpc_quasienergies, rpc_trajectory, toy_example
 from floquet_tls.quasienergy import (
     QuasienergyResult,
@@ -93,6 +103,66 @@ def test_quasienergy_result_bookkeeping():
     mirrored = res.mirrored()
     assert abs(mirrored.epsilon + res.epsilon) < 1e-15
     assert abs(mirrored.eps_d + res.eps_d) < 1e-15
+
+
+def _bits(row):
+    """A sweep row with every float as its 8 bytes, signed zeros and NaN payloads
+    included, or the type and message of its error."""
+    if isinstance(row, FloquetTlsError):
+        return type(row), str(row)
+    return tuple(
+        (type(v), struct.pack("<d", v) if isinstance(v, float) else v)
+        for v in dataclasses.astuple(row)
+    )
+
+
+def _replace_shifted(point, k):
+    """QuasienergyResult.shifted written with dataclasses.replace."""
+    shift = k * point.omega
+    return dataclasses.replace(
+        point, epsilon=point.epsilon + shift, eps_g=point.eps_g + shift, branch=point.branch + k
+    )
+
+
+_SHIFT_POINTS = [
+    QuasienergyResult.from_raw(2.3, 1.0, omega=1.0, method="ode"),
+    QuasienergyResult.from_raw(-0.7368, 0.25, omega=0.7368, method="fourier"),
+    QuasienergyResult(-0.0, 0.0, -0.0, 0.0, 0, "fourier", 1.0),  # signed zeros
+    QuasienergyResult(0.0, 0.0, -0.0, 0.0, 0, "ode", 0.5),
+    QuasienergyResult(-0.0, -0.0, 0.0, -0.0, -1, "fourier", 2.0),
+    QuasienergyResult.from_raw(0.1 + 0.2, 1e-300, omega=0.1, method="fourier"),
+]
+
+
+@pytest.mark.parametrize("point", _SHIFT_POINTS)
+def test_shifted_matches_dataclasses_replace_bit_for_bit(point):
+    for family in (point, point.mirrored()):
+        for k in range(-2, 3):
+            got, ref = family.shifted(k), _replace_shifted(family, k)
+            assert type(got) is QuasienergyResult
+            assert _bits(got) == _bits(ref)
+
+
+def test_continue_branch_matches_dataclasses_replace_bit_for_bit(monkeypatch):
+    # prev sits near each candidate +-epsilon + k omega, k = -2..2, in turn,
+    # so both families and every one of these shifts k are chosen
+    omegas = [float(w) for w in np.linspace(0.25, 2.2, 40)]
+    points = sweep_branches(rpl(1.0, 1.0, 1.0), omegas, method="fourier")
+    pairs = [(b, a) for a, b in zip(points, points[1:])]
+    for point in points[::7] + _SHIFT_POINTS[:2]:
+        for sign in (1.0, -1.0):
+            for k in range(-2, 3):
+                eps = sign * point.epsilon + k * point.omega + 0.01 * point.omega
+                pairs.append((point, QuasienergyResult.from_raw(eps, 0.0, point.omega, "fourier")))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ContinuityWarning)
+        got = [quasienergy.continue_branch(point, prev) for point, prev in pairs]
+        monkeypatch.setattr(QuasienergyResult, "shifted", _replace_shifted)
+        ref = [quasienergy.continue_branch(point, prev) for point, prev in pairs]
+    assert list(map(_bits, got)) == list(map(_bits, ref))
+    shifts = {(g.eps_d == p.eps_d, g.branch - (p if g.eps_d == p.eps_d else p.mirrored()).branch)
+              for g, (p, _) in zip(got, pairs)}
+    assert {(own, k) for own in (True, False) for k in range(-2, 3)} <= shifts
 
 
 def test_rpc_quasienergy_classical():
@@ -502,6 +572,60 @@ def test_fourier_sweep_solves_its_truncations_chunk_by_chunk(monkeypatch):
     assert chunks == [32]
     assert [first, *points] == whole
     assert chunks == [32, 32, 16]
+
+
+def _fourier_rows_in_blocks_of_16(base, omegas, n_trunc=20):
+    """A Fourier sweep's rows with each solve chunk averaged 16 rows at a time."""
+    size = quasienergy._SOLVE_CHUNK
+    orbits = list(chain.from_iterable(
+        fourier_rpl._solve_sweep(base, omegas[i : i + size], n_trunc)
+        for i in range(0, len(omegas), size)
+    ))
+    field = quasienergy._field(DriveParams(base.omega0, base.F, base.G, 1.0))
+    for start in range(0, len(omegas), 16):
+        rows = [k for k in range(start, min(start + 16, len(omegas)))
+                if not isinstance(orbits[k], FloquetTlsError)]
+        points = quasienergy._quasienergies(
+            [orbits[k] for k in rows], field, [omegas[k] for k in rows], "fourier", half=True
+        )
+        for k, point in zip(rows, points):
+            orbits[k] = point
+    return orbits
+
+
+@pytest.mark.parametrize(
+    "F, sweep, failed, plus_z",
+    [
+        (0.0, (0.45, 1.95, 40), 15, 15),  # F = 0: the +z winding fails below omega0
+        (0.5, (-1.0, 2.0, 31), 11, 0),  # DomainError rows at omega <= 0
+        (15.0, (0.05, 2.0, 40), 0, 8),  # near-pole rows, 0.05 among them, on +z
+        (1.8, (0.05, 3.0, 700), 0, 10),  # three solve chunks: 256 + 256 + 188
+    ],
+)
+def test_fourier_sweep_averaged_per_chunk_matches_blocks_of_16(monkeypatch, F, sweep, failed, plus_z):
+    base = rpl(1.0, F, 1.0)
+    omegas = [float(w) for w in np.linspace(*sweep)]
+    ref = _fourier_rows_in_blocks_of_16(base, omegas)
+    calls, turns = [], []
+    real_quasienergies, real_turns = quasienergy._quasienergies, quasienergy._turns
+
+    def quasienergies(orbits, *args, **kwargs):
+        calls.append(len(orbits))
+        return real_quasienergies(orbits, *args, **kwargs)
+
+    def recording_turns(grid, k, *args):
+        turns.append(k)
+        return real_turns(grid, k, *args)
+
+    monkeypatch.setattr(quasienergy, "_quasienergies", quasienergies)
+    monkeypatch.setattr(quasienergy, "_turns", recording_turns)
+    requests = _record_chi_samples(monkeypatch)
+    rows = list(quasienergy._sweep_points(base, omegas, "fourier", 20, 1e-12))
+    assert list(map(_bits, rows)) == list(map(_bits, ref))
+    assert sum(isinstance(row, FloquetTlsError) for row in rows) == failed
+    assert len(turns) == plus_z  # rows averaged on the +z section
+    assert len(calls) == math.ceil(len(omegas) / 256)  # one average per solve chunk
+    assert all(len(ks) <= max(1, 16 * 2048 // m) for ks, m in requests)
 
 
 def test_unsettled_sweep_row_samples_each_grid_once(monkeypatch):
