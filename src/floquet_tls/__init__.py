@@ -27,7 +27,6 @@ from .errors import (
     DomainError,
     FloquetTlsError,
     IntegrationError,
-    ResonanceError,
     SeriesInstabilityError,
     SouthPoleError,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "DomainError",
     "FloquetTlsError",
     "IntegrationError",
-    "ResonanceError",
     "SeriesInstabilityError",
     "SouthPoleError",
 ]

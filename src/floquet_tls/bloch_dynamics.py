@@ -406,8 +406,7 @@ def periodic_orbit(params, tol=DEFAULT_TOL):
     orbit and the same point in the 16-point batch 0.3368, 0.4368, ...,
     1.8368 are both 1.2e-15 from the closed form.
     """
-    _check_tol(tol)
-    (orbit,) = _orbit_batch(params.omega0, params.F, params.G, [params.omega], tol)
+    (orbit,) = periodic_orbits(params.omega0, params.F, params.G, [params.omega], tol)
     if isinstance(orbit, FloquetTlsError):
         raise orbit
     return orbit

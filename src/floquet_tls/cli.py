@@ -132,19 +132,18 @@ def cmd_solve(args):
     if m < 1:
         raise _UsageExit(f"--samples must be positive, got {m}")
     ts = np.arange(m) * (params.T / m)
-    harmonics = None
-    if args.method == "fourier":
-        sol = fourier_rpl.solve_auto(params, "phi1", start=args.n_trunc).normalized()
-        states = sol.sample(m)
-        harmonics = {"z0": sol.z0, "x": [float(v) for v in sol.x]}
-    else:
-        states = periodic_orbit(params, tol=args.tol).sample(m)
+
+    def solve(method):
+        """The route's states (m, 3) and, on the Fourier route, its harmonics."""
+        if method == "ode":
+            return periodic_orbit(params, tol=args.tol).sample(m), None
+        sol = fourier_rpl.solve_auto(params, start=args.n_trunc).normalized()
+        return sol.sample(m), {"z0": sol.z0, "x": [float(v) for v in sol.x]}
+
+    states, harmonics = solve(args.method)
     compare_dev = None
     if args.compare:
-        if args.method == "fourier":
-            other = periodic_orbit(params, tol=args.tol).sample(m)
-        else:
-            other = fourier_rpl.solve_auto(params, "phi1", start=args.n_trunc).normalized().sample(m)
+        other, _ = solve("fourier" if args.method == "ode" else "ode")
         if float(np.dot(states[0], other[0])) < 0:
             other = -other
         compare_dev = float(np.abs(states - other).max())
@@ -323,7 +322,7 @@ def _check_gradients(rng):
         return quasienergy.quasienergy_at(params, method="fourier").epsilon
 
     for p in _random_nonresonant_points(rng, 5):
-        sol = fourier_rpl.solve_auto(p, "phi1").normalized()
+        sol = fourier_rpl.solve_auto(p).normalized()
         res = quasienergy.quasienergy_classical(sol, p, method="fourier")
         for field, grad in (
             ("omega0", quasienergy.grad_omega0(sol, p)),
@@ -346,7 +345,7 @@ def _check_homogeneity(rng):
         for lam in (0.5, 2.0, 10.0):
             scaled = quasienergy.quasienergy_at(p.scaled(lam), method="fourier").epsilon
             worst = max(worst, abs(scaled - lam * res.epsilon) / lam)
-        sol = fourier_rpl.solve_auto(p, "phi1").normalized()
+        sol = fourier_rpl.solve_auto(p).normalized()
         grads = {
             "omega0": quasienergy.grad_omega0(sol, p),
             "F": quasienergy.grad_f(sol, p),
@@ -382,7 +381,7 @@ def _check_fourier_vs_ode(rng):
     worst = 0.0
     for f_amp in (0.1, 0.5):
         p = DriveParams(1.0, f_amp, 0.0, 2.0)
-        sol = fourier_rpl.solve_coefficients(fourier_rpl.build_system(p, 20), "phi1")
+        sol = fourier_rpl.solve_coefficients(fourier_rpl.build_system(p, 20))
         states = sol.normalized().evaluate(np.linspace(0, p.T, 200))
         orbit = periodic_orbit(p, tol=1e-12)(np.linspace(0, p.T, 200))
         if float(np.dot(states[0], orbit[0])) < 0:

@@ -27,10 +27,6 @@ class SouthPoleError(FloquetTlsError):
     """
 
 
-class ResonanceError(FloquetTlsError):
-    """Leading minor vanishes; the unit-z0 Fourier solution does not exist."""
-
-
 class BracketNotFoundError(FloquetTlsError):
     """Root bracketing failed; typically the truncation order is too small."""
 

@@ -28,7 +28,7 @@ from itertools import repeat
 import numpy as np
 
 from .bloch_dynamics import _HALF_TURN, DriveParams
-from .errors import DomainError, FloquetTlsError, ResonanceError, SeriesInstabilityError
+from .errors import DomainError, FloquetTlsError, SeriesInstabilityError
 
 # stands in for a vanishing trailing minor when the next ratio divides by it
 # (Lentz's guard for continued fractions); keeps r_k * r_{k+1} = b_k intact
@@ -159,9 +159,7 @@ class RplFourierSolution:
     z0: object
     x: list  # x_1..x_N
     params: DriveParams
-    normalization: str = "raw"
     norm_spread: float = 0.0
-    exact: bool = False
 
     def evaluate(self, t):
         """Bloch vector(s) at time(s) t from the truncated series."""
@@ -195,9 +193,7 @@ class RplFourierSolution:
             self,
             z0=float(self.z0) * scale,
             x=[float(v) * scale for v in self.x],
-            normalization="unit-sphere",
             norm_spread=(norms.max() - norms.min()) / r_bar,
-            exact=False,
         )
 
 
@@ -255,30 +251,20 @@ def sample_half_grid(sols, m):
     return np.stack([xy.real, xy.imag, z], axis=1)
 
 
-def solve_coefficients(sys, z0_choice="unit"):
-    """Fourier coefficients from the first column of the inverse.
+def solve_coefficients(sys):
+    """Fourier coefficients from the first column of the inverse, with z0 = phi_1.
 
-    ``z0_choice='unit'`` fixes z0 = 1 and requires phi_1 != 0;
-    ``z0_choice='phi1'`` cancels the 1/phi_1 pole and yields coefficients
-    polynomial in (F, omega, omega0); on the float path those are divided
-    by |phi_2| to stay representable (overall scale is free anyway).
+    z0 = phi_1 cancels the 1/phi_1 pole, so the coefficients are polynomial
+    in (F, omega, omega0) and exist at a resonance too; on the float path
+    they are divided by |phi_2| to stay representable (the overall scale is
+    free anyway).
     """
-    if z0_choice not in ("unit", "phi1"):
-        raise DomainError(f"unknown z0 choice: {z0_choice!r}")
     lad = minors(sys)
     n_ = sys.N
 
     if sys.exact:
         f_amp = Fraction(sys.params.F)
         phi = [lad.phi(k) for k in range(1, n_ + 1)] + [Fraction(1)]
-        if z0_choice == "unit":
-            if phi[0] == 0:
-                raise ResonanceError("phi_1 = 0: unit-z0 solution undefined")
-            z0 = Fraction(1)
-            denom = phi[0]
-        else:
-            z0 = phi[0]
-            denom = Fraction(1)
         xs = []
         prod = Fraction(1)  # prod_{k=2..i} A_{k,k-1}
         sign = 1
@@ -286,29 +272,19 @@ def solve_coefficients(sys, z0_choice="unit"):
             if i > 1:
                 prod *= sys.sub[i - 2]
                 sign = -sign
-            # x_i = -F z0 (-1)^(i+1) prod_i phi_{i+1} / phi_1
-            xs.append(-f_amp * sign * prod * phi[i] / denom)
-        return RplFourierSolution(N=n_, z0=z0, x=xs, params=sys.params, exact=True)
+            # x_i = -F z0 (-1)^(i+1) prod_i phi_{i+1} / phi_1, z0 = phi_1
+            xs.append(-f_amp * sign * prod * phi[i])
+        return RplFourierSolution(N=n_, z0=phi[0], x=xs, params=sys.params)
 
-    # float path, on the ratios r_k = phi_k / phi_{k+1}: the phi1 coefficients
-    # over phi_2 are z0 = r_1, x_1 = -F and x_i = x_{i-1} (-A_{i,i-1}) / r_i,
-    # the unit ones those over r_1.  Dividing by |phi_2| instead keeps the
-    # orientation of the orbit, which fixes the sign of its quasienergy.
+    # float path, on the ratios r_k = phi_k / phi_{k+1}: the coefficients over
+    # phi_2 are z0 = r_1, x_1 = -F and x_i = x_{i-1} (-A_{i,i-1}) / r_i.
+    # Dividing by |phi_2| instead keeps the orientation of the orbit, which
+    # fixes the sign of its quasienergy.
     f_amp = float(sys.params.F)
     r = lad._values
-    if z0_choice == "unit":
-        with np.errstate(divide="ignore"):
-            log2_phi = np.cumsum(np.log2(np.abs(r[::-1])))  # log2|phi_k|, k = N..1
-        if log2_phi[-1] < log2_phi.max() + math.log2(1e-12):
-            raise ResonanceError(
-                "phi_1 is below 1e-12 of the ladder scale; "
-                "near a resonance use z0_choice='phi1'"
-            )
-        z0, x = 1.0, -f_amp / r[0]
-    else:
-        # sign(phi_2): the parity of the ratios r_2..r_N with their sign bit set
-        sign = -1.0 if np.count_nonzero(np.signbit(r)[1:]) % 2 else 1.0
-        z0, x = sign * r[0], -sign * f_amp
+    # sign(phi_2): the parity of the ratios r_2..r_N with their sign bit set
+    sign = -1.0 if np.count_nonzero(np.signbit(r)[1:]) % 2 else 1.0
+    z0, x = sign * r[0], -sign * f_amp
     xs = [x]
     for i in range(2, n_ + 1):
         x = x * -sys.sub[i - 2] / r[i - 1] if x else 0.0
@@ -347,8 +323,8 @@ def _ratio_block(omega0, f_amp, omegas, n_trunc):
 
 
 def _solve_block(params, n_trunc):
-    """``solve_coefficients(build_system(p, n_trunc), "phi1")`` for every p of params
-    (G = 0), bit for bit, from one :func:`_ratio_block`: z0 (P,) and x (P, N).
+    """``solve_coefficients(build_system(p, n_trunc))`` for every p of params (G = 0),
+    bit for bit, from one :func:`_ratio_block`: z0 (P,) and x (P, N).
 
     Each column keeps the scalar operation order, x_i = (x_{i-1} (-A_{i,i-1})) / r_i,
     and its branch x_i = 0.0 once an earlier x vanishes.
@@ -381,8 +357,8 @@ def _tail_test(x, coeff_tol):
         return tail <= coeff_tol * peak, np.where(peak != 0.0, tail / peak, 0.0)
 
 
-def solve_auto(params, z0_choice="phi1", start=20, step=8, coeff_tol=1e-10, n_max=400):
-    """Smallest truncation order N = start + step k whose top coefficient is negligible.
+def solve_auto(params, start=20, coeff_tol=1e-10):
+    """Smallest truncation order N = start + 8 k whose top coefficient is negligible.
 
     N is converged once max(|x_N|, |x_{N-1}|) <= coeff_tol max_n |x_n|.  The
     coefficients fall off like the Bessel functions J_n(f), f = |F / omega|,
@@ -394,37 +370,35 @@ def solve_auto(params, z0_choice="phi1", start=20, step=8, coeff_tol=1e-10, n_ma
     estimate costs at most 2 ceil(log2(d + 1)) + 2 probes; the estimate is
     within one step for strong drives, which then cost two or three.  The
     cap grows with f on the Jacobi-Anger scale, beyond which J_n(f) falls off
-    faster than exponentially: max(n_max, start, ceil(f + 12 f^(1/3) + 25) +
-    step).  An order still unconverged at the cap raises
-    SeriesInstabilityError.  The search itself is :func:`_search`, which
-    :func:`_solve_sweep` drives for many points at once.
+    faster than exponentially: max(400, start, ceil(f + 12 f^(1/3) + 25) + 8).
+    An order still unconverged at the cap raises SeriesInstabilityError.
+
+    A lone point is a sweep of one: the entry of :func:`_solve_sweep` at
+    params.omega, raised if it is an error.
     """
-    search = _search(abs(params.F / params.omega), start, step, coeff_tol, n_max)
-    n_trunc = next(search)
-    while True:
-        try:
-            n_trunc = search.send(_probe(params, n_trunc, z0_choice, coeff_tol))
-        except StopIteration as done:
-            return done.value
+    (sol,) = _solve_sweep(params, [params.omega], start, coeff_tol)
+    if isinstance(sol, FloquetTlsError):
+        raise sol
+    return sol
 
 
-def _probe(params, n_trunc, z0_choice, coeff_tol):
+def _probe(params, n_trunc, coeff_tol):
     """(solution, converged, tail ratio) of one scalar ladder, as :func:`_search` takes it."""
-    sol = solve_coefficients(build_system(params, n_trunc), z0_choice)
-    mags = np.abs(np.asarray(sol.x, dtype=float))
-    tail, peak = max(mags[-1], mags[-2]), mags.max()
-    return sol, tail <= coeff_tol * peak, tail / peak if peak else 0.0
+    sol = solve_coefficients(build_system(params, n_trunc))
+    (converged,), (tail,) = _tail_test(np.asarray(sol.x, dtype=float)[None], coeff_tol)
+    return sol, converged, tail
 
 
 def _solve_sweep(base, omegas, start, coeff_tol=1e-10):
-    """``solve_auto(p, "phi1", start, coeff_tol=coeff_tol)`` at each omega of a sweep,
-    p = base at that omega, or the FloquetTlsError that point raises, in order.
+    """The truncation :func:`solve_auto` describes at each omega of a sweep, p = base at
+    that omega, or the FloquetTlsError that point raises, in order.
 
     Every point runs its own :func:`_search`.  At each step the points pending at the
     same probe order N are solved together: a group of at least ``_ARRAY_MIN`` points
     as one array ladder (:func:`_solve_block`), whose solutions hold rows of one
-    coefficient array, a smaller one point by point.  Either way each solution equals
-    :func:`solve_auto`'s at its point bit for bit.  With G != 0 every point goes to the
+    coefficient array, a smaller one point by point (:func:`_probe`).  Either way a
+    point's solution is ``solve_coefficients(build_system(p, N))`` bit for bit, so it
+    does not depend on the sweep around it.  With G != 0 every point goes to the
     scalar ladder, whose ``build_system`` raises the DomainError of a point.
     """
     out = [None] * len(omegas)
@@ -432,8 +406,7 @@ def _solve_sweep(base, omegas, start, coeff_tol=1e-10):
     for i, omega in enumerate(omegas):
         try:
             params = DriveParams(base.omega0, base.F, base.G, omega)
-            # solve_auto's default step and cap
-            search = _search(abs(params.F / params.omega), start, 8, coeff_tol, 400)
+            search = _search(abs(params.F / params.omega), start, coeff_tol)
             pending[i] = params, search, next(search)
         except FloquetTlsError as exc:
             out[i] = exc
@@ -453,7 +426,7 @@ def _solve_sweep(base, omegas, start, coeff_tol=1e-10):
             for i, (params, search), probe in zip(rows, block, probes):
                 try:
                     if probe is None:
-                        probe = _probe(params, n_trunc, "phi1", coeff_tol)
+                        probe = _probe(params, n_trunc, coeff_tol)
                     pending[i] = params, search, search.send(probe)
                 except StopIteration as done:
                     out[i] = done.value
@@ -462,14 +435,15 @@ def _solve_sweep(base, omegas, start, coeff_tol=1e-10):
     return out
 
 
-def _search(f, start, step, coeff_tol, n_max):
+def _search(f, start, coeff_tol):
     """The search of :func:`solve_auto` at a point of drive ratio f = |F / omega|.
 
-    Yields each probe order N = start + step k and is sent back that probe's
+    Yields each probe order N = start + 8 k and is sent back that probe's
     (solution, converged, tail ratio).  Returns the solution it settles on,
     or raises SeriesInstabilityError at the cap.
     """
-    n_max = max(n_max, start, math.ceil(f + 12 * f ** (1 / 3) + 25) + step)
+    step = 8
+    n_max = max(400, start, math.ceil(f + 12 * f ** (1 / 3) + 25) + step)
     k_max = -(-(n_max - start) // step)
     guess = min(k_max, max(0, math.floor((f + 8 * f ** (1 / 3) + 2 - start) / step)))
     sol, converged, tail = yield start + step * guess

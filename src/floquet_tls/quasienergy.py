@@ -485,7 +485,7 @@ def sweep_branches(
     for a block's points at once by :func:`fourier_rpl._solve_sweep`.  Before
     continuation a row equals :func:`quasienergy_at` at its point bit for
     bit.  The reported branch is the candidate nearest to the previous point
-    (minimal jump) among +-epsilon + k w, k within two of the branch nearest
+    (minimal jump) among +-epsilon + k w, k within one of the branch nearest
     that point (:func:`continue_branch`).  A ContinuityWarning is issued when
     the smallest jump exceeds omega/4.
 
@@ -548,15 +548,17 @@ def _sweep_points(base, omegas, method, n_trunc, tol):
 def continue_branch(point, prev):
     """Representative of ``point`` (own or mirrored family) nearest ``prev``.
 
-    The ten candidates +-epsilon + k omega, k within two of the branch
-    nearest ``prev``, are compared as floats; only the chosen one is built.
+    Per family, eps + k omega with k = floor((prev - eps) / omega + 1/2) lies
+    within omega/2 of ``prev``, so k +- 2, at least 1.5 omega away, never
+    win.  The six candidates +-epsilon + k omega, k within one of that
+    branch, are compared as floats; only the chosen one is built.
     """
     omega = point.omega
     best, best_dist = None, math.inf
     for sign in (1.0, -1.0):
         eps = sign * point.epsilon
         base_k = math.floor((prev.epsilon - eps) / omega + 0.5)
-        for k in range(base_k - 2, base_k + 3):
+        for k in range(base_k - 1, base_k + 2):
             dist = abs(eps + k * omega - prev.epsilon)
             if dist < best_dist:
                 best, best_dist = (sign, k), dist

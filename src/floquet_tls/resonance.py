@@ -105,11 +105,17 @@ class ResonancePoint:
     residual: float
 
 
-def resonance_interpolation(n, f_amp, omega0):
-    """Interpolation F/j_{0,n} + omega0/(2n-1) between the two exact edges."""
+def _resonance_index(n):
+    """n as an int, once it is checked to be a positive integer."""
     if n < 1 or int(n) != n:
         raise DomainError(f"resonance index must be a positive integer: {n}")
-    return f_amp / bessel_j0_zero(int(n)) + omega0 / (2 * int(n) - 1)
+    return int(n)
+
+
+def resonance_interpolation(n, f_amp, omega0):
+    """Interpolation F/j_{0,n} + omega0/(2n-1) between the two exact edges."""
+    n = _resonance_index(n)
+    return f_amp / bessel_j0_zero(n) + omega0 / (2 * n - 1)
 
 
 def _odd_couplings(n_trunc):
@@ -328,9 +334,7 @@ def find_resonance(n, f_amp, omega0=1.0, n_trunc=50, seed=None):
     curves, with the global scan as fallback.  The residual is that of the
     eigen-solve at f_amp (:func:`_eigen_roots`).
     """
-    if n < 1 or int(n) != n:
-        raise DomainError(f"resonance index must be a positive integer: {n}")
-    n = int(n)
+    n = _resonance_index(n)
     fn = _det_fn(f_amp, omega0, n_trunc)
     if seed is not None:
         max_rel = 0.45 * _neighbour_gap(n, f_amp, omega0)
@@ -382,8 +386,7 @@ def _track_root(fn, seed, rel0=0.002, grow=1.8, max_rel=0.35):
 
 def _curve_index(n, omega0, n_trunc):
     """n as an int, once n, omega0 and N are checked for a resonance curve."""
-    if n < 1 or int(n) != n:
-        raise DomainError(f"resonance index must be a positive integer: {n}")
+    index = _resonance_index(n)
     if n_trunc < 2:
         raise DomainError(f"truncation order must be >= 2, got {n_trunc}")
     if not omega0 > 0:
@@ -395,7 +398,7 @@ def _curve_index(n, omega0, n_trunc):
             f"{modes} resonances; resonance {n} needs a higher truncation order",
             suggested_n=n_trunc + 16,
         )
-    return int(n)
+    return index
 
 
 def resonance_curves(n_list, f_grid, omega0=1.0, n_trunc=50):
@@ -512,11 +515,10 @@ def bloch_siegert_coefficients(n, max_m, n_trunc=None):
     The truncation default 2 max_m + 2n + 4 is verified by recomputing at
     N + 4; disagreement raises SeriesInstabilityError.
     """
-    if n < 1 or int(n) != n:
-        raise DomainError(f"resonance index must be a positive integer: {n}")
+    n = _resonance_index(n)
     if max_m < 1 or int(max_m) != max_m:
         raise DomainError(f"max_m must be a positive integer: {max_m}")
-    n, max_m = int(n), int(max_m)
+    max_m = int(max_m)
     if n_trunc is None:
         n_trunc = 2 * max_m + 2 * n + 4
     if n_trunc < 2 * n - 1:

@@ -190,14 +190,14 @@ def test_criterion_07_gradient_identities():
     worst = dict(w0=0.0, f=0.0, w=0.0, euler=0.0, scale=0.0)
 
     def eps_at(p):
-        sol = fourier_rpl.solve_auto(p, "phi1").normalized()
+        sol = fourier_rpl.solve_auto(p).normalized()
         return quasienergy.quasienergy_classical(sol.evaluate, p, method="fourier").epsilon
 
     for _ in range(20):
         f_amp = float(rng.uniform(0.1, 1.5))
         omega = float(rng.uniform(1.35, 3.0))  # above every resonance curve
         p = DriveParams(1.0, f_amp, 0.0, omega)
-        sol = fourier_rpl.solve_auto(p, "phi1").normalized()
+        sol = fourier_rpl.solve_auto(p).normalized()
         res = quasienergy.quasienergy_classical(sol.evaluate, p, method="fourier")
         fd = (
             eps_at(DriveParams(1.0 + delta, f_amp, 0.0, omega))
@@ -238,7 +238,7 @@ def test_criterion_08_route_equivalence():
     for f_amp in (0.1, 0.5, 1.0, 2.0):
         w_res = resonance.find_resonance(1, f_amp, 1.0, 50).omega_res
         p = DriveParams(1.0, f_amp, 0.0, w_res)
-        sol = fourier_rpl.solve_coefficients(fourier_rpl.build_system(p, 20), "phi1")
+        sol = fourier_rpl.solve_coefficients(fourier_rpl.build_system(p, 20))
         ts = np.linspace(0.0, p.T, 300)
         a = sol.normalized().evaluate(ts)
         b = periodic_orbit(p)(ts)
@@ -253,7 +253,7 @@ def test_criterion_08_route_equivalence():
     ]
     for w, w0, f_amp in points:
         params = DriveParams(omega0=w0, F=f_amp, G=Q(0), omega=w)
-        sol = fourier_rpl.solve_coefficients(fourier_rpl.build_system(params, 4, exact=True), "phi1")
+        sol = fourier_rpl.solve_coefficients(fourier_rpl.build_system(params, 4, exact=True))
         assert sol.x[0] == Q(1, 2) * f_amp * w**2 * (9 * f_amp**2 + 16 * (w0**2 - 9 * w**2))
         assert sol.x[1] == -Q(1, 8) * f_amp**2 * w**2 * (3 * f_amp**2 + 16 * (w0**2 - 9 * w**2))
         assert sol.x[2] == -(f_amp**3) * w**2

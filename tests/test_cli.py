@@ -1,7 +1,6 @@
 """Command-line surface: artifacts, exit codes, determinism."""
 
 import csv
-import functools
 import io
 import json
 import math
@@ -55,7 +54,7 @@ def test_solve_samples_match_pointwise_evaluation(tmp_path, method):
     p = DriveParams(1.0, 0.5, 0.0, 2.0)
     ts = np.arange(300) * (p.T / 300)
     if method == "fourier":
-        ref = fourier_rpl.solve_auto(p, "phi1", start=20).normalized().evaluate(ts)
+        ref = fourier_rpl.solve_auto(p, start=20).normalized().evaluate(ts)
     else:
         ref = periodic_orbit(p)(ts)
     assert np.array_equal(data[:, 0], ts)
@@ -528,9 +527,13 @@ def test_near_pole_first_row_keeps_minus_z_branch(tmp_path):
 
 def test_unconverged_truncation_fails_loudly(tmp_path, monkeypatch, capsys):
     # at (1, 20, 0.05) no order up to the cap N = 524 reaches coeff_tol = 1e-40; at 0.08 one does
-    for name in ("solve_auto", "_solve_sweep"):  # a lone point, a sweep
-        strict = functools.partial(getattr(fourier_rpl, name), coeff_tol=1e-40)
-        monkeypatch.setattr(fourier_rpl, name, strict)
+    real = fourier_rpl._solve_sweep
+
+    def strict(base, omegas, start, coeff_tol=None):
+        return real(base, omegas, start, 1e-40)
+
+    # a lone point is a sweep of one, so this covers solve and quasienergy alike
+    monkeypatch.setattr(fourier_rpl, "_solve_sweep", strict)
     reason = "truncation N = 524 unconverged at its cap: tail ratio 3.44e-30 > coeff_tol 1e-40"
     out = tmp_path / "traj.csv"
     rc = cli.main(["solve", "--omega0", "1", "--f", "20", "--omega", "0.05", "--method", "fourier",

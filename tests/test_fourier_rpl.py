@@ -7,11 +7,10 @@ from fractions import Fraction as Q
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 from floquet_tls.bloch_dynamics import DriveParams, periodic_orbit
 from floquet_tls import fourier_rpl, quasienergy
-from floquet_tls.errors import DomainError, ResonanceError, SeriesInstabilityError
+from floquet_tls.errors import DomainError, SeriesInstabilityError
 from floquet_tls.fourier_rpl import (
     build_system,
     minors,
@@ -112,10 +111,8 @@ def test_ladder_sign_and_log_determinant_match_slogdet():
 )
 def test_float_phi1_coefficients_match_exact(omega0, F, omega, n_trunc):
     # dyadic inputs, so both paths solve the same matrix
-    exact = solve_coefficients(build_system(rpl(omega0, F, omega), n_trunc, exact=True), "phi1")
-    approx = solve_coefficients(
-        build_system(rpl(float(omega0), float(F), float(omega)), n_trunc), "phi1"
-    )
+    exact = solve_coefficients(build_system(rpl(omega0, F, omega), n_trunc, exact=True))
+    approx = solve_coefficients(build_system(rpl(float(omega0), float(F), float(omega)), n_trunc))
     # common rescaling by the positive |x_1|, exactly on the Fraction side, so
     # the orientation of the orbit (the sign of its quasienergy) must agree too
     ref = np.array([float(v / abs(exact.x[0])) for v in [exact.z0] + exact.x])
@@ -134,8 +131,8 @@ def test_vanishing_trailing_minor():
     assert det == -6.0 and abs(lad.det - det) <= 1e-14 * abs(det)
     sign, log2_abs = lad.slog2()  # log2 r_2 and log2 r_3 are about +-500 here
     assert sign == -1.0 and abs(log2_abs - math.log2(6.0)) <= 1e-12
-    exact = solve_coefficients(exact_sys, "phi1")
-    approx = solve_coefficients(float_sys, "phi1")
+    exact = solve_coefficients(exact_sys)
+    approx = solve_coefficients(float_sys)
     ref = np.array([float(v / abs(exact.x[0])) for v in [exact.z0] + exact.x])
     got = np.array([approx.z0] + approx.x) / abs(approx.x[0])
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -224,7 +221,7 @@ def test_float_ladder_is_bit_identical_to_the_loop_formulas(n_trunc, omega0, F, 
     if (omega0, F, omega) == (3.0, 1.0, 1.0):
         assert ratios[2] == fourier_rpl._TINY
     assert _hexes(lad.slog2()) == _hexes(_loop_slog2(ratios))
-    sol = solve_coefficients(sys_, "phi1")
+    sol = solve_coefficients(sys_)
     z0, xs = _loop_phi1_coefficients(sub, ratios, F)
     assert _hexes([sol.z0] + sol.x) == _hexes([z0] + xs)
 
@@ -263,44 +260,16 @@ def test_scaled_determinant_survives_overflowing_orders():
     assert 100 < log2_abs * math.log10(2) < 140
 
 
-def test_unit_solution_zero_drive():
-    sol = solve_coefficients(build_system(rpl(1.0, 0.0, 0.7), 10), "unit")
-    assert sol.z0 == 1.0
-    assert max(abs(v) for v in sol.x) == 0.0
-    assert np.allclose(sol.evaluate(0.0), [0.0, 0.0, 1.0])
-
-
 def test_phi1_solution_zero_drive_at_undriven_resonance():
     # F = 0 and a_3 = 9 omega^2 - omega0^2 = 0: the undriven orbit is a pole
-    sol = solve_coefficients(build_system(rpl(1.0, 0.0, 1.0 / 3.0), 12), "phi1")
+    sol = solve_coefficients(build_system(rpl(1.0, 0.0, 1.0 / 3.0), 12))
     assert max(abs(v) for v in sol.x) == 0.0
     assert np.abs(np.abs(sol.normalized().evaluate(0.0)) - [0.0, 0.0, 1.0]).max() <= 1e-15
 
 
-def test_unit_solution_raises_at_resonance():
-    with pytest.raises(ResonanceError):
-        solve_coefficients(build_system(rpl(1.0, 0.0, 1.0), 10), "unit")
-
-
-def test_unit_solution_raises_near_driven_resonance():
-    def det(w):
-        return minors(build_system(rpl(1.0, 0.1, w), 20)).det
-
-    w_res = brentq(det, 0.99, 1.01, xtol=1e-16, rtol=4 * np.finfo(float).eps)
-    with pytest.raises(ResonanceError):
-        solve_coefficients(build_system(rpl(1.0, 0.1, w_res), 20), "unit")
-    # 1e-9 away phi_1 is about 2e-9 of the ladder scale: the unit solution
-    # exists and is the phi1 solution over its z0
-    sys_ = build_system(rpl(1.0, 0.1, w_res * (1 + 1e-9)), 20)
-    unit = solve_coefficients(sys_, "unit")
-    phi1 = solve_coefficients(sys_, "phi1")
-    assert unit.z0 == 1.0
-    assert np.allclose(unit.x, np.array(phi1.x) / phi1.z0, rtol=1e-12, atol=0.0)
-
-
 def test_evaluate_periodicity():
     p = rpl(1.0, 0.5, 2.0)
-    sol = solve_coefficients(build_system(p, 12), "phi1")
+    sol = solve_coefficients(build_system(p, 12))
     ts = np.linspace(0.0, p.T, 17)
     assert np.abs(sol.evaluate(ts) - sol.evaluate(ts + p.T)).max() < 1e-12 * max(
         abs(float(v)) for v in sol.x
@@ -317,7 +286,7 @@ def test_order_four_closed_forms_exact():
     ]
     for w, w0, f_amp in rng_points:
         params = DriveParams(omega0=w0, F=f_amp, G=Q(0), omega=w)
-        sol = solve_coefficients(build_system(params, 4, exact=True), "phi1")
+        sol = solve_coefficients(build_system(params, 4, exact=True))
         assert sol.x[0] == Q(1, 2) * f_amp * w**2 * (9 * f_amp**2 + 16 * (w0**2 - 9 * w**2))
         assert sol.x[1] == -Q(1, 8) * f_amp**2 * w**2 * (3 * f_amp**2 + 16 * (w0**2 - 9 * w**2))
         assert sol.x[2] == -(f_amp**3) * w**2
@@ -331,7 +300,7 @@ def test_order_four_closed_forms_exact():
 
 def test_fourier_route_matches_ode_route():
     p = rpl(1.0, 0.5, 2.0)
-    sol = solve_coefficients(build_system(p, 20), "phi1").normalized()
+    sol = solve_coefficients(build_system(p, 20)).normalized()
     orbit = periodic_orbit(p)
     ts = np.linspace(0.0, p.T, 257)
     a = sol.evaluate(ts)
@@ -347,7 +316,7 @@ def test_ode_residual_decreases_with_truncation():
     dt = 1e-6
     residuals = []
     for n in (8, 12, 16, 20):
-        sol = solve_coefficients(build_system(p, n), "phi1").normalized()
+        sol = solve_coefficients(build_system(p, n)).normalized()
         deriv = (sol.evaluate(ts + dt) - sol.evaluate(ts - dt)) / (2 * dt)
         h = np.stack(
             [p.F * np.cos(p.omega * ts), np.zeros_like(ts), np.full_like(ts, p.omega0)],
@@ -361,19 +330,19 @@ def test_ode_residual_decreases_with_truncation():
 
 def test_solve_auto_growth_rule():
     p = rpl(1.0, 5.0, 0.5)  # strong drive populates high harmonics
-    sol = solve_auto(p, "phi1")
+    sol = solve_auto(p)
     mags = np.array([abs(float(v)) for v in sol.x])
     assert sol.N > 20
     assert max(mags[-1], mags[-2]) <= 1e-10 * mags.max()
     # already-converged cases stay at the starting order
-    assert solve_auto(rpl(1.0, 0.5, 2.0), "phi1").N == 20
+    assert solve_auto(rpl(1.0, 0.5, 2.0)).N == 20
 
 
 def _linear_scan_order(p, start, step=8, coeff_tol=1e-10):
     """Reference for solve_auto: the first converged order N = start + step k, k = 0, 1, 2, ..."""
     n = start
     while True:
-        sol = solve_coefficients(build_system(p, n), "phi1")
+        sol = solve_coefficients(build_system(p, n))
         mags = np.abs(np.asarray(sol.x, dtype=float))
         if max(mags[-1], mags[-2]) <= coeff_tol * mags.max():
             return n
@@ -400,8 +369,11 @@ def test_solve_auto_matches_linear_scan(start, monkeypatch):
         for omega in (0.09, 0.35, 1.3, 2.7):
             p = rpl(1.0, F, omega)
             n_ref = _linear_scan_order(p, start)
+            ref = solve_coefficients(build_system(p, n_ref))
             builds = _BuildCounter(monkeypatch)
-            assert solve_auto(p, "phi1", start=start).N == n_ref
+            sol = solve_auto(p, start=start)
+            assert sol.N == n_ref
+            assert _bits(sol.z0, sol.x) == _bits(ref.z0, ref.x)
             k = (n_ref - start) // 8
             assert len(builds.orders) <= 2 * math.ceil(math.log2(k + 1)) + 2
             monkeypatch.undo()
@@ -423,7 +395,7 @@ def test_solve_auto_starts_strong_drives_at_the_jacobi_anger_order(omega0, F, om
     p = rpl(omega0, F, omega)
     n_ref = _linear_scan_order(p, 20)
     builds = _BuildCounter(monkeypatch)
-    assert solve_auto(p, "phi1").N == n_ref
+    assert solve_auto(p).N == n_ref
     assert len(builds.orders) <= 3
 
 
@@ -439,7 +411,7 @@ def test_solve_auto_gallops_down_from_an_overshooting_estimate(coeff_tol, monkey
         k = (n_ref - 20) // 8
         assert guess > k
         builds = _BuildCounter(monkeypatch)
-        assert solve_auto(p, "phi1", coeff_tol=coeff_tol).N == n_ref
+        assert solve_auto(p, coeff_tol=coeff_tol).N == n_ref
         assert len(builds.orders) <= 2 * math.ceil(math.log2(guess - k + 1)) + 2
         monkeypatch.undo()
 
@@ -450,7 +422,7 @@ def test_solve_auto_cap_grows_with_drive(monkeypatch):
     for f in (10.0, 400.0, 1000.0, 3000.0):
         builds = _BuildCounter(monkeypatch)
         with pytest.raises(SeriesInstabilityError):
-            solve_auto(rpl(1.0, f * 0.05, 0.05), "phi1", coeff_tol=-1.0)
+            solve_auto(rpl(1.0, f * 0.05, 0.05), coeff_tol=-1.0)
         caps.append(max(builds.orders))
         assert caps[-1] >= f + 12 * f ** (1 / 3) + 25
         monkeypatch.undo()
@@ -462,9 +434,7 @@ def test_solve_auto_unconverged_at_cap_raises():
     p = rpl(1.0, 20.0, 0.05)
     # the scaled cap, N = 524, leaves a tail ratio of 3.4e-30
     with pytest.raises(SeriesInstabilityError, match=r"N = 524 unconverged .* tail ratio 3\.44e-30"):
-        solve_auto(p, "phi1", coeff_tol=1e-40)
-    # a smaller n_max does not lower the scaled cap
-    assert solve_auto(p, "phi1", n_max=100).N == 460
+        solve_auto(p, coeff_tol=1e-40)
 
 
 def _bits(z0, x):
@@ -482,7 +452,7 @@ def test_array_ladder_matches_scalar_ladder(n_trunc):
     z0, x = fourier_rpl._solve_block(params, n_trunc)
     assert x.shape == (len(params), n_trunc)
     for p, z0_p, x_p in zip(params, z0, x):
-        ref = solve_coefficients(build_system(p, n_trunc), "phi1")
+        ref = solve_coefficients(build_system(p, n_trunc))
         assert _bits(z0_p, x_p) == _bits(ref.z0, ref.x)
 
 
@@ -505,30 +475,31 @@ def test_solve_sweep_matches_solve_auto_across_the_array_threshold(monkeypatch):
     fewer = fourier_rpl._solve_sweep(base, omegas[1:], 20)
     assert groups == []
     for omega, sol, other in zip(omegas[1:], full[1:], fewer):
-        ref = solve_auto(rpl(1.0, 1.0, omega), "phi1")
-        assert sol.N == other.N == ref.N
+        p = rpl(1.0, 1.0, omega)
+        n_ref = _linear_scan_order(p, 20)
+        ref = solve_coefficients(build_system(p, n_ref))
+        assert sol.N == other.N == n_ref
         assert _bits(sol.z0, sol.x) == _bits(other.z0, other.x) == _bits(ref.z0, ref.x)
     rows = list(quasienergy._sweep_points(base, omegas, "fourier", 20, 1e-12))
     assert rows[1:] == list(quasienergy._sweep_points(base, omegas[1:], "fourier", 20, 1e-12))
 
 
 def test_solve_sweep_rejects_elliptic_drive_at_every_point():
-    # a group large enough for the array ladder still fails each point as solve_auto does
+    # a group large enough for the array ladder still fails each point as build_system does
     base = DriveParams(omega0=1.0, F=1.0, G=0.5, omega=1.0)
     omegas = [0.5 + 0.1 * k for k in range(fourier_rpl._ARRAY_MIN)]
     for omega, sol in zip(omegas, fourier_rpl._solve_sweep(base, omegas, 20)):
         assert isinstance(sol, DomainError)
         with pytest.raises(DomainError, match=re.escape(str(sol))):
-            solve_auto(DriveParams(omega0=1.0, F=1.0, G=0.5, omega=omega), "phi1")
+            build_system(DriveParams(omega0=1.0, F=1.0, G=0.5, omega=omega), 20)
 
 
 def test_normalized_solution_unit_sphere():
     p = rpl(1.0, 0.8, 2.3)
-    sol = solve_auto(p, "phi1").normalized()
+    sol = solve_auto(p).normalized()
     ts = np.linspace(0.0, p.T, 300)
     norms = np.linalg.norm(sol.evaluate(ts), axis=-1)
     assert abs(norms.mean() - 1.0) < 1e-9
-    assert sol.normalization == "unit-sphere"
     assert sol.norm_spread < 1e-8
 
 
@@ -543,7 +514,7 @@ def test_overflow_flag_and_scaled_path():
 
 def test_y_determined_by_x_derivative():
     p = rpl(1.0, 0.8, 1.7)
-    sol = solve_coefficients(build_system(p, 14), "phi1").normalized()
+    sol = solve_coefficients(build_system(p, 14)).normalized()
     ts = np.linspace(0.0, p.T, 64)
     dt = 1e-7
     dx = (sol.evaluate(ts + dt)[:, 0] - sol.evaluate(ts - dt)[:, 0]) / (2 * dt)
@@ -555,7 +526,7 @@ def test_y_determined_by_x_derivative():
 )
 def test_sample_matches_evaluate_on_uniform_grid(omega0, F, omega, n_trunc):
     p = rpl(omega0, F, omega)
-    sol = solve_coefficients(build_system(p, n_trunc), "phi1").normalized()
+    sol = solve_coefficients(build_system(p, n_trunc)).normalized()
     assert sol.N == n_trunc
     # m = 256 < 2N at N = 404: harmonics fold onto bins n mod m
     for m in (256, 1024, 4096, 65536):
@@ -567,8 +538,8 @@ def test_sample_matches_evaluate_on_uniform_grid(omega0, F, omega, n_trunc):
 
 def test_half_grid_is_the_first_half_period():
     # a block of mixed N, and N = 404 on m = 256, where harmonics fold onto bins mod m/2
-    block = [solve_auto(rpl(1.0, F, omega), "phi1") for F, omega in ((0.3, 1.0), (5.0, 0.3), (1.8, 0.4))]
-    block.append(solve_coefficients(build_system(rpl(1.0, 20.0, 0.05), 404), "phi1"))
+    block = [solve_auto(rpl(1.0, F, omega)) for F, omega in ((0.3, 1.0), (5.0, 0.3), (1.8, 0.4))]
+    block.append(solve_coefficients(build_system(rpl(1.0, 20.0, 0.05), 404)))
     assert sorted({sol.N for sol in block}) == [20, 44, 404]
     for m in (256, 2048, 6):
         half = fourier_rpl.sample_half_grid(block, m)
@@ -584,14 +555,14 @@ def test_half_grid_is_the_first_half_period():
 def test_sample_on_odd_grids(m):
     # every second sample of the grid of 2m
     p = rpl(1.0, 5.0, 0.3)
-    sol = solve_auto(p, "phi1")
+    sol = solve_auto(p)
     ref = sol.evaluate(np.arange(m) * (p.T / m))
     assert np.abs(sol.sample(m) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_sample_exact_coefficients():
     p = rpl(Q(1), Q(1, 2), Q(2))
-    sol = solve_coefficients(build_system(p, 8, exact=True), "phi1")
+    sol = solve_coefficients(build_system(p, 8, exact=True))
     ref = sol.evaluate(np.arange(64) * (p.T / 64))
     assert np.abs(sol.sample(64) - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -603,7 +574,7 @@ def test_quasienergy_same_through_sample_and_evaluate(F, omega, flip):
     # the mirrored weak-drive orbit -X(t) hugs the south pole, so with flip
     # both calls average it on the +z section
     p = rpl(1.0, F, omega)
-    sol = solve_auto(p, "phi1").normalized()
+    sol = solve_auto(p).normalized()
     if flip:
         sol = replace(sol, z0=-sol.z0, x=[-v for v in sol.x])
     via_sample = quasienergy_classical(sol, p, method="fourier")

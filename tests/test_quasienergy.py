@@ -54,7 +54,7 @@ def rpl(omega0, F, omega):
 
 
 def fourier_orbit(params, n_trunc=20):
-    return fourier_rpl.solve_auto(params, "phi1", start=n_trunc).normalized().evaluate
+    return fourier_rpl.solve_auto(params, start=n_trunc).normalized().evaluate
 
 
 def test_rpc_chi_is_constant():
@@ -165,6 +165,53 @@ def test_continue_branch_matches_dataclasses_replace_bit_for_bit(monkeypatch):
     assert {(own, k) for own in (True, False) for k in range(-2, 3)} <= shifts
 
 
+def _ten_candidate_branch(point, prev):
+    """continue_branch as it compared ten candidates, k within two of the nearest branch."""
+    best, best_dist = None, math.inf
+    for sign in (1.0, -1.0):
+        eps = sign * point.epsilon
+        base_k = math.floor((prev.epsilon - eps) / point.omega + 0.5)
+        for k in range(base_k - 2, base_k + 3):
+            dist = abs(eps + k * point.omega - prev.epsilon)
+            if dist < best_dist:
+                best, best_dist = (sign, k), dist
+    sign, k = best
+    return (point if sign > 0 else point.mirrored()).shifted(k)
+
+
+def test_continue_branch_matches_ten_candidates_bit_for_bit():
+    # eps + k omega, k the branch nearest prev, lies within omega/2 of prev, so
+    # k +- 2 never win: prev sits on each candidate +-epsilon + k omega,
+    # k = -3..3, and omega/2 to either side of it, each to within one ulp
+    omegas = [float(w) for w in np.linspace(0.25, 2.2, 40)]
+    points = sweep_branches(rpl(1.0, 1.0, 1.0), omegas, method="fourier")[::7] + _SHIFT_POINTS
+    pairs = []
+    for point in points:
+        for sign in (1.0, -1.0):
+            for k in range(-3, 4):
+                for offset in (-0.5, 0.0, 0.5):
+                    at = sign * point.epsilon + k * point.omega + offset * point.omega
+                    for eps in (np.nextafter(at, -math.inf), at, np.nextafter(at, math.inf)):
+                        prev = QuasienergyResult.from_raw(float(eps), 0.0, point.omega, "fourier")
+                        pairs.append((point, prev))
+    # at omega/2 float rounding can put the winner one above the nearest branch
+    rounded = [(-0.628, 0.628, 0.942), (0.477, 0.954, -0.954)]
+    for eps, omega, at in rounded:
+        pairs.append((QuasienergyResult.from_raw(eps, 0.1, omega, "fourier"),
+                      QuasienergyResult.from_raw(at, 0.0, omega, "fourier")))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ContinuityWarning)
+        got = [quasienergy.continue_branch(point, prev) for point, prev in pairs]
+        ref = [_ten_candidate_branch(point, prev) for point, prev in pairs]
+    assert list(map(_bits, got)) == list(map(_bits, ref))
+    for (eps, omega, at), (point, _), row in zip(rounded, pairs[-2:], got[-2:]):
+        assert row.eps_d == point.eps_d
+        assert row.branch == point.branch + math.floor((at - eps) / omega + 0.5) + 1
+    shifts = {(g.eps_d == p.eps_d, g.branch - (p if g.eps_d == p.eps_d else p.mirrored()).branch)
+              for g, (p, _) in zip(got, pairs)}
+    assert {(own, k) for own in (True, False) for k in range(-3, 4)} <= shifts
+
+
 def test_rpc_quasienergy_classical():
     p = rpc(omega0=1.0, F=0.5, omega=1.0)
     res = quasienergy_classical(rpc_trajectory(p, +1), p)
@@ -218,7 +265,7 @@ def test_near_pole_branch_is_that_of_minus_z_section(monkeypatch):
     # a Fourier orbit passing 7.6e-4 R from the south pole: its -z mean,
     # resolved on a fine grid once the margin is lifted, is the reported epsilon
     p = rpl(1.0, 3.652, 0.4056)
-    sol = fourier_rpl.solve_auto(p, "phi1").normalized()
+    sol = fourier_rpl.solve_auto(p).normalized()
     res = quasienergy_classical(sol, p, method="fourier")
     # (1, 15, 0.05) passes 1.7e-5 R from the pole; its branch was once -97
     assert quasienergy_at(rpl(1.0, 15.0, 0.05), method="fourier").branch == -92
@@ -248,7 +295,7 @@ def test_half_period_winding_is_the_whole_period_winding(method, omega):
     # +z rows: (1, 15, 0.05) passes 1.7e-5 R from the south pole, (1, 7, 2.2) 1.3e-5 R
     F = 15.0 if method == "fourier" else 7.0
     p = rpl(1.0, F, omega)
-    orbit = fourier_rpl.solve_auto(p, "phi1") if method == "fourier" else periodic_orbit(p)
+    orbit = fourier_rpl.solve_auto(p) if method == "fourier" else periodic_orbit(p)
     whole, _ = quasienergy._grids([orbit], p.T)
     half, _ = quasienergy._grids([orbit], p.T, half=True)
     for m in (256, 2048):
@@ -265,7 +312,7 @@ def test_strong_drive_half_period_averages_match_dop853(omega):
     # 1e-13, against the DOP853 eigenphase mod omega (either family)
     p = rpl(1.0, 20.0, omega)
     ref = quasienergy_from_monodromy(dop853.monodromy_su2(p, 3e-14), p.T)
-    sol = fourier_rpl.solve_auto(p, "phi1", coeff_tol=1e-13)
+    sol = fourier_rpl.solve_auto(p, coeff_tol=1e-13)
     for res in (quasienergy_classical(sol, p, method="fourier"), quasienergy_at(p, method="ode")):
         d = [(res.epsilon_mod - sign * ref) % omega for sign in (1, -1)]
         assert min(min(v, omega - v) for v in d) <= 1e-12
@@ -333,7 +380,7 @@ def test_floquet_state_and_split_read_the_settled_grid(F, omega, bound):
     # on a fixed 4096-point grid with 256 phase harmonics the residuals were
     # 7.7 and 0.12, and at (1, 20, 0.05) both epsilons were 9.6e-9 off
     p = rpl(1.0, F, omega)
-    orbit = fourier_rpl.solve_auto(p, "phi1").normalized()
+    orbit = fourier_rpl.solve_auto(p).normalized()
     fs = floquet_state(orbit, p)
     assert fs.residual <= bound
     assert fs.u.shape == (len(fs.times), 2)
@@ -696,7 +743,7 @@ def test_mixed_orders_in_a_block_start_on_their_own_grids(monkeypatch):
     orders = [3, 12, 20, 40, 100, 300]
     omegas = [2.0, 1.5, 1.0, 0.7, 0.4, 0.3]
     sols = [
-        fourier_rpl.solve_coefficients(fourier_rpl.build_system(rpl(1.0, 0.5, w), n), "phi1")
+        fourier_rpl.solve_coefficients(fourier_rpl.build_system(rpl(1.0, 0.5, w), n))
         for n, w in zip(orders, omegas)
     ]
     field = quasienergy._field(rpl(1.0, 0.5, 1.0))
@@ -822,7 +869,7 @@ class _GridRecorder:
 def test_settled_orbit_is_sampled_once(route):
     p = rpl(1.0, 0.8, 1.7)
     if route == "fourier":
-        orbit = fourier_rpl.solve_auto(p, "phi1").normalized()
+        orbit = fourier_rpl.solve_auto(p).normalized()
     else:
         orbit = periodic_orbit(p)
     rec = _GridRecorder(orbit)
@@ -836,7 +883,7 @@ def test_unsettled_orbit_doubles_without_resampling():
     # grid chooses the +z section, where a0 settles only on a grid finer
     # than 2048
     p = rpl(1.0, 15.0, 0.05)
-    rec = _GridRecorder(fourier_rpl.solve_auto(p, "phi1").normalized())
+    rec = _GridRecorder(fourier_rpl.solve_auto(p).normalized())
     quasienergy_classical(rec, p, method="fourier")
     grids = rec.grids
     assert len(grids) >= 2 and grids[0] == 2048
@@ -848,7 +895,7 @@ def test_unsettled_at_grid_cap_raises(monkeypatch):
     # the (1, 15, 0.05) orbit settles on the +z section only on 32768 samples
     monkeypatch.setattr(quasienergy, "_MAX_GRID", 4096)
     p = rpl(1.0, 15.0, 0.05)
-    orbit = fourier_rpl.solve_auto(p, "phi1").normalized()
+    orbit = fourier_rpl.solve_auto(p).normalized()
     with pytest.raises(SeriesInstabilityError, match="unsettled on 4096 samples"):
         quasienergy_classical(orbit, p, method="fourier")
 
@@ -885,7 +932,7 @@ def test_quasienergy_classical_matches_series_and_split(kind):
         orbit = rpc_trajectory(p, +1)
     elif kind == "fourier":
         p = rpl(1.0, 0.8, 1.7)
-        orbit = fourier_rpl.solve_auto(p, "phi1").normalized()
+        orbit = fourier_rpl.solve_auto(p).normalized()
     elif kind == "ode":
         p = DriveParams(1.0, 0.5, 0.3, 1.3)
         orbit = periodic_orbit(p)
@@ -912,7 +959,7 @@ def test_sample_folds_onto_any_grid():
         (rpl(1.0, 1.2, 0.9), 21, (1, 2, 3, 255, 42, 43)),
         (rpl(1.0, 20.0, 0.05), 404, (256,)),  # harmonics 128, 384, ... on bin m/2
     ):
-        sol = fourier_rpl.solve_coefficients(fourier_rpl.build_system(p, n_trunc), "phi1").normalized()
+        sol = fourier_rpl.solve_coefficients(fourier_rpl.build_system(p, n_trunc)).normalized()
         assert sol.N == n_trunc
         for m in grids:
             got = sol.sample(m)

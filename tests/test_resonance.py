@@ -121,7 +121,7 @@ def test_resonance_point_satisfies_resonance_condition():
 
     pt = find_resonance(1, 0.5, 1.0, 50)
     p = rpl(1.0, 0.5, pt.omega_res)
-    sol = fourier_rpl.solve_auto(p, "phi1").normalized()
+    sol = fourier_rpl.solve_auto(p).normalized()
     assert abs(sol.z0) < 1e-8  # z0 = phi_1 = 0 at the root
     assert abs(grad_omega0(sol.evaluate, p)) < 1e-6
 
