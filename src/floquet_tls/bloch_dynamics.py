@@ -325,11 +325,20 @@ def su2_angle(u):
     return math.atan2(np.linalg.norm(avec), a0)
 
 
+def _orientation(v):
+    """The sign +-1 that puts each vector v (3, ...) at z > 0 or, for |z| <= 1e-9 |v|, at
+    x > 0 and then y >= 0: the orbit of the pair +-X(t) that both routes report, by X(0)."""
+    x, y, z = v
+    tie = 1e-9 * np.hypot(np.hypot(x, y), z)
+    flip = (z < -tie) | ((abs(z) <= tie) & ((x < -tie) | ((abs(x) <= tie) & (y < 0))))
+    return np.where(flip, -1.0, 1.0)
+
+
 def periodic_initial_state(m):
     """Unit eigenvector of a rotation matrix for eigenvalue 1.
 
-    The sign is fixed so that z >= 0, ties broken by x >= 0 then y >= 0.
-    Raises DegenerateMonodromyError when the rotation angle is below
+    The sign is the one :func:`_orientation` gives.  Raises
+    DegenerateMonodromyError when the rotation angle is below
     DEGENERACY_ANGLE and the fixed space is not one-dimensional.
     """
     m = np.asarray(m, dtype=float)
@@ -339,13 +348,7 @@ def periodic_initial_state(m):
     w, v = np.linalg.eigh(0.5 * (m + m.T))
     axis = v[:, np.argmax(w)]
     axis = axis / np.linalg.norm(axis)
-    tie = 1e-9
-    if axis[2] < -tie:
-        axis = -axis
-    elif abs(axis[2]) <= tie:
-        if axis[0] < -tie or (abs(axis[0]) <= tie and axis[1] < 0):
-            axis = -axis
-    return axis
+    return axis * _orientation(axis)
 
 
 def _check_degeneracy(m):
@@ -658,7 +661,7 @@ def _orbit_batch(omega0, F, G, omegas, tol):
     if G == F and F > 0:
         x0 = np.stack([np.full(size, F), np.zeros(size), omega0 - omegas])
         x0 /= np.linalg.norm(x0, axis=0)
-        x0[:, x0[2] < -1e-9] *= -1.0
+        x0 *= _orientation(x0)
     else:
         x0 = np.zeros((3, size))
         for k in range(size):

@@ -144,8 +144,6 @@ def cmd_solve(args):
     compare_dev = None
     if args.compare:
         other, _ = solve("fourier" if args.method == "ode" else "ode")
-        if float(np.dot(states[0], other[0])) < 0:
-            other = -other
         compare_dev = float(np.abs(states - other).max())
     norms = np.linalg.norm(states, axis=-1)
     rows = [
@@ -384,8 +382,6 @@ def _check_fourier_vs_ode(rng):
         sol = fourier_rpl.solve_coefficients(fourier_rpl.build_system(p, 20))
         states = sol.normalized().evaluate(np.linspace(0, p.T, 200))
         orbit = periodic_orbit(p, tol=1e-12)(np.linspace(0, p.T, 200))
-        if float(np.dot(states[0], orbit[0])) < 0:
-            orbit = -orbit
         worst = max(worst, float(np.abs(states - orbit).max()))
     return worst, 1e-6
 

@@ -27,7 +27,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .bloch_dynamics import _HALF_TURN, DriveParams
+from .bloch_dynamics import _HALF_TURN, DriveParams, _orientation
 from .errors import DomainError, FloquetTlsError, SeriesInstabilityError
 
 # stands in for a vanishing trailing minor when the next ratio divides by it
@@ -256,8 +256,8 @@ def solve_coefficients(sys):
 
     z0 = phi_1 cancels the 1/phi_1 pole, so the coefficients are polynomial
     in (F, omega, omega0) and exist at a resonance too; on the float path
-    they are divided by |phi_2| to stay representable (the overall scale is
-    free anyway).
+    they are divided by phi_2, to stay representable, and by the sign that
+    ``bloch_dynamics._orientation`` gives their X(0) (see :func:`_start`).
     """
     lad = minors(sys)
     n_ = sys.N
@@ -277,19 +277,21 @@ def solve_coefficients(sys):
         return RplFourierSolution(N=n_, z0=phi[0], x=xs, params=sys.params)
 
     # float path, on the ratios r_k = phi_k / phi_{k+1}: the coefficients over
-    # phi_2 are z0 = r_1, x_1 = -F and x_i = x_{i-1} (-A_{i,i-1}) / r_i.
-    # Dividing by |phi_2| instead keeps the orientation of the orbit, which
-    # fixes the sign of its quasienergy.
-    f_amp = float(sys.params.F)
+    # phi_2 are z0 = r_1, x_1 = -F and x_i = x_{i-1} (-A_{i,i-1}) / r_i
     r = lad._values
-    # sign(phi_2): the parity of the ratios r_2..r_N with their sign bit set
-    sign = -1.0 if np.count_nonzero(np.signbit(r)[1:]) % 2 else 1.0
-    z0, x = sign * r[0], -sign * f_amp
+    x = -float(sys.params.F)
     xs = [x]
     for i in range(2, n_ + 1):
         x = x * -sys.sub[i - 2] / r[i - 1] if x else 0.0
         xs.append(x)
-    return RplFourierSolution(N=n_, z0=z0, x=xs, params=sys.params)
+    sign = float(_orientation(_start(float(sys.params.omega0), r[0], xs)))
+    return RplFourierSolution(N=n_, z0=sign * r[0], x=[sign * x for x in xs], params=sys.params)
+
+
+def _start(omega0, z0, x):
+    """X(0) = (omega0 sum x_odd, 0, z0 + sum x_even) of coefficients x (N, ...), summed
+    row by row in order: a column of an array has its list's sums."""
+    return omega0 * sum(x[0::2]), 0.0, z0 + sum(x[1::2])
 
 
 def _ratio_block(omega0, f_amp, omegas, n_trunc):
@@ -327,22 +329,20 @@ def _solve_block(params, n_trunc):
     bit for bit, from one :func:`_ratio_block`: z0 (P,) and x (P, N).
 
     Each column keeps the scalar operation order, x_i = (x_{i-1} (-A_{i,i-1})) / r_i,
-    and its branch x_i = 0.0 once an earlier x vanishes.
+    its branch x_i = 0.0 once an earlier x vanishes and the sums of its X(0).
     """
     f = np.array([float(p.F) for p in params])
-    r, sub = _ratio_block(
-        [float(p.omega0) for p in params], f, [float(p.omega) for p in params], n_trunc
-    )
-    # sign(phi_2): the parity of the ratios r_2..r_N with their sign bit set
-    sign = np.where(np.count_nonzero(np.signbit(r[1:]), axis=0) % 2, -1.0, 1.0)
+    w0 = np.array([float(p.omega0) for p in params])
+    r, sub = _ratio_block(w0, f, [float(p.omega) for p in params], n_trunc)
     x = np.empty_like(r)
-    x[0] = -sign * f
+    x[0] = -f
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         prev = x[0]
         for neg_sub, r_i, x_i in zip(-sub, r[1:], x[1:]):
             prev = np.divide(prev * neg_sub, r_i, out=x_i)
-    x[1:][np.logical_or.accumulate(x[:-1] == 0.0, axis=0)] = 0.0
-    return sign * r[0], x.T
+        x[1:][np.logical_or.accumulate(x[:-1] == 0.0, axis=0)] = 0.0
+        sign = _orientation(_start(w0, r[0], x))
+    return sign * r[0], (sign * x).T
 
 
 def _tail_test(x, coeff_tol):

@@ -197,6 +197,50 @@ def test_periodic_initial_state_recovers_rotation_axis():
         assert abs(np.linalg.norm(got) - 1.0) < 1e-12
 
 
+def _inline_rule(axis):
+    """The sign of periodic_initial_state before it called _orientation."""
+    tie = 1e-9
+    if axis[2] < -tie:
+        return -1.0
+    if abs(axis[2]) <= tie and (axis[0] < -tie or (abs(axis[0]) <= tie and axis[1] < 0)):
+        return -1.0
+    return 1.0
+
+
+def _circular_rule(x0):
+    """The signs of the circular closed form's x0 (3, P) before it called _orientation."""
+    sign = np.ones(x0.shape[1])
+    sign[x0[2] < -1e-9] = -1.0
+    return sign
+
+
+def test_orientation_matches_the_rules_it_replaces():
+    # around the tie of 1e-9 |v|: z = +-2e-9, +-5e-10 and 0, x = +-1e-8, +-5e-10 and 0, y = +-1
+    ends = (2e-9, -2e-9, 5e-10, -5e-10, 0.0)
+    cases = np.array([(x, y, z) for z in ends for x in (1e-8, -1e-8) + ends[2:] for y in (1.0, -1.0)]).T
+    rng = np.random.default_rng(7)
+    cases = np.concatenate([cases, rng.normal(size=(3, 40))], axis=1)
+    stack = bloch_dynamics._orientation(cases)
+    assert stack.shape == (cases.shape[1],)
+    for v, sign in zip(cases.T, stack):
+        unit = v / np.linalg.norm(v)
+        assert bloch_dynamics._orientation(v) == sign == _inline_rule(unit)
+        for scale in (1e-3, 1e3):  # the tie scales with |v|
+            assert bloch_dynamics._orientation(scale * v) == sign
+    # the circular closed form's x0 = (F, 0, omega0 - omega) / |x0| has x > 0 and y = 0
+    right = cases[:, cases[0] > 0] * [[1.0], [0.0], [1.0]]
+    right = right / np.linalg.norm(right, axis=0)
+    assert np.array_equal(bloch_dynamics._orientation(right), _circular_rule(right))
+    assert set(stack) == {-1.0, 1.0}
+
+
+def test_orientation_of_the_zero_vector_is_plus_one_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert bloch_dynamics._orientation(np.zeros(3)) == 1.0
+        assert np.array_equal(bloch_dynamics._orientation(np.zeros((3, 2))), [1.0, 1.0])
+
+
 def test_periodic_initial_state_rpc():
     p = rpc_params(omega0=1.0, F=0.5, omega=0.6)
     got = periodic_initial_state(monodromy_so3(p))

@@ -514,6 +514,38 @@ def test_zero_solution_row_is_a_nan_row_without_a_warning(tmp_path, capsys):
     assert all(math.isnan(v) for v in rows[0][1:5]) and rows[1][2] == 0.5
 
 
+def _sweep_table(tmp_path, method, f, sweep):
+    out = tmp_path / f"{method}.csv"
+    rc = cli.main(["quasienergy", "--omega0", "1", "--f", f, "--omega-sweep", sweep,
+                   "--method", method, "-o", str(out)])
+    return rc, np.array(read_csv(out)[1])
+
+
+@pytest.mark.parametrize(
+    "f, sweep",
+    [("1.8", "0.25:2.2:80"), ("0.5", "0.04:2:200"), ("0.3", "0.25:2.2:80"), ("1", "0.25:2.2:80")],
+)
+def test_both_routes_report_one_orbit_family(tmp_path, f, sweep):
+    # the F = 1.8 sweep once started at -0.549 on the Fourier route and 0.799 on the ODE route
+    (rc_f, fourier), (rc_o, ode) = (_sweep_table(tmp_path, m, f, sweep) for m in ("fourier", "ode"))
+    assert rc_f == rc_o == 0
+    assert np.array_equal(fourier[:, 5], ode[:, 5])
+    assert np.abs(fourier - ode).max() <= 1e-11
+
+
+def test_zero_drive_fourier_sweep_is_the_north_pole(tmp_path, capsys):
+    # F = 0: every orbit is oriented onto (0, 0, 1), eps = omega0 / 2 on both routes, where
+    # the ODE route rejects the degenerate monodromy of omega = 0.1 = omega0 / 10 alone
+    (rc_f, fourier), (rc_o, ode) = (
+        _sweep_table(tmp_path, m, "0", "0.1:2:60") for m in ("fourier", "ode")
+    )
+    assert rc_f == rc_o == 0
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err.startswith("omega=0.1: rotation angle") and err.endswith("not one-dimensional")
+    assert np.all(fourier[:, 1] == 0.5) and np.all(fourier[:, 4] == 0.5)
+    assert np.array_equal(fourier[1:], ode[1:])
+
+
 def test_near_pole_first_row_keeps_minus_z_branch(tmp_path):
     # the (1, 15, 0.05) orbit passes 1.7e-5 R from the south pole; its first
     # row was once reported on branch -97

@@ -113,10 +113,10 @@ def test_float_phi1_coefficients_match_exact(omega0, F, omega, n_trunc):
     # dyadic inputs, so both paths solve the same matrix
     exact = solve_coefficients(build_system(rpl(omega0, F, omega), n_trunc, exact=True))
     approx = solve_coefficients(build_system(rpl(float(omega0), float(F), float(omega)), n_trunc))
-    # common rescaling by the positive |x_1|, exactly on the Fraction side, so
-    # the orientation of the orbit (the sign of its quasienergy) must agree too
-    ref = np.array([float(v / abs(exact.x[0])) for v in [exact.z0] + exact.x])
-    got = np.array([approx.z0] + approx.x) / abs(approx.x[0])
+    # each side rescaled by its own signed x_1, exactly on the Fraction side: the
+    # float path orients the orbit by X(0), the exact path keeps z0 = phi_1
+    ref = np.array([float(v / exact.x[0]) for v in [exact.z0] + exact.x])
+    got = np.array([approx.z0] + approx.x) / approx.x[0]
     assert np.all(ref != 0.0)
     assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
 
@@ -133,8 +133,8 @@ def test_vanishing_trailing_minor():
     assert sign == -1.0 and abs(log2_abs - math.log2(6.0)) <= 1e-12
     exact = solve_coefficients(exact_sys)
     approx = solve_coefficients(float_sys)
-    ref = np.array([float(v / abs(exact.x[0])) for v in [exact.z0] + exact.x])
-    got = np.array([approx.z0] + approx.x) / abs(approx.x[0])
+    ref = np.array([float(v / exact.x[0]) for v in [exact.z0] + exact.x])
+    got = np.array([approx.z0] + approx.x) / approx.x[0]
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
@@ -186,14 +186,23 @@ def _loop_slog2(values):
     return sign, sum(math.log2(abs(r)) for r in values)
 
 
-def _loop_phi1_coefficients(sub, r, f_amp):
-    sign = -1.0 if np.count_nonzero(np.signbit(r)[1:]) % 2 else 1.0
-    z0, x = sign * r[0], -sign * f_amp
+def _loop_phi1_coefficients(sub, r, f_amp, omega0):
+    x = -f_amp
     xs = [x]
     for i in range(2, len(r) + 1):
         x = x * -float(sub[i - 2]) / r[i - 1] if x else 0.0
         xs.append(x)
-    return z0, xs
+    # X(0) oriented to z > 0, or x > 0 then y >= 0 (Y(0) = 0) within 1e-9 |X(0)|
+    x_0, z_0 = 0.0, r[0]
+    for i, x in enumerate(xs):
+        if i % 2:
+            z_0 += x
+        else:
+            x_0 += x
+    x_0 *= omega0
+    tie = 1e-9 * math.hypot(x_0, z_0)
+    sign = -1.0 if z_0 < -tie or (abs(z_0) <= tie and x_0 < -tie) else 1.0
+    return sign * r[0], [sign * x for x in xs]
 
 
 def _hexes(values):
@@ -222,7 +231,7 @@ def test_float_ladder_is_bit_identical_to_the_loop_formulas(n_trunc, omega0, F, 
         assert ratios[2] == fourier_rpl._TINY
     assert _hexes(lad.slog2()) == _hexes(_loop_slog2(ratios))
     sol = solve_coefficients(sys_)
-    z0, xs = _loop_phi1_coefficients(sub, ratios, F)
+    z0, xs = _loop_phi1_coefficients(sub, ratios, F, omega0)
     assert _hexes([sol.z0] + sol.x) == _hexes([z0] + xs)
 
 

@@ -238,6 +238,50 @@ def test_antipodal_orbits_mirror():
     assert min(d, p.omega - d) < 1e-8
 
 
+def test_fourier_family_does_not_depend_on_the_truncation():
+    # at (1, 0.5, 0.04) row 25 of the ladder has a_25 = 0 and r_25 < 0: the sign of phi_2
+    # changes from N = 20 to N = 28, and with it the family that sign once chose
+    p = rpl(1.0, 0.5, 0.04)
+    eps = {quasienergy_at(p, method="fourier", n_trunc=n).epsilon for n in (20, 28, 36, 44)}
+    assert len(eps) == 1
+    assert abs(eps.pop() - quasienergy_at(p, method="ode").epsilon) < 1e-11
+
+
+def test_lone_points_report_one_family_on_both_routes():
+    # seeded audit of 200 lone G = 0 points, F log-uniform in [0.05, 20], omega log-uniform
+    # in [0.05, 3], F / omega <= 150; about 0.5 s on both routes.  A mirrored point lies
+    # nearer -eps than eps of the other route, mod omega; the nearest is within 1e-9.
+    # A point fails loudly on both routes or on neither: here (1, 17.34, 0.3696), whose
+    # winding of arg(X + iY) is unresolved on 65536 samples.
+    rng = np.random.default_rng(30)
+    points = []
+    while len(points) < 200:
+        f, omega = np.exp(rng.uniform(np.log([0.05, 0.05]), np.log([20.0, 3.0])))
+        if f / omega <= 150:
+            points.append(rpl(1.0, float(f), float(omega)))
+
+    def dist(d, omega):
+        return abs((d + 0.5 * omega) % omega - 0.5 * omega)
+
+    mirrored, failed, worst = 0, [], 0.0
+    for p in points:
+        eps = []
+        for method in ("fourier", "ode"):
+            try:
+                eps.append(quasienergy_at(p, method=method).epsilon)
+            except SeriesInstabilityError:
+                failed.append((method, p.F, p.omega))
+        if len(eps) == 2:
+            same, mirror = dist(eps[0] - eps[1], p.omega), dist(eps[0] + eps[1], p.omega)
+            mirrored += mirror < same
+            worst = max(worst, same)
+    assert mirrored == 0
+    assert worst <= 1e-9
+    assert [(m, round(f, 2), round(omega, 4)) for m, f, omega in failed] == [
+        ("fourier", 17.34, 0.3696), ("ode", 17.34, 0.3696)
+    ]
+
+
 def test_south_pole_flip():
     # circular-drive orbit circling just above the south pole
     p = rpc(omega0=1.0, F=1e-3, omega=3.0)
@@ -572,8 +616,8 @@ def test_sweep_blocks_match_per_point_results(F, G, sweep, method):
 @pytest.mark.parametrize(
     "F, sweep, failed",
     [
-        # b_k = 0: x = 0, r_k = a_k; below omega0 the winding of the F = 0 orbits is unresolved
-        (0.0, (0.45, 1.95, 16), 6),
+        # b_k = 0: x = 0, r_k = a_k; every F = 0 orbit is oriented onto the north pole
+        (0.0, (0.45, 1.95, 16), 0),
         (0.5, (-1.0, 2.0, 31), 11),  # DomainError rows at omega <= 0
     ],
 )
@@ -643,10 +687,10 @@ def _fourier_rows_in_blocks_of_16(base, omegas, n_trunc=20):
 @pytest.mark.parametrize(
     "F, sweep, failed, plus_z",
     [
-        (0.0, (0.45, 1.95, 40), 15, 15),  # F = 0: the +z winding fails below omega0
+        (0.0, (0.45, 1.95, 40), 0, 0),  # F = 0: every orbit is the north pole
         (0.5, (-1.0, 2.0, 31), 11, 0),  # DomainError rows at omega <= 0
         (15.0, (0.05, 2.0, 40), 0, 8),  # near-pole rows, 0.05 among them, on +z
-        (1.8, (0.05, 3.0, 700), 0, 10),  # three solve chunks: 256 + 256 + 188
+        (1.8, (0.05, 3.0, 700), 0, 9),  # three solve chunks: 256 + 256 + 188
     ],
 )
 def test_fourier_sweep_averaged_per_chunk_matches_blocks_of_16(monkeypatch, F, sweep, failed, plus_z):
