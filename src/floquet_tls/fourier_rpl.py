@@ -12,17 +12,15 @@ is expressed through the co-leading principal minors phi_n (determinants of
 the trailing blocks rows/columns n..N), which satisfy a two-term downward
 recursion.  phi_1 = det A^(N) vanishes exactly at the resonance frequencies.
 
-Minors grow roughly like prod_k (k w)^2, so the float path carries only the
+Minors grow roughly like prod_k (k w)^2, so the ladder carries only the
 ratios r_k = phi_k / phi_{k+1}, which cannot overflow: the continued fraction
 r_k = a_k + b_k / r_{k+1}, Gautschi's backward recurrence (SIAM Rev. 9,
-1967).  With rational inputs an exact Fraction path reproduces the
-polynomial closed forms.
+1967).
 """
 
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from itertools import repeat
 
 import numpy as np
@@ -39,6 +37,9 @@ _TINY = 1e-150
 # ladder's per-point cost
 _ARRAY_MIN = 12
 
+# solve_auto's tail test: N is converged once max(|x_N|, |x_{N-1}|) <= _COEFF_TOL max_n |x_n|
+_COEFF_TOL = 1e-10
+
 
 @dataclass
 class TridiagonalSystem:
@@ -49,40 +50,16 @@ class TridiagonalSystem:
     sup: list  # entries (n, n+1), n = 1..N-1
     sub: list  # entries (n+1, n), n = 1..N-1
     params: DriveParams
-    exact: bool = False
-
-    def dense(self):
-        """Dense matrix, mainly for cross-checks against LU determinants."""
-        a = np.zeros((self.N, self.N))
-        for i in range(self.N):
-            a[i, i] = float(self.diag[i])
-        for i in range(self.N - 1):
-            a[i, i + 1] = float(self.sup[i])
-            a[i + 1, i] = float(self.sub[i])
-        return a
 
 
-def build_system(params, n_trunc, exact=False):
-    """Assemble the order-N truncation of the tridiagonal system.
-
-    With ``exact=True`` the entries are Fractions and all downstream
-    operations stay exact (parameters must be rational-valued).
-    """
+def build_system(params, n_trunc):
+    """Assemble the order-N truncation of the tridiagonal system, in floats."""
     if params.G != 0:
         raise DomainError("the Fourier ansatz requires G = 0 (linear drive)")
     n_trunc = int(n_trunc)
     if n_trunc < 2:
         raise DomainError(f"truncation order must be >= 2, got {n_trunc}")
-    if exact:
-        w = Fraction(params.omega)
-        w0 = Fraction(params.omega0)
-        f_amp = Fraction(params.F)
-        half = Fraction(1, 2)
-    else:
-        w = float(params.omega)
-        w0 = float(params.omega0)
-        f_amp = float(params.F)
-        half = 0.5
+    w, w0, f_amp, half = float(params.omega), float(params.omega0), float(params.F), 0.5
 
     # odd rows n sit at even list positions, even rows at odd ones
     diag = [None] * n_trunc
@@ -92,26 +69,25 @@ def build_system(params, n_trunc, exact=False):
     sub = [half * f_amp] * (n_trunc - 1)  # row n+1 odd
     sup[1::2] = [-(n + 1) * half * f_amp * w for n in range(2, n_trunc, 2)]  # row n even, column n+1
     sub[0::2] = [-n * half * f_amp * w for n in range(1, n_trunc, 2)]  # row n+1 even, column n
-    return TridiagonalSystem(N=n_trunc, diag=diag, sup=sup, sub=sub, params=params, exact=exact)
+    return TridiagonalSystem(N=n_trunc, diag=diag, sup=sup, sub=sub, params=params)
 
 
 @dataclass
 class MinorsLadder:
     """Co-leading principal minors phi_1..phi_N of a truncated system.
 
-    The float path stores the ratios r_k = phi_k / phi_{k+1} (phi_{N+1} = 1):
+    The ladder stores the ratios r_k = phi_k / phi_{k+1} (phi_{N+1} = 1):
     ``phi(k)`` multiplies them out (inf on overflow), ``slog2()`` never
-    overflows.  In exact mode the values are the minors, as Fractions.
+    overflows.
     """
 
     N: int
-    exact: bool
-    _values: list = field(repr=False, default=None)  # exact: phi_k; float: r_k
+    _values: list = field(repr=False, default=None)  # r_k
 
     def phi(self, k):
         if not 1 <= k <= self.N:
             raise DomainError(f"minor index out of range 1..{self.N}: {k}")
-        return self._values[k - 1] if self.exact else math.prod(self._values[k - 1 :])
+        return math.prod(self._values[k - 1 :])
 
     @property
     def det(self):
@@ -120,8 +96,6 @@ class MinorsLadder:
 
     def slog2(self):
         """sign(det A^(N)) = prod sign(r_k) and log2|det A^(N)| = sum log2|r_k|."""
-        if self.exact:
-            raise DomainError("slog2 reads the float ratios; use det on the exact path")
         if 0.0 in self._values:
             return 0.0, -math.inf
         sign = math.prod(map(math.copysign, repeat(1.0), self._values))
@@ -129,18 +103,9 @@ class MinorsLadder:
 
 
 def minors(sys):
-    """Evaluate the minors ladder downward, on the float path as ratios."""
+    """Evaluate the minors ladder downward, as ratios."""
     n_ = sys.N
     values = [None] * n_
-    if sys.exact:
-        phi_next, phi_next2 = Fraction(1), Fraction(0)
-        for k in range(n_, 0, -1):
-            a = sys.diag[k - 1]
-            b = -sys.sup[k - 1] * sys.sub[k - 1] if k < n_ else Fraction(0)
-            cur = a * phi_next + b * phi_next2
-            values[k - 1] = cur
-            phi_next, phi_next2 = cur, phi_next
-        return MinorsLadder(N=n_, exact=True, _values=values)
     diag, sup, sub = sys.diag, sys.sup, sys.sub
     r = values[n_ - 1] = diag[n_ - 1]
     for k in range(n_ - 1, 0, -1):
@@ -148,7 +113,7 @@ def minors(sys):
         if b and r == 0.0:
             r = values[k] = _TINY
         r = values[k - 1] = diag[k - 1] + (b / r if b else 0.0)
-    return MinorsLadder(N=n_, exact=False, _values=values)
+    return MinorsLadder(N=n_, _values=values)
 
 
 @dataclass
@@ -156,7 +121,7 @@ class RplFourierSolution:
     """Coefficients of a truncated periodic solution of the linear problem."""
 
     N: int
-    z0: object
+    z0: float
     x: list  # x_1..x_N
     params: DriveParams
     norm_spread: float = 0.0
@@ -255,30 +220,14 @@ def solve_coefficients(sys):
     """Fourier coefficients from the first column of the inverse, with z0 = phi_1.
 
     z0 = phi_1 cancels the 1/phi_1 pole, so the coefficients are polynomial
-    in (F, omega, omega0) and exist at a resonance too; on the float path
-    they are divided by phi_2, to stay representable, and by the sign that
+    in (F, omega, omega0) and exist at a resonance too; they are divided by
+    phi_2, to stay representable, and by the sign that
     ``bloch_dynamics._orientation`` gives their X(0) (see :func:`_start`).
     """
-    lad = minors(sys)
     n_ = sys.N
-
-    if sys.exact:
-        f_amp = Fraction(sys.params.F)
-        phi = [lad.phi(k) for k in range(1, n_ + 1)] + [Fraction(1)]
-        xs = []
-        prod = Fraction(1)  # prod_{k=2..i} A_{k,k-1}
-        sign = 1
-        for i in range(1, n_ + 1):
-            if i > 1:
-                prod *= sys.sub[i - 2]
-                sign = -sign
-            # x_i = -F z0 (-1)^(i+1) prod_i phi_{i+1} / phi_1, z0 = phi_1
-            xs.append(-f_amp * sign * prod * phi[i])
-        return RplFourierSolution(N=n_, z0=phi[0], x=xs, params=sys.params)
-
-    # float path, on the ratios r_k = phi_k / phi_{k+1}: the coefficients over
-    # phi_2 are z0 = r_1, x_1 = -F and x_i = x_{i-1} (-A_{i,i-1}) / r_i
-    r = lad._values
+    # on the ratios r_k = phi_k / phi_{k+1}, the coefficients over phi_2 are
+    # z0 = r_1, x_1 = -F and x_i = x_{i-1} (-A_{i,i-1}) / r_i
+    r = minors(sys)._values
     x = -float(sys.params.F)
     xs = [x]
     for i in range(2, n_ + 1):
@@ -345,51 +294,52 @@ def _solve_block(params, n_trunc):
     return sign * r[0], (sign * x).T
 
 
-def _tail_test(x, coeff_tol):
+def _tail_test(x):
     """(converged, tail ratio) of solve_auto's test on each coefficient row x (P, N):
-    converged when max(|x_N|, |x_{N-1}|) <= coeff_tol max_n |x_n|.
+    converged when max(|x_N|, |x_{N-1}|) <= _COEFF_TOL max_n |x_n|.
     """
     mags = np.abs(x)
     last, prev = mags[:, -1], mags[:, -2]
     tail = np.where(prev > last, prev, last)  # a NaN |x_{N-1}| is passed over
     peak = mags.max(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return tail <= coeff_tol * peak, np.where(peak != 0.0, tail / peak, 0.0)
+        return tail <= _COEFF_TOL * peak, np.where(peak != 0.0, tail / peak, 0.0)
 
 
-def solve_auto(params, start=20, coeff_tol=1e-10):
-    """Smallest truncation order N = start + 8 k whose top coefficient is negligible.
+def solve_auto(params, start=20):
+    """Truncation order N = start + 8 k whose top coefficient is negligible, found stepwise.
 
-    N is converged once max(|x_N|, |x_{N-1}|) <= coeff_tol max_n |x_n|.  The
-    coefficients fall off like the Bessel functions J_n(f), f = |F / omega|,
-    so the search starts at the step of the Jacobi-Anger estimate
-    N = f + 8 f^(1/3) + 2.  From there it gallops 1, 2, 4, ... steps away,
-    upward while unconverged and downward while converged, and then bisects
-    back to the first converged order.  A probe builds and solves one ladder,
-    O(N) in Python.  A point whose first converged step lies d steps from the
-    estimate costs at most 2 ceil(log2(d + 1)) + 2 probes; the estimate is
-    within one step for strong drives, which then cost two or three.  The
-    cap grows with f on the Jacobi-Anger scale, beyond which J_n(f) falls off
-    faster than exponentially: max(400, start, ceil(f + 12 f^(1/3) + 25) + 8).
-    An order still unconverged at the cap raises SeriesInstabilityError.
+    N is converged once max(|x_N|, |x_{N-1}|) <= _COEFF_TOL max_n |x_n|, with
+    _COEFF_TOL = 1e-10.  The coefficients fall off like the Bessel functions
+    J_n(f), f = |F / omega|, so the search starts at the step of the
+    Jacobi-Anger estimate N = f + 8 f^(1/3) + 2 and moves one step at a time:
+    down while the order below is still converged, or up to the first
+    converged order.  So N converges and N - 8, if a candidate, does not;
+    where the tail falls monotonically in N, N is the smallest converged
+    order.  A probe builds and solves one ladder, O(N) in Python; the
+    estimate is within one step of the answer for the drives the commands
+    meet, so a point costs one to three probes.  The cap grows with f on the
+    Jacobi-Anger scale, beyond which J_n(f) falls off faster than
+    exponentially: max(400, start, ceil(f + 12 f^(1/3) + 25) + 8).  An order
+    still unconverged at the cap raises SeriesInstabilityError.
 
     A lone point is a sweep of one: the entry of :func:`_solve_sweep` at
     params.omega, raised if it is an error.
     """
-    (sol,) = _solve_sweep(params, [params.omega], start, coeff_tol)
+    (sol,) = _solve_sweep(params, [params.omega], start)
     if isinstance(sol, FloquetTlsError):
         raise sol
     return sol
 
 
-def _probe(params, n_trunc, coeff_tol):
+def _probe(params, n_trunc):
     """(solution, converged, tail ratio) of one scalar ladder, as :func:`_search` takes it."""
     sol = solve_coefficients(build_system(params, n_trunc))
-    (converged,), (tail,) = _tail_test(np.asarray(sol.x, dtype=float)[None], coeff_tol)
+    (converged,), (tail,) = _tail_test(np.asarray(sol.x, dtype=float)[None])
     return sol, converged, tail
 
 
-def _solve_sweep(base, omegas, start, coeff_tol=1e-10):
+def _solve_sweep(base, omegas, start):
     """The truncation :func:`solve_auto` describes at each omega of a sweep, p = base at
     that omega, or the FloquetTlsError that point raises, in order.
 
@@ -406,7 +356,7 @@ def _solve_sweep(base, omegas, start, coeff_tol=1e-10):
     for i, omega in enumerate(omegas):
         try:
             params = DriveParams(base.omega0, base.F, base.G, omega)
-            search = _search(abs(params.F / params.omega), start, coeff_tol)
+            search = _search(abs(params.F / params.omega), start)
             pending[i] = params, search, next(search)
         except FloquetTlsError as exc:
             out[i] = exc
@@ -422,11 +372,11 @@ def _solve_sweep(base, omegas, start, coeff_tol=1e-10):
                 params = [p for p, _ in block]
                 z0, x = _solve_block(params, n_trunc)
                 sols = [RplFourierSolution(n_trunc, *sol) for sol in zip(z0, x, params)]
-                probes = list(zip(sols, *_tail_test(x, coeff_tol)))
+                probes = list(zip(sols, *_tail_test(x)))
             for i, (params, search), probe in zip(rows, block, probes):
                 try:
                     if probe is None:
-                        probe = _probe(params, n_trunc, coeff_tol)
+                        probe = _probe(params, n_trunc)
                     pending[i] = params, search, search.send(probe)
                 except StopIteration as done:
                     out[i] = done.value
@@ -435,7 +385,7 @@ def _solve_sweep(base, omegas, start, coeff_tol=1e-10):
     return out
 
 
-def _search(f, start, coeff_tol):
+def _search(f, start):
     """The search of :func:`solve_auto` at a point of drive ratio f = |F / omega|.
 
     Yields each probe order N = start + 8 k and is sent back that probe's
@@ -445,33 +395,22 @@ def _search(f, start, coeff_tol):
     step = 8
     n_max = max(400, start, math.ceil(f + 12 * f ** (1 / 3) + 25) + step)
     k_max = -(-(n_max - start) // step)
-    guess = min(k_max, max(0, math.floor((f + 8 * f ** (1 / 3) + 2 - start) / step)))
-    sol, converged, tail = yield start + step * guess
-    # the first converged step lies in (lo, hi]: lo unconverged, hi converged
+    k = min(k_max, max(0, math.floor((f + 8 * f ** (1 / 3) + 2 - start) / step)))
+    sol, converged, tail = yield start + step * k
     if converged:
-        lo, hi, dist = -1, guess, 1
-        while hi > 0:
-            k = max(guess - dist, 0)
-            k_sol, converged, _ = yield start + step * k
+        while k > 0:
+            k -= 1
+            lower, converged, _ = yield start + step * k
             if not converged:
-                lo = k
                 break
-            hi, sol, dist = k, k_sol, 2 * dist
-    else:
-        lo, hi, dist = guess, guess, 1
-        while not converged:
-            if hi == k_max:
-                raise SeriesInstabilityError(
-                    f"truncation N = {sol.N} unconverged at its cap: "
-                    f"tail ratio {tail:.3g} > coeff_tol {coeff_tol:g}"
-                )
-            lo, hi, dist = hi, min(guess + dist, k_max), 2 * dist
-            sol, converged, tail = yield start + step * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        mid_sol, converged, _ = yield start + step * mid
-        if converged:
-            hi, sol = mid, mid_sol
-        else:
-            lo = mid
+            sol = lower
+        return sol
+    while not converged:
+        if k == k_max:
+            raise SeriesInstabilityError(
+                f"truncation N = {sol.N} unconverged at its cap: "
+                f"tail ratio {tail:.3g} > coeff_tol {_COEFF_TOL:g}"
+            )
+        k += 1
+        sol, converged, tail = yield start + step * k
     return sol

@@ -43,8 +43,9 @@ chi is singular at the south pole, R + Z = 0.  :func:`quasienergy_classical`
 averages an orbit that comes within 1e-3 R of it on the section with its pole
 at +z, chi_+ = ((h1 X + h2 Y)/(R - Z) - h3) / 2, and reports the -z branch
 mean(chi_+) + n omega, n the counter-clockwise turns of arg(X + iY) over one
-period.  :func:`chi_series`, :func:`split_geometric_dynamic` and
-:func:`floquet_state` keep the -z section and raise SouthPoleError.
+period, counted on the settled grid with every step of pi/2 or more refined
+locally (:func:`_turns`).  :func:`chi_series`, :func:`split_geometric_dynamic`
+and :func:`floquet_state` keep the -z section and raise SouthPoleError.
 
 One loop settles every average (:func:`_settle`), on grids of shape
 (rows, 3, m): a lone orbit is a block of one row, and a sweep
@@ -215,26 +216,33 @@ def _chi_samples(grid, rows, m, field, flip):
     return xs, hs, radius, pole, chi, near
 
 
-def _turns(grid, k, xs, half=False):
-    """Counter-clockwise turns of arg(X + iY) of orbit k of grid over one period, on
-    its states xs (3, m) doubled until every step is below pi/2;
-    SeriesInstabilityError if one is not at 65536 samples.  With ``half`` xs is the
-    first half period, closed onto R_z(pi) of its first state, a step of pi mod 2 pi,
-    and the period winds twice the half: 1 - 2 (wraps) times, an odd count.
+def _turns(orbit, period, xs):
+    """Counter-clockwise turns of arg(X + iY) of orbit over its period, from (X, Y) of its
+    states xs (2 or 3, m) at t_j = j T / m.  Each step of arg(X + iY) of pi/2 or more is
+    split into eight, the orbit evaluated at the seven new times, until none is left;
+    SeriesInstabilityError if one spans less than 1e-15 T.
     """
+    angle = np.arctan2(xs[1], xs[0])
+    angle, ts = np.append(angle, angle[0]), None  # X(T) = X(0); the times once needed
     while True:
-        angle = np.arctan2(xs[1], xs[0])
-        steps = np.diff(angle, append=angle[0] + math.pi if half else angle[0])  # sum pi or 0
+        steps = np.diff(angle)
         wraps = np.round(steps / (2.0 * math.pi))  # crossings of the branch cut at pi
-        if np.abs(steps - 2.0 * math.pi * wraps).max() < 0.5 * math.pi:
-            return 1 - 2 * int(wraps.sum()) if half else -int(wraps.sum())
-        m = xs.shape[-1] * (2 if half else 1)
-        if m >= _MAX_GRID:
-            raise SeriesInstabilityError(f"winding of arg(X + iY) unresolved on {m} samples")
-        xs = grid([k], 2 * m)[0]
+        wide = np.flatnonzero(np.abs(steps - 2.0 * math.pi * wraps) >= 0.5 * math.pi)
+        if not wide.size:
+            return -int(wraps.sum())
+        if ts is None:
+            ts = np.arange(xs.shape[-1] + 1) * (period / xs.shape[-1])
+        span = ts[wide + 1] - ts[wide]
+        if span.min() < 1e-15 * period:
+            raise SeriesInstabilityError(
+                f"winding of arg(X + iY) unresolved on a step of {span.min() / period:.3g} T"
+            )
+        new = (ts[wide, None] + span[:, None] * (np.arange(1, 8) / 8.0)).ravel()
+        at, xy = np.repeat(wide + 1, 7), orbit(new)[:, :2].T
+        ts, angle = np.insert(ts, at, new), np.insert(angle, at, np.arctan2(xy[1], xy[0]))
 
 
-def _settle(grid, starts, field, flip=False):
+def _settle(grid, starts, field, plus_z=None):
     """Yield (k, (xs, hs, radius, chi, turns, mean, eps_d)) for each orbit k of grid once its
     grid has settled, or (k, the FloquetTlsError of orbit k).
 
@@ -243,7 +251,9 @@ def _settle(grid, starts, field, flip=False):
     On each size the orbits starting there and those that have not settled on
     the size below are sampled together, so the starts are min(starts) times
     powers of two.  Each grid is sampled once and chooses its section as
-    :func:`_chi_samples`; ``turns`` is the winding of a +z row and 0 on -z;
+    :func:`_chi_samples`, +z only with ``plus_z``, the (orbit, period) of each
+    row; ``turns`` is 0 on -z, and on +z the winding :func:`_turns` counts on
+    the row's settled grid, a half period completed by R_z(pi);
     ``mean`` and ``eps_d``, the means of chi and (h . X)/(2R), are reduced for
     a whole chunk at once.  At most max(1, 16 * 2048 / m) orbits are sampled at
     once, so a request never holds more than 16 grids of 2048 samples.  An
@@ -255,7 +265,7 @@ def _settle(grid, starts, field, flip=False):
         later = []
         size = max(1, BATCH_SIZE * 2 * _MIN_GRID // m)
         for chunk in (rows[lo : lo + size] for lo in range(0, len(rows), size)):
-            xs, hs, radius, pole, chi, near = _chi_samples(grid, chunk, m, field, flip)
+            xs, hs, radius, pole, chi, near = _chi_samples(grid, chunk, m, field, plus_z is not None)
             mean = chi.mean(axis=-1)
             delta = np.abs(mean - chi[:, ::2].mean(axis=-1))
             with np.errstate(invalid="ignore"):  # NaN only where R = 0
@@ -270,7 +280,10 @@ def _settle(grid, starts, field, flip=False):
                     )
                 elif delta[i] < _A0_SETTLE:
                     try:
-                        turns = _turns(grid, k, xs[i], xs.shape[-1] < m) if pole[i] > 0 else 0
+                        turns = 0
+                        if pole[i] > 0:  # (X, Y), a half period completed by R_z(pi)
+                            half = [-xs[i, :2]] if xs.shape[-1] < m else []
+                            turns = _turns(*plus_z[k], np.concatenate([xs[i, :2], *half], axis=-1))
                     except FloquetTlsError as exc:
                         yield k, exc
                     else:
@@ -298,8 +311,9 @@ def _quasienergies(orbits, field, omegas, method, period=None, half=False):
     """QuasienergyResult or FloquetTlsError of each orbit, in order, each averaged from
     its own start on the grids of :func:`_grids`."""
     grid, starts = _grids(orbits, period, half)
+    plus_z = [(orbit, 2.0 * math.pi / omega) for orbit, omega in zip(orbits, omegas)]
     points = [None] * len(omegas)
-    for k, got in _settle(grid, starts, field, flip=True):
+    for k, got in _settle(grid, starts, field, plus_z):
         if not isinstance(got, FloquetTlsError):
             *_, turns, mean, eps_d = got
             got = QuasienergyResult.from_raw(

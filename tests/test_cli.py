@@ -394,8 +394,8 @@ def test_validate_detects_injected_sign_error(tmp_path, monkeypatch):
     """Mutation test: a wrong sign in the coefficient matrix must be caught."""
     real_build = fourier_rpl.build_system
 
-    def tampered(params, n_trunc, exact=False):
-        sys_ = real_build(params, n_trunc, exact=exact)
+    def tampered(params, n_trunc):
+        sys_ = real_build(params, n_trunc)
         sys_.sub = [-v for v in sys_.sub]  # flip the subdiagonal sign
         return sys_
 
@@ -559,13 +559,8 @@ def test_near_pole_first_row_keeps_minus_z_branch(tmp_path):
 
 def test_unconverged_truncation_fails_loudly(tmp_path, monkeypatch, capsys):
     # at (1, 20, 0.05) no order up to the cap N = 524 reaches coeff_tol = 1e-40; at 0.08 one does
-    real = fourier_rpl._solve_sweep
-
-    def strict(base, omegas, start, coeff_tol=None):
-        return real(base, omegas, start, 1e-40)
-
-    # a lone point is a sweep of one, so this covers solve and quasienergy alike
-    monkeypatch.setattr(fourier_rpl, "_solve_sweep", strict)
+    # (a lone point is a sweep of one, so this covers solve and quasienergy alike)
+    monkeypatch.setattr(fourier_rpl, "_COEFF_TOL", 1e-40)
     reason = "truncation N = 524 unconverged at its cap: tail ratio 3.44e-30 > coeff_tol 1e-40"
     out = tmp_path / "traj.csv"
     rc = cli.main(["solve", "--omega0", "1", "--f", "20", "--omega", "0.05", "--method", "fourier",

@@ -7,9 +7,10 @@ from fractions import Fraction as Q
 
 import numpy as np
 import pytest
+import rational_ladder
 
 from floquet_tls.bloch_dynamics import DriveParams, periodic_orbit
-from floquet_tls import fourier_rpl, quasienergy
+from floquet_tls import cli, fourier_rpl, quasienergy
 from floquet_tls.errors import DomainError, SeriesInstabilityError
 from floquet_tls.fourier_rpl import (
     build_system,
@@ -24,6 +25,11 @@ def rpl(omega0, F, omega):
     return DriveParams(omega0=omega0, F=F, G=0.0, omega=omega)
 
 
+def dense(sys_):
+    """The truncated system as a dense matrix, for cross-checks against LU determinants."""
+    return np.diag(sys_.diag) + np.diag(sys_.sup, 1) + np.diag(sys_.sub, -1)
+
+
 def test_build_system_rejects_elliptic():
     with pytest.raises(DomainError):
         build_system(DriveParams(1.0, 1.0, 0.5, 1.0), 6)
@@ -32,7 +38,7 @@ def test_build_system_rejects_elliptic():
 def test_order_six_matrix_entries():
     w0, f_amp, w = 1.0, 1.0, 1.0
     sys6 = build_system(rpl(w0, f_amp, w), 6)
-    a = sys6.dense()
+    a = dense(sys6)
     assert a[0, 0] == w * w - w0 * w0 == 0.0
     assert a[1, 2] == -3 * f_amp * w / 2 == -1.5
     expected = np.array(
@@ -49,7 +55,7 @@ def test_order_six_matrix_entries():
 
 
 def test_zero_drive_decouples():
-    a = build_system(rpl(1.0, 0.0, 0.7), 8).dense()
+    a = dense(build_system(rpl(1.0, 0.0, 0.7), 8))
     assert np.abs(a - np.diag(np.diag(a))).max() == 0.0
 
 
@@ -79,7 +85,7 @@ def test_minors_against_lu_determinant():
         n = int(rng.integers(2, 25))
         sys_ = build_system(rpl(w0, f_amp, w), n)
         det_lad = minors(sys_).det
-        sign, logdet = np.linalg.slogdet(sys_.dense())
+        sign, logdet = np.linalg.slogdet(dense(sys_))
         det_ref = sign * math.exp(logdet)
         assert abs(det_lad - det_ref) <= 1e-8 * max(abs(det_ref), 1e-12)
 
@@ -94,7 +100,7 @@ def test_ladder_sign_and_log_determinant_match_slogdet():
     for p, n in cases:
         sys_ = build_system(p, n)
         sign, log2_abs = minors(sys_).slog2()
-        ref_sign, ref_log = np.linalg.slogdet(sys_.dense())
+        ref_sign, ref_log = np.linalg.slogdet(dense(sys_))
         assert sign == ref_sign
         assert abs(log2_abs - ref_log / math.log(2)) <= 1e-13 * max(1.0, abs(log2_abs))
 
@@ -110,12 +116,12 @@ def test_ladder_sign_and_log_determinant_match_slogdet():
     ],
 )
 def test_float_phi1_coefficients_match_exact(omega0, F, omega, n_trunc):
-    # dyadic inputs, so both paths solve the same matrix
-    exact = solve_coefficients(build_system(rpl(omega0, F, omega), n_trunc, exact=True))
+    # dyadic inputs, so the float ladder and the Fraction reference solve the same matrix
+    z0, xs = rational_ladder.coefficients(rpl(omega0, F, omega), n_trunc)
     approx = solve_coefficients(build_system(rpl(float(omega0), float(F), float(omega)), n_trunc))
     # each side rescaled by its own signed x_1, exactly on the Fraction side: the
-    # float path orients the orbit by X(0), the exact path keeps z0 = phi_1
-    ref = np.array([float(v / exact.x[0]) for v in [exact.z0] + exact.x])
+    # float ladder orients the orbit by X(0), the reference keeps z0 = phi_1
+    ref = np.array([float(v / xs[0]) for v in [z0] + xs])
     got = np.array([approx.z0] + approx.x) / approx.x[0]
     assert np.all(ref != 0.0)
     assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
@@ -124,16 +130,15 @@ def test_float_phi1_coefficients_match_exact(omega0, F, omega, n_trunc):
 def test_vanishing_trailing_minor():
     # phi_3 = a_3 = 9 omega^2 - omega0^2 = 0 exactly with F != 0, so the
     # ratio r_2 = a_2 + b_2 / r_3 cannot be formed as written
-    exact_sys = build_system(rpl(Q(3), Q(1), Q(1)), 3, exact=True)
     float_sys = build_system(rpl(3.0, 1.0, 1.0), 3)
-    det = float(minors(exact_sys).det)
+    det = float(rational_ladder.minors(*rational_ladder.entries(rpl(Q(3), Q(1), Q(1)), 3))[0])
     lad = minors(float_sys)
     assert det == -6.0 and abs(lad.det - det) <= 1e-14 * abs(det)
     sign, log2_abs = lad.slog2()  # log2 r_2 and log2 r_3 are about +-500 here
     assert sign == -1.0 and abs(log2_abs - math.log2(6.0)) <= 1e-12
-    exact = solve_coefficients(exact_sys)
+    z0, xs = rational_ladder.coefficients(rpl(Q(3), Q(1), Q(1)), 3)
     approx = solve_coefficients(float_sys)
-    ref = np.array([float(v / exact.x[0]) for v in [exact.z0] + exact.x])
+    ref = np.array([float(v / xs[0]) for v in [z0] + xs])
     got = np.array([approx.z0] + approx.x) / approx.x[0]
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -238,10 +243,9 @@ def test_float_ladder_is_bit_identical_to_the_loop_formulas(n_trunc, omega0, F, 
 @pytest.mark.parametrize("n_trunc", [2, 3, 50, 51])
 @pytest.mark.parametrize("omega0, F, omega", [(Q(1), Q(7, 10), Q(83, 100)), (Q(13, 10), Q(0), Q(41, 100))])
 def test_exact_entries_equal_the_loop_formulas(n_trunc, omega0, F, omega):
-    sys_ = build_system(rpl(omega0, F, omega), n_trunc, exact=True)
-    diag, sup, sub = _loop_entries(rpl(omega0, F, omega), n_trunc, exact=True)
-    assert (sys_.diag, sys_.sup, sys_.sub) == (diag, sup, sub)
-    assert all(type(v) is Q for v in sys_.diag + sys_.sup + sys_.sub)
+    entries = rational_ladder.entries(rpl(omega0, F, omega), n_trunc)
+    assert entries == _loop_entries(rpl(omega0, F, omega), n_trunc, exact=True)
+    assert all(type(v) is Q for v in sum(entries, []))
 
 
 def test_zero_drive_resonance_roots():
@@ -295,12 +299,12 @@ def test_order_four_closed_forms_exact():
     ]
     for w, w0, f_amp in rng_points:
         params = DriveParams(omega0=w0, F=f_amp, G=Q(0), omega=w)
-        sol = solve_coefficients(build_system(params, 4, exact=True))
-        assert sol.x[0] == Q(1, 2) * f_amp * w**2 * (9 * f_amp**2 + 16 * (w0**2 - 9 * w**2))
-        assert sol.x[1] == -Q(1, 8) * f_amp**2 * w**2 * (3 * f_amp**2 + 16 * (w0**2 - 9 * w**2))
-        assert sol.x[2] == -(f_amp**3) * w**2
-        assert sol.x[3] == 3 * f_amp**4 * w**2 / 8
-        assert sol.z0 == Q(1, 16) * w**2 * (
+        z0, x = rational_ladder.coefficients(params, 4)
+        assert x[0] == Q(1, 2) * f_amp * w**2 * (9 * f_amp**2 + 16 * (w0**2 - 9 * w**2))
+        assert x[1] == -Q(1, 8) * f_amp**2 * w**2 * (3 * f_amp**2 + 16 * (w0**2 - 9 * w**2))
+        assert x[2] == -(f_amp**3) * w**2
+        assert x[3] == 3 * f_amp**4 * w**2 / 8
+        assert z0 == Q(1, 16) * w**2 * (
             3 * f_amp**4
             - 8 * f_amp**2 * (27 * w**2 - 11 * w0**2)
             + 128 * (w**2 - w0**2) * (9 * w**2 - w0**2)
@@ -365,11 +369,22 @@ class _BuildCounter:
         self.orders = []
         real = fourier_rpl.build_system
 
-        def counting(params, n_trunc, exact=False):
+        def counting(params, n_trunc):
             self.orders.append(n_trunc)
-            return real(params, n_trunc, exact)
+            return real(params, n_trunc)
 
         monkeypatch.setattr(fourier_rpl, "build_system", counting)
+
+
+def _estimate_order(f, start=20):
+    """solve_auto's first probe order: the step of the Jacobi-Anger estimate f + 8 f^(1/3) + 2."""
+    return start + 8 * max(0, math.floor((f + 8 * f ** (1 / 3) + 2 - start) / 8))
+
+
+def _steps_from_the_estimate(orders, f, start=20):
+    """Whether probe orders are consecutive steps of 8, all up or all down, from the estimate."""
+    steps = {b - a for a, b in zip(orders, orders[1:])}
+    return orders[0] == _estimate_order(f, start) and steps in (set(), {8}, {-8})
 
 
 @pytest.mark.parametrize("start", [7, 20, 33])
@@ -383,8 +398,8 @@ def test_solve_auto_matches_linear_scan(start, monkeypatch):
             sol = solve_auto(p, start=start)
             assert sol.N == n_ref
             assert _bits(sol.z0, sol.x) == _bits(ref.z0, ref.x)
-            k = (n_ref - start) // 8
-            assert len(builds.orders) <= 2 * math.ceil(math.log2(k + 1)) + 2
+            assert _steps_from_the_estimate(builds.orders, F / omega, start)
+            assert len(builds.orders) <= abs(n_ref - builds.orders[0]) // 8 + 2
             monkeypatch.undo()
 
 
@@ -405,45 +420,76 @@ def test_solve_auto_starts_strong_drives_at_the_jacobi_anger_order(omega0, F, om
     n_ref = _linear_scan_order(p, 20)
     builds = _BuildCounter(monkeypatch)
     assert solve_auto(p).N == n_ref
-    assert len(builds.orders) <= 3
+    assert _steps_from_the_estimate(builds.orders, F / omega) and len(builds.orders) <= 3
+
+
+def test_sweep_probes_step_from_the_jacobi_anger_order(monkeypatch, tmp_path):
+    # every point of a fourier_sweep workload command, on the array ladder or the scalar one
+    searches = []
+    real = fourier_rpl._search
+
+    def recording(f, start):
+        orders = []
+        searches.append((f, orders))
+        search = real(f, start)
+        n_trunc = next(search)
+        while True:
+            orders.append(n_trunc)
+            try:
+                n_trunc = search.send((yield n_trunc))
+            except StopIteration as done:
+                return done.value
+
+    monkeypatch.setattr(fourier_rpl, "_search", recording)
+    argv = ["quasienergy", "--omega0", "1", "--f", "1.8", "--omega-sweep", "0.25:2.2:80",
+            "--method", "fourier", "-o", str(tmp_path / "sweep.csv")]
+    assert cli.main(argv) == 0
+    assert len(searches) == 80
+    assert {len(orders) for _, orders in searches} == {1, 2}
+    assert all(_steps_from_the_estimate(orders, f) for f, orders in searches)
 
 
 @pytest.mark.parametrize("coeff_tol", [1e-2, 1e-4, 1e-6])
-def test_solve_auto_gallops_down_from_an_overshooting_estimate(coeff_tol, monkeypatch):
-    # a loose coeff_tol converges below the Jacobi-Anger order, so the search
-    # starts above the answer and has to come down to the first converged step
+def test_solve_auto_steps_down_from_an_overshooting_estimate(coeff_tol, monkeypatch):
+    # a loose tolerance converges below the Jacobi-Anger order, so the search
+    # starts above the answer and steps down to the first unconverged order
+    monkeypatch.setattr(fourier_rpl, "_COEFF_TOL", coeff_tol)
+    builds = _BuildCounter(monkeypatch)
     for F, omega in ((4.0, 0.1), (7.0, 0.05), (9.0, 0.036), (12.0, 0.04), (20.0, 0.05)):
         p = rpl(1.0, F, omega)
-        f = F / omega
-        guess = math.floor((f + 8 * f ** (1 / 3) + 2 - 20) / 8)
-        n_ref = _linear_scan_order(p, 20, coeff_tol=coeff_tol)
-        k = (n_ref - 20) // 8
-        assert guess > k
-        builds = _BuildCounter(monkeypatch)
-        assert solve_auto(p, coeff_tol=coeff_tol).N == n_ref
-        assert len(builds.orders) <= 2 * math.ceil(math.log2(guess - k + 1)) + 2
-        monkeypatch.undo()
+        builds.orders.clear()
+        n_trunc = solve_auto(p).N
+        assert 20 < n_trunc < _estimate_order(F / omega)
+        assert builds.orders == list(range(_estimate_order(F / omega), n_trunc - 9, -8))
+        if coeff_tol == 1e-2:
+            # the tail ratio is not monotone in N near the Bessel turning point, so
+            # the first converged order of a linear scan can lie further down
+            assert fourier_rpl._probe(p, n_trunc)[1] and not fourier_rpl._probe(p, n_trunc - 8)[1]
+        else:
+            assert n_trunc == _linear_scan_order(p, 20, coeff_tol=coeff_tol)
 
 
 def test_solve_auto_cap_grows_with_drive(monkeypatch):
-    # coeff_tol < 0: no order converges, so the search ends at its cap
+    # a negative tolerance: no order converges, so the search ends at its cap
+    monkeypatch.setattr(fourier_rpl, "_COEFF_TOL", -1.0)
+    builds = _BuildCounter(monkeypatch)
     caps = []
     for f in (10.0, 400.0, 1000.0, 3000.0):
-        builds = _BuildCounter(monkeypatch)
+        builds.orders.clear()
         with pytest.raises(SeriesInstabilityError):
-            solve_auto(rpl(1.0, f * 0.05, 0.05), coeff_tol=-1.0)
+            solve_auto(rpl(1.0, f * 0.05, 0.05))
         caps.append(max(builds.orders))
         assert caps[-1] >= f + 12 * f ** (1 / 3) + 25
-        monkeypatch.undo()
     assert caps[0] == 404  # the fixed cap n_max = 400, rounded up to a candidate order
     assert caps == sorted(set(caps))
 
 
-def test_solve_auto_unconverged_at_cap_raises():
+def test_solve_auto_unconverged_at_cap_raises(monkeypatch):
     p = rpl(1.0, 20.0, 0.05)
+    monkeypatch.setattr(fourier_rpl, "_COEFF_TOL", 1e-40)
     # the scaled cap, N = 524, leaves a tail ratio of 3.4e-30
     with pytest.raises(SeriesInstabilityError, match=r"N = 524 unconverged .* tail ratio 3\.44e-30"):
-        solve_auto(p, coeff_tol=1e-40)
+        solve_auto(p)
 
 
 def _bits(z0, x):
@@ -571,7 +617,7 @@ def test_sample_on_odd_grids(m):
 
 def test_sample_exact_coefficients():
     p = rpl(Q(1), Q(1, 2), Q(2))
-    sol = solve_coefficients(build_system(p, 8, exact=True))
+    sol = fourier_rpl.RplFourierSolution(8, *rational_ladder.coefficients(p, 8), p)
     ref = sol.evaluate(np.arange(64) * (p.T / 64))
     assert np.abs(sol.sample(64) - ref).max() <= 1e-12 * np.abs(ref).max()
 

@@ -251,8 +251,8 @@ def test_lone_points_report_one_family_on_both_routes():
     # seeded audit of 200 lone G = 0 points, F log-uniform in [0.05, 20], omega log-uniform
     # in [0.05, 3], F / omega <= 150; about 0.5 s on both routes.  A mirrored point lies
     # nearer -eps than eps of the other route, mod omega; the nearest is within 1e-9.
-    # A point fails loudly on both routes or on neither: here (1, 17.34, 0.3696), whose
-    # winding of arg(X + iY) is unresolved on 65536 samples.
+    # No point fails: (1, 17.3446, 0.36957) failed on both routes while the winding of
+    # arg(X + iY) was resolved by doubling the whole grid.
     rng = np.random.default_rng(30)
     points = []
     while len(points) < 200:
@@ -277,9 +277,17 @@ def test_lone_points_report_one_family_on_both_routes():
             worst = max(worst, same)
     assert mirrored == 0
     assert worst <= 1e-9
-    assert [(m, round(f, 2), round(omega, 4)) for m, f, omega in failed] == [
-        ("fourier", 17.34, 0.3696), ("ode", 17.34, 0.3696)
-    ]
+    assert failed == []
+
+
+@pytest.mark.parametrize("F, omega", [(17.3446, 0.36957), (10.3722, 0.11465)])
+def test_near_axis_winding_is_resolved_on_both_routes(F, omega):
+    # +z rows whose X + iY passes so near 0 that arg(X + iY) turns by pi/2 or more
+    # between samples of 65536 per period; both routes agree on eps and its branch
+    p = rpl(1.0, F, omega)
+    fourier, ode = (quasienergy_at(p, method=method) for method in ("fourier", "ode"))
+    assert fourier.branch == ode.branch
+    assert abs(fourier.epsilon - ode.epsilon) <= 1e-11
 
 
 def test_south_pole_flip():
@@ -317,21 +325,37 @@ def test_near_pole_branch_is_that_of_minus_z_section(monkeypatch):
     assert abs(res.epsilon - chi_series(sol, p).a0) <= 1e-10
 
 
-def test_turns_refines_until_steps_are_below_quarter_turn(monkeypatch):
+def test_turns_refines_until_steps_are_below_quarter_turn():
     p = rpc(omega0=1.0, F=1e-3, omega=3.0)
     orbit = _south_pole_orbit(p)
-    grid, _ = quasienergy._grids([orbit], p.T)  # row 0 of a block of one
-    ts = np.arange(4) * (p.T / 4)
-    coarse = orbit(ts).T  # states (3, m), steps of exactly pi/2
-    assert quasienergy._turns(grid, 0, coarse) == 1
+    calls = []
+
+    def recorded(t):
+        calls.append(np.size(t))
+        return orbit(t)
+
+    ts = np.arange(8) * (p.T / 8)
+    xs = orbit(ts).T  # states (3, m), steps of exactly pi/4
+    assert quasienergy._turns(recorded, p.T, xs) == 1 and calls == []
+    assert quasienergy._turns(recorded, p.T, xs[:, ::2]) == 1  # steps of exactly pi/2
+    assert calls == [28]  # each of the four steps split into eight
+    calls.clear()
+    xs[:, 3] = orbit(4.2 * p.T / 8)  # steps of 0.55 pi and -0.05 pi around sample 3
+    assert quasienergy._turns(recorded, p.T, xs) == 1
+    assert calls == [7]  # only the 0.55 pi step is split
 
     def reverse(t):
         return orbit(-np.asarray(t))
 
-    assert quasienergy._turns(quasienergy._grids([reverse], p.T)[0], 0, reverse(ts).T) == -1
-    monkeypatch.setattr(quasienergy, "_MAX_GRID", 4)
-    with pytest.raises(SeriesInstabilityError, match="unresolved on 4 samples"):
-        quasienergy._turns(grid, 0, coarse)
+    assert quasienergy._turns(reverse, p.T, reverse(ts[::2]).T) == -1
+
+    def through_the_axis(t):
+        # X + iY crosses 0: arg(X + iY) jumps by pi however fine the step
+        wt = p.omega * np.asarray(t)
+        return np.stack([np.cos(wt), np.zeros_like(wt), np.sin(wt)], axis=-1)
+
+    with pytest.raises(SeriesInstabilityError, match=r"unresolved on a step of [0-9.e-]+ T"):
+        quasienergy._turns(through_the_axis, p.T, through_the_axis(ts).T)
 
 
 @pytest.mark.parametrize("method, omega", [("fourier", 0.05), ("ode", 2.2)])
@@ -345,35 +369,46 @@ def test_half_period_winding_is_the_whole_period_winding(method, omega):
     for m in (256, 2048):
         xs = half([0], m)[0]
         assert xs.shape == (3, m // 2)
-        turns = quasienergy._turns(half, 0, xs, half=True)
-        assert turns % 2 == 1 and abs(turns) > 1
-        assert turns == quasienergy._turns(whole, 0, whole([0], m)[0])
+        # the half period completed by X(t + T/2) = R_z(pi) X(t), as _settle completes it
+        xs = np.concatenate([xs, xs * bloch_dynamics._HALF_TURN[:, None]], axis=-1)
+        assert np.abs(xs - whole([0], m)[0]).max() <= 1e-12
+        turns = quasienergy._turns(orbit, p.T, xs)
+        assert turns % 2 == 1 and abs(turns) > 1  # a half period winds an odd number of half turns
+        assert turns == quasienergy._turns(orbit, p.T, whole([0], m)[0])
 
 
 @pytest.mark.parametrize("omega", [0.5, 0.756, 1.333, 2.038])
-def test_strong_drive_half_period_averages_match_dop853(omega):
+def test_strong_drive_half_period_averages_match_dop853(omega, monkeypatch):
     # (1, 20): the ODE route, and the Fourier route once its tail is below
     # 1e-13, against the DOP853 eigenphase mod omega (either family)
     p = rpl(1.0, 20.0, omega)
     ref = quasienergy_from_monodromy(dop853.monodromy_su2(p, 3e-14), p.T)
-    sol = fourier_rpl.solve_auto(p, coeff_tol=1e-13)
+    monkeypatch.setattr(fourier_rpl, "_COEFF_TOL", 1e-13)
+    sol = fourier_rpl.solve_auto(p)
     for res in (quasienergy_classical(sol, p, method="fourier"), quasienergy_at(p, method="ode")):
         d = [(res.epsilon_mod - sign * ref) % omega for sign in (1, -1)]
         assert min(min(v, omega - v) for v in d) <= 1e-12
 
 
 def test_ode_orbit_near_south_pole_uses_batch_grid(monkeypatch):
-    # the ODE orbit at (1, 7, 2.2) passes 1.3e-5 R from the south pole
+    # the ODE orbit at (1, 7, 2.2) passes 1.3e-5 R from the south pole; its grids
+    # come from the batch, and dense output only gives the times of _turns's
+    # refinement, seven for each step it splits
     p = rpl(1.0, 7.0, 2.2)
     orbit = periodic_orbit(p)
+    calls = []
+    real = bloch_dynamics.Trajectory.__call__
 
     def dense_output(self, t):
-        raise AssertionError("dense output called")
+        calls.append(np.size(t))
+        return real(self, t)
 
     monkeypatch.setattr(bloch_dynamics.Trajectory, "__call__", dense_output)
     with pytest.raises(SouthPoleError):
         chi_series(orbit, p)
+    assert calls == []
     res = quasienergy_classical(orbit, p, method="ode")
+    assert all(n % 7 == 0 for n in calls)
     assert abs(res.epsilon - quasienergy_at(p, method="fourier").epsilon) <= 1e-9
 
 
@@ -704,9 +739,9 @@ def test_fourier_sweep_averaged_per_chunk_matches_blocks_of_16(monkeypatch, F, s
         calls.append(len(orbits))
         return real_quasienergies(orbits, *args, **kwargs)
 
-    def recording_turns(grid, k, *args):
-        turns.append(k)
-        return real_turns(grid, k, *args)
+    def recording_turns(orbit, *args):
+        turns.append(orbit)
+        return real_turns(orbit, *args)
 
     monkeypatch.setattr(quasienergy, "_quasienergies", quasienergies)
     monkeypatch.setattr(quasienergy, "_turns", recording_turns)
@@ -892,7 +927,8 @@ def test_elliptic_drive_gradients():
 
 
 class _GridRecorder:
-    """Orbit wrapper recording the size of every grid it is sampled on."""
+    """Orbit wrapper recording the size of every grid it is sampled on through ``sample``;
+    calls at other times, such as the refinement of a winding, are not recorded."""
 
     def __init__(self, orbit, grids=None):
         self.orbit = orbit
@@ -905,7 +941,6 @@ class _GridRecorder:
         return self.orbit.sample(m)
 
     def __call__(self, t):
-        self.grids.append(np.size(t))
         return self.orbit(t)
 
 
