@@ -234,7 +234,7 @@ def _check_tol(tol):
 def solve_ivp(*args, **kwargs):
     """scipy.integrate.solve_ivp, imported on call; nothing in the package calls it.
 
-    perfbench/tracer.py probes this name; ROADMAP.md item 1 drops both.
+    perfbench/tracer.py probes this name; ROADMAP.md item 18 drops both.
     """
     from scipy.integrate import solve_ivp as scipy_solve_ivp
 

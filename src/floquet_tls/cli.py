@@ -424,8 +424,10 @@ _CHECKS = {
 
 def cmd_validate(args):
     names = list(_CHECKS)
-    if args.only:
+    if args.only is not None:
         wanted = [v for v in args.only.split(",") if v]
+        if not wanted:
+            raise _UsageExit(f"--only names no check: {args.only!r}")
         unknown = [v for v in wanted if v not in _CHECKS]
         if unknown:
             raise _UsageExit(f"unknown checks: {', '.join(unknown)}")

@@ -14,12 +14,9 @@ at N + 4 for the residual |omega(N) - omega(N+4)| / omega(N); one array
 pass of the minors ratio ladder (``_det_signs``) checks that det A^(N)
 changes sign within 1e-12 relative of every (n, F) root.
 
-A lone point (``find_resonance``) is found by scanning the sign of the
-determinant on a frequency grid, or around a warm start, and refining the
-bracket by Brent's method (``brentq``, in this module, so a resonance
-search loads no scipy module).  It is the independent check of the eigen
-roots, and a curve falls back on it, seeded with the eigen root, where the
-sign check fails.
+A lone point (``find_resonance``) is the same eigen-solve and sign check at
+one amplitude.  A root that fails the check raises BracketNotFoundError
+with a larger truncation order to try.
 
 At F = 0 the n-th resonance sits at omega0/(2n-1); its drive-amplitude series
 
@@ -41,9 +38,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bloch_dynamics import DriveParams
 from .errors import BracketNotFoundError, DomainError, SeriesInstabilityError
-from .fourier_rpl import _ratio_block, build_system, minors
+from .fourier_rpl import _ratio_block
 from .specfun import bessel_j0_zero
 
 SQRT3 = math.sqrt(3.0)
@@ -170,36 +166,6 @@ def _eigen_roots(n, f_amps, omega0, n_trunc):
     return here, np.abs(here - ahead) / here
 
 
-def _det_fn(f_amp, omega0, n_trunc):
-    """det A^(N)(omega) over |det A^(N)| at the first omega evaluated.
-
-    Sign and log2 magnitude come from the minors ladder; the exponent is
-    clamped to +-1000, so far from the first frequency the value keeps its
-    sign without overflowing or underflowing to zero.  fn remembers what it
-    returned for each omega, so a frequency asked for again (a bracket end
-    handed on to ``brentq``) builds no second ladder.  ``fn.signs(omegas)``
-    gives the signs of fn over an array of frequencies at once, from
-    :func:`_det_signs`.
-    """
-    state = {"ref": None}
-    seen = {}
-
-    def fn(omega):
-        if omega in seen:
-            return seen[omega]
-        params = DriveParams(omega0=omega0, F=f_amp, G=0.0, omega=omega)
-        sign, log2_abs = minors(build_system(params, n_trunc)).slog2()
-        if sign != 0.0 and state["ref"] is None:
-            state["ref"] = log2_abs
-        value = seen[omega] = (
-            sign * 2.0 ** min(max(log2_abs - state["ref"], -1000.0), 1000.0) if sign else 0.0
-        )
-        return value
-
-    fn.signs = lambda omegas: _det_signs(f_amp, omega0, n_trunc, omegas)
-    return fn
-
-
 def _det_signs(f_amp, omega0, n_trunc, omegas):
     """sign(det A^(N)) at every frequency of an array; 0 where slog2 gives 0.
 
@@ -211,177 +177,6 @@ def _det_signs(f_amp, omega0, n_trunc, omegas):
     r = _ratio_block(omega0, f_amp, omegas, int(n_trunc))[0]
     negative = np.count_nonzero(np.signbit(r), axis=0) % 2
     return np.where((r == 0.0).any(axis=0), 0.0, np.where(negative, -1.0, 1.0))
-
-
-def _scan_roots(fn, lo, hi, points):
-    """Brackets of sign changes of fn on a log-spaced grid.
-
-    fn is evaluated in grid order up to its first nonzero value, which
-    fixes its reference exactly as a point-by-point scan would; the signs
-    of the whole grid come from ``fn.signs``.
-    """
-    grid = np.geomspace(lo, hi, points)
-    for w in grid:
-        if fn(w) != 0.0:
-            break
-    vals = fn.signs(grid)
-    brackets = []
-    for i in range(len(grid) - 1):
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            brackets.append((grid[i], grid[i]))
-        elif (a > 0) != (b > 0):  # sign test; the product could overflow
-            brackets.append((grid[i], grid[i + 1]))
-    if vals[-1] == 0.0:
-        brackets.append((grid[-1], grid[-1]))
-    return brackets
-
-
-_RTOL_MIN = 4 * np.finfo(float).eps
-
-
-def brentq(f, a, b, xtol, rtol, maxiter=100):
-    """Root of f in the sign-change bracket [a, b] by Brent's method.
-
-    A step-for-step transcription of scipy.optimize.brentq (R. P. Brent,
-    Algorithms for Minimization Without Derivatives, 1973, ch. 4): the same
-    iterates, the same root, the same errors, without importing
-    scipy.optimize.  xpre/xcur/xblk are the previous iterate, the current
-    best and the opposite-sign end; each step interpolates (secant or
-    inverse quadratic) when that stays short, else bisects, and is never
-    shorter than delta = (xtol + rtol |xcur|)/2.  Ends, tolerances and f
-    values are cast to Python floats, so a step overflows to inf silently,
-    as a C double does, not with numpy's RuntimeWarning.
-    """
-    if xtol <= 0:
-        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-    if rtol < _RTOL_MIN:
-        raise ValueError(f"rtol too small ({rtol:g} < {_RTOL_MIN:g})")
-    if maxiter < 0:
-        raise ValueError("maxiter must be >= 0")
-
-    def value(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return fx
-
-    xpre, xcur, xtol, rtol = float(a), float(b), float(xtol), float(rtol)
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        stry = math.inf  # bisect unless a short interpolation step exists
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # secant
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # inverse quadratic
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:  # C gets inf or NaN here and bisects
-                pass
-        limit = 3 * abs(sbis) - delta
-        if 2 * abs(stry) < (abs(spre) if abs(spre) < limit else limit):
-            spre, scur = scur, stry
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
-
-
-def _refine(fn, lo, hi):
-    if lo == hi:
-        return lo
-    return brentq(fn, lo, hi, xtol=1e-12, rtol=4 * np.finfo(float).eps)
-
-
-def _neighbour_gap(n, f_amp, omega0):
-    """Smallest relative distance to the adjacent resonance curves."""
-    here = resonance_interpolation(n, f_amp, omega0)
-    below = resonance_interpolation(n + 1, f_amp, omega0)
-    gap = (here - below) / here
-    if n > 1:
-        above = resonance_interpolation(n - 1, f_amp, omega0)
-        gap = min(gap, (above - here) / here)
-    return gap
-
-
-def find_resonance(n, f_amp, omega0=1.0, n_trunc=50, seed=None):
-    """Locate the n-th resonance frequency at fixed drive amplitude.
-
-    Without a seed the determinant is scanned globally and the n-th largest
-    root taken (the curves never cross); with a seed (a nearby estimate of
-    the root) a bracket is grown around it, kept clear of the adjacent
-    curves, with the global scan as fallback.  The residual is that of the
-    eigen-solve at f_amp (:func:`_eigen_roots`).
-    """
-    n = _resonance_index(n)
-    fn = _det_fn(f_amp, omega0, n_trunc)
-    if seed is not None:
-        max_rel = 0.45 * _neighbour_gap(n, f_amp, omega0)
-        root = _track_root(fn, seed, max_rel=max_rel)
-        if root is not None:
-            return _point(n, f_amp, omega0, n_trunc, root)
-    # scan below the (n+1)-th curve and above the first one; the wanted
-    # root is the n-th largest of every sign change in between
-    lo = 0.45 * omega0 / (2 * n + 1)
-    hi = 1.8 * resonance_interpolation(1, f_amp, omega0)
-    points = max(1200, 250 * (n + 2))
-    brackets = _scan_roots(fn, lo, hi, points)
-    if len(brackets) < n:
-        raise BracketNotFoundError(
-            f"found only {len(brackets)} determinant roots in [{lo:.3g}, {hi:.3g}] "
-            f"for resonance {n}; increase the truncation order",
-            suggested_n=n_trunc + 16,
-        )
-    # brackets are disjoint and ascending, so the n-th largest root lies in
-    # the n-th last bracket
-    return _point(n, f_amp, omega0, n_trunc, _refine(fn, *brackets[-n]))
-
-
-def _point(n, f_amp, omega0, n_trunc, root):
-    """A searched root, with the residual of the eigen-solve at its amplitude."""
-    _, residual = _eigen_roots(n, [f_amp], omega0, n_trunc)
-    return ResonancePoint(n=n, F=f_amp, omega_res=root, N=n_trunc, residual=float(residual[0]))
-
-
-def _track_root(fn, seed, rel0=0.002, grow=1.8, max_rel=0.35):
-    """Expand a bracket around the seed until the determinant changes sign.
-
-    The expansion stops at max_rel so a sign change of a neighbouring curve
-    can never be mistaken for the tracked one.
-    """
-    rel = rel0
-    while rel <= max_rel:
-        lo, hi = seed * (1 - rel), seed * (1 + rel)
-        va, vb = fn(lo), fn(hi)
-        if va == 0.0:
-            return lo
-        if vb == 0.0:
-            return hi
-        if va * vb < 0:
-            return _refine(fn, lo, hi)
-        rel *= grow
-    return None
 
 
 def _curve_index(n, omega0, n_trunc):
@@ -408,8 +203,8 @@ def resonance_curves(n_list, f_grid, omega0=1.0, n_trunc=50):
     are shared by all curves (:func:`_eigen_roots` reads column n - 1 of
     each), and one array pass of the minors ladder (:func:`_det_signs`)
     checks that det A^(N) changes sign within 1e-12 relative of every
-    (n, F) root.  A root that fails the check is searched for by
-    :func:`find_resonance`, seeded with it.
+    (n, F) root.  A root that fails the check raises BracketNotFoundError,
+    naming its n and F.
     """
     ns = [_curve_index(n, omega0, n_trunc) for n in n_list]
     fs = np.array(f_grid, dtype=float)
@@ -418,20 +213,43 @@ def resonance_curves(n_list, f_grid, omega0=1.0, n_trunc=50):
     ends = np.outer([1 - 1e-12, 1 + 1e-12], roots.ravel()).ravel()
     below, above = _det_signs(np.tile(fs, 2 * len(ns)), omega0, n_trunc, ends).reshape(2, -1)
     changed = (below * above < 0).reshape(roots.shape)
-    curves = []
-    for n, row_roots, row_residuals, row_ok in zip(ns, roots.tolist(), residuals.tolist(), changed):
-        curves.append([
+    if not changed.all():
+        i, k = np.argwhere(~changed)[0]
+        suggested = n_trunc + 16
+        raise BracketNotFoundError(
+            f"det A^(N) at N = {n_trunc} does not change sign at the eigen root of resonance "
+            f"{ns[i]} at F = {float(fs[k])}; increase the truncation order (suggested N = {suggested})",
+            suggested_n=suggested,
+        )
+    return [
+        [
             ResonancePoint(n=n, F=f_amp, omega_res=root, N=n_trunc, residual=residual)
-            if ok
-            else find_resonance(n, f_amp, omega0=omega0, n_trunc=n_trunc, seed=root)
-            for f_amp, root, residual, ok in zip(fs.tolist(), row_roots, row_residuals, row_ok)
-        ])
-    return curves
+            for f_amp, root, residual in zip(fs.tolist(), row_roots, row_residuals)
+        ]
+        for n, row_roots, row_residuals in zip(ns, roots.tolist(), residuals.tolist())
+    ]
 
 
 def resonance_curve(n, f_grid, omega0=1.0, n_trunc=50):
     """The n-th resonance curve over an amplitude grid: :func:`resonance_curves` of [n]."""
     return resonance_curves([n], f_grid, omega0=omega0, n_trunc=n_trunc)[0]
+
+
+def find_resonance(n, f_amp, omega0=1.0, n_trunc=50):
+    """The n-th resonance at one drive amplitude: :func:`resonance_curves` of [n] and [f_amp]."""
+    return resonance_curves([n], [f_amp], omega0=omega0, n_trunc=n_trunc)[0][0]
+
+
+def _placeholder(name):
+    def removed(*args, **kwargs):
+        raise NotImplementedError(f"resonance.{name} is gone; resonances come from the eigen route")
+
+    return removed
+
+
+# names only, which nothing in the package calls: perfbench/tracer.py wraps
+# them, and ROADMAP.md item 18 drops them with the tracer's wrapping
+brentq, _scan_roots, _track_root = map(_placeholder, ("brentq", "_scan_roots", "_track_root"))
 
 
 def large_f_fit(n, omega0=1.0, f_lo=10.0, f_hi=100.0, points=25, n_trunc=50):

@@ -247,6 +247,19 @@ def test_resonance_command_checks_every_index_before_solving(tmp_path, monkeypat
     assert solves == []
 
 
+def test_resonance_row_failing_the_sign_check_exits_2(tmp_path, capsys):
+    # the top index of N = 21 at F/omega0 = 667: its eigen root misses the
+    # sign change of det A^(N) (tests/test_resonance.py pins where)
+    out = tmp_path / "res.csv"
+    argv = ["resonance", "--n-list", "10,11", "--f-grid", "100:200:2", "--omega0", "0.3"]
+    rc = cli.main([*argv, "--n-trunc", "21", "-o", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "resonance 11 at F = 200.0" in err and "suggested N = 37" in err
+    assert not out.exists()
+    assert cli.main([*argv, "--n-trunc", "37", "-o", str(out)]) == 0
+
+
 def test_bloch_siegert_json_exact(tmp_path):
     out = tmp_path / "bs.json"
     rc = cli.main(
@@ -388,6 +401,15 @@ def test_validate_bloch_siegert_detects_a_wrong_closed_form(tmp_path, monkeypatc
 def test_validate_unknown_check(tmp_path):
     rc = cli.main(["validate", "--only", "nonsense", "-o", str(tmp_path / "r.json")])
     assert rc == 1
+
+
+@pytest.mark.parametrize("only", [",", ",,", ""])
+def test_validate_only_naming_no_check_is_a_usage_error(tmp_path, capsys, only):
+    out = tmp_path / "r.json"
+    rc = cli.main(["validate", "--only", only, "-o", str(out)])
+    assert rc == 1
+    assert "--only names no check" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_validate_detects_injected_sign_error(tmp_path, monkeypatch):

@@ -1,25 +1,21 @@
 """Resonance curves, Bloch-Siegert rationals, triangle coordinates."""
 
 import math
-import warnings
 from fractions import Fraction as Q
 
 import numpy as np
 import pytest
 import rational_series
+import resonance_scan
 
 from floquet_tls import resonance
 from floquet_tls.bloch_dynamics import DriveParams
 from floquet_tls.errors import BracketNotFoundError, DomainError, SeriesInstabilityError
 from floquet_tls.fourier_rpl import build_system, minors
 from floquet_tls.resonance import (
-    _det_fn,
     _det_signs,
-    _refine,
-    _scan_roots,
     bloch_siegert_coefficients,
     bloch_siegert_shift,
-    brentq,
     find_resonance,
     from_triangle,
     general_form_check,
@@ -136,8 +132,8 @@ def test_warm_start_tracks_root():
     fs = np.linspace(0.5, 2.0, 7)
     pts = resonance_curve(2, fs, omega0=1.0, n_trunc=50)
     for f_amp, pt in zip(fs, pts):
-        fresh = find_resonance(2, float(f_amp), 1.0, 50)
-        assert abs(pt.omega_res - fresh.omega_res) < 1e-9
+        fresh = resonance_scan.root(2, float(f_amp), 1.0, 50)
+        assert abs(pt.omega_res - fresh) < 1e-9
 
 
 def _count_calls(monkeypatch, name):
@@ -153,22 +149,21 @@ def _count_calls(monkeypatch, name):
 
 
 def test_curves_solve_one_eigenproblem_and_one_sign_pass(monkeypatch):
-    # the curves of the benchmark's resonance workload: no root search, no
-    # scalar ladder, one array pass of the determinant signs per curve
-    ladders = _count_calls(monkeypatch, "minors")
+    # the curves of the benchmark's resonance workload: no lone-point call,
+    # one array pass of the determinant signs per curve
     points = _count_calls(monkeypatch, "find_resonance")
     passes = _count_calls(monkeypatch, "_det_signs")
     fs = np.geomspace(0.02, 8.0, 60)
     for n in (1, 2, 3):
         assert len(resonance_curve(n, fs, omega0=1.0, n_trunc=50)) == 60
     assert len(points) == 0
-    assert len(ladders) == 0
     assert len(passes) == 3
 
 
 @pytest.mark.parametrize("n_trunc, omega0", [(6, 1.0), (21, 0.37), (50, 2.5)])
 def test_curve_rows_match_global_scans(n_trunc, omega0):
-    # every positive root of det A^(N) comes from one of the ceil(N/2) odd modes
+    # every positive root of det A^(N) comes from one of the ceil(N/2) odd
+    # modes; a lone point is the row of its curve
     fs = [0.005, 0.07, 0.9, 6.0, 60.0]
     modes = (n_trunc + 1) // 2
     assert len(resonance_curve(modes, fs, omega0, n_trunc)) == len(fs)
@@ -184,60 +179,57 @@ def test_curve_rows_match_global_scans(n_trunc, omega0):
                 assert err.value.suggested_n == n_trunc + 16
             continue
         for f_amp, pt in zip(fs, resonance_curve(n, fs, omega0, n_trunc)):
-            fresh = find_resonance(n, f_amp, omega0, n_trunc)
+            fresh = resonance_scan.root(n, f_amp, omega0, n_trunc)
             assert (pt.n, pt.F, pt.N) == (n, f_amp, n_trunc)
-            assert abs(pt.omega_res - fresh.omega_res) <= 5e-12 * fresh.omega_res
-            assert pt.residual == fresh.residual
+            assert abs(pt.omega_res - fresh) <= 5e-12 * fresh
+            assert find_resonance(n, f_amp, omega0, n_trunc) == pt
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_weak_drive_curve_rows_match_bloch_siegert_series(n):
     # at F <= 0.05 the sixth-order series is exact to rounding, a bound that
-    # find_resonance, within brentq's absolute xtol of 1e-12, does not meet
+    # a determinant scan refined to an absolute xtol of 1e-12 does not meet
     fs = np.geomspace(1e-4, 0.05, 9)
     for f_amp, pt in zip(fs, resonance_curve(n, fs, omega0=1.0, n_trunc=50)):
         series = bloch_siegert_shift(n, float(f_amp), max_m=6)
         assert abs(pt.omega_res - series) <= 1e-15 * series
 
 
+def _raises_on_row(n, f_amp, curves):
+    with pytest.raises(BracketNotFoundError) as err:
+        curves()
+    assert f"resonance {n} at F = {f_amp}" in str(err.value)
+    assert err.value.suggested_n == 50 + 16
+
+
 @pytest.mark.parametrize("fault", ["no sign change", "root off by 1e-9"])
-def test_curve_row_failing_the_sign_check_falls_back_to_seeded_search(monkeypatch, fault):
+def test_curve_row_failing_the_sign_check_raises(monkeypatch, fault):
     fs = np.geomspace(0.1, 5.0, 7)
     plain = resonance_curve(2, fs, omega0=1.0, n_trunc=50)
-    seed = plain[3].omega_res
     if fault == "no sign change":
         original = resonance._det_signs
 
         def faulty(f_amp, omega0, n_trunc, omegas):
             signs = original(f_amp, omega0, n_trunc, omegas)
-            if np.ndim(f_amp):  # the curve's pass: row k below its root, row k + P above
-                signs[3 + len(fs)] = signs[3]
+            signs[3 + len(fs)] = signs[3]  # row k below its root, row k + P above
             return signs
 
         monkeypatch.setattr(resonance, "_det_signs", faulty)
     else:
         original = resonance._eigen_roots
-        seed *= 1 + 1e-9
 
         def faulty(n, f_amps, omega0, n_trunc):
             roots, residuals = original(n, f_amps, omega0, n_trunc)
             if len(roots) == len(fs):
-                roots[3] = seed
+                roots[3] = plain[3].omega_res * (1 + 1e-9)
             return roots, residuals
 
         monkeypatch.setattr(resonance, "_eigen_roots", faulty)
-    searches = _count_calls(monkeypatch, "find_resonance")
-    pts = resonance_curve(2, fs, omega0=1.0, n_trunc=50)
-    assert [args[1] for args in searches] == [fs[3]]
-    assert pts[3] == find_resonance(2, fs[3], 1.0, 50, seed=seed)
-    assert pts[3].residual == plain[3].residual
-    assert abs(pts[3].omega_res - plain[3].omega_res) <= 1e-12 * plain[3].omega_res
-    assert pts[:3] + pts[4:] == plain[:3] + plain[4:]
+    _raises_on_row(2, fs[3], lambda: resonance_curve(2, fs, omega0=1.0, n_trunc=50))
 
 
-def test_shared_curves_fall_back_only_on_the_row_failing_the_sign_check(monkeypatch):
+def test_shared_curves_raise_on_the_row_failing_the_sign_check(monkeypatch):
     fs = np.geomspace(0.1, 5.0, 7)
-    plain = {n: resonance_curve(n, fs, omega0=1.0, n_trunc=50) for n in (1, 2, 3)}
     original = resonance._det_signs
 
     def faulty(f_amp, omega0, n_trunc, omegas):
@@ -247,21 +239,31 @@ def test_shared_curves_fall_back_only_on_the_row_failing_the_sign_check(monkeypa
         return signs
 
     monkeypatch.setattr(resonance, "_det_signs", faulty)
-    searches = _count_calls(monkeypatch, "find_resonance")
-    curves = resonance.resonance_curves([3, 1, 2], fs, omega0=1.0, n_trunc=50)
-    assert [(args[0], args[1]) for args in searches] == [(2, fs[4])]
-    assert curves[0] == plain[3] and curves[1] == plain[1]
-    assert curves[2][:4] + curves[2][5:] == plain[2][:4] + plain[2][5:]
-    assert abs(curves[2][4].omega_res - plain[2][4].omega_res) <= 1e-12 * plain[2][4].omega_res
+    curves = resonance.resonance_curves
+    _raises_on_row(2, fs[4], lambda: curves([3, 1, 2], fs, omega0=1.0, n_trunc=50))
 
 
-def test_det_fn_evaluates_each_frequency_once(monkeypatch):
-    ladders = _count_calls(monkeypatch, "minors")
-    fn = _det_fn(0.7, 1.0, 50)
-    first = fn(0.83)
-    assert len(ladders) == 1
-    assert fn(0.83) == first and len(ladders) == 1
-    assert fn(0.84) != first and len(ladders) == 2
+@pytest.mark.parametrize("n_trunc", [6, 21, 50, 120])
+def test_sign_check_fails_only_on_the_unresolved_top_index_of_odd_n(n_trunc):
+    # over F/omega0 from 3e-5 to 670 every eigen root has its sign change of
+    # det A^(N), except at the top index of an odd N once F/omega0 passes
+    # about 190: that mode has no even neighbour above it, and its eigen root
+    # is off by a few 1e-12 relative.  N resolves none of those rows (residual
+    # above 1), and each passes at the suggested N
+    fs = np.geomspace(1e-4, 200.0, 40)
+    top = (n_trunc + 1) // 2
+    failing = {}
+    for omega0 in (0.3, 1.0, 3.0):
+        assert len(resonance.resonance_curves(range(1, top), fs, omega0, n_trunc)) == top - 1
+        for f_amp in fs.tolist():
+            try:
+                find_resonance(top, f_amp, omega0, n_trunc)
+            except BracketNotFoundError as err:
+                failing.setdefault(omega0, []).append(f_amp)
+                _, residual = resonance._eigen_roots(top, [f_amp], omega0, n_trunc)
+                assert residual[0] > 1
+                find_resonance(top, f_amp, omega0, err.suggested_n)
+    assert failing == ({0.3: fs[-2:].tolist()} if n_trunc == 21 else {})
 
 
 @pytest.mark.parametrize(
@@ -273,8 +275,8 @@ def test_curve_on_repeated_and_decreasing_grids_matches_fresh_scans(n, fs):
     pts = resonance_curve(n, fs, omega0=1.0, n_trunc=50)
     assert [p.F for p in pts] == [float(f) for f in fs]
     for f_amp, pt in zip(fs, pts):
-        fresh = find_resonance(n, float(f_amp), 1.0, 50)
-        assert abs(pt.omega_res - fresh.omega_res) <= 2e-12
+        fresh = resonance_scan.root(n, float(f_amp), 1.0, 50)
+        assert abs(pt.omega_res - fresh) <= 2e-12
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +289,7 @@ def _scalar_signs(f_amp, omega0, n_trunc, grid):
 
 @pytest.mark.parametrize("f_amp, n_trunc", [(0.01, 50), (0.5, 50), (10.0, 80), (30.0, 120), (0.0, 50)])
 def test_det_signs_match_scalar_ladder_on_scan_grid(f_amp, n_trunc):
-    # the settings of _brent_cases, and the undriven ladder
+    # a scan grid of tests/resonance_scan.py at n = 3, and the undriven ladder
     hi = 1.8 * resonance_interpolation(1, f_amp, 1.0)
     grid = np.geomspace(0.45 / 7, hi, 1200)
     signs = _det_signs(f_amp, 1.0, n_trunc, grid)
@@ -305,99 +307,6 @@ def test_det_signs_at_a_vanishing_trailing_minor():
     assert list(_det_signs(1.0, 3.0, 3, grid)) == list(_scalar_signs(1.0, 3.0, 3, grid))
     assert list(_det_signs(0.0, 3.0, 3, grid)) == list(_scalar_signs(0.0, 3.0, 3, grid))
     assert _det_signs(0.0, 3.0, 3, grid)[1] == 0.0
-
-
-@pytest.mark.parametrize("f_amp", [0.5, 10.0])
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_unseeded_root_equals_scalar_scan_refined_by_brentq(n, f_amp):
-    # the scan grid of find_resonance, its signs taken point by point
-    fn = _det_fn(f_amp, 1.0, 50)
-    hi = 1.8 * resonance_interpolation(1, f_amp, 1.0)
-    grid = np.geomspace(0.45 / (2 * n + 1), hi, max(1200, 250 * (n + 2)))
-    vals = [fn(w) for w in grid]
-    brackets = [
-        (grid[i], grid[i] if vals[i] == 0.0 else grid[i + 1])
-        for i in range(len(grid) - 1)
-        if vals[i] == 0.0 or (vals[i] > 0) != (vals[i + 1] > 0)
-    ]
-    brackets += [(grid[-1], grid[-1])] if vals[-1] == 0.0 else []
-    root = sorted(_refine(fn, a, b) for a, b in brackets)[-n]
-    pt = find_resonance(n, f_amp, 1.0, 50)
-    assert pt.omega_res == root
-    here = resonance._odd_mode_roots([f_amp], 1.0, 50)[0, n - 1]
-    ahead = resonance._odd_mode_roots([f_amp], 1.0, 54)[0, n - 1]
-    assert pt.residual == abs(here - ahead) / here
-
-
-# ---------------------------------------------------------------------------
-# Brent's method against scipy.optimize.brentq
-
-RTOL = 4 * np.finfo(float).eps  # the tolerances of resonance._refine
-XTOL = 1e-12
-
-
-def _root_or_error(solver, f, a, b, xtol=XTOL, rtol=RTOL, maxiter=100):
-    try:
-        return solver(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)
-    except (ValueError, RuntimeError) as exc:
-        return type(exc), str(exc)
-
-
-def _brent_cases():
-    shapes = [
-        lambda r: (lambda x: x - r),
-        lambda r: (lambda x: math.exp(x) - math.exp(r)),
-        lambda r: (lambda x: math.cos(3 * x) - math.cos(3 * r)),
-        lambda r: (lambda x: (x - r) ** 3),
-        lambda r: (lambda x: (x - r) ** 5),
-        lambda r: (lambda x: math.tanh(40 * (x - r))),
-        lambda r: (lambda x: math.copysign(abs(x - r) ** 0.5, x - r)),  # cusp
-        lambda r: (lambda x: 1e-250 * (x - r)),  # f(a) f(b) underflows
-        lambda r: (lambda x: np.float64(1e300) * np.float64(x - r) ** 3),  # overflows
-    ]
-    rng = np.random.default_rng(3)
-    cases = []
-    for shape in shapes:
-        for _ in range(12):
-            r = rng.uniform(-2, 2)
-            a, b = r - rng.uniform(1e-6, 3), r + rng.uniform(1e-6, 3)
-            cases.append((shape(r), b, a) if rng.random() < 0.5 else (shape(r), a, b))
-    for f_amp, n_trunc in [(0.01, 50), (0.5, 50), (10.0, 80), (30.0, 120)]:
-        fn = _det_fn(f_amp, 1.0, n_trunc)
-        hi = 1.8 * resonance_interpolation(1, f_amp, 1.0)
-        cases += [(fn, a, b) for a, b in _scan_roots(fn, 0.45 / 7, hi, 1200) if a != b]
-    return cases
-
-
-def test_brentq_is_scipy_bit_for_bit():
-    from scipy.optimize import brentq as scipy_brentq
-
-    cases = _brent_cases()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        ours = [_root_or_error(brentq, f, a, b) for f, a, b in cases]
-        # maxiter 8 makes both solvers give up on the slow cases
-        ours += [_root_or_error(brentq, f, a, b, maxiter=8) for f, a, b in cases]
-    theirs = [_root_or_error(scipy_brentq, f, a, b) for f, a, b in cases]
-    theirs += [_root_or_error(scipy_brentq, f, a, b, maxiter=8) for f, a, b in cases]
-    assert ours == theirs
-    assert sum(isinstance(r, float) for r in ours) > len(cases)
-    assert any(r[0] is RuntimeError for r in ours if isinstance(r, tuple))
-
-
-def test_brentq_error_contracts():
-    line = lambda x: x - 0.3  # noqa: E731
-    with pytest.raises(ValueError, match="xtol too small"):
-        brentq(line, 0, 1, xtol=0.0, rtol=RTOL)
-    with pytest.raises(ValueError, match="rtol too small"):
-        brentq(line, 0, 1, xtol=XTOL, rtol=RTOL / 2)
-    with pytest.raises(ValueError, match="different signs"):
-        brentq(line, 0.5, 1, xtol=XTOL, rtol=RTOL)
-    with pytest.raises(ValueError, match="NaN"):
-        brentq(lambda x: math.nan if x > 0.5 else x - 0.3, 0, 1, xtol=XTOL, rtol=RTOL)
-    with pytest.raises(RuntimeError, match="Failed to converge after 3 iterations"):
-        brentq(lambda x: x**3 - 0.3, 0, 1, xtol=XTOL, rtol=RTOL, maxiter=3)
-    assert brentq(line, 0.3, 1, xtol=XTOL, rtol=RTOL) == 0.3  # a root at an end
 
 
 # ---------------------------------------------------------------------------
@@ -542,5 +451,5 @@ def test_coarse_log_grid_tracking_never_jumps_curves():
     # spot check against fresh global scans
     for n in (2, 4):
         for i in (5, 9, 13):
-            fresh = find_resonance(n, float(fs[i]), 1.0, 50)
-            assert abs(curves[n][i].omega_res - fresh.omega_res) < 1e-8 * fresh.omega_res
+            fresh = resonance_scan.root(n, float(fs[i]), 1.0, 50)
+            assert abs(curves[n][i].omega_res - fresh) < 1e-8 * fresh
