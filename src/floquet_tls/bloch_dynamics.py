@@ -59,16 +59,6 @@ _HALF_TURN = np.array([-1.0, -1.0, 1.0])
 _REVERSAL = np.array([1.0, -1.0, 1.0])
 _MIRROR = _HALF_TURN * _REVERSAL
 
-_SPIN = 0.5 * np.array(
-    [
-        [[0, 1], [1, 0]],
-        [[0, -1j], [1j, 0]],
-        [[1, 0], [0, -1]],
-    ],
-    dtype=complex,
-)
-
-
 @dataclass(frozen=True)
 class DriveParams:
     """Drive parameters of the elliptically polarized Rabi problem.
@@ -375,24 +365,6 @@ def quasienergy_from_monodromy(m, period):
         rho = so3_angle(m)
         return rho / (2.0 * period)
     raise DomainError(f"expected a 2x2 or 3x3 monodromy, got shape {m.shape}")
-
-
-def adjoint_rotation(u):
-    """Rotation transporting Bloch vectors under the SU(2) element u.
-
-    Spin expectations of psi -> u psi transform with the matrix
-    R_ij = 2 tr(s_i u s_j u*); this is the SO(3) propagator matching
-    monodromy_so3 (the index order matters: the map with conjugation read
-    the other way is its transpose).
-    """
-    u = np.asarray(u, dtype=complex)
-    r = np.empty((3, 3))
-    for j in range(3):
-        m = u @ _SPIN[j] @ u.conj().T
-        for i in range(3):
-            # tr(s_i s_k) = delta_ik / 2
-            r[i, j] = 2.0 * np.trace(_SPIN[i] @ m).real
-    return r
 
 
 def periodic_orbit(params, tol=DEFAULT_TOL):

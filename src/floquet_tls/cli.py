@@ -70,20 +70,35 @@ def _write_text(path, text):
             fh.write(text)
 
 
-def _csv_text(header, rows):
-    """CSV with CRLF line ends: floats as .17g, NaN as NaN, every other cell by str.
+def _csv_text(header, columns):
+    """CSV with CRLF line ends, written column by column: floats as .17g, NaN as NaN,
+    every other cell by str.  A float ndarray column is formatted as one map.
 
     No cell the commands write holds a comma, a quote or a line break, so none is quoted.
     """
-    lines = [",".join(header)]
-    lines += [
-        ",".join([
-            (format(v, ".17g") if v == v else "NaN") if isinstance(v, float) else str(v)
-            for v in row
-        ])
-        for row in rows
-    ]
+    cells = [_cells(column) for column in columns]
+    lines = [",".join(header), *map(",".join, zip(*cells))]
     return "\r\n".join(lines) + "\r\n"
+
+
+def _cells(column):
+    """The CSV cells of one column."""
+    if isinstance(column, np.ndarray):
+        if column.dtype.kind == "f":
+            cells = list(map("%.17g".__mod__, column.tolist()))
+            return ["NaN" if cell == "nan" else cell for cell in cells] if "nan" in cells else cells
+        if column.dtype.kind in "iu":
+            return list(map(str, column.tolist()))
+        column = column.tolist()
+    return [
+        (format(v, ".17g") if v == v else "NaN") if isinstance(v, float) else str(v)
+        for v in column
+    ]
+
+
+def _transpose(rows, width):
+    """The columns of ``width`` cells each of rows."""
+    return [list(column) for column in zip(*rows)] if rows else [[] for _ in range(width)]
 
 
 def _json_safe(obj):
@@ -108,15 +123,17 @@ def _resolved_config(args, keys):
     return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
 
 
-def _emit(args, header, rows, payload_extra, config_keys):
+def _emit(args, header, columns, payload_extra, config_keys):
+    """Write the table of ``columns`` under ``header`` as CSV, or as JSON with its rows."""
     if args.format == "csv":
-        _write_text(args.output, _csv_text(header, rows))
+        _write_text(args.output, _csv_text(header, columns))
     else:
+        columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
         payload = {
             "schema_version": SCHEMA_VERSION,
             "config": _resolved_config(args, config_keys),
             "columns": list(header),
-            "rows": [list(row) for row in rows],
+            "rows": [list(row) for row in zip(*columns)],
         }
         payload.update(payload_extra or {})
         _write_text(args.output, _json_text(payload))
@@ -146,9 +163,6 @@ def cmd_solve(args):
         other, _ = solve("fourier" if args.method == "ode" else "ode")
         compare_dev = float(np.abs(states - other).max())
     norms = np.linalg.norm(states, axis=-1)
-    rows = [
-        [t, *state, norm] for t, state, norm in zip(ts.tolist(), states.tolist(), norms.tolist())
-    ]
     extra = {}
     if harmonics is not None:
         extra["harmonics"] = harmonics
@@ -158,7 +172,7 @@ def cmd_solve(args):
     _emit(
         args,
         ["t", "X", "Y", "Z", "norm"],
-        rows,
+        [ts.tolist(), *states.T.tolist(), norms.tolist()],
         extra,
         ["omega0", "f", "g", "omega", "method", "n_trunc", "samples", "tol", "seed"],
     )
@@ -183,25 +197,17 @@ def cmd_quasienergy(args):
     # the warning filters still apply; a warning they let through is one line
     with warnings.catch_warnings():
         warnings.showwarning = show
-        points = quasienergy.sweep_branches(
-            params_base, grid, method=args.method, n_trunc=args.n_trunc, tol=args.tol, on_error=report
+        omegas, columns, failed = quasienergy._sweep_table(
+            params_base, grid, args.method, args.n_trunc, args.tol, on_error=report
         )
-    rows = []
-    for omega, point in zip(grid, points):
-        if point is None:
-            rows.append([float(omega)] + [float("nan")] * 4 + [0])
-        else:
-            rows.append(
-                [float(omega), point.epsilon, point.epsilon_mod, point.eps_g, point.eps_d, point.branch]
-            )
     _emit(
         args,
         ["omega", "epsilon", "epsilon_mod", "eps_g", "eps_d", "branch"],
-        rows,
+        [omegas, *columns],
         {},
         ["omega0", "f", "g", "omega_sweep", "method", "n_trunc", "tol", "seed"],
     )
-    return 0 if points.count(None) <= 0.05 * len(grid) else 2
+    return 0 if failed.sum() <= 0.05 * len(grid) else 2
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +239,7 @@ def cmd_resonance(args):
     _emit(
         args,
         ["n", "F", "omega_res", "residual", "tri_x", "tri_y"],
-        rows,
+        _transpose(rows, 6),
         {},
         ["omega0", "n_list", "f_grid", "log_grid", "n_trunc", "seed"],
     )
@@ -260,7 +266,7 @@ def cmd_bloch_siegert(args):
     _emit(
         args,
         ["n", "two_m", "numerator", "denominator"],
-        rows,
+        _transpose(rows, 4),
         extra,
         ["n", "max_m", "n_trunc", "seed"],
     )

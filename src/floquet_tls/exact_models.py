@@ -58,8 +58,8 @@ class RpcQuasienergies:
 
     eps_d/eps_g belong to the + orbit with the spherical cap measured from
     the north pole; the alternative orientation (natural when the orbit
-    circles the southern hemisphere, Z = w0 - w < 0) differs by -omega:
-    eps_plus_alt = eps_plus - omega, the same quasienergy mod omega.
+    circles the southern hemisphere, Z = w0 - w < 0) differs by -omega,
+    the same quasienergy mod omega.
     """
 
     omega: float
@@ -67,10 +67,6 @@ class RpcQuasienergies:
     eps_minus: float
     eps_d: float
     eps_g: float
-
-    @property
-    def eps_plus_alt(self):
-        return self.eps_plus - self.omega
 
 
 def rpc_quasienergies(params):

@@ -54,15 +54,24 @@ one batch of up to 16 orbits integrated in s = omega t
 (:func:`bloch_dynamics.periodic_orbits`); on the Fourier route it is up to
 256 points whose truncations are solved together
 (:func:`fourier_rpl._solve_sweep`: one array ladder for the points that share
-a probe order) and whose grids come from inverse FFTs.  A row joins
-the doubling at its own start, and only the rows that have not settled
-double their grid, at most 16 x 2048 samples at a time.  A row's values are
-reductions over its own samples, and a Fourier solution is its point's own
-whether it came from an array ladder or not, so a sweep row equals
-:func:`quasienergy_at` at its point bit for bit, and a point that fails is
-reported on its own.  chi and eps_d do not change when X
-is scaled by a positive factor, so a Fourier solution is averaged
-unnormalized.
+a probe order), held as one coefficient matrix (:class:`fourier_rpl.Truncations`)
+whose grids come from inverse FFTs.  A row joins the doubling at its own
+start, and only the rows that have not settled double their grid, at most
+16 x 2048 samples at a time.  A row's values are reductions over its own
+samples, and a Fourier solution is its point's own whether it came from an
+array ladder or not, so a sweep row equals :func:`quasienergy_at` at its
+point bit for bit, and a point that fails is reported on its own.  chi and
+eps_d do not change when X is scaled by a positive factor, so a Fourier
+solution is averaged unnormalized.
+
+A sweep is carried as columns, with no object per row: each block's
+averages come back as arrays of the -z branch means and of eps_d, with the
+error of each failing row (:func:`_quasienergies`), and the branch
+continuation runs on those floats in grid order (:func:`_continued`), with
+the operation order of QuasienergyResult.from_raw, mirrored and shifted.
+:func:`continue_branch` is that continuation for one row, and
+:func:`sweep_branches` and the command line read the same columns
+(:func:`_sweep_table`).
 """
 
 import math
@@ -164,24 +173,35 @@ def _orbit_grid(orbit, period, m):
 
 
 def _grids(orbits, period=None, half=False):
-    """(grid, starts): grid(rows, m), the states (len(rows), 3, n) of orbits[k], k in rows,
-    at t_j = j T / m, j < n, and starts[k], the grid orbit k's quasienergy starts on.
+    """(grid, starts): grid(rows, m), the states (len(rows), 3, n) of the orbits ``rows``
+    (an index array) at t_j = j T / m, j < n, and starts[k], the grid orbit k's
+    quasienergy starts on.
 
-    n = m: one inverse FFT for truncated Fourier solutions, else :func:`_orbit_grid`.
-    With ``half`` the orbits known to obey X(t + T/2) = R_z(pi) X(t), truncated Fourier
-    solutions and ODE periodic orbits, give the first half period, n = m/2.
-    A truncated Fourier solution of order N starts on the smallest power of two
-    >= 8 (N + 1), clamped to [64, 2048]; every other orbit on 2048.
+    ``orbits`` is a list of orbits, or the :class:`fourier_rpl.Truncations` of a sweep,
+    and a list of truncated Fourier solutions is read as theirs.  n = m: one inverse
+    FFT of their coefficient matrix for truncated Fourier solutions, else
+    :func:`_orbit_grid`.  With ``half`` the orbits known to obey
+    X(t + T/2) = R_z(pi) X(t), truncated Fourier solutions and ODE periodic orbits,
+    give the first half period, n = m/2.  A truncated Fourier solution of order N
+    starts on the smallest power of two >= 8 (N + 1), clamped to [64, 2048]; every
+    other orbit on 2048.
     """
-    starts = [
-        min(2 * _MIN_GRID, max(_MIN_START, 1 << (8 * orbit.N + 7).bit_length()))
-        if isinstance(orbit, fourier_rpl.RplFourierSolution)
-        else 2 * _MIN_GRID
-        for orbit in orbits
-    ]
-    if all(isinstance(orbit, fourier_rpl.RplFourierSolution) for orbit in orbits):
-        sample = fourier_rpl.sample_half_grid if half else fourier_rpl.sample_grid
-        return (lambda rows, m: sample([orbits[k] for k in rows], m)), starts
+    if isinstance(orbits, list) and orbits and all(
+        isinstance(orbit, fourier_rpl.RplFourierSolution) for orbit in orbits
+    ):
+        orbits = fourier_rpl.Truncations.of(orbits)
+    if isinstance(orbits, fourier_rpl.Truncations):
+        sols, sample = orbits, fourier_rpl.sample_half_grid if half else fourier_rpl.sample_grid
+        # 1 << bit_length(8 N + 7), the power of two >= 8 (N + 1), from the exponent of frexp
+        starts = np.minimum(2 * _MIN_GRID, np.maximum(_MIN_START, 1 << np.frexp(8 * sols.N + 7)[1]))
+
+        def grid(rows, m):
+            top = int(sols.N[rows].max())
+            coeffs = sols.coeffs[rows, : top + 2 - top % 2]
+            return sample(coeffs, sols.omega0[rows], sols.omega[rows], m)
+
+        return grid, starts
+    starts = np.full(len(orbits), 2 * _MIN_GRID)
     if half and all(isinstance(orbit, PeriodicOrbit) for orbit in orbits):
         return (
             lambda rows, m: np.stack([orbits[k].batch.half_sample(m, orbits[k].index) for k in rows])
@@ -206,11 +226,11 @@ def _chi_samples(grid, rows, m, field, flip):
     """
     xs = grid(rows, m)
     hs = field(m, xs.shape[-1])
-    radius = np.sqrt(np.sum(xs * xs, axis=-2)).mean(axis=-1)
-    near = (radius[:, None] + xs[:, 2]).min(axis=-1) <= _SOUTH_POLE_MARGIN * radius
+    radius = _mean(np.sqrt(np.add.reduce(xs * xs, axis=-2)))
+    near = np.minimum.reduce(radius[:, None] + xs[:, 2], axis=-1) <= _SOUTH_POLE_MARGIN * radius
     pole = np.where(near & flip, 1.0, -1.0)
     denom = radius[:, None] - pole[:, None] * xs[:, 2]
-    near = denom.min(axis=-1) <= _SOUTH_POLE_MARGIN * radius
+    near = np.minimum.reduce(denom, axis=-1) <= _SOUTH_POLE_MARGIN * radius
     with np.errstate(divide="ignore", invalid="ignore"):  # only where near
         chi = 0.5 * ((hs[0] * xs[:, 0] + hs[1] * xs[:, 1]) / denom - pole[:, None] * hs[2])
     return xs, hs, radius, pole, chi, near
@@ -242,85 +262,115 @@ def _turns(orbit, period, xs):
         ts, angle = np.insert(ts, at, new), np.insert(angle, at, np.arctan2(xy[1], xy[0]))
 
 
-def _settle(grid, starts, field, plus_z=None):
-    """Yield (k, (xs, hs, radius, chi, turns, mean, eps_d)) for each orbit k of grid once its
-    grid has settled, or (k, the FloquetTlsError of orbit k).
+def _settle(grid, starts, field, winding=None):
+    """Settle the grid of each orbit k of grid; yield, for each chunk of rows sampled together,
+    (chunk, ok, (xs, hs, radius, chi, turns, mean, eps_d), errors).
+
+    ``chunk`` is an index array of the orbits sampled, ``ok`` marks those that settled
+    on this grid, the arrays hold every row of the chunk (``hs`` is shared), and
+    ``errors`` lists (k, FloquetTlsError) of the rows that failed on it.
 
     Orbit k's grid of starts[k], 2 starts[k], ... 65536 samples has settled when
     the mean of chi on it is within 1e-10 of its mean over every second sample.
     On each size the orbits starting there and those that have not settled on
     the size below are sampled together, so the starts are min(starts) times
     powers of two.  Each grid is sampled once and chooses its section as
-    :func:`_chi_samples`, +z only with ``plus_z``, the (orbit, period) of each
-    row; ``turns`` is 0 on -z, and on +z the winding :func:`_turns` counts on
-    the row's settled grid, a half period completed by R_z(pi);
-    ``mean`` and ``eps_d``, the means of chi and (h . X)/(2R), are reduced for
-    a whole chunk at once.  At most max(1, 16 * 2048 / m) orbits are sampled at
-    once, so a request never holds more than 16 grids of 2048 samples.  An
-    orbit with R = 0, the zero solution, fails with DomainError.
+    :func:`_chi_samples`, +z only with ``winding``; ``turns`` is 0 on -z, and on
+    +z winding(k, xy), the turns of orbit k from (X, Y) (2, m) of its settled
+    grid, a half period completed by R_z(pi).  ``mean`` and ``eps_d``, the means
+    of chi and (h . X)/(2R), are reduced for a whole chunk at once.  At most
+    max(1, 16 * 2048 / m) orbits are sampled at once, so a request never holds
+    more than 16 grids of 2048 samples.  An orbit with R = 0, the zero solution,
+    fails with DomainError.
     """
-    rows, m = [], min(starts, default=0)
-    while rows or any(start >= m for start in starts):
-        rows = sorted(rows + [k for k, start in enumerate(starts) if start == m])
-        later = []
+    starts, flip = np.asarray(starts), winding is not None
+    rows, m = starts[:0], int(starts.min()) if starts.size else 0
+    while rows.size or (starts >= m).any():
+        joining = starts == m
+        joining[rows] = True
+        rows = joining.nonzero()[0]
+        later = [rows[:0]]
         size = max(1, BATCH_SIZE * 2 * _MIN_GRID // m)
         for chunk in (rows[lo : lo + size] for lo in range(0, len(rows), size)):
-            xs, hs, radius, pole, chi, near = _chi_samples(grid, chunk, m, field, plus_z is not None)
-            mean = chi.mean(axis=-1)
-            delta = np.abs(mean - chi[:, ::2].mean(axis=-1))
+            xs, hs, radius, pole, chi, near = _chi_samples(grid, chunk, m, field, flip)
+            mean = _mean(chi)
+            delta = np.abs(mean - _mean(chi[:, ::2]))
             with np.errstate(invalid="ignore"):  # NaN only where R = 0
                 eps_d = _eps_d(xs, hs, radius)
-            for i, k in enumerate(chunk):
-                if radius[i] == 0:
-                    yield k, DomainError("orbit is the zero solution, R = 0, where chi is undefined")
-                elif near[i]:
-                    yield k, SouthPoleError(
+            zero = radius == 0
+            ok = (delta < _A0_SETTLE) & ~zero & ~near
+            errors = []
+            if not ok.all():
+                near &= ~zero
+                unsettled = ~ok & ~zero & ~near
+                errors += [
+                    (k, DomainError("orbit is the zero solution, R = 0, where chi is undefined"))
+                    for k in chunk[zero].tolist()
+                ]
+                errors += [
+                    (k, SouthPoleError(
                         f"orbit passes within {_SOUTH_POLE_MARGIN:g} R of the "
-                        f"{'south' if pole[i] < 0 else 'north'} pole, where its section is singular"
-                    )
-                elif delta[i] < _A0_SETTLE:
-                    try:
-                        turns = 0
-                        if pole[i] > 0:  # (X, Y), a half period completed by R_z(pi)
-                            half = [-xs[i, :2]] if xs.shape[-1] < m else []
-                            turns = _turns(*plus_z[k], np.concatenate([xs[i, :2], *half], axis=-1))
-                    except FloquetTlsError as exc:
-                        yield k, exc
-                    else:
-                        yield k, (xs[i], hs, radius[i], chi[i], turns, mean[i], eps_d[i])
-                elif m >= _MAX_GRID:
-                    yield k, SeriesInstabilityError(
-                        f"mean of chi unsettled on {m} samples: "
-                        f"{delta[i]:.3g} from its mean over every second sample"
-                    )
+                        f"{'south' if side < 0 else 'north'} pole, where its section is singular"
+                    ))
+                    for k, side in zip(chunk[near].tolist(), pole[near].tolist())
+                ]
+                if m >= _MAX_GRID:
+                    errors += [
+                        (k, SeriesInstabilityError(
+                            f"mean of chi unsettled on {m} samples: "
+                            f"{gap:.3g} from its mean over every second sample"
+                        ))
+                        for k, gap in zip(chunk[unsettled].tolist(), delta[unsettled].tolist())
+                    ]
                 else:
-                    later.append(k)
-        rows, m = later, 2 * m
+                    later.append(chunk[unsettled])
+            turns = np.zeros(len(chunk), dtype=np.int64)
+            for i in np.flatnonzero(ok & (pole > 0)).tolist():
+                half = [-xs[i, :2]] if xs.shape[-1] < m else []
+                try:
+                    turns[i] = winding(int(chunk[i]), np.concatenate([xs[i, :2], *half], axis=-1))
+                except FloquetTlsError as exc:
+                    errors.append((int(chunk[i]), exc))
+                    ok[i] = False
+            yield chunk, ok, (xs, hs, radius, chi, turns, mean, eps_d), errors
+        rows, m = np.concatenate(later), 2 * m
 
 
 def _settled(orbit, drive, m=2 * _MIN_GRID):
     """(xs, hs, radius, chi, turns, mean, eps_d) of the settled -z grid of a lone orbit over
     its whole period, starting on m samples; raises its error."""
-    ((_, got),) = _settle(_grids([orbit], drive.T)[0], [m], _field(drive))
-    if isinstance(got, FloquetTlsError):
-        raise got
-    return got
+    for _, (ok,), (xs, hs, radius, chi, turns, mean, eps_d), errors in _settle(
+        _grids([orbit], drive.T)[0], [m], _field(drive)
+    ):
+        if errors:
+            raise errors[0][1]
+        if ok:
+            return xs[0], hs, radius[0], chi[0], turns[0], mean[0], eps_d[0]
 
 
-def _quasienergies(orbits, field, omegas, method, period=None, half=False):
-    """QuasienergyResult or FloquetTlsError of each orbit, in order, each averaged from
-    its own start on the grids of :func:`_grids`."""
+def _quasienergies(orbits, field, omegas, period=None, half=False):
+    """(eps, eps_d, errors) of orbits, each averaged from its own start on the grids of
+    :func:`_grids`: the -z branch quasienergy mean(chi) + turns omega and the mean of
+    (h . X)/(2R) of each row, NaN where it fails, and {row: its FloquetTlsError}.
+
+    omegas holds each row's drive frequency, the period of its winding.
+    """
     grid, starts = _grids(orbits, period, half)
-    plus_z = [(orbit, 2.0 * math.pi / omega) for orbit, omega in zip(orbits, omegas)]
-    points = [None] * len(omegas)
-    for k, got in _settle(grid, starts, field, plus_z):
-        if not isinstance(got, FloquetTlsError):
-            *_, turns, mean, eps_d = got
-            got = QuasienergyResult.from_raw(
-                float(mean) + turns * omegas[k], float(eps_d), omegas[k], method
-            )
-        points[k] = got
-    return points
+    omegas = np.asarray(omegas, dtype=float)
+    orbit = orbits.orbit if isinstance(orbits, fourier_rpl.Truncations) else orbits.__getitem__
+
+    def winding(k, xy):
+        return _turns(orbit(k), 2.0 * math.pi / omegas[k], xy)
+
+    mean, eps_d = np.full(len(omegas), math.nan), np.full(len(omegas), math.nan)
+    turns = np.zeros(len(omegas), dtype=np.int64)
+    errors = {}
+    for chunk, ok, samples, failed in _settle(grid, starts, field, winding):
+        rows = chunk[ok]
+        turns[rows], mean[rows], eps_d[rows] = (column[ok] for column in samples[4:])
+        errors.update(failed)
+        del samples  # the chunk's grids, not to be held while the next is sampled
+    return mean + turns * omegas, eps_d, errors
 
 
 def _series_from_samples(values, omega, harmonics):
@@ -334,7 +384,12 @@ def _series_from_samples(values, omega, harmonics):
 
 def _eps_d(xs, hs, radius):
     """eps_d, the mean of (h . X)/(2R), of orbit grids xs (..., 3, m) in the field hs (3, m)."""
-    return np.mean(np.sum(hs * xs, axis=-2), axis=-1) / (2.0 * radius)
+    return _mean(np.add.reduce(hs * xs, axis=-2)) / (2.0 * radius)
+
+
+def _mean(values):
+    """The mean over the last axis, as np.mean takes it: the sum divided by the count."""
+    return np.add.reduce(values, axis=-1) / values.shape[-1]
 
 
 def chi_series(orbit, drive, harmonics=64):
@@ -376,12 +431,13 @@ def quasienergy_classical(orbit, drive, method="ode"):
     -z branch by the winding of arg(X + iY), if the grid passes within 1e-3 R
     of the south pole, where chi needs ever finer grids to settle.
     """
-    (point,) = _quasienergies(
-        [orbit], _field(drive), [float(drive.omega)], method, drive.T, isinstance(drive, DriveParams)
+    omega = float(drive.omega)
+    (eps,), (eps_d,), errors = _quasienergies(
+        [orbit], _field(drive), [omega], drive.T, isinstance(drive, DriveParams)
     )
-    if isinstance(point, FloquetTlsError):
-        raise point
-    return point
+    if errors:
+        raise errors[0]
+    return QuasienergyResult.from_raw(float(eps), float(eps_d), omega, method)
 
 
 def floquet_state(orbit, drive):
@@ -482,10 +538,11 @@ def quasienergy_at(params, method="auto", n_trunc=20, tol=1e-12):
     solution; 'ode' integrates the equation of motion; 'auto' picks
     'fourier' for G = 0 and 'ode' otherwise.
     """
-    (point,) = _sweep_points(params, [params.omega], _route(params, method), n_trunc, tol)
-    if isinstance(point, FloquetTlsError):
-        raise point
-    return point
+    method = _route(params, method)
+    ((eps, eps_d, errors),) = _sweep_blocks(params, [params.omega], method, n_trunc, tol)
+    if errors:
+        raise errors[0]
+    return QuasienergyResult.from_raw(float(eps[0]), float(eps_d[0]), params.omega, method)
 
 
 def sweep_branches(
@@ -509,29 +566,41 @@ def sweep_branches(
     continuation goes on from the last point that succeeded.  Without it
     the first such error is raised.  An unknown method, or G != 0 on the
     Fourier route, raises DomainError before any point.
+
+    The rows are :func:`_sweep_table`'s columns, one QuasienergyResult each.
     """
     method = _route(params_base, method)
+    omegas, columns, failed = _sweep_table(params_base, omega_grid, method, n_trunc, tol, on_error)
+    rows = zip(omegas.tolist(), failed.tolist(), *(column.tolist() for column in columns))
+    return [None if bad else QuasienergyResult(*row, method, omega) for omega, bad, *row in rows]
+
+
+def _sweep_table(base, omega_grid, method, n_trunc, tol, on_error=None):
+    """(omegas, columns, failed) of a sweep continued into smooth branches, as
+    :func:`sweep_branches` describes it: the float omegas, the columns
+    (epsilon, epsilon_mod, eps_g, eps_d, branch) over them, NaN and branch 0 where
+    ``failed``, and the mask of the points that fail.  No object is built per row.
+    """
+    method = _route(base, method)
     if method == "fourier" and n_trunc < 2:
         raise DomainError(f"truncation order must be >= 2, got {n_trunc}")
-    omegas = [float(w) for w in omega_grid]
-    results = []
-    prev = None
-    for omega, point in zip(omegas, _sweep_points(params_base, omegas, method, n_trunc, tol)):
-        if isinstance(point, FloquetTlsError):
-            if on_error is None:
-                raise point
-            on_error(omega, point)
-            results.append(None)
-            continue
-        if prev is not None:
-            point = continue_branch(point, prev)
-        results.append(point)
-        prev = point
-    return results
+    omegas = np.asarray(omega_grid, dtype=float).reshape(-1)
+    blocks, failed, prev, start = [], np.zeros(len(omegas), dtype=bool), None, 0
+    for eps, eps_d, errors in _sweep_blocks(base, omegas.tolist(), method, n_trunc, tol):
+        omega = omegas[start : start + len(eps)]
+        block, prev = _continued(_from_raw(eps, eps_d, omega), omega, prev, errors, on_error)
+        blocks.append(block)
+        failed[[start + j for j in errors]] = True
+        start += len(eps)
+    columns = [np.concatenate(c) for c in zip(*blocks)] if blocks else [np.empty(0)] * 5
+    columns[4] = np.where(failed, 0.0, columns[4]).astype(np.int64)
+    return omegas, columns, failed
 
 
-def _sweep_points(base, omegas, method, n_trunc, tol):
-    """Each point's QuasienergyResult or FloquetTlsError, in grid order.
+def _sweep_blocks(base, omegas, method, n_trunc, tol):
+    """Yield (eps, eps_d, errors) of each block of a sweep, in grid order: the -z branch
+    quasienergy and eps_d of each of its points, NaN at a point that fails, and
+    {point of the block: its FloquetTlsError}.
 
     The orbits are averaged a block at a time by :func:`_quasienergies`, each
     row from its own start (:func:`_grids`): a Fourier row from the grid its
@@ -540,7 +609,7 @@ def _sweep_points(base, omegas, method, n_trunc, tol):
     omega0), that of the drive at omega = 1.  A block is solved when it is
     reached: BATCH_SIZE ODE orbits integrated as one batch, or the
     truncations of _SOLVE_CHUNK Fourier points found by one
-    :func:`fourier_rpl._solve_sweep`.
+    :func:`fourier_rpl._solve_sweep`, whose columns are averaged as they are.
     """
     size = BATCH_SIZE if method == "ode" else _SOLVE_CHUNK
     field = _field(DriveParams(base.omega0, base.F, base.G, 1.0))
@@ -548,15 +617,79 @@ def _sweep_points(base, omegas, method, n_trunc, tol):
         chunk = omegas[start : start + size]
         if method == "ode":
             block = list(periodic_orbits(base.omega0, base.F, base.G, chunk, tol=tol))
+            errors = {k: exc for k, exc in enumerate(block) if isinstance(exc, FloquetTlsError)}
+            rows = np.array([k for k in range(len(block)) if k not in errors], dtype=np.int64)
+            orbits = [block[k] for k in rows.tolist()]
+            omega = [chunk[k] for k in rows.tolist()]
         else:
-            block = fourier_rpl._solve_sweep(base, chunk, n_trunc)
-        rows = [k for k, orbit in enumerate(block) if not isinstance(orbit, FloquetTlsError)]
-        points = _quasienergies(
-            [block[k] for k in rows], field, [chunk[k] for k in rows], method, half=True
-        )
-        for k, point in zip(rows, points):
-            block[k] = point
-        yield from block
+            orbits = fourier_rpl._solve_sweep(base, chunk, n_trunc)
+            errors, rows, omega = dict(orbits.errors), orbits.rows, orbits.omega
+        eps, eps_d = np.full(len(chunk), math.nan), np.full(len(chunk), math.nan)
+        if rows.size:
+            eps[rows], eps_d[rows], failed = _quasienergies(orbits, field, omega, half=True)
+            errors.update({int(rows[k]): exc for k, exc in failed.items()})
+        yield eps, eps_d, errors
+
+
+def _from_raw(eps, eps_d, omega):
+    """QuasienergyResult.from_raw's (epsilon, epsilon_mod, eps_g, eps_d, branch) as columns,
+    in its operation order; the branch as floats."""
+    branch = np.floor(eps / omega)
+    return eps, eps - branch * omega, eps - eps_d, eps_d, branch
+
+
+def _continued(own, omega, prev, errors=None, on_error=None):
+    """Rows continued into one smooth branch, as columns, and the last epsilon.
+
+    ``own`` holds QuasienergyResult's (epsilon, epsilon_mod, eps_g, eps_d, branch) of
+    each row at omega, the branch as floats.  Each row becomes the representative
+    nearest the epsilon of the row before (``prev`` before the first; a first row
+    with ``prev`` None is kept as it is): its own family, or the mirrored one,
+    QuasienergyResult.from_raw(-epsilon, -eps_d), shifted by k omega as
+    QuasienergyResult.shifted shifts it.  Per family, eps + k omega with
+    k = floor((prev - eps) / omega + 1/2) lies within omega/2 of prev, so k +- 2,
+    at least 1.5 omega away, never win: the six candidates +-eps + k omega, k
+    within one of that branch, are compared as floats, the first of equals
+    winning, and a ContinuityWarning is issued when the nearest is more than
+    omega/4 away.  A row in ``errors`` is passed to ``on_error(omega, exc)`` in
+    row order, or raised without it; its columns stay NaN, as :func:`_sweep_blocks`
+    gives them.
+    """
+    epsilon, errors = own[0], errors or {}
+    mirror, ks, first = [False] * len(epsilon), [0] * len(epsilon), None
+    for j, (eps, w) in enumerate(zip(epsilon.tolist(), omega.tolist())):
+        if j in errors:
+            if on_error is None:
+                raise errors[j]
+            on_error(w, errors[j])
+            continue
+        if prev is None:
+            prev, first = eps, j
+            continue
+        best_dist = math.inf
+        for flip, signed in ((False, eps), (True, -eps)):
+            k = math.floor((prev - signed) / w + 0.5) - 1
+            for k in (k, k + 1, k + 2):
+                value = signed + k * w
+                dist = abs(value - prev)
+                if dist < best_dist:
+                    best_dist, best = dist, (flip, k, value)
+        if best_dist > w / 4.0:
+            warnings.warn(
+                f"branch continuation jump {best_dist:.3e} exceeds omega/4 at omega={w:g}",
+                ContinuityWarning,
+            )
+        mirror[j], ks[j], prev = best
+    base = own
+    if any(mirror):
+        mirror = np.asarray(mirror)
+        base = [np.where(mirror, m, o) for o, m in zip(own, _from_raw(-epsilon, -own[3], omega))]
+    ks = np.asarray(ks, dtype=float)
+    shift = ks * omega
+    out = (base[0] + shift, base[1], base[2] + shift, base[3], base[4] + ks)
+    if first is not None:  # the row kept as it is, unshifted
+        out[0][first], out[2][first] = base[0][first], base[2][first]
+    return out, prev
 
 
 def continue_branch(point, prev):
@@ -565,21 +698,13 @@ def continue_branch(point, prev):
     Per family, eps + k omega with k = floor((prev - eps) / omega + 1/2) lies
     within omega/2 of ``prev``, so k +- 2, at least 1.5 omega away, never
     win.  The six candidates +-epsilon + k omega, k within one of that
-    branch, are compared as floats; only the chosen one is built.
+    branch, are compared as floats; only the chosen one is built.  This is
+    the continuation of a sweep (:func:`_continued`) for one row.
     """
-    omega = point.omega
-    best, best_dist = None, math.inf
-    for sign in (1.0, -1.0):
-        eps = sign * point.epsilon
-        base_k = math.floor((prev.epsilon - eps) / omega + 0.5)
-        for k in range(base_k - 1, base_k + 2):
-            dist = abs(eps + k * omega - prev.epsilon)
-            if dist < best_dist:
-                best, best_dist = (sign, k), dist
-    if best_dist > omega / 4.0:
-        warnings.warn(
-            f"branch continuation jump {best_dist:.3e} exceeds omega/4 at omega={omega:g}",
-            ContinuityWarning,
-        )
-    sign, k = best
-    return (point if sign > 0 else point.mirrored()).shifted(k)
+    fields = (point.epsilon, point.epsilon_mod, point.eps_g, point.eps_d, point.branch)
+    own = tuple(np.array([float(v)]) for v in fields)
+    columns, _ = _continued(own, np.array([float(point.omega)]), prev.epsilon)
+    epsilon, epsilon_mod, eps_g, eps_d, branch = (column.item() for column in columns)
+    return QuasienergyResult(
+        epsilon, epsilon_mod, eps_g, eps_d, int(branch), point.method, point.omega
+    )

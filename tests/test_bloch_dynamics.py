@@ -13,7 +13,6 @@ from floquet_tls.bloch_dynamics import (
     MIN_STEPS,
     TOL_MIN,
     DriveParams,
-    adjoint_rotation,
     evolve_classical,
     field_at,
     monodromy_so3,
@@ -27,6 +26,24 @@ from floquet_tls.bloch_dynamics import (
 from floquet_tls.errors import DegenerateMonodromyError, DomainError, IntegrationError
 from floquet_tls.exact_models import rpc_trajectory
 from floquet_tls.quasienergy import quasienergy_at, sweep_branches
+
+
+def adjoint_rotation(u):
+    """Rotation transporting Bloch vectors under the SU(2) element u.
+
+    Spin expectations of psi -> u psi transform with the matrix
+    R_ij = 2 tr(s_i u s_j u*); this is the SO(3) propagator matching
+    monodromy_so3 (the index order matters: the map with conjugation read
+    the other way is its transpose).
+    """
+    u = np.asarray(u, dtype=complex)
+    r = np.empty((3, 3))
+    for j in range(3):
+        m = u @ dop853._SPIN[j] @ u.conj().T
+        for i in range(3):
+            # tr(s_i s_k) = delta_ik / 2
+            r[i, j] = 2.0 * np.trace(dop853._SPIN[i] @ m).real
+    return r
 
 
 def rpc_params(omega0=1.0, F=0.5, omega=1.0):

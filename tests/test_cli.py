@@ -231,7 +231,7 @@ def test_resonance_command_bytes_equal_per_index_curves(tmp_path, n_list, f_grid
     assert cli.main(args + ["-o", str(out_csv)]) == 0
     assert cli.main(args + ["--format", "json", "-o", str(out_json)]) == 0
     header = ["n", "F", "omega_res", "residual", "tri_x", "tri_y"]
-    assert out_csv.read_bytes() == cli._csv_text(header, rows).encode()
+    assert out_csv.read_bytes() == cli._csv_text(header, _columns(rows)).encode()
     payload = json.loads(out_json.read_text())
     assert payload["rows"] == rows
     assert out_json.read_bytes() == cli._json_text(payload).encode()
@@ -281,6 +281,11 @@ def test_bloch_siegert_csv(tmp_path):
     assert rows[1] == ["4", "2", "7", "192"]
 
 
+def _columns(rows):
+    """The columns of a table given as rows."""
+    return [list(column) for column in zip(*rows)]
+
+
 def _reference_csv_text(header, rows):
     """CSV through csv.writer, cell by cell: floats as .17g, NaN as NaN, else str."""
 
@@ -320,11 +325,18 @@ def test_csv_text_bytes_match_csv_writer():
         [0, -2, 10**40, np.int64(-7), 2**63, -(10**30)],
     ] + [row + ["0", "-1"] for row in big]
     header = ["a", "b", "c", "d", "e", "f"]
-    text = cli._csv_text(header, rows)
+    text = cli._csv_text(header, _columns(rows))
     assert text == _reference_csv_text(header, rows)
     _assert_unquoted_csv(text, header)
     assert text.split("\r\n")[1] == "NaN,inf,-inf,-0,0,4.9406564584124654e-324"
-    assert cli._csv_text(header, []) == "a,b,c,d,e,f\r\n"
+    assert cli._csv_text(header, [[] for _ in header]) == "a,b,c,d,e,f\r\n"
+    # float and int ndarray columns, as the quasienergy sweep writes them
+    floats = rows[:4]
+    arrays = [np.array(column, dtype=float) for column in _columns(floats)]
+    arrays[-1] = np.array([0, -2, 10**15, -7])
+    assert cli._csv_text(header, arrays) == _reference_csv_text(
+        header, [row[:-1] + [v] for row, v in zip(floats, (0, -2, 10**15, -7))]
+    )
 
 
 @pytest.mark.parametrize(
@@ -342,9 +354,9 @@ def test_command_csv_bytes_match_csv_writer(tmp_path, monkeypatch, capsys, argv)
     tables = []
     real = cli._csv_text
 
-    def recording(header, rows):
-        text = real(header, rows)
-        tables.append((header, rows, text))
+    def recording(header, columns):
+        text = real(header, columns)
+        tables.append((header, list(zip(*columns)), text))
         return text
 
     monkeypatch.setattr(cli, "_csv_text", recording)
@@ -451,7 +463,11 @@ def _fail_fourier_sweep_at(monkeypatch, omega):
 
     def failing_solve(base, omegas, *args, **kwargs):
         sols = real_solve(base, omegas, *args, **kwargs)
-        return [DomainError("injected failure") if w == omega else s for w, s in zip(omegas, sols)]
+        keep = sols.omega != omega
+        return fourier_rpl.Truncations(
+            sols.rows[keep], sols.N[keep], sols.coeffs[keep], sols.omega0[keep], sols.omega[keep],
+            {**sols.errors, **{int(i): DomainError("injected failure") for i in sols.rows[~keep]}},
+        )
 
     monkeypatch.setattr(fourier_rpl, "_solve_sweep", failing_solve)
 

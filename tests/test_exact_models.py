@@ -65,7 +65,6 @@ def test_rpc_quasienergies_values():
     d = (ref.eps_minus - (-ref.eps_plus)) % p.omega
     assert min(d, p.omega - d) < 1e-15
     assert abs(ref.eps_d + ref.eps_g - ref.eps_plus) < 1e-15
-    assert abs(ref.eps_plus_alt - (ref.eps_plus - p.omega)) < 1e-15
 
 
 def test_rpc_floquet_states_orthonormal():

@@ -8,9 +8,10 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 import rational_ladder
+from sweep_rows import sweep_rows
 
 from floquet_tls.bloch_dynamics import DriveParams, periodic_orbit
-from floquet_tls import cli, fourier_rpl, quasienergy
+from floquet_tls import cli, fourier_rpl
 from floquet_tls.errors import DomainError, SeriesInstabilityError
 from floquet_tls.fourier_rpl import (
     build_system,
@@ -362,18 +363,36 @@ def _linear_scan_order(p, start, step=8, coeff_tol=1e-10):
         n += step
 
 
-class _BuildCounter:
-    """Wrapper on build_system recording every truncation order it builds."""
+class _ProbeCounter:
+    """Wrappers on both ladders of the truncation search recording every order it probes,
+    once per point: ``orders`` of a lone point, ``by_omega`` of each point of a sweep."""
 
     def __init__(self, monkeypatch):
         self.orders = []
-        real = fourier_rpl.build_system
+        self.by_omega = {}
+        real_probe, real_block = fourier_rpl._probe, fourier_rpl._solve_block
 
-        def counting(params, n_trunc):
-            self.orders.append(n_trunc)
-            return real(params, n_trunc)
+        def record(omegas, n_trunc):
+            for omega in np.atleast_1d(omegas).tolist():
+                self.orders.append(n_trunc)
+                self.by_omega.setdefault(omega, []).append(n_trunc)
 
-        monkeypatch.setattr(fourier_rpl, "build_system", counting)
+        def probe(omega0, f_amp, omega, n_trunc):
+            record(omega, n_trunc)
+            return real_probe(omega0, f_amp, omega, n_trunc)
+
+        def block(omega0, f_amp, omegas, n_trunc):
+            record(omegas, n_trunc)
+            return real_block(omega0, f_amp, omegas, n_trunc)
+
+        monkeypatch.setattr(fourier_rpl, "_probe", probe)
+        monkeypatch.setattr(fourier_rpl, "_solve_block", block)
+
+
+def _converged(p, n_trunc):
+    """Whether solve_auto's tail test passes at order n_trunc."""
+    _, x = fourier_rpl._probe(p.omega0, p.F, p.omega, n_trunc)
+    return bool(fourier_rpl._tail_test(np.array([x]))[0][0])
 
 
 def _estimate_order(f, start=20):
@@ -394,7 +413,7 @@ def test_solve_auto_matches_linear_scan(start, monkeypatch):
             p = rpl(1.0, F, omega)
             n_ref = _linear_scan_order(p, start)
             ref = solve_coefficients(build_system(p, n_ref))
-            builds = _BuildCounter(monkeypatch)
+            builds = _ProbeCounter(monkeypatch)
             sol = solve_auto(p, start=start)
             assert sol.N == n_ref
             assert _bits(sol.z0, sol.x) == _bits(ref.z0, ref.x)
@@ -418,35 +437,20 @@ def test_solve_auto_starts_strong_drives_at_the_jacobi_anger_order(omega0, F, om
     # step of the answer, so the search moves at most one step from it
     p = rpl(omega0, F, omega)
     n_ref = _linear_scan_order(p, 20)
-    builds = _BuildCounter(monkeypatch)
+    builds = _ProbeCounter(monkeypatch)
     assert solve_auto(p).N == n_ref
     assert _steps_from_the_estimate(builds.orders, F / omega) and len(builds.orders) <= 3
 
 
 def test_sweep_probes_step_from_the_jacobi_anger_order(monkeypatch, tmp_path):
     # every point of a fourier_sweep workload command, on the array ladder or the scalar one
-    searches = []
-    real = fourier_rpl._search
-
-    def recording(f, start):
-        orders = []
-        searches.append((f, orders))
-        search = real(f, start)
-        n_trunc = next(search)
-        while True:
-            orders.append(n_trunc)
-            try:
-                n_trunc = search.send((yield n_trunc))
-            except StopIteration as done:
-                return done.value
-
-    monkeypatch.setattr(fourier_rpl, "_search", recording)
+    probes = _ProbeCounter(monkeypatch)
     argv = ["quasienergy", "--omega0", "1", "--f", "1.8", "--omega-sweep", "0.25:2.2:80",
             "--method", "fourier", "-o", str(tmp_path / "sweep.csv")]
     assert cli.main(argv) == 0
-    assert len(searches) == 80
-    assert {len(orders) for _, orders in searches} == {1, 2}
-    assert all(_steps_from_the_estimate(orders, f) for f, orders in searches)
+    assert len(probes.by_omega) == 80
+    assert {len(orders) for orders in probes.by_omega.values()} == {1, 2}
+    assert all(_steps_from_the_estimate(orders, 1.8 / omega) for omega, orders in probes.by_omega.items())
 
 
 @pytest.mark.parametrize("coeff_tol", [1e-2, 1e-4, 1e-6])
@@ -454,7 +458,7 @@ def test_solve_auto_steps_down_from_an_overshooting_estimate(coeff_tol, monkeypa
     # a loose tolerance converges below the Jacobi-Anger order, so the search
     # starts above the answer and steps down to the first unconverged order
     monkeypatch.setattr(fourier_rpl, "_COEFF_TOL", coeff_tol)
-    builds = _BuildCounter(monkeypatch)
+    builds = _ProbeCounter(monkeypatch)
     for F, omega in ((4.0, 0.1), (7.0, 0.05), (9.0, 0.036), (12.0, 0.04), (20.0, 0.05)):
         p = rpl(1.0, F, omega)
         builds.orders.clear()
@@ -464,7 +468,7 @@ def test_solve_auto_steps_down_from_an_overshooting_estimate(coeff_tol, monkeypa
         if coeff_tol == 1e-2:
             # the tail ratio is not monotone in N near the Bessel turning point, so
             # the first converged order of a linear scan can lie further down
-            assert fourier_rpl._probe(p, n_trunc)[1] and not fourier_rpl._probe(p, n_trunc - 8)[1]
+            assert _converged(p, n_trunc) and not _converged(p, n_trunc - 8)
         else:
             assert n_trunc == _linear_scan_order(p, 20, coeff_tol=coeff_tol)
 
@@ -472,7 +476,7 @@ def test_solve_auto_steps_down_from_an_overshooting_estimate(coeff_tol, monkeypa
 def test_solve_auto_cap_grows_with_drive(monkeypatch):
     # a negative tolerance: no order converges, so the search ends at its cap
     monkeypatch.setattr(fourier_rpl, "_COEFF_TOL", -1.0)
-    builds = _BuildCounter(monkeypatch)
+    builds = _ProbeCounter(monkeypatch)
     caps = []
     for f in (10.0, 400.0, 1000.0, 3000.0):
         builds.orders.clear()
@@ -504,7 +508,9 @@ def test_array_ladder_matches_scalar_ladder(n_trunc):
     params = [rpl(1.0, 0.5, omega) for omega in (0.04, 0.05, 0.3, 2.0)]
     params += [rpl(1.0, 0.0, 0.7), rpl(3.0, 0.0, 1.0)]
     assert build_system(params[0], n_trunc).diag[24] == 0.0
-    z0, x = fourier_rpl._solve_block(params, n_trunc)
+    z0, x = fourier_rpl._solve_block(
+        [p.omega0 for p in params], [p.F for p in params], [p.omega for p in params], n_trunc
+    )
     assert x.shape == (len(params), n_trunc)
     for p, z0_p, x_p in zip(params, z0, x):
         ref = solve_coefficients(build_system(p, n_trunc))
@@ -517,9 +523,9 @@ def test_solve_sweep_matches_solve_auto_across_the_array_threshold(monkeypatch):
     groups = []
     real_block = fourier_rpl._solve_block
 
-    def counting_block(params, n_trunc):
-        groups.append(len(params))
-        return real_block(params, n_trunc)
+    def counting_block(omega0, f_amp, omegas, n_trunc):
+        groups.append(len(omegas))
+        return real_block(omega0, f_amp, omegas, n_trunc)
 
     monkeypatch.setattr(fourier_rpl, "_solve_block", counting_block)
     base = rpl(1.0, 1.0, 1.0)
@@ -529,21 +535,25 @@ def test_solve_sweep_matches_solve_auto_across_the_array_threshold(monkeypatch):
     groups.clear()
     fewer = fourier_rpl._solve_sweep(base, omegas[1:], 20)
     assert groups == []
-    for omega, sol, other in zip(omegas[1:], full[1:], fewer):
+    assert full.rows.tolist() == list(range(len(omegas))) and not full.errors
+    for i, omega in enumerate(omegas[1:]):
         p = rpl(1.0, 1.0, omega)
+        sol, other = full.solution(i + 1, p), fewer.solution(i, p)
         n_ref = _linear_scan_order(p, 20)
         ref = solve_coefficients(build_system(p, n_ref))
         assert sol.N == other.N == n_ref
         assert _bits(sol.z0, sol.x) == _bits(other.z0, other.x) == _bits(ref.z0, ref.x)
-    rows = list(quasienergy._sweep_points(base, omegas, "fourier", 20, 1e-12))
-    assert rows[1:] == list(quasienergy._sweep_points(base, omegas[1:], "fourier", 20, 1e-12))
+    rows = sweep_rows(base, omegas, "fourier")
+    assert rows[1:] == sweep_rows(base, omegas[1:], "fourier")
 
 
 def test_solve_sweep_rejects_elliptic_drive_at_every_point():
     # a group large enough for the array ladder still fails each point as build_system does
     base = DriveParams(omega0=1.0, F=1.0, G=0.5, omega=1.0)
     omegas = [0.5 + 0.1 * k for k in range(fourier_rpl._ARRAY_MIN)]
-    for omega, sol in zip(omegas, fourier_rpl._solve_sweep(base, omegas, 20)):
+    sols = fourier_rpl._solve_sweep(base, omegas, 20)
+    assert sols.rows.size == 0 and sorted(sols.errors) == list(range(len(omegas)))
+    for omega, sol in zip(omegas, (sols.errors[i] for i in range(len(omegas)))):
         assert isinstance(sol, DomainError)
         with pytest.raises(DomainError, match=re.escape(str(sol))):
             build_system(DriveParams(omega0=1.0, F=1.0, G=0.5, omega=omega), 20)
@@ -596,13 +606,14 @@ def test_half_grid_is_the_first_half_period():
     block = [solve_auto(rpl(1.0, F, omega)) for F, omega in ((0.3, 1.0), (5.0, 0.3), (1.8, 0.4))]
     block.append(solve_coefficients(build_system(rpl(1.0, 20.0, 0.05), 404)))
     assert sorted({sol.N for sol in block}) == [20, 44, 404]
+    sols = fourier_rpl.Truncations.of(block)
     for m in (256, 2048, 6):
-        half = fourier_rpl.sample_half_grid(block, m)
+        half = fourier_rpl.sample_half_grid(sols.coeffs, sols.omega0, sols.omega, m)
         assert half.shape == (len(block), 3, m // 2)
         for sol, got in zip(block, half):
             ref = sol.evaluate(np.arange(m // 2) * (sol.params.T / m)).T
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-        full = fourier_rpl.sample_grid(block, m)
+        full = fourier_rpl.sample_grid(sols.coeffs, sols.omega0, sols.omega, m)
         assert np.abs(half - full[..., : m // 2]).max() <= 1e-12 * np.abs(full).max()
 
 

@@ -6,9 +6,9 @@ import math
 import re
 import struct
 import warnings
-from itertools import chain
 
 import dop853
+from sweep_rows import rows_of, sweep_rows
 import numpy as np
 import pytest
 
@@ -601,7 +601,7 @@ def _row_key(row):
 def _check_sweep_rows(omega0, F, G, omegas, method, failed=0, n_trunc=20):
     """Check a sweep's rows against their points alone; exactly ``failed`` of them fail."""
     base = DriveParams(omega0, F, G, 1.0)
-    rows = list(quasienergy._sweep_points(base, omegas, method, n_trunc, 1e-12))
+    rows = sweep_rows(base, omegas, method, n_trunc)
     errors = [w for w, row in zip(omegas, rows) if isinstance(row, FloquetTlsError)]
     assert len(errors) == failed
     alone = functools.partial(quasienergy_at, method=method, n_trunc=n_trunc)
@@ -626,7 +626,7 @@ def _check_sweep_rows(omega0, F, G, omegas, method, failed=0, n_trunc=20):
         assert point == prev
     if method == "fourier":
         # one point fewer moves every row to another place in its block
-        moved = quasienergy._sweep_points(base, omegas[1:], method, n_trunc, 1e-12)
+        moved = sweep_rows(base, omegas[1:], method, n_trunc)
         assert list(map(_row_key, rows[1:])) == list(map(_row_key, moved))
 
 
@@ -683,7 +683,7 @@ def test_fourier_sweep_solves_its_truncations_chunk_by_chunk(monkeypatch):
     # depend on where the chunks are cut
     base = DriveParams(1.0, 1.0, 0.0, 1.0)
     omegas = [float(w) for w in np.linspace(0.25, 2.2, 80)]
-    whole = list(quasienergy._sweep_points(base, omegas, "fourier", 20, 1e-12))
+    whole = sweep_rows(base, omegas, "fourier")
     chunks = []
     real = fourier_rpl._solve_sweep
 
@@ -693,29 +693,36 @@ def test_fourier_sweep_solves_its_truncations_chunk_by_chunk(monkeypatch):
 
     monkeypatch.setattr(fourier_rpl, "_solve_sweep", recording)
     monkeypatch.setattr(quasienergy, "_SOLVE_CHUNK", 32)
-    points = quasienergy._sweep_points(base, omegas, "fourier", 20, 1e-12)
-    first = next(points)
+    blocks = quasienergy._sweep_blocks(base, omegas, "fourier", 20, 1e-12)
+    first = next(blocks)
     assert chunks == [32]
-    assert [first, *points] == whole
+    assert rows_of([first, *blocks], omegas, "fourier") == whole
     assert chunks == [32, 32, 16]
 
 
 def _fourier_rows_in_blocks_of_16(base, omegas, n_trunc=20):
     """A Fourier sweep's rows with each solve chunk averaged 16 rows at a time."""
     size = quasienergy._SOLVE_CHUNK
-    orbits = list(chain.from_iterable(
-        fourier_rpl._solve_sweep(base, omegas[i : i + size], n_trunc)
-        for i in range(0, len(omegas), size)
-    ))
+    orbits = []
+    for i in range(0, len(omegas), size):
+        sols = fourier_rpl._solve_sweep(base, omegas[i : i + size], n_trunc)
+        at = {int(k): row for row, k in enumerate(sols.rows)}
+        for k, omega in enumerate(omegas[i : i + size]):
+            if k in at:
+                orbits.append(sols.solution(at[k], DriveParams(base.omega0, base.F, base.G, omega)))
+            else:
+                orbits.append(sols.errors[k])
     field = quasienergy._field(DriveParams(base.omega0, base.F, base.G, 1.0))
     for start in range(0, len(omegas), 16):
         rows = [k for k in range(start, min(start + 16, len(omegas)))
                 if not isinstance(orbits[k], FloquetTlsError)]
-        points = quasienergy._quasienergies(
-            [orbits[k] for k in rows], field, [omegas[k] for k in rows], "fourier", half=True
+        eps, eps_d, errors = quasienergy._quasienergies(
+            [orbits[k] for k in rows], field, [omegas[k] for k in rows], half=True
         )
-        for k, point in zip(rows, points):
-            orbits[k] = point
+        for i, k in enumerate(rows):
+            orbits[k] = errors.get(i) or QuasienergyResult.from_raw(
+                float(eps[i]), float(eps_d[i]), omegas[k], "fourier"
+            )
     return orbits
 
 
@@ -735,9 +742,9 @@ def test_fourier_sweep_averaged_per_chunk_matches_blocks_of_16(monkeypatch, F, s
     calls, turns = [], []
     real_quasienergies, real_turns = quasienergy._quasienergies, quasienergy._turns
 
-    def quasienergies(orbits, *args, **kwargs):
-        calls.append(len(orbits))
-        return real_quasienergies(orbits, *args, **kwargs)
+    def quasienergies(orbits, field, omegas, *args, **kwargs):
+        calls.append(len(omegas))
+        return real_quasienergies(orbits, field, omegas, *args, **kwargs)
 
     def recording_turns(orbit, *args):
         turns.append(orbit)
@@ -746,7 +753,7 @@ def test_fourier_sweep_averaged_per_chunk_matches_blocks_of_16(monkeypatch, F, s
     monkeypatch.setattr(quasienergy, "_quasienergies", quasienergies)
     monkeypatch.setattr(quasienergy, "_turns", recording_turns)
     requests = _record_chi_samples(monkeypatch)
-    rows = list(quasienergy._sweep_points(base, omegas, "fourier", 20, 1e-12))
+    rows = sweep_rows(base, omegas, "fourier")
     assert list(map(_bits, rows)) == list(map(_bits, ref))
     assert sum(isinstance(row, FloquetTlsError) for row in rows) == failed
     assert len(turns) == plus_z  # rows averaged on the +z section
@@ -761,13 +768,13 @@ def test_unsettled_sweep_row_samples_each_grid_once(monkeypatch):
     requests = []  # (omegas of the rows, m) of every Fourier grid request
     real = fourier_rpl.sample_half_grid
 
-    def sample_half_grid(sols, m):
-        requests.append(([sol.params.omega for sol in sols], m))
-        return real(sols, m)
+    def sample_half_grid(coeffs, omega0, omega, m):
+        requests.append((omega.tolist(), m))
+        return real(coeffs, omega0, omega, m)
 
     monkeypatch.setattr(fourier_rpl, "sample_half_grid", sample_half_grid)
     base = rpl(1.0, 15.0, 1.0)
-    rows = list(quasienergy._sweep_points(base, [0.05, 0.08], "fourier", 20, 1e-12))
+    rows = sweep_rows(base, [0.05, 0.08], "fourier")
     assert rows[0].branch == -92
     for w in (0.05, 0.08):
         grids = [m for ws, m in requests for v in ws if v == w]
@@ -801,7 +808,7 @@ def test_grid_requests_hold_at_most_sixteen_grids_of_2048(monkeypatch, method, G
     monkeypatch.setattr(quasienergy, "_A0_SETTLE", 0.0)
     monkeypatch.setattr(quasienergy, "_MAX_GRID", 16384)
     omegas = [float(w) for w in np.linspace(0.5, 2.0, 16)]
-    rows = list(quasienergy._sweep_points(DriveParams(1.0, 0.5, G, 1.0), omegas, method, 20, 1e-12))
+    rows = sweep_rows(DriveParams(1.0, 0.5, G, 1.0), omegas, method)
     assert all(isinstance(r, SeriesInstabilityError) for r in rows)
     assert all("unsettled on 16384 samples" in str(r) for r in rows)
     if method == "fourier":
@@ -827,12 +834,13 @@ def test_mixed_orders_in_a_block_start_on_their_own_grids(monkeypatch):
     ]
     field = quasienergy._field(rpl(1.0, 0.5, 1.0))
     requests = _record_chi_samples(monkeypatch)
-    rows = quasienergy._quasienergies(sols, field, omegas, "fourier", half=True)
+    eps, eps_d, errors = quasienergy._quasienergies(sols, field, omegas, half=True)
     firsts = [min(m for ks, m in requests if k in ks) for k in range(len(sols))]
     assert firsts == [64, 128, 256, 512, 1024, 2048] == [_fourier_start(n) for n in orders]
-    for sol, w, row in zip(sols, omegas, rows):
-        assert isinstance(row, QuasienergyResult)
-        assert [row] == quasienergy._quasienergies([sol], field, [w], "fourier", half=True)
+    assert not errors
+    for k, (sol, w) in enumerate(zip(sols, omegas)):
+        alone = quasienergy._quasienergies([sol], field, [w], half=True)
+        assert (eps[k], eps_d[k], {}) == (alone[0][0], alone[1][0], alone[2])
 
 
 def test_rows_starting_on_2048_do_not_depend_on_the_smaller_starts(monkeypatch):
@@ -842,9 +850,9 @@ def test_rows_starting_on_2048_do_not_depend_on_the_smaller_starts(monkeypatch):
     omegas = [0.05, 0.08, 0.5, 1.0, 2.0]
     orders = [fourier_rpl.solve_auto(rpl(1.0, 15.0, w)).N for w in omegas]
     assert orders[0] >= 255 and min(orders) < 127
-    rows = list(quasienergy._sweep_points(base, omegas, "fourier", 20, 1e-12))
+    rows = sweep_rows(base, omegas, "fourier")
     monkeypatch.setattr(quasienergy, "_MIN_START", 2048)  # every row starts on 2048
-    forced = list(quasienergy._sweep_points(base, omegas, "fourier", 20, 1e-12))
+    forced = sweep_rows(base, omegas, "fourier")
     for n, row, ref in zip(orders, rows, forced):
         if _fourier_start(n) == 2048:
             assert row == ref
