@@ -72,7 +72,7 @@ def _write_text(path, text):
 
 def _csv_text(header, columns):
     """CSV with CRLF line ends, written column by column: floats as .17g, NaN as NaN,
-    every other cell by str.  A float ndarray column is formatted as one map.
+    every other cell by str.
 
     No cell the commands write holds a comma, a quote or a line break, so none is quoted.
     """
@@ -82,13 +82,8 @@ def _csv_text(header, columns):
 
 
 def _cells(column):
-    """The CSV cells of one column."""
+    """The CSV cells of one column, a list or an ndarray."""
     if isinstance(column, np.ndarray):
-        if column.dtype.kind == "f":
-            cells = list(map("%.17g".__mod__, column.tolist()))
-            return ["NaN" if cell == "nan" else cell for cell in cells] if "nan" in cells else cells
-        if column.dtype.kind in "iu":
-            return list(map(str, column.tolist()))
         column = column.tolist()
     return [
         (format(v, ".17g") if v == v else "NaN") if isinstance(v, float) else str(v)

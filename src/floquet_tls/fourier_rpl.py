@@ -239,9 +239,9 @@ def _fold(coeffs, n):
     size = coeffs.shape[-1]
     padded = np.zeros(coeffs.shape[:-1] + (-(-size // n) * n,), dtype=coeffs.dtype)
     padded[..., :size] = coeffs
-    if size <= n:
+    if size <= n:  # one group of n: nothing to fold
         return padded
-    return np.add.reduce(padded.reshape(coeffs.shape[:-1] + (-1, n)), axis=-2)
+    return padded.reshape(coeffs.shape[:-1] + (-1, n)).sum(axis=-2)
 
 
 def sample_half_grid(coeffs, omega0, omega, m):
@@ -261,17 +261,13 @@ def sample_half_grid(coeffs, omega0, omega, m):
     a = omega0[:, None] * odd
     b = np.arange(1, 2 * odd.shape[-1], 2) * omega[:, None] * odd
     # c-_p goes to bin -p-1 mod n, that is n - 1 - (p mod n)
-    spec = _fold(0.5 * (a + b), n)
-    spec += _fold(0.5 * (a - b), n)[:, ::-1]
-    xy = np.fft.ifft(spec, axis=-1, norm="forward")
-    xy *= _twiddle(n)
+    spec = _fold(0.5 * (a + b), n) + _fold(0.5 * (a - b), n)[:, ::-1]
+    xy = np.fft.ifft(spec, axis=-1, norm="forward") * _twiddle(n)
     z = _fold(coeffs[:, 0::2], n)
     # bin q above n/2 is bin n - q; an unscaled irfft doubles every bin but 0 and n/2
     z[:, 1 : (n + 1) // 2] = 0.5 * (z[:, 1 : (n + 1) // 2] + z[:, : n // 2 : -1])
-    out = np.empty((len(coeffs), 3, n))
-    out[:, 0], out[:, 1] = xy.real, xy.imag
-    out[:, 2] = np.fft.irfft(z[:, : n // 2 + 1], n=n, axis=-1, norm="forward")
-    return out
+    z = np.fft.irfft(z[:, : n // 2 + 1], n=n, axis=-1, norm="forward")
+    return np.stack([xy.real, xy.imag, z], axis=1)
 
 
 def solve_coefficients(sys):
@@ -331,12 +327,6 @@ def _ratio_block(omega0, f_amp, omegas, n_trunc):
     r[-1] = diag[-1]
     live = b != 0.0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if live.all():
-            # no b_k = 0: the ladder without its branches, kept unless some r_k vanished
-            for k in range(n_trunc - 2, -1, -1):
-                np.add(diag[k], np.divide(b[k], r[k + 1], out=r[k]), out=r[k])
-            if r[1:].all():
-                return r, sub
         for k in range(n_trunc - 2, -1, -1):
             r[k + 1] = np.where(live[k] & (r[k + 1] == 0.0), _TINY, r[k + 1])
             r[k] = diag[k] + np.where(live[k], b[k] / r[k + 1], 0.0)
@@ -452,6 +442,7 @@ def _solve_sweep(base, omegas, start):
     # moves in: 0 before its first probe, -1 stepping down, +1 stepping up
     k, k_max, direction = k.tolist(), k_max.tolist(), [0] * len(w)
     settled = []  # (N, points, z0, x) of the converged rows of each group solved, in order
+    failed = []  # the points whose search ends in an error, converged probes or not
     pending = range(len(w))
     while pending:
         groups = {}
@@ -463,6 +454,7 @@ def _solve_sweep(base, omegas, start):
                 reason = f"truncation order must be >= 2, got {n_trunc}"
                 for i in at:
                     errors[int(live[i])] = DomainError(reason)
+                failed += at
                 continue
             if len(at) >= _ARRAY_MIN:
                 z0, x = _solve_block(w0, f_amp, w[at], n_trunc)
@@ -485,6 +477,7 @@ def _solve_sweep(base, omegas, start):
                         f"truncation N = {n_trunc} unconverged at its cap: "
                         f"tail ratio {tail[j]:.3g} > coeff_tol {_COEFF_TOL:g}"
                     )
+                    failed.append(i)
                     continue
                 else:
                     moving = 1
@@ -492,7 +485,8 @@ def _solve_sweep(base, omegas, start):
                 k[i] += moving
                 pending.append(i)
 
-    # each point's last converged probe, written over its earlier ones
+    # each point's last converged probe, written over its earlier ones; none for a point
+    # that failed
     found = np.zeros(len(w), dtype=np.int64)
     settled = [entry for entry in settled if entry[1].size]
     top = max((n_trunc for n_trunc, *_ in settled), default=0)
@@ -502,6 +496,7 @@ def _solve_sweep(base, omegas, start):
         coeffs[at, 0] = z0
         coeffs[at, 1 : n_trunc + 1] = x
         coeffs[at, n_trunc + 1 :] = 0.0
+    found[failed] = 0
     solved = found.nonzero()[0]
     omega0 = np.full(len(solved), w0)
     return Truncations(live[solved], found[solved], coeffs[solved], omega0, w[solved], errors)

@@ -130,6 +130,10 @@ class QuasienergyResult:
 
     @classmethod
     def from_raw(cls, eps_raw, eps_d, omega, method):
+        """The result of the raw quasienergy eps_raw on branch floor(eps_raw / omega).
+
+        A sweep forms the same fields on columns (:func:`_from_raw`), in this order.
+        """
         branch = math.floor(eps_raw / omega)
         return cls(eps_raw, eps_raw - branch * omega, eps_raw - eps_d, eps_d, branch, method, omega)
 
@@ -137,14 +141,20 @@ class QuasienergyResult:
         """Same physical state reported on the branch epsilon + k omega.
 
         The shift is carried by the geometric part so epsilon = g + d and
-        d(eps)/d(omega) = eps_g / omega keep holding on the new branch.
+        d(eps)/d(omega) = eps_g / omega keep holding on the new branch.  Sweeps and
+        :func:`continue_branch` shift on columns (:func:`_continued`), in this order;
+        this form serves single results.
         """
         shift = k * self.omega
         return QuasienergyResult(self.epsilon + shift, self.epsilon_mod, self.eps_g + shift,
                                  self.eps_d, self.branch + k, self.method, self.omega)
 
     def mirrored(self):
-        """Branch data of the mirrored orbit -X(t): eps -> -eps, d -> -d."""
+        """Branch data of the mirrored orbit -X(t): eps -> -eps, d -> -d.
+
+        Sweeps and :func:`continue_branch` mirror on columns (:func:`_continued`),
+        with this formula.
+        """
         return QuasienergyResult.from_raw(-self.epsilon, -self.eps_d, self.omega, self.method)
 
 
@@ -192,8 +202,10 @@ def _grids(orbits, period=None, half=False):
         orbits = fourier_rpl.Truncations.of(orbits)
     if isinstance(orbits, fourier_rpl.Truncations):
         sols, sample = orbits, fourier_rpl.sample_half_grid if half else fourier_rpl.sample_grid
-        # 1 << bit_length(8 N + 7), the power of two >= 8 (N + 1), from the exponent of frexp
-        starts = np.minimum(2 * _MIN_GRID, np.maximum(_MIN_START, 1 << np.frexp(8 * sols.N + 7)[1]))
+        starts = np.array([
+            min(2 * _MIN_GRID, max(_MIN_START, 1 << (8 * n_trunc + 7).bit_length()))
+            for n_trunc in sols.N.tolist()
+        ])
 
         def grid(rows, m):
             top = int(sols.N[rows].max())
@@ -226,11 +238,11 @@ def _chi_samples(grid, rows, m, field, flip):
     """
     xs = grid(rows, m)
     hs = field(m, xs.shape[-1])
-    radius = _mean(np.sqrt(np.add.reduce(xs * xs, axis=-2)))
-    near = np.minimum.reduce(radius[:, None] + xs[:, 2], axis=-1) <= _SOUTH_POLE_MARGIN * radius
+    radius = _mean(np.sqrt(np.sum(xs * xs, axis=-2)))
+    near = (radius[:, None] + xs[:, 2]).min(axis=-1) <= _SOUTH_POLE_MARGIN * radius
     pole = np.where(near & flip, 1.0, -1.0)
     denom = radius[:, None] - pole[:, None] * xs[:, 2]
-    near = np.minimum.reduce(denom, axis=-1) <= _SOUTH_POLE_MARGIN * radius
+    near = denom.min(axis=-1) <= _SOUTH_POLE_MARGIN * radius
     with np.errstate(divide="ignore", invalid="ignore"):  # only where near
         chi = 0.5 * ((hs[0] * xs[:, 0] + hs[1] * xs[:, 1]) / denom - pole[:, None] * hs[2])
     return xs, hs, radius, pole, chi, near
@@ -384,12 +396,16 @@ def _series_from_samples(values, omega, harmonics):
 
 def _eps_d(xs, hs, radius):
     """eps_d, the mean of (h . X)/(2R), of orbit grids xs (..., 3, m) in the field hs (3, m)."""
-    return _mean(np.add.reduce(hs * xs, axis=-2)) / (2.0 * radius)
+    return _mean(np.sum(hs * xs, axis=-2)) / (2.0 * radius)
 
 
 def _mean(values):
-    """The mean over the last axis, as np.mean takes it: the sum divided by the count."""
-    return np.add.reduce(values, axis=-1) / values.shape[-1]
+    """The mean over the last axis, bit for bit np.mean's: the sum over the count.
+
+    np.mean's own per-call work shows on the one- and two-row chunks of strong-drive
+    sweeps, which reduce four means each.
+    """
+    return values.sum(axis=-1) / values.shape[-1]
 
 
 def chi_series(orbit, drive, harmonics=64):
@@ -584,7 +600,7 @@ def _sweep_table(base, omega_grid, method, n_trunc, tol, on_error=None):
     method = _route(base, method)
     if method == "fourier" and n_trunc < 2:
         raise DomainError(f"truncation order must be >= 2, got {n_trunc}")
-    omegas = np.asarray(omega_grid, dtype=float).reshape(-1)
+    omegas = np.array([float(w) for w in omega_grid], dtype=float)
     blocks, failed, prev, start = [], np.zeros(len(omegas), dtype=bool), None, 0
     for eps, eps_d, errors in _sweep_blocks(base, omegas.tolist(), method, n_trunc, tol):
         omega = omegas[start : start + len(eps)]

@@ -559,6 +559,16 @@ def test_solve_sweep_rejects_elliptic_drive_at_every_point():
             build_system(DriveParams(omega0=1.0, F=1.0, G=0.5, omega=omega), 20)
 
 
+def test_solve_sweep_keeps_no_row_of_a_failed_point(monkeypatch):
+    # from start 0 a loose tolerance converges at N = 8 and steps down to N = 0,
+    # which fails: the converged probe must not leave the point a row
+    monkeypatch.setattr(fourier_rpl, "_COEFF_TOL", 1e-2)
+    sols = fourier_rpl._solve_sweep(rpl(1.0, 0.5, 1.0), [0.5, 1.0, 2.0, 3.0], 0)
+    assert sorted(sols.errors) == [0, 1, 2, 3]
+    assert all("truncation order must be >= 2, got 0" in str(exc) for exc in sols.errors.values())
+    assert sols.rows.size == sols.N.size == len(sols.coeffs) == sols.omega.size == 0
+
+
 def test_normalized_solution_unit_sphere():
     p = rpl(1.0, 0.8, 2.3)
     sol = solve_auto(p).normalized()

@@ -114,6 +114,14 @@ def test_failed_sweep_rows_and_their_reports_are_the_per_point_errors():
     assert [(w, type(exc), str(exc)) for w, exc in reported] == expected
 
 
+def test_sweep_branches_takes_any_iterable_of_numbers():
+    base = DriveParams(1.0, 0.5, 0.0, 1.0)
+    grid = np.linspace(0.4, 2.0, 12).tolist()
+    points = sweep_branches(base, grid, method="fourier")
+    assert sweep_branches(base, (w for w in grid), method="fourier") == points
+    assert sweep_branches(base, np.array(grid), method="fourier") == points
+
+
 def test_fourier_sweep_command_builds_no_object_per_row(tmp_path, monkeypatch):
     counts = collections.Counter()
     for cls in (RplFourierSolution, QuasienergyResult, DriveParams):
