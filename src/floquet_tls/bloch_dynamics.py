@@ -16,6 +16,15 @@ completed by X(pi - s) = R_z(pi) P X(s) and X(s + pi) = R_z(pi) X(s)
 one point, and :func:`evolve_classical` applies the products over its span
 to its initial state; both cover their whole spans.  The module needs numpy
 only; the tests check it against scipy's DOP853.
+
+A batch takes each stage for all its members at once, and each member's
+values are bit for bit those it would have alone: the fixed points x0 of
+its half maps come from one stacked eigh, with the degeneracy angles and
+the norms of the whole stack (:func:`_fixed_points`); each level of the
+prefix scan fixes up its blocks in one product; and samples off the step
+grid take their partial steps for every member in one call
+(``_OrbitBatch.half_samples``).  The products inside a block stay a chain
+of single steps, since their order fixes the bits.
 """
 
 import functools
@@ -181,13 +190,13 @@ class _OrbitBatch:
         self.span = span
 
     def states(self, k, s):
-        """States (3, n) of member k at s (n,)."""
+        """States (3, n) of member k at s (n,), or (3, L, n) of the members k (L,)."""
         steps = self.grid.shape[-1]
         h = self.span / steps
         j = np.clip(((s - self.s0) // h).astype(int), 0, steps - 1)
         start = self.s0 + j * h
-        q = _magnus_steps(self.coef[:, k], start, s - start)
-        return _rotate(q, self.grid[:, k, j])
+        q = _magnus_steps(self.coef[:, k, None], start, s - start)
+        return _rotate(q, self.grid[:, k][..., j])
 
     def _periodic(self, k, s):
         """States (3, n) of periodic member k at s in [0, 2 pi) (n,)."""
@@ -201,12 +210,18 @@ class _OrbitBatch:
         return self._periodic(k, np.mod(self.omegas[k] * t, 2.0 * math.pi))
 
     def half_sample(self, m, k):
-        """States (3, m/2) of periodic member k at s_j = 2 pi j / m, j < m/2, for even m:
-        a stride of the grid where m divides S."""
+        """States (3, m/2) of periodic member k at s_j = 2 pi j / m, j < m/2, for even m."""
+        return self.half_samples(m, [k])[0]
+
+    def half_samples(self, m, members):
+        """States (L, 3, m/2) of the periodic members (L,) at s_j = 2 pi j / m, j < m/2, for
+        even m: a stride of the grid where m divides S, else one partial step from the
+        grid, whose steps and offsets the members share, taken for all of them at once."""
         steps = self.grid.shape[-1]
         if steps % (m // 2) == 0:
-            return self.grid[:, k, :: 2 * steps // m]
-        return self.states(k, np.arange(m // 2) * (2.0 * math.pi / m))
+            return np.moveaxis(self.grid, 1, 0)[members, :, :: 2 * steps // m]
+        x = self.states(members, np.arange(m // 2) * (2.0 * math.pi / m))
+        return np.ascontiguousarray(np.moveaxis(x, 1, 0))
 
     def sample(self, m, k):
         """States (3, m) of periodic member k at s_j = 2 pi j / m."""
@@ -292,13 +307,26 @@ def monodromy_su2(params, tol=DEFAULT_TOL, t0=0.0):
 def so3_angle(m):
     """Rotation angle in [0, pi], stable near 0 and pi.
 
-    Uses the antisymmetric part for the sine and the trace for the cosine.
+    Uses the antisymmetric part for the sine and the trace for the cosine:
+    the angle of one rotation of :func:`_so3_angles`.
     """
-    m = np.asarray(m, dtype=float)
-    axis_sin = 0.5 * np.array(
-        [m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]]
-    )
-    return math.atan2(np.linalg.norm(axis_sin), 0.5 * (np.trace(m) - 1.0))
+    return _so3_angles(np.asarray(m, dtype=float)[..., None])[0]
+
+
+def _so3_angles(m):
+    """Rotation angles, a list, of the rotations m (3, 3, L): math.atan2 of the norm
+    of each antisymmetric part and of half its trace less one (np.arctan2 differs
+    from it in the last bit of some angles)."""
+    axis_sin = 0.5 * np.stack([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]], axis=-1)
+    cos = 0.5 * (m[0, 0] + m[1, 1] + m[2, 2] - 1.0)
+    return [math.atan2(s, c) for s, c in zip(_norms(axis_sin).tolist(), cos.tolist())]
+
+
+def _norms(v):
+    """Euclidean norms (L,) of the vectors v (L, 3), each bit for bit np.linalg.norm's:
+    a stacked matmul takes each product of a vector with itself as numpy's dot does,
+    where (v * v).sum(-1) and einsum sum in another order."""
+    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None]))[:, 0, 0]
 
 
 def su2_angle(u):
@@ -329,25 +357,46 @@ def periodic_initial_state(m):
 
     The sign is the one :func:`_orientation` gives.  Raises
     DegenerateMonodromyError when the rotation angle is below
-    DEGENERACY_ANGLE and the fixed space is not one-dimensional.
+    DEGENERACY_ANGLE and the fixed space is not one-dimensional.  This is
+    :func:`_fixed_points` of one rotation.
     """
-    m = np.asarray(m, dtype=float)
-    _check_degeneracy(m)
-    # (M + M^T)/2 = cos(rho) 1 + (1-cos rho) n n^T: the axis is the top
-    # eigenvector, well conditioned for rho near pi as well
-    w, v = np.linalg.eigh(0.5 * (m + m.T))
-    axis = v[:, np.argmax(w)]
-    axis = axis / np.linalg.norm(axis)
-    return axis * _orientation(axis)
+    x0, (error,) = _fixed_points(np.asarray(m, dtype=float)[..., None])
+    if error is not None:
+        raise error
+    return x0[:, 0]
 
 
-def _check_degeneracy(m):
-    rho = so3_angle(m)
-    if rho < DEGENERACY_ANGLE:
-        raise DegenerateMonodromyError(
-            f"rotation angle {rho:.3e} below {DEGENERACY_ANGLE:.0e}; "
-            "eigenvalue-1 space is not one-dimensional"
-        )
+def _fixed_points(maps, *tested):
+    """Fixed points (3, L) of the rotations maps (3, 3, L), and each map's
+    DegenerateMonodromyError or None.
+
+    Map k fails, with the angle in its text, at the first of its rotations
+    in ``tested`` (stacks like maps, checked in order) and then the map
+    itself to turn by less than DEGENERACY_ANGLE; its fixed point is 0.
+    Each other fixed point is the unit axis of its map, with the sign
+    :func:`_orientation` gives.  The angles, the eigenvectors and
+    the norms are taken for the whole stack at once, each bit for bit its
+    one-matrix value.
+    """
+    errors = [None] * maps.shape[-1]
+    for rotations in (*tested, maps):
+        for k, rho in enumerate(_so3_angles(rotations)):
+            if errors[k] is None and rho < DEGENERACY_ANGLE:
+                errors[k] = DegenerateMonodromyError(
+                    f"rotation angle {rho:.3e} below {DEGENERACY_ANGLE:.0e}; "
+                    "eigenvalue-1 space is not one-dimensional"
+                )
+    ok = [k for k, error in enumerate(errors) if error is None]
+    x0 = np.zeros((3, len(errors)))
+    if ok:
+        # (M + M^T)/2 = cos(rho) 1 + (1-cos rho) n n^T: the axis is the top
+        # eigenvector, well conditioned for rho near pi as well
+        m = np.moveaxis(maps[..., ok], -1, 0)
+        w, v = np.linalg.eigh(0.5 * (m + m.transpose(0, 2, 1)))
+        axis = v[np.arange(len(ok)), :, np.argmax(w, axis=-1)]
+        axis = axis / _norms(axis)[:, None]
+        x0[:, ok] = (axis * _orientation(axis.T)[:, None]).T
+    return x0, errors
 
 
 def quasienergy_from_monodromy(m, period):
@@ -488,8 +537,9 @@ def _prefix(q):
     """In place, q[..., j] <- q[..., j] ... q[..., 0] for (2, ..., n) SU(2) elements.
 
     A blocked scan: the products inside blocks of _BLOCK steps, the same
-    scan over the block totals, then each block times the total before it.
-    q must be C-contiguous and n a power of two.  Returns q.
+    scan over the block totals, then every block times the total before it,
+    in one product for the whole level.  q must be C-contiguous and n a
+    power of two.  Returns q.
     """
     n = q.shape[-1]
     b = min(n, _BLOCK)
@@ -500,8 +550,8 @@ def _prefix(q):
         blocks[:, i] = _su2_mul(blocks[:, i], blocks[:, i - 1])
     if n > b:
         totals = _prefix(blocks[:, -1].copy())
-        for i in range(b - 1):
-            blocks[:, i, ..., 1:] = _su2_mul(blocks[:, i, ..., 1:], totals[..., :-1])
+        # every step of a block but its last, times the total before the block
+        blocks[:, :-1, ..., 1:] = _su2_mul(blocks[:, :-1, ..., 1:], totals[:, None, ..., :-1])
         blocks[:, -1] = totals
     view[...] = np.moveaxis(blocks, 1, -1)
     return q
@@ -635,14 +685,11 @@ def _orbit_batch(omega0, F, G, omegas, tol):
         x0 /= np.linalg.norm(x0, axis=0)
         x0 *= _orientation(x0)
     else:
+        live = [k for k, error in enumerate(errors) if error is None]
         x0 = np.zeros((3, size))
-        for k in range(size):
-            if errors[k] is None:
-                try:
-                    _check_degeneracy(mono[:, :, k])
-                    x0[:, k] = periodic_initial_state(half_map[:, :, k])
-                except FloquetTlsError as exc:
-                    errors[k] = exc
+        x0[:, live], found = _fixed_points(half_map[..., live], mono[..., live])
+        for k, error in zip(live, found):
+            errors[k] = error
     # states at s_j = 2 pi j / S: j <= S/4 from the products, the rest of the
     # half period the mirror X(pi - s) = R_z(pi) P X(s) of the first quarter
     quarter = prop.shape[-1]

@@ -191,8 +191,9 @@ def _grids(orbits, period=None, half=False):
     and a list of truncated Fourier solutions is read as theirs.  n = m: one inverse
     FFT of their coefficient matrix for truncated Fourier solutions, else
     :func:`_orbit_grid`.  With ``half`` the orbits known to obey
-    X(t + T/2) = R_z(pi) X(t), truncated Fourier solutions and ODE periodic orbits,
-    give the first half period, n = m/2.  A truncated Fourier solution of order N
+    X(t + T/2) = R_z(pi) X(t), truncated Fourier solutions and ODE periodic orbits
+    of one batch (taken together by its ``half_samples``), give the first half
+    period, n = m/2.  A truncated Fourier solution of order N
     starts on the smallest power of two >= 8 (N + 1), clamped to [64, 2048]; every
     other orbit on 2048.
     """
@@ -214,10 +215,11 @@ def _grids(orbits, period=None, half=False):
 
         return grid, starts
     starts = np.full(len(orbits), 2 * _MIN_GRID)
-    if half and all(isinstance(orbit, PeriodicOrbit) for orbit in orbits):
-        return (
-            lambda rows, m: np.stack([orbits[k].batch.half_sample(m, orbits[k].index) for k in rows])
-        ), starts
+    if half and orbits and all(
+        isinstance(orbit, PeriodicOrbit) and orbit.batch is orbits[0].batch for orbit in orbits
+    ):
+        batch, index = orbits[0].batch, np.array([orbit.index for orbit in orbits])
+        return (lambda rows, m: batch.half_samples(m, index[rows])), starts
     return (lambda rows, m: np.stack([_orbit_grid(orbits[k], period, m) for k in rows])), starts
 
 
@@ -227,14 +229,14 @@ def _field(drive):
 
 
 def _chi_samples(grid, rows, m, field, flip):
-    """(xs, hs, radius, pole, chi, near) of the orbits ``rows`` of grid on m samples.
+    """(xs, hs, radius, pole, chi, near, planar) of the orbits ``rows`` of grid on m samples.
 
     The states xs (rows, 3, n) of the grid, n = m or m/2, and the field hs (3, n)
     give each row's mean radius R and chi on the section with its pole at pole * z (+z negates Z
     and h3): -z, or with ``flip`` +z for a row within 1e-3 R of -z.  ``near``
     marks the rows within 1e-3 R of their pole, where chi is not to be used.
-    Every reduction runs over the last axis, so a row's values do not depend
-    on the other rows.
+    ``planar`` (rows, n) is chi's numerator h1 X + h2 Y.  Every reduction runs over
+    the last axis, so a row's values do not depend on the other rows.
     """
     xs = grid(rows, m)
     hs = field(m, xs.shape[-1])
@@ -243,9 +245,10 @@ def _chi_samples(grid, rows, m, field, flip):
     pole = np.where(near & flip, 1.0, -1.0)
     denom = radius[:, None] - pole[:, None] * xs[:, 2]
     near = denom.min(axis=-1) <= _SOUTH_POLE_MARGIN * radius
+    planar = hs[0] * xs[:, 0] + hs[1] * xs[:, 1]
     with np.errstate(divide="ignore", invalid="ignore"):  # only where near
-        chi = 0.5 * ((hs[0] * xs[:, 0] + hs[1] * xs[:, 1]) / denom - pole[:, None] * hs[2])
-    return xs, hs, radius, pole, chi, near
+        chi = 0.5 * (planar / denom - pole[:, None] * hs[2])
+    return xs, hs, radius, pole, chi, near, planar
 
 
 def _turns(orbit, period, xs):
@@ -304,11 +307,11 @@ def _settle(grid, starts, field, winding=None):
         later = [rows[:0]]
         size = max(1, BATCH_SIZE * 2 * _MIN_GRID // m)
         for chunk in (rows[lo : lo + size] for lo in range(0, len(rows), size)):
-            xs, hs, radius, pole, chi, near = _chi_samples(grid, chunk, m, field, flip)
+            xs, hs, radius, pole, chi, near, planar = _chi_samples(grid, chunk, m, field, flip)
             mean = _mean(chi)
             delta = np.abs(mean - _mean(chi[:, ::2]))
             with np.errstate(invalid="ignore"):  # NaN only where R = 0
-                eps_d = _eps_d(xs, hs, radius)
+                eps_d = _eps_d(planar + hs[2] * xs[:, 2], radius)
             zero = radius == 0
             ok = (delta < _A0_SETTLE) & ~zero & ~near
             errors = []
@@ -394,9 +397,11 @@ def _series_from_samples(values, omega, harmonics):
     return TrigSeries(omega=omega, a0=spec[0].real, cos_coeffs=cos, sin_coeffs=sin)
 
 
-def _eps_d(xs, hs, radius):
-    """eps_d, the mean of (h . X)/(2R), of orbit grids xs (..., 3, m) in the field hs (3, m)."""
-    return _mean(np.sum(hs * xs, axis=-2)) / (2.0 * radius)
+def _eps_d(dot, radius):
+    """eps_d, the mean of (h . X)/(2R), of the samples dot (..., m) of h . X on orbits of
+    mean radius R.  :func:`_settle` forms h . X as chi's numerator h1 X + h2 Y plus h3 Z,
+    the order in which a sum over the three components adds them."""
+    return _mean(dot) / (2.0 * radius)
 
 
 def _mean(values):

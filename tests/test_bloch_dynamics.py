@@ -438,6 +438,150 @@ def test_half_sample_is_the_first_half_of_sample():
             assert np.abs(half - orbit(ts).T).max() < 1e-12
 
 
+def _one_fixed_point(m):
+    """The fixed point of one rotation m (3, 3) as it was taken one matrix at a time,
+    or the text of its DegenerateMonodromyError."""
+    axis_sin = 0.5 * np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])
+    rho = math.atan2(np.linalg.norm(axis_sin), 0.5 * (np.trace(m) - 1.0))
+    if rho < bloch_dynamics.DEGENERACY_ANGLE:
+        return f"rotation angle {rho:.3e} below 1e-07; eigenvalue-1 space is not one-dimensional"
+    w, v = np.linalg.eigh(0.5 * (m + m.T))
+    axis = v[:, np.argmax(w)]
+    axis = axis / np.linalg.norm(axis)
+    return axis * bloch_dynamics._orientation(axis)
+
+
+def _seeded_rotations():
+    """(3, 3, 640) rotations: 400 of random axes and angles, 16 identities, 32 half
+    turns, 16 each at 1 - 1e-3, 1 - 1e-6, 1 + 1e-6 and 1 + 1e-3 times
+    DEGENERACY_ANGLE, 64 at random angles below 3 DEGENERACY_ANGLE, and 64 built
+    from random unit quaternions as a batch builds its half maps."""
+    rng = np.random.default_rng(34)
+    limit = bloch_dynamics.DEGENERACY_ANGLE
+    angles = np.concatenate([
+        rng.uniform(0.0, math.pi, 400),
+        [0.0] * 16,
+        [math.pi] * 32,
+        limit * (1.0 + np.repeat([-1e-3, -1e-6, 1e-6, 1e-3], 16)),
+        rng.uniform(0.0, 3.0 * limit, 64),
+    ])
+    axes = rng.normal(size=(len(angles), 3))
+    mats = [axis_angle_rotation(a, t) for a, t in zip(axes, angles)]
+    q = rng.normal(size=(4, 64))
+    quats = (q[0] + 1j * q[3], q[2] - 1j * q[1])  # (a, b) of w + (x, y, z)
+    built = bloch_dynamics._rotation_matrices(np.array(quats))
+    return np.concatenate([np.stack(mats, axis=-1), built], axis=-1)
+
+
+def test_batched_fixed_points_equal_the_one_matrix_formula():
+    maps = _seeded_rotations()
+    size = maps.shape[-1]
+    assert size >= 500
+    ref = [_one_fixed_point(maps[..., k]) for k in range(size)]
+    failing = {k for k, r in enumerate(ref) if isinstance(r, str)}
+    # the identities and the angles just below the limit fail, the half turns and
+    # the angles just above it do not
+    assert set(range(400, 416)) | set(range(448, 480)) <= failing
+    assert not failing & (set(range(416, 448)) | set(range(480, 512)))
+    # the degeneracy angles of a stack, one rotation at a time through so3_angle
+    for k in range(size):
+        m = maps[..., k]
+        rho = math.atan2(
+            np.linalg.norm(0.5 * np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])),
+            0.5 * (np.trace(m) - 1.0),
+        )
+        assert so3_angle(m) == rho
+    # stacks of a batch's size, and one stack of all
+    for lo, hi in [(i, i + BATCH_SIZE) for i in range(0, size, BATCH_SIZE)] + [(0, size)]:
+        x0, errors = bloch_dynamics._fixed_points(maps[..., lo:hi])
+        for k in range(lo, hi):
+            if isinstance(ref[k], str):
+                assert isinstance(errors[k - lo], DegenerateMonodromyError)
+                assert str(errors[k - lo]) == ref[k]
+                assert not x0[:, k - lo].any()
+            else:
+                assert errors[k - lo] is None
+                assert x0[:, k - lo].tobytes() == ref[k].tobytes()
+    for k in range(size):
+        if isinstance(ref[k], str):
+            with pytest.raises(DegenerateMonodromyError) as info:
+                periodic_initial_state(maps[..., k])
+            assert str(info.value) == ref[k]
+        else:
+            assert periodic_initial_state(maps[..., k]).tobytes() == ref[k].tobytes()
+
+
+def test_batched_fixed_points_test_the_squares_first():
+    # a member fails on the first stack that turns by less than the limit: the tested
+    # squares, then the maps, each with its own angle in its text
+    maps = _seeded_rotations()[..., :BATCH_SIZE]
+    squares = np.einsum("ijk,jlk->ilk", maps, maps)
+    squares[..., 3] = np.eye(3)
+    maps[..., 5] = np.eye(3)
+    x0, errors = bloch_dynamics._fixed_points(maps, squares)
+    assert str(errors[3]) == _one_fixed_point(np.eye(3)) == str(errors[5])
+    assert "rotation angle 0.000e+00 below 1e-07" in str(errors[3])
+    tilted = axis_angle_rotation([1.0, 2.0, 3.0], 5e-8)
+    squares[..., 7] = tilted
+    x0, errors = bloch_dynamics._fixed_points(maps, squares)
+    assert str(errors[7]) == _one_fixed_point(tilted)
+    for k in set(range(BATCH_SIZE)) - {3, 5, 7}:
+        assert errors[k] is None
+        assert x0[:, k].tobytes() == _one_fixed_point(maps[..., k]).tobytes()
+
+
+def _prefix_by_fix_up(q):
+    """_prefix with the fix-ups of each level taken one step position at a time."""
+    n = q.shape[-1]
+    b = min(n, bloch_dynamics._BLOCK)
+    view = q.reshape(q.shape[:-1] + (n // b, b))
+    blocks = np.moveaxis(view, -1, 1).copy()
+    for i in range(1, b):
+        blocks[:, i] = bloch_dynamics._su2_mul(blocks[:, i], blocks[:, i - 1])
+    if n > b:
+        totals = _prefix_by_fix_up(blocks[:, -1].copy())
+        for i in range(b - 1):
+            blocks[:, i, ..., 1:] = bloch_dynamics._su2_mul(blocks[:, i, ..., 1:], totals[..., :-1])
+        blocks[:, -1] = totals
+    view[...] = np.moveaxis(blocks, 1, -1)
+    return q
+
+
+@pytest.mark.parametrize("size", [1, BATCH_SIZE])
+@pytest.mark.parametrize("n", [1, 2, 16, 32, 512, 4096])
+def test_prefix_equals_the_fix_up_loop(size, n):
+    omegas = np.linspace(0.3, 2.5, size)
+    coef = np.stack([1.5 / omegas, 0.7 / omegas, 1.0 / omegas])
+    q = bloch_dynamics._steps(coef, 0.0, 0.5 * math.pi, n)
+    want = _prefix_by_fix_up(q.copy())
+    assert bloch_dynamics._prefix(q).tobytes() == want.tobytes()
+
+
+def test_half_samples_equal_the_one_member_samples():
+    omegas = [0.45, 0.9, 1.3, 1.75, 2.2]
+    batch = next(iter(periodic_orbits(1.0, 1.5, 0.7, omegas))).batch
+    steps = batch.grid.shape[-1]
+    members = [3, 0, 4]
+
+    def one_member(m, k):
+        # the samples of member k alone: a stride of the grid, or one partial step each
+        if steps % (m // 2) == 0:
+            return batch.grid[:, k, :: 2 * steps // m]
+        s = np.arange(m // 2) * (2.0 * math.pi / m)
+        h = math.pi / steps
+        j = np.clip((s // h).astype(int), 0, steps - 1)
+        q = bloch_dynamics._magnus_steps(batch.coef[:, k], j * h, s - j * h)
+        return bloch_dynamics._rotate(q, batch.grid[:, k, j])
+
+    # 2048 and 1024 stride the S/2 = 1024 step starts; 4096, 1000 and 6 do not
+    for m in (2048, 1024, 4096, 1000, 6):
+        got = batch.half_samples(m, members)
+        assert got.shape == (len(members), 3, m // 2) and got.flags.c_contiguous
+        for row, k in zip(got, members):
+            assert row.tobytes() == one_member(m, k).tobytes()
+            assert row.tobytes() == batch.half_sample(m, k).tobytes()
+
+
 def test_periodic_orbit_is_a_batch_of_one():
     p = DriveParams(1.0, 0.7, 0.2, 1.9)
     (member,) = periodic_orbits(p.omega0, p.F, p.G, [p.omega])

@@ -446,8 +446,8 @@ def test_validate_split_detects_eps_d_error(tmp_path, monkeypatch):
     """Mutation test: a 1e-4 relative error in eps_d must fail the split check."""
     real_eps_d = quasienergy._eps_d
 
-    def tampered(xs, hs, radius):
-        return real_eps_d(xs, hs, radius) * (1.0 + 1e-4)
+    def tampered(dot, radius):
+        return real_eps_d(dot, radius) * (1.0 + 1e-4)
 
     monkeypatch.setattr(quasienergy, "_eps_d", tampered)
     rc = cli.main(["validate", "--only", "split", "-o", str(tmp_path / "r.json")])
@@ -491,16 +491,15 @@ def test_failed_ode_point_marks_only_its_row(tmp_path, monkeypatch, capsys):
             "--omega-sweep", "0.5:2.4:20"]  # two batches: 16 + 4 points
     clean, patched = tmp_path / "clean.csv", tmp_path / "patched.csv"
     assert cli.main(args + ["-o", str(clean)]) == 0
-    real_state = bloch_dynamics.periodic_initial_state
-    calls = []
+    real_fixed_points = bloch_dynamics._fixed_points
 
-    def failing_state(m):
-        calls.append(m)
-        if len(calls) == 6:  # the fixed point of omega = 1.0
-            raise DegenerateMonodromyError("injected failure")
-        return real_state(m)
+    def failing_fixed_points(maps, *tested):
+        x0, errors = real_fixed_points(maps, *tested)
+        if maps.shape[-1] == 16:  # the first batch, omega = 0.5, 0.6, ...: member 5 is omega = 1.0
+            errors[5] = DegenerateMonodromyError("injected failure")
+        return x0, errors
 
-    monkeypatch.setattr(bloch_dynamics, "periodic_initial_state", failing_state)
+    monkeypatch.setattr(bloch_dynamics, "_fixed_points", failing_fixed_points)
     assert cli.main(args + ["-o", str(patched)]) == 0
     assert "omega=1: injected failure" in capsys.readouterr().err
     want = clean.read_text().splitlines()
