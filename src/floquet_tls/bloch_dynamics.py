@@ -237,13 +237,9 @@ def _check_tol(tol):
 
 
 def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported on call; nothing in the package calls it.
-
-    perfbench/tracer.py probes this name; ROADMAP.md item 18 drops both.
-    """
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
-
-    return scipy_solve_ivp(*args, **kwargs)
+    """Name only, which nothing in the package calls: perfbench/tracer.py
+    probes it, and ROADMAP.md item 18 drops it with the tracer's wrapping."""
+    raise NotImplementedError("bloch_dynamics.solve_ivp is gone; integrations are Magnus products")
 
 
 def _propagate(params, s0, span, tol):

@@ -28,7 +28,12 @@ class SouthPoleError(FloquetTlsError):
 
 
 class BracketNotFoundError(FloquetTlsError):
-    """Root bracketing failed; typically the truncation order is too small."""
+    """A resonance needs a higher truncation order N; ``suggested_n`` names one.
+
+    Raised when det A^(N) does not change sign within 1e-12 relative of an
+    eigen root, or when the resonance index exceeds the (N + 1) // 2 odd
+    modes of the truncation.
+    """
 
     def __init__(self, message, suggested_n=None):
         super().__init__(message)

@@ -6,7 +6,10 @@ solution plus its first correction), fast drive (series in 1/omega), and the
 strong-static-field consistency limit.
 
 Series arithmetic is done on truncated sequences of trigonometric
-polynomials.  Coefficients may be floats or exact Fractions; equality of the
+polynomials (power series in F or 1/omega whose coefficients are TrigPolys):
+a product is the Cauchy sum, and a series with a constant, nonzero leading
+term is inverted by the term-by-term recurrence of ``series_inv``.
+Coefficients may be floats or exact Fractions; equality of the
 rational-function coefficients printed by the recursions is certified by
 evaluation at rational points rather than by symbolic algebra.
 """
@@ -24,74 +27,19 @@ from .specfun import bessel_j, elliptic_e, elliptic_k
 HALF = Fraction(1, 2)
 
 
-# ---------------------------------------------------------------------------
-# truncated power series with exact rational coefficients
-
-
-@dataclass(frozen=True)
 class RationalSeries:
-    """Truncated power series sum_k c_k u^k with Fraction coefficients."""
-
-    coeffs: tuple
-    order: int
-
-    @classmethod
-    def from_list(cls, coeffs, order):
-        cs = [Fraction(c) for c in coeffs[: order + 1]]
-        cs += [Fraction(0)] * (order + 1 - len(cs))
-        return cls(coeffs=tuple(cs), order=order)
-
-    @classmethod
-    def constant(cls, value, order):
-        return cls.from_list([Fraction(value)], order)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return RationalSeries(
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)), self.order
-        )
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return RationalSeries(
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)), self.order
-        )
+    """Name only, which nothing in the package uses: perfbench/tracer.py wraps
+    ``RationalSeries.__mul__``, and ROADMAP.md item 18 drops it with the
+    tracer's wrapping."""
 
     def __mul__(self, other):
-        if isinstance(other, RationalSeries):
-            out = [Fraction(0)] * (self.order + 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j in range(self.order + 1 - i):
-                    b = other.coeffs[j]
-                    if b != 0:
-                        out[i + j] += a * b
-            return RationalSeries(tuple(out), self.order)
-        other = Fraction(other)
-        return RationalSeries(tuple(c * other for c in self.coeffs), self.order)
+        raise NotImplementedError("series_limits.RationalSeries is gone; series are lists of TrigPolys")
 
     __rmul__ = __mul__
 
-    def _coerce(self, other):
-        if isinstance(other, RationalSeries):
-            if other.order != self.order:
-                raise DomainError("series orders differ")
-            return other
-        return RationalSeries.constant(other, self.order)
-
-    def shift(self, k=1):
-        """Multiply by u^k."""
-        return RationalSeries(
-            tuple([Fraction(0)] * k + list(self.coeffs[: self.order + 1 - k])), self.order
-        )
-
-    def __getitem__(self, k):
-        return self.coeffs[k]
-
 
 # ---------------------------------------------------------------------------
-# trigonometric polynomials and truncated series of them
+# trigonometric polynomials and truncated power series of them
 
 
 class TrigPoly:
@@ -203,24 +151,22 @@ def series_add(a, b):
 
 
 def series_inv(a, k):
-    """Inverse of a series whose order-0 term is an invertible constant."""
+    """Inverse b of a series whose order-0 term is an invertible constant.
+
+    b_0 = 1/a_0 and b_n = -(a_1 b_{n-1} + ... + a_n b_0)/a_0.
+    """
     c0 = a[0].constant
     if c0 == 0 or not a[0].is_constant():
         raise DomainError("series inverse requires a constant leading term")
-    exact = not isinstance(c0, float)
-    inv0 = Fraction(1) / Fraction(c0) if exact else 1.0 / c0
-    w = [TrigPoly()] + [t.scale(inv0) for t in a[1:]]
-    out = _zero_series(k)
-    out[0] = TrigPoly.const(inv0)
-    power = _zero_series(k)
-    power[0] = TrigPoly.const(Fraction(1) if exact else 1.0)
-    sign = -1
-    for _ in range(1, k + 1):
-        power = series_mul(power, w, k)
-        if all(not (t.cos or t.sin) for t in power):
-            break
-        out = series_add(out, series_scale(power, sign * inv0))
-        sign = -sign
+    inv0 = 1.0 / c0 if isinstance(c0, float) else Fraction(1) / Fraction(c0)
+    out = [TrigPoly.const(inv0)]
+    for n in range(1, k + 1):
+        acc = TrigPoly()
+        for j in range(1, n + 1):
+            aj, bj = a[j], out[n - j]
+            if (aj.cos or aj.sin) and (bj.cos or bj.sin):
+                acc = acc + aj * bj
+        out.append(acc.scale(-inv0))
     return out
 
 
@@ -352,7 +298,8 @@ def ft_solution_small_F(max_order, omega, omega0):
     )
 
 
-def _small_f_trajectory_series(max_order, omega, omega0):
+def _small_f_terms(max_order, omega, omega0):
+    """(eps, eps_d, eps_g) coefficients of F^0 ... F^(2 max_order)."""
     ft = ft_solution_small_F(max_order, omega, omega0)
     k = 2 * max_order
     x_ser = _zero_series(k)
@@ -369,17 +316,16 @@ def _small_f_trajectory_series(max_order, omega, omega0):
             s = ft.s_table[(n, m)]
             if 2 * n <= k:
                 z_ser[2 * n] = z_ser[2 * n] + TrigPoly(cos={2 * m: s})
-    return x_ser, y_ser, z_ser, k
-
-
-def quasienergy_series_small_F(max_order, omega, omega0):
-    """Coefficients [c_0, c_1, ...] of eps = sum_k c_k F^(2k)."""
-    x_ser, y_ser, z_ser, k = _small_f_trajectory_series(max_order, omega, omega0)
     # h1 X = F cos(wt) X(t): multiply by cos and shift one power of F
     cosw = _zero_series(k)
     cosw[1] = TrigPoly(cos={1: 1 if isinstance(omega, Fraction) else 1.0})
     numerator = series_mul(cosw, x_ser, k)
-    eps, _, _ = _quasienergy_terms(x_ser, y_ser, z_ser, omega0, k, numerator)
+    return _quasienergy_terms(x_ser, y_ser, z_ser, omega0, k, numerator)
+
+
+def quasienergy_series_small_F(max_order, omega, omega0):
+    """Coefficients [c_0, c_1, ...] of eps = sum_k c_k F^(2k)."""
+    eps, _, _ = _small_f_terms(max_order, omega, omega0)
     return eps[0 : 2 * max_order + 1 : 2]
 
 
@@ -389,11 +335,7 @@ def small_F_split_check(omega, omega0):
     Returns (eps_g_coeff, [eps_d_order0, eps_d_coeff]); the sum of the two
     F^2 coefficients is the F^2 coefficient of the full quasienergy.
     """
-    x_ser, y_ser, z_ser, k = _small_f_trajectory_series(2, omega, omega0)
-    cosw = _zero_series(k)
-    cosw[1] = TrigPoly(cos={1: 1 if isinstance(omega, Fraction) else 1.0})
-    numerator = series_mul(cosw, x_ser, k)
-    _, eps_d, eps_g = _quasienergy_terms(x_ser, y_ser, z_ser, omega0, k, numerator)
+    _, eps_d, eps_g = _small_f_terms(2, omega, omega0)
     return eps_g[2], [eps_d[0], eps_d[2]]
 
 

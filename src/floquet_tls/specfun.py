@@ -12,8 +12,9 @@ Algorithms:
     recurrence with even-order normalization otherwise.
   * Zeros of J_0 from a two-term McMahon asymptotic guess refined by Newton
     iteration (J_0' = -J_1) until its step stops shrinking.
-  * K, E by the arithmetic-geometric mean; negative parameter is mapped to
-    [0, 1) by the imaginary-modulus transformation first.
+  * K, E by one arithmetic-geometric mean of 1 and sqrt(1 - m) with
+    c_0^2 = m, for every m < 1, negative m included (Abramowitz & Stegun
+    17.6); at m = 0 it returns pi/2 for both.
 
 All functions are pure; bessel_j0_zero memoizes its results, because the
 resonance search asks for the same few zeros at every amplitude.
@@ -114,14 +115,11 @@ def bessel_j0_zero(n):
     return x
 
 
-def _agm_negative_split(m):
-    """Map m < 0 to a parameter in (0, 1) via the imaginary-modulus rule."""
-    mu = -m
-    return mu / (1.0 + mu), math.sqrt(1.0 + mu)
-
-
-def _elliptic_ke_agm(m):
-    """K(m) and E(m) for 0 <= m < 1 by the AGM with the c-sum correction."""
+def _elliptic_pair(m):
+    """K(m) and E(m) for m < 1 by the AGM with the c-sum correction."""
+    m = float(m)
+    if not m < 1.0:
+        raise DomainError(f"elliptic parameter must satisfy m < 1, got {m}")
     a, b = 1.0, math.sqrt(1.0 - m)
     csum = 0.5 * m  # 2^(-1) c_0^2 with c_0^2 = m
     pow2 = 0.5
@@ -133,21 +131,7 @@ def _elliptic_ke_agm(m):
         if abs(c) <= 2e-16 * a:
             break
     k = math.pi / (2.0 * a)
-    e = k * (1.0 - csum)
-    return k, e
-
-
-def _elliptic_pair(m):
-    m = float(m)
-    if not m < 1.0:
-        raise DomainError(f"elliptic parameter must satisfy m < 1, got {m}")
-    if m == 0.0:
-        return 0.5 * math.pi, 0.5 * math.pi
-    if m > 0.0:
-        return _elliptic_ke_agm(m)
-    mt, root = _agm_negative_split(m)
-    kt, et = _elliptic_ke_agm(mt)
-    return kt / root, et * root
+    return k, k * (1.0 - csum)
 
 
 def elliptic_k(m):

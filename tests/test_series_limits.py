@@ -10,6 +10,7 @@ from floquet_tls.bloch_dynamics import DriveParams, periodic_orbit
 from floquet_tls.errors import DomainError
 from floquet_tls.series_limits import (
     RationalSeries,
+    TrigPoly,
     adiabatic_expansion,
     ft_solution_small_F,
     high_frequency_series,
@@ -19,6 +20,8 @@ from floquet_tls.series_limits import (
     pendulum_x1,
     quasienergy_series_small_F,
     quasienergy_small_omega0,
+    series_inv,
+    series_mul,
     small_F_split_check,
 )
 from floquet_tls.specfun import bessel_j, bessel_j0_zero
@@ -53,20 +56,67 @@ def exact_poly_coeffs(fn, degree, xs=None):
 
 
 # ---------------------------------------------------------------------------
-# rational series plumbing
+# series plumbing
 
 
-def test_rational_series_ring():
-    a = RationalSeries.from_list([1, 2, 3], 4)
-    b = RationalSeries.from_list([0, 1], 4)
-    assert (a * b).coeffs == (Q(0), Q(1), Q(2), Q(3), Q(0))
-    assert (a + b)[1] == 3
-    assert (a - b)[1] == 1
-    assert a.shift(2)[2] == 1
-    assert (2 * a)[2] == 6
-    # truncation closes multiplication
-    c = RationalSeries.from_list([1] * 5, 4)
-    assert len((c * c).coeffs) == 5
+def test_rational_series_is_a_placeholder():
+    # only the benchmark tracer still names RationalSeries.__mul__
+    with pytest.raises(NotImplementedError):
+        RationalSeries() * 1
+
+
+def random_series(rng, k):
+    """k + 1 exact TrigPolys: a nonzero constant, then harmonics up to 3."""
+
+    def frac():
+        return Q(int(rng.integers(-6, 7)), int(rng.integers(1, 5)))
+
+    a0 = Q(int(rng.choice([-3, -2, -1, 1, 2, 3])), int(rng.integers(1, 4)))
+    series = [TrigPoly.const(a0)]
+    for _ in range(k):
+        series.append(TrigPoly(
+            cos={int(m): frac() for m in rng.choice(4, size=2, replace=False)},
+            sin={int(m): frac() for m in rng.choice(np.arange(1, 4), size=1)},
+        ))
+    return series
+
+
+def geometric_inverse(a, k):
+    """1/a = (1/a_0) sum_p (-w)^p with w = (a - a_0)/a_0: the reference form."""
+    inv0 = 1 / Q(a[0].constant)
+    w = [TrigPoly()] + [t.scale(inv0) for t in a[1:]]
+    out = [TrigPoly.const(inv0)] + [TrigPoly() for _ in range(k)]
+    power = [TrigPoly.const(Q(1))] + [TrigPoly() for _ in range(k)]
+    for p in range(1, k + 1):
+        power = series_mul(power, w, k)
+        out = [o + t.scale((-1) ** p * inv0) for o, t in zip(out, power)]
+    return out
+
+
+def same(a, b):
+    return all(x.cos == y.cos and x.sin == y.sin for x, y in zip(a, b, strict=True))
+
+
+def as_float(series):
+    return [TrigPoly({m: float(c) for m, c in t.cos.items()}, {m: float(c) for m, c in t.sin.items()})
+            for t in series]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_series_inv_recurrence(seed):
+    rng = np.random.default_rng(seed)
+    for k in (0, 1, 2, 5, 10):
+        a = random_series(rng, k)
+        inv = series_inv(a, k)
+        unit = [TrigPoly.const(Q(1))] + [TrigPoly() for _ in range(k)]
+        assert same(series_mul(a, inv, k), unit)
+        assert same(inv, geometric_inverse(a, k))
+        got = series_inv(as_float(a), k)
+        for x, y in zip(got, as_float(inv), strict=True):
+            scale = max([1.0] + [abs(c) for c in (*y.cos.values(), *y.sin.values())])
+            for mine, ref in ((x.cos, y.cos), (x.sin, y.sin)):
+                for m in mine.keys() | ref.keys():
+                    assert abs(mine.get(m, 0.0) - ref.get(m, 0.0)) <= 1e-14 * scale
 
 
 # ---------------------------------------------------------------------------

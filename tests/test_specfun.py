@@ -3,7 +3,7 @@
 Bessel values are checked against the integral representation
 J_n(x) = (1/pi) int_0^pi cos(n t - x sin t) dt evaluated by fine trapezoid
 sums, and against scipy.special; elliptic integrals against adaptive
-quadrature of their defining integrals.
+quadrature of their defining integrals and against scipy.special.
 """
 
 import math
@@ -150,6 +150,15 @@ def test_elliptic_against_quadrature():
                      epsabs=1e-13, epsrel=1e-13)[0]
         assert abs(elliptic_k(m) - k_ref) < 1e-12
         assert abs(elliptic_e(m) - e_ref) < 1e-12
+
+
+def test_elliptic_against_scipy_to_roundoff():
+    # the AGM of 1 and sqrt(1 - m) needs no change of parameter for m < 0:
+    # it stays within roundoff out to m = -1e6
+    for m in (-1e6, -1e5, -1e4, -1e3, -9.5, -1e-8, 0.0, 0.3, 0.99, 0.999999):
+        k_ref, e_ref = scipy.special.ellipk(m), scipy.special.ellipe(m)
+        assert abs(elliptic_k(m) - k_ref) <= 1e-15 * k_ref, m
+        assert abs(elliptic_e(m) - e_ref) <= 1e-15 * e_ref, m
 
 
 def test_elliptic_e_vs_k_ordering():
