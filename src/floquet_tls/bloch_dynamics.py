@@ -17,14 +17,17 @@ one point, and :func:`evolve_classical` applies the products over its span
 to its initial state; both cover their whole spans.  The module needs numpy
 only; the tests check it against scipy's DOP853.
 
-A batch takes each stage for all its members at once, and each member's
-values are bit for bit those it would have alone: the fixed points x0 of
-its half maps come from one stacked eigh, with the degeneracy angles and
-the norms of the whole stack (:func:`_fixed_points`); each level of the
-prefix scan fixes up its blocks in one product; and samples off the step
-grid take their partial steps for every member in one call
-(``_OrbitBatch.half_samples``).  The products inside a block stay a chain
-of single steps, since their order fixes the bits.
+Every point of a batch keeps its own S: it leaves the doubling of S at the
+first S whose error estimate meets the tolerance.  Each stage takes the
+members that reach it at once, and each member's values are bit for bit those
+it would have alone: the fixed points x0 of the half maps come from one
+stacked eigh, with the degeneracy angles and the norms of the whole stack
+(:func:`_fixed_points`), and each level of the prefix scan fixes up its
+blocks in one product.  The products inside a block stay a chain of single
+steps, since their order fixes the bits.  A periodic orbit is handed over as
+the rows of its harmonics (:mod:`harmonics`), read off its half-period states
+by one FFT the first time a grid that is not a stride of the step grid, or a
+time off it, is asked for, and sampled as a truncated Fourier solution is.
 """
 
 import functools
@@ -33,7 +36,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import harmonics
 from .errors import DegenerateMonodromyError, DomainError, FloquetTlsError, IntegrationError
+from .harmonics import _HALF_TURN
 
 DEFAULT_TOL = 1e-12
 
@@ -61,8 +66,10 @@ _NODES = (0.5 - _SQ15 / 10.0, 0.5, 0.5 + _SQ15 / 10.0)
 # eigenvalue-1 eigenspace counts as degenerate below this rotation angle
 DEGENERACY_ANGLE = 1e-7
 
-# R_z(pi) = diag(-1, -1, 1), which maps the field over one half period onto the next
-_HALF_TURN = np.array([-1.0, -1.0, 1.0])
+# the largest harmonic of a periodic orbit in the top eighth of those its step grid
+# holds may be at most this fraction of its largest; above it, its rows alias
+TAIL_TOL = 1e-13
+
 # P = diag(1, -1, 1), which maps the field at s onto the field at -s, and
 # R_z(pi) P, which maps a periodic orbit at s onto the orbit at pi - s
 _REVERSAL = np.array([1.0, -1.0, 1.0])
@@ -153,8 +160,8 @@ class Trajectory:
 class PeriodicOrbit(Trajectory):
     """Periodic orbit computed as one member of a batch.
 
-    ``sol`` maps times to this member's states; ``sample(m)`` gives the
-    states on the uniform grid t_j = j T / m from the batch's state grid.
+    ``sol`` maps times to this member's states and ``sample(m)`` gives them on
+    the uniform grid t_j = j T / m, both from the member's batch.
     """
 
     batch: object = field(repr=False, default=None)
@@ -162,73 +169,98 @@ class PeriodicOrbit(Trajectory):
 
     def sample(self, m):
         """Bloch vectors (m, 3) at t_j = j T / m, j = 0..m-1."""
-        return self.batch.sample(m, self.index).T
+        half_grid = functools.partial(self.batch.half_samples, [self.index])
+        return harmonics.sample_grid(half_grid, m)[0].T
 
 
 class _OrbitBatch:
-    """States X_k(s) = M_k(s) x0_k of a batch over s = omega t in [s0, s0 + span].
+    """Periodic orbits of the members of a batch that share S Magnus steps per period.
 
-    ``grid`` (3, size, n) holds the states X_k(s_j) at s_j = s0 + j span / n,
-    the starts of the Magnus steps; ``coef`` (3, size) holds (F, G, omega0) /
-    omega_k.  Any other s, of a finer or an incommensurate grid or of a call,
-    takes one partial Magnus step from the grid state before it, or from the
-    nearest end for an s past the span by rounding.  Only the states are
-    kept, not the propagators.  Periodic orbits keep the half period
-    (s0 = 0, span = pi, n = S/2), whose first quarter is integrated and
-    whose second is its mirror X(pi - s) = R_z(pi) P X(s) (see
-    :func:`periodic_orbits`), and are completed by the half-wave symmetry
-    X(s + pi) = R_z(pi) X(s): ``at`` and ``sample`` map s in [pi, 2 pi) to
-    R_z(pi) X(s - pi), and a sample of even m is its first half period,
-    ``half_sample``, followed by the reflection of that half.
+    ``grid`` (3, size, S/2) holds the states X_k(s_j) of the half period at the
+    step starts s_j = 2 pi j / S, s = omega_k t: the first quarter integrated,
+    the second its mirror X(pi - s) = R_z(pi) P X(s) (see
+    :func:`periodic_orbits`).  A grid of m samples per period where m divides S
+    is a stride of ``grid``.  Any other grid, and any time, come from the
+    members' rows of harmonics (:meth:`rows`) through
+    :func:`harmonics.sample_half_grid` and :func:`harmonics._series`, as a
+    truncated Fourier solution's do; a whole period is the half period
+    completed by X(s + pi) = R_z(pi) X(s).
     """
 
-    def __init__(self, coef, omegas, grid, s0, span):
-        self.coef = coef
+    def __init__(self, omegas, grid):
         self.omegas = omegas
         self.grid = grid
-        self.s0 = s0
-        self.span = span
+        self._rows = None
 
-    def states(self, k, s):
-        """States (3, n) of member k at s (n,), or (3, L, n) of the members k (L,)."""
-        steps = self.grid.shape[-1]
-        h = self.span / steps
-        j = np.clip(((s - self.s0) // h).astype(int), 0, steps - 1)
-        start = self.s0 + j * h
-        q = _magnus_steps(self.coef[:, k, None], start, s - start)
-        return _rotate(q, self.grid[:, k][..., j])
+    def rows(self, members):
+        """Rows (z, x, y) of the members (L,), from one FFT of ``grid`` for the whole batch,
+        taken the first time any member's rows are asked for.
 
-    def _periodic(self, k, s):
-        """States (3, n) of periodic member k at s in [0, 2 pi) (n,)."""
-        upper = s >= math.pi
-        x = self.states(k, np.where(upper, s - math.pi, s))
-        x[:2, upper] *= -1.0
-        return x
+        Raises the IntegrationError of the first member whose largest harmonic in the
+        top eighth of those the step grid holds, 7 S/16 to S/2, is above TAIL_TOL times
+        its largest: the step grid under-resolves that orbit.
+        """
+        if self._rows is None:
+            z, x, y = harmonics.half_grid_rows(self.grid)
+            top = x.shape[-1] - x.shape[-1] // 8
+            tail = np.abs(np.concatenate([z[:, top:], x[:, top:], y[:, top:]], axis=-1))
+            peak = np.abs(np.concatenate([z, x, y], axis=-1)).max(axis=-1)
+            with np.errstate(invalid="ignore"):  # 0/0 for the zero grid of a failed member
+                self._rows = z, x, y, tail.max(axis=-1) / peak
+        z, x, y, ratio = self._rows
+        for k in np.atleast_1d(members).tolist():
+            if not ratio[k] <= TAIL_TOL:
+                raise IntegrationError(
+                    f"orbit unresolved by its step grid: tail ratio {ratio[k]:.3g} of its "
+                    f"harmonics above {TAIL_TOL:g} at S = {2 * self.grid.shape[-1]} Magnus steps"
+                )
+        return z[members], x[members], y[members]
 
-    def at(self, k, t):
-        """States (3, n) of periodic member k at the times t (n,)."""
-        return self._periodic(k, np.mod(self.omegas[k] * t, 2.0 * math.pi))
-
-    def half_sample(self, m, k):
-        """States (3, m/2) of periodic member k at s_j = 2 pi j / m, j < m/2, for even m."""
-        return self.half_samples(m, [k])[0]
-
-    def half_samples(self, m, members):
-        """States (L, 3, m/2) of the periodic members (L,) at s_j = 2 pi j / m, j < m/2, for
-        even m: a stride of the grid where m divides S, else one partial step from the
-        grid, whose steps and offsets the members share, taken for all of them at once."""
+    def half_samples(self, members, m):
+        """States (L, 3, m/2) of the members (L,) at s_j = 2 pi j / m, j < m/2, for even m:
+        a stride of ``grid`` where m divides S, else from their rows."""
         steps = self.grid.shape[-1]
         if steps % (m // 2) == 0:
             return np.moveaxis(self.grid, 1, 0)[members, :, :: 2 * steps // m]
-        x = self.states(members, np.arange(m // 2) * (2.0 * math.pi / m))
-        return np.ascontiguousarray(np.moveaxis(x, 1, 0))
+        return harmonics.sample_half_grid(*self.rows(members), m)
 
-    def sample(self, m, k):
-        """States (3, m) of periodic member k at s_j = 2 pi j / m."""
-        if m % 2:
-            return self._periodic(k, np.arange(m) * (2.0 * math.pi / m))
-        x = self.half_sample(m, k)
-        return np.concatenate([x, x * _HALF_TURN[:, None]], axis=1)
+    def at(self, k, t):
+        """States (3, n) of member k at the times t (n,)."""
+        z, x, y = self.rows(k)
+        return harmonics._series(z, x, y, self.omegas[k], t).T
+
+
+class OrbitBlock:
+    """Periodic orbits of a block of rows, row i the PeriodicOrbit orbits[i]: the columns
+    :func:`quasienergy._grids` samples, as it samples :class:`fourier_rpl.Truncations`.
+
+    The rows of one batch are sampled together, so a sweep's block, whose members
+    share S, is one stride of its batch's step grid.
+    """
+
+    def __init__(self, orbits):
+        self.batches = [orbit.batch for orbit in orbits]
+        self.index = np.array([orbit.index for orbit in orbits], dtype=np.int64)
+
+    def __len__(self):
+        return len(self.index)
+
+    def half_grid(self, rows, m):
+        """States (len(rows), 3, m/2) of the rows ``rows`` (an index array) at
+        s_j = 2 pi j / m, j < m/2, for even m."""
+        rows, groups = np.asarray(rows), {}
+        for j, i in enumerate(rows.tolist()):
+            groups.setdefault(id(self.batches[i]), []).append(j)
+        if len(groups) == 1:
+            return self.batches[rows[0]].half_samples(self.index[rows], m)
+        out = np.empty((len(rows), 3, m // 2))
+        for at in groups.values():
+            out[at] = self.batches[rows[at[0]]].half_samples(self.index[rows[at]], m)
+        return out
+
+    def grid(self, rows, m):
+        """States (len(rows), 3, m) of the rows ``rows`` at s_j = 2 pi j / m."""
+        return harmonics.sample_grid(functools.partial(self.half_grid, rows), m)
 
 
 def _check_tol(tol):
@@ -272,10 +304,17 @@ def evolve_classical(params, x0, t0, t1, tol=DEFAULT_TOL):
     else:
         s0, span = params.omega * t0, params.omega * (t1 - t0)
         coef, prop, _ = _propagate(params, s0, span, tol)
-        batch = _OrbitBatch(coef, None, _state_grid(prop, x0[:, None]), s0, span)
+        grid = _state_grid(prop, x0[:, None])[:, 0]
+        steps = grid.shape[-1]
+        h = span / steps
 
         def states(t):
-            return batch.states(0, params.omega * t)
+            # one partial step from the grid state before s, or from the nearest end
+            # for an s past the span by rounding
+            s = params.omega * t
+            j = np.clip(((s - s0) // h).astype(int), 0, steps - 1)
+            start = s0 + j * h
+            return _rotate(_magnus_steps(coef[:, 0, None], start, s - start), grid[:, j])
 
     lo, hi = min(t0, t1), max(t0, t1)
     slack = 1e-12 * max(abs(t0), abs(t1))
@@ -442,17 +481,23 @@ def periodic_orbits(omega0, F, G, omegas, tol=DEFAULT_TOL):
     M(-s) = P M(s) P.  A batch's propagators M(s) are the prefix products of
     S/4 uniform sixth-order Magnus steps over [0, pi/2], a step that keeps
     both symmetries, and M(2 pi) = A^2 with the half map
-    A = R_z(pi) M(pi) = P Q^T P R_z(pi) Q, Q = M(pi/2).  S is the least power
-    of two from MIN_STEPS on at which every point's one-period error
+    A = R_z(pi) M(pi) = P Q^T P R_z(pi) Q, Q = M(pi/2).  Each point's S is the
+    least power of two from MIN_STEPS on at which its own one-period error
     estimate, |A^2 on S/4 steps - A^2 on S/8| / 63 (Richardson at order 6),
-    is at most tol.  A point still above tol at MAX_STEPS steps per period
-    fails alone with IntegrationError, one whose M(2 pi) turns by less than
-    DEGENERACY_ANGLE with DegenerateMonodromyError.  Each orbit is M(s) x0
+    is at most tol, whatever the other points of its batch need.  A point
+    still above tol at MAX_STEPS steps per period fails alone with
+    IntegrationError, one whose M(2 pi) turns by less than DEGENERACY_ANGLE
+    with DegenerateMonodromyError.  Each orbit is M(s) x0
     on [0, pi/2], R_z(pi) P X(pi - s) on [pi/2, pi] and R_z(pi) X(s - pi) on
     [pi, 2 pi), x0 the fixed point of A: the axis of M(2 pi), well
     conditioned where M(2 pi) nears the identity.  As P A P = A^T, that axis
     has y = 0 whenever A is neither the identity nor a half turn, both of
-    which M(2 pi) = I rejects, so P x0 = x0 and X(-s) = P X(s).
+    which M(2 pi) = I rejects, so P x0 = x0 and X(-s) = P X(s).  So X is a
+    cosine series, Y a sine series, both of odd harmonics, and Z a cosine
+    series of even ones: the rows of :mod:`harmonics`, read off the S/2 states
+    of the half period by one FFT where a sample or a time needs them.  An
+    orbit whose largest harmonic in the top eighth of those its step grid
+    holds is above TAIL_TOL of its largest raises IntegrationError there.
     For circular polarization the fixed point (F, 0, omega0 - w)/Omega is
     known in closed form and used in place of A's; this keeps the isolated
     points where M(2 pi) is the identity (Omega T multiple of 2 pi) usable.
@@ -600,38 +645,54 @@ def _steps(coef, s0, span, steps):
 
 
 def _products(coef, s0, span, tol, quarter=False):
-    """Prefix products of a batch's Magnus steps over s in [s0, s0 + span].
+    """(products, totals, monodromies tested, errors) of one point: the one group
+    :func:`_member_products` yields for it."""
+    ((_, prop, mono, tested, errors),) = _member_products(coef, s0, span, tol, quarter)
+    return prop, mono, tested, errors
 
-    S steps per period covered (rounded up to a power of two), chosen as in
-    :func:`periodic_orbits` from the estimate for the product over the span.
-    With ``quarter`` the span is the quarter period [0, pi/2] on S/4 steps,
-    the totals are the half maps A = P Q^T P R_z(pi) Q built from the
-    products Q = M(pi/2), and the estimate is that of the monodromy A^2.
-    Returns the products (2, size, n), not normalized, the rotations
-    (3, 3, size) of their totals and of the monodromies tested (the same
-    without ``quarter``), and each member's IntegrationError or None.
+
+def _member_products(coef, s0, span, tol, quarter=False):
+    """Prefix products of a batch's Magnus steps over s in [s0, s0 + span], member by member.
+
+    S steps per period covered (rounded up to a power of two) start at MIN_STEPS
+    and double for the members still above tol, each member leaving at the first
+    S whose estimate for the product over the span (see :func:`periodic_orbits`)
+    meets tol, or at MAX_STEPS with its IntegrationError; so a member's S and
+    products are those it would have alone.  With ``quarter`` the span is the
+    quarter period [0, pi/2] on S/4 steps, the totals are the half maps
+    A = P Q^T P R_z(pi) Q built from the products Q = M(pi/2), and the estimate
+    is that of the monodromy A^2.  Yields, for each S at which members leave,
+    their indices, their products (2, L, n), not normalized, the rotations
+    (3, 3, L) of their totals and of the monodromies tested (the same without
+    ``quarter``), and each one's IntegrationError or None.
     """
     # the slack keeps a span of one period, up to rounding, at one period
     periods = 1 << max(0, math.ceil(math.log2(abs(span) / (2.0 * math.pi)) - 1e-12))
     steps = MIN_STEPS * periods
     share = 4 if quarter else 1
+    members = np.arange(coef.shape[1])
     coarse = _totals(_total(_steps(coef, s0, span, steps // (2 * share))), quarter)[1]
     while True:
-        prop = _prefix(_steps(coef, s0, span, steps // share))
+        prop = _prefix(_steps(coef[:, members], s0, span, steps // share))
         mono, tested = _totals(prop[..., -1], quarter)
         estimate = np.abs(tested - coarse).max(axis=(0, 1)) / 63.0
-        if steps >= MAX_STEPS * periods or (estimate <= tol).all():
-            break
-        coarse, steps = tested, 2 * steps
-    errors = [
-        None
-        if e <= tol
-        else IntegrationError(
-            f"monodromy error estimate {e:.3g} above tol {tol:g} at S = {steps} Magnus steps"
-        )
-        for e in estimate
-    ]
-    return prop, mono, tested, errors
+        done = estimate <= tol
+        if steps >= MAX_STEPS * periods:
+            done[:] = True
+        errors = [
+            None
+            if e <= tol
+            else IntegrationError(
+                f"monodromy error estimate {e:.3g} above tol {tol:g} at S = {steps} Magnus steps"
+            )
+            for e in estimate[done]
+        ]
+        if done.all():
+            yield members, prop, mono, tested, errors
+            return
+        if done.any():
+            yield members[done], prop[:, done], mono[..., done], tested[..., done], errors
+        members, coarse, steps = members[~done], tested[..., ~done], 2 * steps
 
 
 def _totals(q, quarter):
@@ -667,36 +728,36 @@ def _state_grid(prop, x0, n=None):
 def _orbit_batch(omega0, F, G, omegas, tol):
     """Periodic orbits of one batch over s = omega t in [0, 2 pi).
 
-    The products cover [0, pi/2] (see :func:`periodic_orbits`).  Entry k is
-    the PeriodicOrbit at omegas[k], or the FloquetTlsError its error
-    estimate or fixed point raised.
+    The products cover [0, pi/2] (see :func:`periodic_orbits`); the members that
+    share S form one :class:`_OrbitBatch`.  Entry k is the PeriodicOrbit at
+    omegas[k], or the FloquetTlsError its error estimate or fixed point raised.
     """
     omegas = np.asarray(omegas, dtype=float)
-    size = len(omegas)
     coef = np.stack([F / omegas, G / omegas, omega0 / omegas])
+    found = [None] * len(omegas)
     # the fixed points come from the products before their normalization
-    prop, half_map, mono, errors = _products(coef, 0.0, 0.5 * math.pi, tol, quarter=True)
-    if G == F and F > 0:
-        x0 = np.stack([np.full(size, F), np.zeros(size), omega0 - omegas])
-        x0 /= np.linalg.norm(x0, axis=0)
-        x0 *= _orientation(x0)
-    else:
-        live = [k for k, error in enumerate(errors) if error is None]
-        x0 = np.zeros((3, size))
-        x0[:, live], found = _fixed_points(half_map[..., live], mono[..., live])
-        for k, error in zip(live, found):
-            errors[k] = error
-    # states at s_j = 2 pi j / S: j <= S/4 from the products, the rest of the
-    # half period the mirror X(pi - s) = R_z(pi) P X(s) of the first quarter
-    quarter = prop.shape[-1]
-    grid = _state_grid(prop, x0, 2 * quarter)
-    grid[..., quarter + 1 :] = grid[..., quarter - 1 : 0 : -1] * _MIRROR[:, None, None]
-    batch = _OrbitBatch(coef, omegas, grid, 0.0, math.pi)
-    return [
-        PeriodicOrbit(
-            period=2.0 * math.pi / omega, sol=functools.partial(batch.at, k), batch=batch, index=k
-        )
-        if errors[k] is None
-        else errors[k]
-        for k, omega in enumerate(omegas)
-    ]
+    for members, prop, half_map, mono, errors in _member_products(
+        coef, 0.0, 0.5 * math.pi, tol, quarter=True
+    ):
+        size, w = len(members), omegas[members]
+        if G == F and F > 0:
+            x0 = np.stack([np.full(size, F), np.zeros(size), omega0 - w])
+            x0 /= np.linalg.norm(x0, axis=0)
+            x0 *= _orientation(x0)
+        else:
+            live = [k for k, error in enumerate(errors) if error is None]
+            x0 = np.zeros((3, size))
+            x0[:, live], fixed = _fixed_points(half_map[..., live], mono[..., live])
+            for k, error in zip(live, fixed):
+                errors[k] = error
+        # states at s_j = 2 pi j / S: j <= S/4 from the products, the rest of the
+        # half period the mirror X(pi - s) = R_z(pi) P X(s) of the first quarter
+        quarter = prop.shape[-1]
+        grid = _state_grid(prop, x0, 2 * quarter)
+        grid[..., quarter + 1 :] = grid[..., quarter - 1 : 0 : -1] * _MIRROR[:, None, None]
+        batch = _OrbitBatch(w, grid)
+        for j, (k, error) in enumerate(zip(members.tolist(), errors)):
+            found[k] = error or PeriodicOrbit(
+                period=2.0 * math.pi / w[j], sol=functools.partial(batch.at, j), batch=batch, index=j
+            )
+    return found

@@ -25,8 +25,9 @@ from itertools import repeat
 
 import numpy as np
 
-from .bloch_dynamics import _HALF_TURN, DriveParams, _orientation
+from .bloch_dynamics import DriveParams, _orientation
 from .errors import DomainError, SeriesInstabilityError
+from .harmonics import _series, sample_grid, sample_half_grid
 
 # stands in for a vanishing trailing minor when the next ratio divides by it
 # (Lentz's guard for continued fractions); keeps r_k * r_{k+1} = b_k intact
@@ -137,15 +138,15 @@ class RplFourierSolution:
 
     def evaluate(self, t):
         """Bloch vector(s) at time(s) t from the truncated series."""
-        x = np.asarray([float(v) for v in self.x])
-        return _series(float(self.z0), x, float(self.params.omega0), float(self.params.omega), t)
+        coeffs = np.asarray([float(self.z0), *(float(v) for v in self.x)])
+        omega = float(self.params.omega)
+        return _series(*_harmonic_rows(coeffs, float(self.params.omega0), omega), omega, t)
 
     __call__ = evaluate
 
     def sample(self, m):
-        """Bloch vectors (m, 3) at t_j = j T / m, j = 0..m-1, from :func:`sample_grid`."""
-        sols = Truncations.of([self])
-        return sample_grid(sols.coeffs, sols.omega0, sols.omega, m)[0].T
+        """Bloch vectors (m, 3) at t_j = j T / m, j = 0..m-1, from :func:`harmonics.sample_grid`."""
+        return Truncations.of([self]).grid(np.arange(1), m)[0].T
 
     def normalized(self):
         """Rescale onto the unit sphere by the mean radius on 256 samples."""
@@ -162,18 +163,12 @@ class RplFourierSolution:
         )
 
 
-def _series(z0, x, omega0, omega, t):
-    """Bloch vector(s) at time(s) t of the truncated series of z0 and x (N,), in floats."""
-    t = np.asarray(t, dtype=float)
-    n_ = len(x)
-    odd = np.arange(1, n_ + 1, 2)
-    even = np.arange(2, n_ + 1, 2)
-    wt = np.multiply.outer(t, np.arange(1, n_ + 1) * omega)
-    out = np.empty(t.shape + (3,))
-    out[..., 0] = (np.cos(wt[..., odd - 1]) * (omega0 * x[odd - 1])).sum(axis=-1)
-    out[..., 1] = (np.sin(wt[..., odd - 1]) * (odd * omega * x[odd - 1])).sum(axis=-1)
-    out[..., 2] = z0 + (np.cos(wt[..., even - 1]) * x[even - 1]).sum(axis=-1)
-    return out
+def _harmonic_rows(coeffs, omega0, omega):
+    """The rows (z, x, y) of :mod:`harmonics` of coefficients (..., W) = (z0, x_1, x_2, ...) at
+    omega0 and omega, scalars or columns (P, 1) of rows (P, W): z = (z0, x_2, x_4, ...),
+    x = omega0 x_odd and y = (2p + 1) omega x_odd, the odd modes 2p + 1 of the ansatz."""
+    odd = coeffs[..., 1::2]
+    return coeffs[..., 0::2], omega0 * odd, np.arange(1, 2 * odd.shape[-1], 2) * omega * odd
 
 
 @dataclass
@@ -205,6 +200,9 @@ class Truncations:
         orders = np.array([sol.N for sol in sols])
         return cls(np.arange(len(sols)), orders, coeffs, omega0, omega, {})
 
+    def __len__(self):
+        return len(self.rows)
+
     def solution(self, i, params):
         """Row i as the RplFourierSolution of params."""
         n_ = int(self.N[i])
@@ -213,61 +211,23 @@ class Truncations:
 
     def orbit(self, i):
         """t -> the Bloch vectors of row i at times t, as ``evaluate`` of its solution."""
-        n_ = self.N[i]
-        row = self.coeffs[i]
-        return functools.partial(_series, row[0], row[1 : n_ + 1], self.omega0[i], self.omega[i])
+        rows = _harmonic_rows(self.coeffs[i, : self.N[i] + 1], self.omega0[i], self.omega[i])
+        return functools.partial(_series, *rows, self.omega[i])
 
+    def half_grid(self, rows, m):
+        """Bloch vectors (len(rows), 3, m/2) of the rows ``rows`` (an index array) at
+        t_j = j T / m, j < m/2, for even m: :func:`harmonics.sample_half_grid` of their
+        coefficients, cut to the even width of the largest order among them plus two."""
+        top = int(self.N[rows].max())
+        coeffs = self.coeffs[rows, : top + 2 - top % 2]
+        return sample_half_grid(
+            *_harmonic_rows(coeffs, self.omega0[rows, None], self.omega[rows, None]), m
+        )
 
-def sample_grid(coeffs, omega0, omega, m):
-    """Bloch vectors (P, 3, m) of P truncated solutions at t_j = j T / m, each on the
-    period of its own omega: :func:`sample_half_grid` completed by the half-wave
-    symmetry, for odd m every second sample of the grid of 2m.
-    """
-    xs = sample_half_grid(coeffs, omega0, omega, m if m % 2 == 0 else 2 * m)
-    xs = np.concatenate([xs, xs * _HALF_TURN[:, None]], axis=-1)
-    return xs if m % 2 == 0 else xs[..., ::2]
-
-
-@functools.lru_cache(maxsize=None)
-def _twiddle(n):
-    """e^(i pi j / n), j = 0..n-1: the shift by half a bin of the odd harmonics on n samples."""
-    return np.exp(1j * math.pi / n * np.arange(n))
-
-
-def _fold(coeffs, n):
-    """Sums (..., n) of coeffs[..., q] over q mod n."""
-    size = coeffs.shape[-1]
-    padded = np.zeros(coeffs.shape[:-1] + (-(-size // n) * n,), dtype=coeffs.dtype)
-    padded[..., :size] = coeffs
-    if size <= n:  # one group of n: nothing to fold
-        return padded
-    return padded.reshape(coeffs.shape[:-1] + (-1, n)).sum(axis=-2)
-
-
-def sample_half_grid(coeffs, omega0, omega, m):
-    """Bloch vectors (P, 3, m/2) of P truncated solutions at t_j = j T / m, j < m/2, for even
-    m: the first half period, which gives the second by X(t + T/2) = R_z(pi) X(t).
-
-    Row i of coeffs (P, W), W even, holds (z0, x_1, x_2, ...) of the solution at
-    (omega0[i], omega[i]), zero-padded as :class:`Truncations` holds it.  With
-    n = m/2 and s_j = pi j / n, the odd modes 2p + 1 make X + iY = e^(i s_j) times
-    sum_p (c+_p e^(2 pi i p j / n) + c-_p e^(-2 pi i (p + 1) j / n)),
-    c+-_p = (omega0 +- (2p + 1) omega) x_(2p+1) / 2: one complex inverse FFT of length n
-    and a twiddle.  Z, the cosine series of the even modes 2q, is one inverse real FFT of
-    length n.  Harmonics fold onto their bins mod n, so any n is exact.
-    """
-    n = m // 2
-    odd = coeffs[:, 1::2]
-    a = omega0[:, None] * odd
-    b = np.arange(1, 2 * odd.shape[-1], 2) * omega[:, None] * odd
-    # c-_p goes to bin -p-1 mod n, that is n - 1 - (p mod n)
-    spec = _fold(0.5 * (a + b), n) + _fold(0.5 * (a - b), n)[:, ::-1]
-    xy = np.fft.ifft(spec, axis=-1, norm="forward") * _twiddle(n)
-    z = _fold(coeffs[:, 0::2], n)
-    # bin q above n/2 is bin n - q; an unscaled irfft doubles every bin but 0 and n/2
-    z[:, 1 : (n + 1) // 2] = 0.5 * (z[:, 1 : (n + 1) // 2] + z[:, : n // 2 : -1])
-    z = np.fft.irfft(z[:, : n // 2 + 1], n=n, axis=-1, norm="forward")
-    return np.stack([xy.real, xy.imag, z], axis=1)
+    def grid(self, rows, m):
+        """Bloch vectors (len(rows), 3, m) of the rows ``rows`` at t_j = j T / m, each on the
+        period of its own omega (:func:`harmonics.sample_grid`)."""
+        return sample_grid(functools.partial(self.half_grid, rows), m)
 
 
 def solve_coefficients(sys):

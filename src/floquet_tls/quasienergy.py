@@ -15,10 +15,11 @@ enclosed by the orbit.
 
 Orbits are passed as vectorized callables t -> (..., 3); trajectories from
 the ODE route, truncated Fourier solutions and closed-form orbits all
-qualify.  An orbit that also has a method ``sample(m)``, such as a periodic
-orbit of the ODE route (a grid shared by its batch), is sampled through it,
-and truncated Fourier solutions by one inverse FFT
-(:func:`fourier_rpl.sample_grid`).  Every average over an orbit (the
+qualify.  The periodic orbits of both routes are rows of harmonics
+(:mod:`harmonics`), sampled by one inverse FFT (:func:`harmonics.sample_grid`),
+an ODE orbit on a stride of its step grid where m divides its S; any other
+orbit is sampled through its method ``sample(m)`` if it has one, or called on
+the grid (:func:`_grids`).  Every average over an orbit (the
 quasienergy, its split and the Floquet state's phase) reads one settled
 uniform grid, spectrally accurate for smooth periodic integrands and sampled
 once.  The grid starts at 2048 points, and a quasienergy of a truncated
@@ -50,7 +51,7 @@ and :func:`floquet_state` keep the -z section and raise SouthPoleError.
 One loop settles every average (:func:`_settle`), on grids of shape
 (rows, 3, m): a lone orbit is a block of one row, and a sweep
 (:func:`sweep_branches`) a sequence of blocks.  On the ODE route a block is
-one batch of up to 16 orbits integrated in s = omega t
+one batch of up to 16 orbits integrated in s = omega t, each on its own S
 (:func:`bloch_dynamics.periodic_orbits`); on the Fourier route it is up to
 256 points whose truncations are solved together
 (:func:`fourier_rpl._solve_sweep`: one array ladder for the points that share
@@ -58,9 +59,10 @@ a probe order), held as one coefficient matrix (:class:`fourier_rpl.Truncations`
 whose grids come from inverse FFTs.  A row joins the doubling at its own
 start, and only the rows that have not settled double their grid, at most
 16 x 2048 samples at a time.  A row's values are reductions over its own
-samples, and a Fourier solution is its point's own whether it came from an
-array ladder or not, so a sweep row equals :func:`quasienergy_at` at its
-point bit for bit, and a point that fails is reported on its own.  chi and
+samples, and its orbit is its point's own whether it came from an array
+ladder or not, or from a batch or not, so on both routes a sweep row equals
+:func:`quasienergy_at` at its point bit for bit, and a point that fails is
+reported on its own.  chi and
 eps_d do not change when X is scaled by a positive factor, so a Fourier
 solution is averaged unnormalized.
 
@@ -80,7 +82,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch_dynamics import BATCH_SIZE, DriveParams, PeriodicOrbit, periodic_orbits
+from .bloch_dynamics import BATCH_SIZE, DriveParams, OrbitBlock, PeriodicOrbit, periodic_orbits
 from . import fourier_rpl
 from .errors import (
     ContinuityWarning,
@@ -187,39 +189,29 @@ def _grids(orbits, period=None, half=False):
     (an index array) at t_j = j T / m, j < n, and starts[k], the grid orbit k's
     quasienergy starts on.
 
-    ``orbits`` is a list of orbits, or the :class:`fourier_rpl.Truncations` of a sweep,
-    and a list of truncated Fourier solutions is read as theirs.  n = m: one inverse
-    FFT of their coefficient matrix for truncated Fourier solutions, else
-    :func:`_orbit_grid`.  With ``half`` the orbits known to obey
-    X(t + T/2) = R_z(pi) X(t), truncated Fourier solutions and ODE periodic orbits
-    of one batch (taken together by its ``half_samples``), give the first half
-    period, n = m/2.  A truncated Fourier solution of order N
-    starts on the smallest power of two >= 8 (N + 1), clamped to [64, 2048]; every
-    other orbit on 2048.
+    ``orbits`` is a list of orbits, or the :class:`fourier_rpl.Truncations` of a sweep.
+    A list of truncated Fourier solutions is read as theirs, and a list of ODE periodic
+    orbits as their :class:`bloch_dynamics.OrbitBlock`; both holders sample their rows
+    together (:func:`harmonics.sample_half_grid`), on a stride of the step grid where
+    one serves.  n = m, or with ``half`` n = m/2: the first half period of the orbits in
+    these holders, which obey X(t + T/2) = R_z(pi) X(t).  Any other orbit, such as a
+    closed form, is sampled by :func:`_orbit_grid` over whole periods.  A truncated
+    Fourier solution of order N starts on the smallest power of two >= 8 (N + 1),
+    clamped to [64, 2048]; every other orbit on 2048.
     """
-    if isinstance(orbits, list) and orbits and all(
-        isinstance(orbit, fourier_rpl.RplFourierSolution) for orbit in orbits
-    ):
-        orbits = fourier_rpl.Truncations.of(orbits)
+    if isinstance(orbits, list) and orbits:
+        if all(isinstance(orbit, fourier_rpl.RplFourierSolution) for orbit in orbits):
+            orbits = fourier_rpl.Truncations.of(orbits)
+        elif all(isinstance(orbit, PeriodicOrbit) for orbit in orbits):
+            orbits = OrbitBlock(orbits)
+    starts = np.full(len(orbits), 2 * _MIN_GRID)
     if isinstance(orbits, fourier_rpl.Truncations):
-        sols, sample = orbits, fourier_rpl.sample_half_grid if half else fourier_rpl.sample_grid
         starts = np.array([
             min(2 * _MIN_GRID, max(_MIN_START, 1 << (8 * n_trunc + 7).bit_length()))
-            for n_trunc in sols.N.tolist()
+            for n_trunc in orbits.N.tolist()
         ])
-
-        def grid(rows, m):
-            top = int(sols.N[rows].max())
-            coeffs = sols.coeffs[rows, : top + 2 - top % 2]
-            return sample(coeffs, sols.omega0[rows], sols.omega[rows], m)
-
-        return grid, starts
-    starts = np.full(len(orbits), 2 * _MIN_GRID)
-    if half and orbits and all(
-        isinstance(orbit, PeriodicOrbit) and orbit.batch is orbits[0].batch for orbit in orbits
-    ):
-        batch, index = orbits[0].batch, np.array([orbit.index for orbit in orbits])
-        return (lambda rows, m: batch.half_samples(m, index[rows])), starts
+    if isinstance(orbits, (fourier_rpl.Truncations, OrbitBlock)):
+        return (orbits.half_grid if half else orbits.grid), starts
     return (lambda rows, m: np.stack([_orbit_grid(orbits[k], period, m) for k in rows])), starts
 
 
@@ -296,7 +288,8 @@ def _settle(grid, starts, field, winding=None):
     of chi and (h . X)/(2R), are reduced for a whole chunk at once.  At most
     max(1, 16 * 2048 / m) orbits are sampled at once, so a request never holds
     more than 16 grids of 2048 samples.  An orbit with R = 0, the zero solution,
-    fails with DomainError.
+    fails with DomainError, and one whose grid raises a FloquetTlsError with that
+    error (:func:`_sampled`), its arrays None.
     """
     starts, flip = np.asarray(starts), winding is not None
     rows, m = starts[:0], int(starts.min()) if starts.size else 0
@@ -306,8 +299,11 @@ def _settle(grid, starts, field, winding=None):
         rows = joining.nonzero()[0]
         later = [rows[:0]]
         size = max(1, BATCH_SIZE * 2 * _MIN_GRID // m)
-        for chunk in (rows[lo : lo + size] for lo in range(0, len(rows), size)):
-            xs, hs, radius, pole, chi, near, planar = _chi_samples(grid, chunk, m, field, flip)
+        for chunk, sampled in _sampled(grid, rows, m, field, flip, size):
+            if isinstance(sampled, FloquetTlsError):
+                yield chunk, np.zeros(1, dtype=bool), (None,) * 7, [(int(chunk[0]), sampled)]
+                continue
+            xs, hs, radius, pole, chi, near, planar = sampled
             mean = _mean(chi)
             delta = np.abs(mean - _mean(chi[:, ::2]))
             with np.errstate(invalid="ignore"):  # NaN only where R = 0
@@ -351,6 +347,26 @@ def _settle(grid, starts, field, winding=None):
         rows, m = np.concatenate(later), 2 * m
 
 
+def _sampled(grid, rows, m, field, flip, size):
+    """(chunk, :func:`_chi_samples` of the chunk) for the rows in chunks of at most size.
+
+    A chunk whose grid raises a FloquetTlsError, an ODE orbit whose step grid does
+    not resolve it (:meth:`bloch_dynamics._OrbitBatch.rows`), is sampled row by row,
+    and a row that raises comes back as (row, its error): each row's samples are its
+    own, so the other rows are as they are in the chunk.
+    """
+    for chunk in (rows[lo : lo + size] for lo in range(0, len(rows), size)):
+        try:
+            sampled = _chi_samples(grid, chunk, m, field, flip)
+        except FloquetTlsError as exc:
+            if len(chunk) > 1:
+                yield from _sampled(grid, chunk, m, field, flip, 1)
+            else:
+                yield chunk, exc
+            continue
+        yield chunk, sampled
+
+
 def _settled(orbit, drive, m=2 * _MIN_GRID):
     """(xs, hs, radius, chi, turns, mean, eps_d) of the settled -z grid of a lone orbit over
     its whole period, starting on m samples; raises its error."""
@@ -382,7 +398,8 @@ def _quasienergies(orbits, field, omegas, period=None, half=False):
     errors = {}
     for chunk, ok, samples, failed in _settle(grid, starts, field, winding):
         rows = chunk[ok]
-        turns[rows], mean[rows], eps_d[rows] = (column[ok] for column in samples[4:])
+        if rows.size:
+            turns[rows], mean[rows], eps_d[rows] = (column[ok] for column in samples[4:])
         errors.update(failed)
         del samples  # the chunk's grids, not to be held while the next is sampled
     return mean + turns * omegas, eps_d, errors
@@ -574,9 +591,10 @@ def sweep_branches(
     The orbits are averaged in blocks (see the module notes): up to 16 rows
     on the ODE route, up to 256 on the Fourier route, where each point's
     truncation order is the one :func:`fourier_rpl.solve_auto` chooses, found
-    for a block's points at once by :func:`fourier_rpl._solve_sweep`.  Before
+    for a block's points at once by :func:`fourier_rpl._solve_sweep`, and on
+    the ODE route each point's own number of Magnus steps.  Before
     continuation a row equals :func:`quasienergy_at` at its point bit for
-    bit.  The reported branch is the candidate nearest to the previous point
+    bit, on both routes.  The reported branch is the candidate nearest to the previous point
     (minimal jump) among +-epsilon + k w, k within one of the branch nearest
     that point (:func:`continue_branch`).  A ContinuityWarning is issued when
     the smallest jump exceeds omega/4.

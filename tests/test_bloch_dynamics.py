@@ -432,8 +432,8 @@ def test_half_sample_is_the_first_half_of_sample():
     assert 2 * batch.grid.shape[-1] == 2048
     for orbit in orbits:
         for m in (2048, 4096, 6):
-            half = batch.half_sample(m, orbit.index)
-            assert np.array_equal(half, batch.sample(m, orbit.index)[:, : m // 2])
+            half = batch.half_samples([orbit.index], m)[0]
+            assert np.array_equal(half, orbit.sample(m)[: m // 2].T)
             ts = np.arange(m // 2) * (orbit.period / m)
             assert np.abs(half - orbit(ts).T).max() < 1e-12
 
@@ -559,27 +559,19 @@ def test_prefix_equals_the_fix_up_loop(size, n):
 
 def test_half_samples_equal_the_one_member_samples():
     omegas = [0.45, 0.9, 1.3, 1.75, 2.2]
-    batch = next(iter(periodic_orbits(1.0, 1.5, 0.7, omegas))).batch
-    steps = batch.grid.shape[-1]
+    orbits = list(periodic_orbits(1.0, 1.5, 0.7, omegas))
+    batch = orbits[0].batch
+    assert all(orbit.batch is batch for orbit in orbits)
     members = [3, 0, 4]
-
-    def one_member(m, k):
-        # the samples of member k alone: a stride of the grid, or one partial step each
-        if steps % (m // 2) == 0:
-            return batch.grid[:, k, :: 2 * steps // m]
-        s = np.arange(m // 2) * (2.0 * math.pi / m)
-        h = math.pi / steps
-        j = np.clip((s // h).astype(int), 0, steps - 1)
-        q = bloch_dynamics._magnus_steps(batch.coef[:, k], j * h, s - j * h)
-        return bloch_dynamics._rotate(q, batch.grid[:, k, j])
-
-    # 2048 and 1024 stride the S/2 = 1024 step starts; 4096, 1000 and 6 do not
+    # each point alone: a batch of one, with its own step grid and rows
+    alone = [periodic_orbit(DriveParams(1.0, 1.5, 0.7, w)).batch for w in omegas]
+    # 2048 and 1024 stride the S/2 = 1024 step starts; 4096, 1000 and 6 come from the rows
     for m in (2048, 1024, 4096, 1000, 6):
-        got = batch.half_samples(m, members)
+        got = batch.half_samples(members, m)
         assert got.shape == (len(members), 3, m // 2) and got.flags.c_contiguous
         for row, k in zip(got, members):
-            assert row.tobytes() == one_member(m, k).tobytes()
-            assert row.tobytes() == batch.half_sample(m, k).tobytes()
+            assert row.tobytes() == alone[k].half_samples([0], m)[0].tobytes()
+            assert row.tobytes() == batch.half_samples([k], m)[0].tobytes()
 
 
 def test_periodic_orbit_is_a_batch_of_one():

@@ -617,13 +617,14 @@ def test_half_grid_is_the_first_half_period():
     block.append(solve_coefficients(build_system(rpl(1.0, 20.0, 0.05), 404)))
     assert sorted({sol.N for sol in block}) == [20, 44, 404]
     sols = fourier_rpl.Truncations.of(block)
+    rows = np.arange(len(block))
     for m in (256, 2048, 6):
-        half = fourier_rpl.sample_half_grid(sols.coeffs, sols.omega0, sols.omega, m)
+        half = sols.half_grid(rows, m)
         assert half.shape == (len(block), 3, m // 2)
         for sol, got in zip(block, half):
             ref = sol.evaluate(np.arange(m // 2) * (sol.params.T / m)).T
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-        full = fourier_rpl.sample_grid(sols.coeffs, sols.omega0, sols.omega, m)
+        full = sols.grid(rows, m)
         assert np.abs(half - full[..., : m // 2]).max() <= 1e-12 * np.abs(full).max()
 
 

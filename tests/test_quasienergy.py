@@ -12,7 +12,7 @@ from sweep_rows import rows_of, sweep_rows
 import numpy as np
 import pytest
 
-from floquet_tls import bloch_dynamics, fourier_rpl
+from floquet_tls import bloch_dynamics, fourier_rpl, harmonics
 from floquet_tls import quasienergy
 from floquet_tls.bloch_dynamics import (
     DriveParams,
@@ -24,6 +24,7 @@ from floquet_tls.errors import (
     ContinuityWarning,
     DomainError,
     FloquetTlsError,
+    IntegrationError,
     SeriesInstabilityError,
     SouthPoleError,
 )
@@ -412,6 +413,54 @@ def test_ode_orbit_near_south_pole_uses_batch_grid(monkeypatch):
     assert abs(res.epsilon - quasienergy_at(p, method="fourier").epsilon) <= 1e-9
 
 
+@pytest.mark.parametrize("sweep", [(0.0875, 0.12, 16), (0.05, 0.5, 16)])
+def test_ode_sweep_rows_equal_their_lone_points(sweep):
+    # F/omega up to 80: the points of one batch need different numbers of Magnus
+    # steps, and each keeps its own, so no row depends on its neighbours
+    base = DriveParams(1.0, 7.0, 0.0, 1.0)
+    omegas = np.linspace(*sweep).tolist()
+    steps = {2 * periodic_orbit(DriveParams(1.0, 7.0, 0.0, w)).batch.grid.shape[-1] for w in omegas}
+    assert len(steps) > 1
+    rows = sweep_rows(base, omegas, "ode")
+    for omega, row in zip(omegas, rows):
+        assert _bits(row) == _bits(quasienergy_at(DriveParams(1.0, 7.0, 0.0, omega), method="ode"))
+
+
+def _tail_ratio(grid):
+    """The largest harmonic of one orbit's rows in the top eighth of its step grid's, over
+    its largest, from its half-period states (3, 1, S/2)."""
+    rows = harmonics.half_grid_rows(grid)
+    top = rows[1].shape[-1] - rows[1].shape[-1] // 8
+    tail = max(np.abs(row[0, top:]).max() for row in rows)
+    return tail / max(np.abs(row[0]).max() for row in rows)
+
+
+def test_unresolved_ode_orbit_fails_alone(monkeypatch):
+    # the tail test of the rows is read only where a row needs a grid finer than its
+    # step grid, or a time off it: here at 4 of the 16 points, among them the one
+    # with the largest tail, which fails once the limit is below its tail
+    base = DriveParams(1.0, 7.0, 0.0, 1.0)
+    omegas = np.linspace(0.0875, 0.12, 16).tolist()
+    orbits = [periodic_orbit(DriveParams(1.0, 7.0, 0.0, w)) for w in omegas]
+    ratios = [_tail_ratio(orbit.batch.grid) for orbit in orbits]
+    k = int(np.argmax(ratios))
+    assert ratios[k] < 1e-15 < bloch_dynamics.TAIL_TOL
+    limit = 0.5 * (ratios[k] + max(r for i, r in enumerate(ratios) if i != k))
+    monkeypatch.setattr(bloch_dynamics, "TAIL_TOL", limit)
+    rows = sweep_rows(base, omegas, "ode")
+    assert isinstance(rows[k], IntegrationError)
+    assert f"tail ratio {ratios[k]:.3g} of its harmonics above {limit:g}" in str(rows[k])
+    for i, (omega, row) in enumerate(zip(omegas, rows)):
+        if i != k:
+            # its neighbours, in its batch, are bit for bit what they are alone
+            assert _bits(row) == _bits(quasienergy_at(DriveParams(1.0, 7.0, 0.0, omega), method="ode"))
+    orbit, steps = orbits[k], 2 * orbits[k].batch.grid.shape[-1]
+    assert orbit.sample(steps).shape == (steps, 3)  # a stride of its step grid needs no rows
+    for sample in (lambda: orbit.sample(2 * steps), lambda: orbit(0.1)):
+        with pytest.raises(IntegrationError, match=f"at S = {steps} Magnus steps"):
+            sample()
+
+
 def test_floquet_state_static_field():
     p = DriveParams(1.0, 0.0, 0.0, 2.0)
 
@@ -766,13 +815,13 @@ def test_unsettled_sweep_row_samples_each_grid_once(monkeypatch):
     # 1.7e-5 R from the south pole and is averaged on the +z section
     # sweep rows are sampled on half a period; m counts samples per period
     requests = []  # (omegas of the rows, m) of every Fourier grid request
-    real = fourier_rpl.sample_half_grid
+    real = fourier_rpl.Truncations.half_grid
 
-    def sample_half_grid(coeffs, omega0, omega, m):
-        requests.append((omega.tolist(), m))
-        return real(coeffs, omega0, omega, m)
+    def half_grid(sols, rows, m):
+        requests.append((sols.omega[rows].tolist(), m))
+        return real(sols, rows, m)
 
-    monkeypatch.setattr(fourier_rpl, "sample_half_grid", sample_half_grid)
+    monkeypatch.setattr(fourier_rpl.Truncations, "half_grid", half_grid)
     base = rpl(1.0, 15.0, 1.0)
     rows = sweep_rows(base, [0.05, 0.08], "fourier")
     assert rows[0].branch == -92
