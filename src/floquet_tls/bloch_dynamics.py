@@ -26,8 +26,8 @@ stacked eigh, with the degeneracy angles and the norms of the whole stack
 blocks in one product.  The products inside a block stay a chain of single
 steps, since their order fixes the bits.  A periodic orbit is handed over as
 the rows of its harmonics (:mod:`harmonics`), read off its half-period states
-by one FFT the first time a grid that is not a stride of the step grid, or a
-time off it, is asked for, and sampled as a truncated Fourier solution is.
+by one FFT for its whole batch, and sampled as a truncated Fourier solution is
+where a grid is not a stride of the step grid, or a time is off it.
 """
 
 import functools
@@ -179,9 +179,10 @@ class _OrbitBatch:
     ``grid`` (3, size, S/2) holds the states X_k(s_j) of the half period at the
     step starts s_j = 2 pi j / S, s = omega_k t: the first quarter integrated,
     the second its mirror X(pi - s) = R_z(pi) P X(s) (see
-    :func:`periodic_orbits`).  A grid of m samples per period where m divides S
-    is a stride of ``grid``.  Any other grid, and any time, come from the
-    members' rows of harmonics (:meth:`rows`) through
+    :func:`periodic_orbits`), and ``rows`` the members' rows of harmonics
+    (z, x, y), read off ``grid`` by one FFT (:func:`harmonics.half_grid_rows`).
+    A grid of m samples per period where m divides S is a stride of ``grid``.
+    Any other grid, and any time, come from the rows through
     :func:`harmonics.sample_half_grid` and :func:`harmonics._series`, as a
     truncated Fourier solution's do; a whole period is the half period
     completed by X(s + pi) = R_z(pi) X(s).
@@ -190,31 +191,17 @@ class _OrbitBatch:
     def __init__(self, omegas, grid):
         self.omegas = omegas
         self.grid = grid
-        self._rows = None
+        self.rows = harmonics.half_grid_rows(grid)
 
-    def rows(self, members):
-        """Rows (z, x, y) of the members (L,), from one FFT of ``grid`` for the whole batch,
-        taken the first time any member's rows are asked for.
-
-        Raises the IntegrationError of the first member whose largest harmonic in the
-        top eighth of those the step grid holds, 7 S/16 to S/2, is above TAIL_TOL times
-        its largest: the step grid under-resolves that orbit.
-        """
-        if self._rows is None:
-            z, x, y = harmonics.half_grid_rows(self.grid)
-            top = x.shape[-1] - x.shape[-1] // 8
-            tail = np.abs(np.concatenate([z[:, top:], x[:, top:], y[:, top:]], axis=-1))
-            peak = np.abs(np.concatenate([z, x, y], axis=-1)).max(axis=-1)
-            with np.errstate(invalid="ignore"):  # 0/0 for the zero grid of a failed member
-                self._rows = z, x, y, tail.max(axis=-1) / peak
-        z, x, y, ratio = self._rows
-        for k in np.atleast_1d(members).tolist():
-            if not ratio[k] <= TAIL_TOL:
-                raise IntegrationError(
-                    f"orbit unresolved by its step grid: tail ratio {ratio[k]:.3g} of its "
-                    f"harmonics above {TAIL_TOL:g} at S = {2 * self.grid.shape[-1]} Magnus steps"
-                )
-        return z[members], x[members], y[members]
+    def tail_ratios(self):
+        """Each member's largest harmonic in the top eighth of those the step grid holds,
+        7 S/16 to S/2, over its largest: above TAIL_TOL the step grid under-resolves it."""
+        width = self.rows[1].shape[-1]
+        top = width - width // 8
+        tail = np.abs(np.concatenate([row[:, top:] for row in self.rows], axis=-1))
+        peak = np.abs(np.concatenate(self.rows, axis=-1)).max(axis=-1)
+        with np.errstate(invalid="ignore"):  # 0/0 for the zero grid of a failed member
+            return tail.max(axis=-1) / peak
 
     def half_samples(self, members, m):
         """States (L, 3, m/2) of the members (L,) at s_j = 2 pi j / m, j < m/2, for even m:
@@ -222,12 +209,11 @@ class _OrbitBatch:
         steps = self.grid.shape[-1]
         if steps % (m // 2) == 0:
             return np.moveaxis(self.grid, 1, 0)[members, :, :: 2 * steps // m]
-        return harmonics.sample_half_grid(*self.rows(members), m)
+        return harmonics.sample_half_grid(*(row[members] for row in self.rows), m)
 
     def at(self, k, t):
         """States (3, n) of member k at the times t (n,)."""
-        z, x, y = self.rows(k)
-        return harmonics._series(z, x, y, self.omegas[k], t).T
+        return harmonics._series(*(row[k] for row in self.rows), self.omegas[k], t).T
 
 
 class OrbitBlock:
@@ -251,8 +237,6 @@ class OrbitBlock:
         rows, groups = np.asarray(rows), {}
         for j, i in enumerate(rows.tolist()):
             groups.setdefault(id(self.batches[i]), []).append(j)
-        if len(groups) == 1:
-            return self.batches[rows[0]].half_samples(self.index[rows], m)
         out = np.empty((len(rows), 3, m // 2))
         for at in groups.values():
             out[at] = self.batches[rows[at[0]]].half_samples(self.index[rows[at]], m)
@@ -495,9 +479,9 @@ def periodic_orbits(omega0, F, G, omegas, tol=DEFAULT_TOL):
     which M(2 pi) = I rejects, so P x0 = x0 and X(-s) = P X(s).  So X is a
     cosine series, Y a sine series, both of odd harmonics, and Z a cosine
     series of even ones: the rows of :mod:`harmonics`, read off the S/2 states
-    of the half period by one FFT where a sample or a time needs them.  An
-    orbit whose largest harmonic in the top eighth of those its step grid
-    holds is above TAIL_TOL of its largest raises IntegrationError there.
+    of the half period by one FFT.  A point whose largest harmonic in the top
+    eighth of those its step grid holds is above TAIL_TOL of its largest fails
+    alone with IntegrationError.
     For circular polarization the fixed point (F, 0, omega0 - w)/Omega is
     known in closed form and used in place of A's; this keeps the isolated
     points where M(2 pi) is the identity (Omega T multiple of 2 pi) usable.
@@ -730,7 +714,8 @@ def _orbit_batch(omega0, F, G, omegas, tol):
 
     The products cover [0, pi/2] (see :func:`periodic_orbits`); the members that
     share S form one :class:`_OrbitBatch`.  Entry k is the PeriodicOrbit at
-    omegas[k], or the FloquetTlsError its error estimate or fixed point raised.
+    omegas[k], or the FloquetTlsError its error estimate, fixed point or tail of
+    harmonics raised.
     """
     omegas = np.asarray(omegas, dtype=float)
     coef = np.stack([F / omegas, G / omegas, omega0 / omegas])
@@ -756,6 +741,12 @@ def _orbit_batch(omega0, F, G, omegas, tol):
         grid = _state_grid(prop, x0, 2 * quarter)
         grid[..., quarter + 1 :] = grid[..., quarter - 1 : 0 : -1] * _MIRROR[:, None, None]
         batch = _OrbitBatch(w, grid)
+        for j, ratio in enumerate(batch.tail_ratios().tolist()):
+            if errors[j] is None and not ratio <= TAIL_TOL:
+                errors[j] = IntegrationError(
+                    f"orbit unresolved by its step grid: tail ratio {ratio:.3g} of its "
+                    f"harmonics above {TAIL_TOL:g} at S = {4 * quarter} Magnus steps"
+                )
         for j, (k, error) in enumerate(zip(members.tolist(), errors)):
             found[k] = error or PeriodicOrbit(
                 period=2.0 * math.pi / w[j], sol=functools.partial(batch.at, j), batch=batch, index=j

@@ -85,11 +85,14 @@ def half_grid_rows(states):
     by the orbits' symmetries up to rounding, are dropped.
     """
     n = states.shape[-1]
-    c = np.fft.fft((states[0] + 1j * states[1]) * _twiddle(n).conj(), axis=-1, norm="forward")
-    plus, minus = c[:, : n // 2], c[:, : n // 2 - 1 : -1]
+    xy = np.empty(states.shape[1:], dtype=complex)
+    xy.real, xy.imag = states[0], states[1]
+    xy *= _twiddle(n).conj()
+    c = np.fft.fft(xy, axis=-1, norm="forward")
+    plus, minus = c[:, : n // 2].real, c[:, : n // 2 - 1 : -1].real
     z = np.fft.rfft(states[2], axis=-1, norm="forward").real
     z[:, 1 : n // 2] *= 2.0
-    return z, (plus + minus).real, (plus - minus).real
+    return z, plus + minus, plus - minus
 
 
 def _series(z, x, y, omega, t):

@@ -288,8 +288,7 @@ def _settle(grid, starts, field, winding=None):
     of chi and (h . X)/(2R), are reduced for a whole chunk at once.  At most
     max(1, 16 * 2048 / m) orbits are sampled at once, so a request never holds
     more than 16 grids of 2048 samples.  An orbit with R = 0, the zero solution,
-    fails with DomainError, and one whose grid raises a FloquetTlsError with that
-    error (:func:`_sampled`), its arrays None.
+    fails with DomainError.
     """
     starts, flip = np.asarray(starts), winding is not None
     rows, m = starts[:0], int(starts.min()) if starts.size else 0
@@ -299,11 +298,8 @@ def _settle(grid, starts, field, winding=None):
         rows = joining.nonzero()[0]
         later = [rows[:0]]
         size = max(1, BATCH_SIZE * 2 * _MIN_GRID // m)
-        for chunk, sampled in _sampled(grid, rows, m, field, flip, size):
-            if isinstance(sampled, FloquetTlsError):
-                yield chunk, np.zeros(1, dtype=bool), (None,) * 7, [(int(chunk[0]), sampled)]
-                continue
-            xs, hs, radius, pole, chi, near, planar = sampled
+        for chunk in (rows[lo : lo + size] for lo in range(0, len(rows), size)):
+            xs, hs, radius, pole, chi, near, planar = _chi_samples(grid, chunk, m, field, flip)
             mean = _mean(chi)
             delta = np.abs(mean - _mean(chi[:, ::2]))
             with np.errstate(invalid="ignore"):  # NaN only where R = 0
@@ -347,26 +343,6 @@ def _settle(grid, starts, field, winding=None):
         rows, m = np.concatenate(later), 2 * m
 
 
-def _sampled(grid, rows, m, field, flip, size):
-    """(chunk, :func:`_chi_samples` of the chunk) for the rows in chunks of at most size.
-
-    A chunk whose grid raises a FloquetTlsError, an ODE orbit whose step grid does
-    not resolve it (:meth:`bloch_dynamics._OrbitBatch.rows`), is sampled row by row,
-    and a row that raises comes back as (row, its error): each row's samples are its
-    own, so the other rows are as they are in the chunk.
-    """
-    for chunk in (rows[lo : lo + size] for lo in range(0, len(rows), size)):
-        try:
-            sampled = _chi_samples(grid, chunk, m, field, flip)
-        except FloquetTlsError as exc:
-            if len(chunk) > 1:
-                yield from _sampled(grid, chunk, m, field, flip, 1)
-            else:
-                yield chunk, exc
-            continue
-        yield chunk, sampled
-
-
 def _settled(orbit, drive, m=2 * _MIN_GRID):
     """(xs, hs, radius, chi, turns, mean, eps_d) of the settled -z grid of a lone orbit over
     its whole period, starting on m samples; raises its error."""
@@ -398,8 +374,7 @@ def _quasienergies(orbits, field, omegas, period=None, half=False):
     errors = {}
     for chunk, ok, samples, failed in _settle(grid, starts, field, winding):
         rows = chunk[ok]
-        if rows.size:
-            turns[rows], mean[rows], eps_d[rows] = (column[ok] for column in samples[4:])
+        turns[rows], mean[rows], eps_d[rows] = (column[ok] for column in samples[4:])
         errors.update(failed)
         del samples  # the chunk's grids, not to be held while the next is sampled
     return mean + turns * omegas, eps_d, errors

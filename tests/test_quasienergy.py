@@ -436,9 +436,8 @@ def _tail_ratio(grid):
 
 
 def test_unresolved_ode_orbit_fails_alone(monkeypatch):
-    # the tail test of the rows is read only where a row needs a grid finer than its
-    # step grid, or a time off it: here at 4 of the 16 points, among them the one
-    # with the largest tail, which fails once the limit is below its tail
+    # every orbit's tail is tested when its batch is built: once the limit is below
+    # the largest tail of these 16 points, that point fails, alone or in its batch
     base = DriveParams(1.0, 7.0, 0.0, 1.0)
     omegas = np.linspace(0.0875, 0.12, 16).tolist()
     orbits = [periodic_orbit(DriveParams(1.0, 7.0, 0.0, w)) for w in omegas]
@@ -447,18 +446,16 @@ def test_unresolved_ode_orbit_fails_alone(monkeypatch):
     assert ratios[k] < 1e-15 < bloch_dynamics.TAIL_TOL
     limit = 0.5 * (ratios[k] + max(r for i, r in enumerate(ratios) if i != k))
     monkeypatch.setattr(bloch_dynamics, "TAIL_TOL", limit)
+    steps = 2 * orbits[k].batch.grid.shape[-1]
+    message = f"tail ratio {ratios[k]:.3g} of its harmonics above {limit:g} at S = {steps} Magnus"
+    with pytest.raises(IntegrationError, match=message):
+        periodic_orbit(DriveParams(1.0, 7.0, 0.0, omegas[k]))
     rows = sweep_rows(base, omegas, "ode")
-    assert isinstance(rows[k], IntegrationError)
-    assert f"tail ratio {ratios[k]:.3g} of its harmonics above {limit:g}" in str(rows[k])
+    assert isinstance(rows[k], IntegrationError) and message in str(rows[k])
     for i, (omega, row) in enumerate(zip(omegas, rows)):
         if i != k:
             # its neighbours, in its batch, are bit for bit what they are alone
             assert _bits(row) == _bits(quasienergy_at(DriveParams(1.0, 7.0, 0.0, omega), method="ode"))
-    orbit, steps = orbits[k], 2 * orbits[k].batch.grid.shape[-1]
-    assert orbit.sample(steps).shape == (steps, 3)  # a stride of its step grid needs no rows
-    for sample in (lambda: orbit.sample(2 * steps), lambda: orbit(0.1)):
-        with pytest.raises(IntegrationError, match=f"at S = {steps} Magnus steps"):
-            sample()
 
 
 def test_floquet_state_static_field():
