@@ -24,13 +24,14 @@ it would have alone: the fixed points x0 of the half maps come from one
 stacked eigh, with the degeneracy angles and the norms of the whole stack
 (:func:`_fixed_points`), and each level of the prefix scan fixes up its
 blocks in one product.  The products inside a block stay a chain of single
-steps, since their order fixes the bits.  A periodic orbit is handed over as
-the rows of its harmonics (:mod:`harmonics`), read off its half-period states
-by one FFT for its whole batch, and sampled as a truncated Fourier solution is
-where a grid is not a stride of the step grid, or a time is off it.
+steps, since their order fixes the bits.  A batch's periodic orbits are
+handed over as one :class:`harmonics.Orbits` (:func:`_orbit_block`): the rows
+of their harmonics, read off the half-period states of the members that share
+S by one FFT, and their states on the grid of 2048 samples, of which every
+grid that divides 2048 is a stride.  Every other grid and time comes from the
+rows, as a truncated Fourier solution's do.
 """
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -65,6 +66,10 @@ _NODES = (0.5 - _SQ15 / 10.0, 0.5, 0.5 + _SQ15 / 10.0)
 
 # eigenvalue-1 eigenspace counts as degenerate below this rotation angle
 DEGENERACY_ANGLE = 1e-7
+
+# the grid whose half-period states a block keeps for each orbit: every ODE row's start
+# grid, a stride of every step grid
+_KEPT_GRID = MIN_STEPS
 
 # the largest harmonic of a periodic orbit in the top eighth of those its step grid
 # holds may be at most this fraction of its largest; above it, its rows alias
@@ -158,93 +163,27 @@ class Trajectory:
 
 @dataclass
 class PeriodicOrbit(Trajectory):
-    """Periodic orbit computed as one member of a batch.
+    """Periodic orbit: row ``index`` of ``orbits``, the :class:`harmonics.Orbits` of its block.
 
-    ``sol`` maps times to this member's states and ``sample(m)`` gives them on
-    the uniform grid t_j = j T / m, both from the member's batch.
+    ``sol`` maps times to its states by its rows of harmonics, and ``sample(m)`` gives
+    them on the uniform grid t_j = j T / m.
     """
 
-    batch: object = field(repr=False, default=None)
+    orbits: object = field(repr=False, default=None)
     index: int = 0
+
+    def __post_init__(self):
+        series = self.orbits.orbit(self.index)
+        self.sol = lambda t: series(t).T
+
+    @property
+    def held(self):
+        """(orbits, [index]): this orbit's row of its block."""
+        return self.orbits, [self.index]
 
     def sample(self, m):
         """Bloch vectors (m, 3) at t_j = j T / m, j = 0..m-1."""
-        half_grid = functools.partial(self.batch.half_samples, [self.index])
-        return harmonics.sample_grid(half_grid, m)[0].T
-
-
-class _OrbitBatch:
-    """Periodic orbits of the members of a batch that share S Magnus steps per period.
-
-    ``grid`` (3, size, S/2) holds the states X_k(s_j) of the half period at the
-    step starts s_j = 2 pi j / S, s = omega_k t: the first quarter integrated,
-    the second its mirror X(pi - s) = R_z(pi) P X(s) (see
-    :func:`periodic_orbits`), and ``rows`` the members' rows of harmonics
-    (z, x, y), read off ``grid`` by one FFT (:func:`harmonics.half_grid_rows`).
-    A grid of m samples per period where m divides S is a stride of ``grid``.
-    Any other grid, and any time, come from the rows through
-    :func:`harmonics.sample_half_grid` and :func:`harmonics._series`, as a
-    truncated Fourier solution's do; a whole period is the half period
-    completed by X(s + pi) = R_z(pi) X(s).
-    """
-
-    def __init__(self, omegas, grid):
-        self.omegas = omegas
-        self.grid = grid
-        self.rows = harmonics.half_grid_rows(grid)
-
-    def tail_ratios(self):
-        """Each member's largest harmonic in the top eighth of those the step grid holds,
-        7 S/16 to S/2, over its largest: above TAIL_TOL the step grid under-resolves it."""
-        width = self.rows[1].shape[-1]
-        top = width - width // 8
-        tail = np.abs(np.concatenate([row[:, top:] for row in self.rows], axis=-1))
-        peak = np.abs(np.concatenate(self.rows, axis=-1)).max(axis=-1)
-        with np.errstate(invalid="ignore"):  # 0/0 for the zero grid of a failed member
-            return tail.max(axis=-1) / peak
-
-    def half_samples(self, members, m):
-        """States (L, 3, m/2) of the members (L,) at s_j = 2 pi j / m, j < m/2, for even m:
-        a stride of ``grid`` where m divides S, else from their rows."""
-        steps = self.grid.shape[-1]
-        if steps % (m // 2) == 0:
-            return np.moveaxis(self.grid, 1, 0)[members, :, :: 2 * steps // m]
-        return harmonics.sample_half_grid(*(row[members] for row in self.rows), m)
-
-    def at(self, k, t):
-        """States (3, n) of member k at the times t (n,)."""
-        return harmonics._series(*(row[k] for row in self.rows), self.omegas[k], t).T
-
-
-class OrbitBlock:
-    """Periodic orbits of a block of rows, row i the PeriodicOrbit orbits[i]: the columns
-    :func:`quasienergy._grids` samples, as it samples :class:`fourier_rpl.Truncations`.
-
-    The rows of one batch are sampled together, so a sweep's block, whose members
-    share S, is one stride of its batch's step grid.
-    """
-
-    def __init__(self, orbits):
-        self.batches = [orbit.batch for orbit in orbits]
-        self.index = np.array([orbit.index for orbit in orbits], dtype=np.int64)
-
-    def __len__(self):
-        return len(self.index)
-
-    def half_grid(self, rows, m):
-        """States (len(rows), 3, m/2) of the rows ``rows`` (an index array) at
-        s_j = 2 pi j / m, j < m/2, for even m."""
-        rows, groups = np.asarray(rows), {}
-        for j, i in enumerate(rows.tolist()):
-            groups.setdefault(id(self.batches[i]), []).append(j)
-        out = np.empty((len(rows), 3, m // 2))
-        for at in groups.values():
-            out[at] = self.batches[rows[at[0]]].half_samples(self.index[rows[at]], m)
-        return out
-
-    def grid(self, rows, m):
-        """States (len(rows), 3, m) of the rows ``rows`` at s_j = 2 pi j / m."""
-        return harmonics.sample_grid(functools.partial(self.half_grid, rows), m)
+        return self.orbits.grid([self.index], m)[0].T
 
 
 def _check_tol(tol):
@@ -497,20 +436,11 @@ def periodic_orbits(omega0, F, G, omegas, tol=DEFAULT_TOL):
 
 def _batched_orbits(omega0, F, G, omegas, tol):
     for start in range(0, len(omegas), BATCH_SIZE):
-        chunk = omegas[start : start + BATCH_SIZE]
-        slots = [None] * len(chunk)
-        valid = []
-        for j, omega in enumerate(chunk):
-            try:
-                DriveParams(omega0, F, G, omega)
-            except DomainError as exc:
-                slots[j] = exc
-            else:
-                valid.append(j)
-        found = _orbit_batch(omega0, F, G, [chunk[j] for j in valid], tol) if valid else []
-        for j, orbit in zip(valid, found):
-            slots[j] = orbit
-        yield from slots
+        block = _orbit_block(omega0, F, G, omegas[start : start + BATCH_SIZE], tol)
+        slots = dict(block.errors)
+        for j, (k, w) in enumerate(zip(block.rows.tolist(), block.omega.tolist())):
+            slots[k] = PeriodicOrbit(period=2.0 * math.pi / w, orbits=block, index=j)
+        yield from (slots[k] for k in sorted(slots))
 
 
 def _cross(u, v):
@@ -709,19 +639,32 @@ def _state_grid(prop, x0, n=None):
     return grid
 
 
-def _orbit_batch(omega0, F, G, omegas, tol):
-    """Periodic orbits of one batch over s = omega t in [0, 2 pi).
+def _orbit_block(omega0, F, G, omegas, tol):
+    """Periodic orbits of one block of up to BATCH_SIZE points over s = omega t in [0, 2 pi),
+    as :class:`harmonics.Orbits`: the counterpart of :func:`fourier_rpl._solve_sweep`.
 
-    The products cover [0, pi/2] (see :func:`periodic_orbits`); the members that
-    share S form one :class:`_OrbitBatch`.  Entry k is the PeriodicOrbit at
-    omegas[k], or the FloquetTlsError its error estimate, fixed point or tail of
-    harmonics raised.
+    The products cover [0, pi/2] (see :func:`periodic_orbits`).  The members that share
+    S have their rows read off their half-period states by one FFT and their tails
+    tested; each keeps its states on the half period of the grid of _KEPT_GRID samples,
+    and its rows, up to the harmonic S/2, zero-padded to the widest of the block.
+    ``errors`` maps each point that has no orbit to the DomainError of its omega, or
+    the FloquetTlsError its error estimate, fixed point or tail of harmonics raised.
     """
-    omegas = np.asarray(omegas, dtype=float)
+    _check_tol(tol)
+    errors, valid = {}, []
+    for j, omega in enumerate(omegas):
+        try:
+            DriveParams(omega0, F, G, omega)
+        except DomainError as exc:
+            errors[j] = exc
+        else:
+            valid.append(j)
+    valid = np.array(valid, dtype=np.int64)
+    omegas = np.array(omegas, dtype=float)[valid]
     coef = np.stack([F / omegas, G / omegas, omega0 / omegas])
-    found = [None] * len(omegas)
+    parts = []
     # the fixed points come from the products before their normalization
-    for members, prop, half_map, mono, errors in _member_products(
+    for members, prop, half_map, mono, failed in _member_products(
         coef, 0.0, 0.5 * math.pi, tol, quarter=True
     ):
         size, w = len(members), omegas[members]
@@ -730,25 +673,38 @@ def _orbit_batch(omega0, F, G, omegas, tol):
             x0 /= np.linalg.norm(x0, axis=0)
             x0 *= _orientation(x0)
         else:
-            live = [k for k, error in enumerate(errors) if error is None]
+            live = [k for k, error in enumerate(failed) if error is None]
             x0 = np.zeros((3, size))
             x0[:, live], fixed = _fixed_points(half_map[..., live], mono[..., live])
             for k, error in zip(live, fixed):
-                errors[k] = error
+                failed[k] = error
         # states at s_j = 2 pi j / S: j <= S/4 from the products, the rest of the
         # half period the mirror X(pi - s) = R_z(pi) P X(s) of the first quarter
         quarter = prop.shape[-1]
         grid = _state_grid(prop, x0, 2 * quarter)
         grid[..., quarter + 1 :] = grid[..., quarter - 1 : 0 : -1] * _MIRROR[:, None, None]
-        batch = _OrbitBatch(w, grid)
-        for j, ratio in enumerate(batch.tail_ratios().tolist()):
-            if errors[j] is None and not ratio <= TAIL_TOL:
-                errors[j] = IntegrationError(
+        rows = harmonics.half_grid_rows(grid)
+        for k, ratio in enumerate(_tail_ratios(rows).tolist()):
+            if failed[k] is None and not ratio <= TAIL_TOL:
+                failed[k] = IntegrationError(
                     f"orbit unresolved by its step grid: tail ratio {ratio:.3g} of its "
                     f"harmonics above {TAIL_TOL:g} at S = {4 * quarter} Magnus steps"
                 )
-        for j, (k, error) in enumerate(zip(members.tolist(), errors)):
-            found[k] = error or PeriodicOrbit(
-                period=2.0 * math.pi / w[j], sol=functools.partial(batch.at, j), batch=batch, index=j
-            )
-    return found
+        at = valid[members]
+        errors.update((int(at[k]), error) for k, error in enumerate(failed) if error)
+        kept = np.moveaxis(grid[..., :: 4 * quarter // _KEPT_GRID], 1, 0)
+        part = harmonics.Orbits(at, np.full(size, 2 * quarter), *rows, w, {}, kept)
+        parts.append((part, [k for k, error in enumerate(failed) if error is None]))
+    return harmonics.Orbits.stack(parts, errors)
+
+
+def _tail_ratios(rows):
+    """Each orbit's largest harmonic in the top eighth of those its step grid holds,
+    7 S/16 to S/2, over its largest, from its rows (z, x, y): above TAIL_TOL the step
+    grid under-resolves it."""
+    width = rows[1].shape[-1]
+    top = width - width // 8
+    tail = np.abs(np.concatenate([row[:, top:] for row in rows], axis=-1))
+    peak = np.abs(np.concatenate(rows, axis=-1)).max(axis=-1)
+    with np.errstate(invalid="ignore"):  # 0/0 for the zero grid of a failed member
+        return tail.max(axis=-1) / peak

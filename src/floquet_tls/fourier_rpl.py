@@ -18,7 +18,6 @@ r_k = a_k + b_k / r_{k+1}, Gautschi's backward recurrence (SIAM Rev. 9,
 1967).
 """
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 from itertools import repeat
@@ -27,7 +26,7 @@ import numpy as np
 
 from .bloch_dynamics import DriveParams, _orientation
 from .errors import DomainError, SeriesInstabilityError
-from .harmonics import _series, sample_grid, sample_half_grid
+from .harmonics import Orbits
 
 # stands in for a vanishing trailing minor when the next ratio divides by it
 # (Lentz's guard for continued fractions); keeps r_k * r_{k+1} = b_k intact
@@ -136,17 +135,26 @@ class RplFourierSolution:
     params: DriveParams
     norm_spread: float = 0.0
 
+    @property
+    def held(self):
+        """(truncations, [0]): this solution as the one row of :class:`Truncations`."""
+        coeffs = np.zeros((1, self.N + 2 - self.N % 2))
+        coeffs[0, 0] = float(self.z0)
+        coeffs[0, 1 : self.N + 1] = [float(v) for v in self.x]
+        omega0, omega = (np.array([float(v)]) for v in (self.params.omega0, self.params.omega))
+        return Truncations(np.arange(1), np.array([self.N]), coeffs, omega0, omega, {}), [0]
+
     def evaluate(self, t):
         """Bloch vector(s) at time(s) t from the truncated series."""
-        coeffs = np.asarray([float(self.z0), *(float(v) for v in self.x)])
-        omega = float(self.params.omega)
-        return _series(*_harmonic_rows(coeffs, float(self.params.omega0), omega), omega, t)
+        truncations, _ = self.held
+        return truncations.orbit(0)(t)
 
     __call__ = evaluate
 
     def sample(self, m):
         """Bloch vectors (m, 3) at t_j = j T / m, j = 0..m-1, from :func:`harmonics.sample_grid`."""
-        return Truncations.of([self]).grid(np.arange(1), m)[0].T
+        truncations, row = self.held
+        return truncations.grid(row, m)[0].T
 
     def normalized(self):
         """Rescale onto the unit sphere by the mean radius on 256 samples."""
@@ -163,71 +171,29 @@ class RplFourierSolution:
         )
 
 
-def _harmonic_rows(coeffs, omega0, omega):
-    """The rows (z, x, y) of :mod:`harmonics` of coefficients (..., W) = (z0, x_1, x_2, ...) at
-    omega0 and omega, scalars or columns (P, 1) of rows (P, W): z = (z0, x_2, x_4, ...),
-    x = omega0 x_odd and y = (2p + 1) omega x_odd, the odd modes 2p + 1 of the ansatz."""
-    odd = coeffs[..., 1::2]
-    return coeffs[..., 0::2], omega0 * odd, np.arange(1, 2 * odd.shape[-1], 2) * omega * odd
-
-
-@dataclass
-class Truncations:
-    """Truncated solutions of the points of a sweep, as columns.
+class Truncations(Orbits):
+    """Truncated solutions of the points of a sweep, as the :class:`harmonics.Orbits` of
+    their rows.
 
     Row i is the point ``rows[i]`` of the sweep, of order ``N[i]`` at
     (``omega0[i]``, ``omega[i]``), with ``coeffs[i]`` = (z0, x_1, ..., x_N),
-    zero-padded to the even width of the largest order plus two.  ``errors``
-    maps each point of the sweep that has no solution to its FloquetTlsError.
+    zero-padded to the even width of the largest order plus two.  Its rows are
+    z = (z0, x_2, x_4, ...), x = omega0 x_odd and y = (2p + 1) omega x_odd, the odd
+    modes 2p + 1 of the ansatz.  ``errors`` maps each point of the sweep that has no
+    solution to its FloquetTlsError.
     """
 
-    rows: np.ndarray
-    N: np.ndarray
-    coeffs: np.ndarray
-    omega0: np.ndarray
-    omega: np.ndarray
-    errors: dict
-
-    @classmethod
-    def of(cls, sols):
-        """The columns of a list of RplFourierSolution, row i for sols[i]."""
-        top = max(sol.N for sol in sols)
-        coeffs = np.zeros((len(sols), top + 2 - top % 2))
-        for row, sol in zip(coeffs, sols):
-            row[0] = float(sol.z0)
-            row[1 : sol.N + 1] = np.asarray(sol.x, dtype=float)
-        omega0, omega = np.array([[float(s.params.omega0), float(s.params.omega)] for s in sols]).T
-        orders = np.array([sol.N for sol in sols])
-        return cls(np.arange(len(sols)), orders, coeffs, omega0, omega, {})
-
-    def __len__(self):
-        return len(self.rows)
+    def __init__(self, rows, N, coeffs, omega0, omega, errors):
+        odd = coeffs[:, 1::2]
+        y = np.arange(1, 2 * odd.shape[-1], 2) * omega[:, None] * odd
+        super().__init__(rows, N, coeffs[:, 0::2], omega0[:, None] * odd, y, omega, errors)
+        self.coeffs, self.omega0 = coeffs, omega0
 
     def solution(self, i, params):
         """Row i as the RplFourierSolution of params."""
         n_ = int(self.N[i])
         z0, x = float(self.coeffs[i, 0]), self.coeffs[i, 1 : n_ + 1].tolist()
         return RplFourierSolution(n_, z0, x, params)
-
-    def orbit(self, i):
-        """t -> the Bloch vectors of row i at times t, as ``evaluate`` of its solution."""
-        rows = _harmonic_rows(self.coeffs[i, : self.N[i] + 1], self.omega0[i], self.omega[i])
-        return functools.partial(_series, *rows, self.omega[i])
-
-    def half_grid(self, rows, m):
-        """Bloch vectors (len(rows), 3, m/2) of the rows ``rows`` (an index array) at
-        t_j = j T / m, j < m/2, for even m: :func:`harmonics.sample_half_grid` of their
-        coefficients, cut to the even width of the largest order among them plus two."""
-        top = int(self.N[rows].max())
-        coeffs = self.coeffs[rows, : top + 2 - top % 2]
-        return sample_half_grid(
-            *_harmonic_rows(coeffs, self.omega0[rows, None], self.omega[rows, None]), m
-        )
-
-    def grid(self, rows, m):
-        """Bloch vectors (len(rows), 3, m) of the rows ``rows`` at t_j = j T / m, each on the
-        period of its own omega (:func:`harmonics.sample_grid`)."""
-        return sample_grid(functools.partial(self.half_grid, rows), m)
 
 
 def solve_coefficients(sys):

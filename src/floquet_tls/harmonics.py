@@ -8,16 +8,18 @@ orbits.  An orbit is therefore
     Z = sum_q z_q cos(2q s),
 
 three real rows: z of the even harmonics 0, 2, 4, ..., x and y of the odd
-ones 1, 3, 5, ....  Both routes hand their orbits over as these rows: a
-truncated Fourier solution forms them from its coefficients
-(``fourier_rpl``), and an ODE periodic orbit reads them off its half-period
-step grid with one FFT (:func:`half_grid_rows`).  Every grid of either route
-comes from :func:`sample_half_grid` and :func:`sample_grid`, and every other
-time from :func:`_series`.
+ones 1, 3, 5, ....  Both routes hand their orbits over as these rows, held
+as the columns of one :class:`Orbits`: a truncated Fourier solution forms them
+from its coefficients (``fourier_rpl``), and an ODE periodic orbit reads them
+off its half-period step grid with one FFT (:func:`half_grid_rows`).  Every
+grid of either route comes from :func:`sample_half_grid` and
+:func:`sample_grid`, or for an ODE orbit on a grid that divides 2048 from the
+states it keeps, and every other time from :func:`_series`.
 """
 
 import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,6 +95,71 @@ def half_grid_rows(states):
     z = np.fft.rfft(states[2], axis=-1, norm="forward").real
     z[:, 1 : n // 2] *= 2.0
     return z, plus + minus, plus - minus
+
+
+@dataclass
+class Orbits:
+    """Periodic orbits of the points of a sweep, as columns of harmonic rows.
+
+    Row i, the orbit ``orbit(i)`` (also ``orbits[i]``), is the point ``rows[i]`` of
+    the sweep at ``omega[i]``: its rows ``z[i]``, ``x[i]`` and ``y[i]`` hold the
+    harmonics up to ``N[i]``, a width of N[i] // 2 + 1, zero-padded to the widest
+    row.  ``errors`` maps each point of the sweep that has no orbit to its
+    FloquetTlsError.  ``states`` (len, 3, n/2), if given, holds each orbit on the
+    first half period of the grid of n samples: a grid of m samples where m
+    divides n is a stride of them, and every other grid comes from the rows.
+    """
+
+    rows: np.ndarray
+    N: np.ndarray
+    z: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    omega: np.ndarray
+    errors: dict
+    states: np.ndarray = None
+
+    @classmethod
+    def stack(cls, parts, errors=None):
+        """One Orbits of the rows ``at`` (an index list) of each (orbits, at) of ``parts``, in
+        order, zero-padded to the widest, with their states where every part has them."""
+        width = max(orbits.z.shape[-1] for orbits, _ in parts)
+
+        def column(name):
+            return np.concatenate([getattr(orbits, name)[at] for orbits, at in parts])
+
+        def padded(name):
+            rows = (getattr(orbits, name)[at] for orbits, at in parts)
+            return np.concatenate([np.pad(r, ((0, 0), (0, width - r.shape[-1]))) for r in rows])
+
+        states = None if any(orbits.states is None for orbits, _ in parts) else column("states")
+        rows = (column(name) for name in ("rows", "N"))
+        return cls(*rows, *map(padded, "zxy"), column("omega"), errors or {}, states)
+
+    def orbit(self, k):
+        """t -> the Bloch vectors (..., 3) of row k at times t, by :func:`_series`."""
+        n = int(self.N[k])
+        odd = slice((n + 1) // 2)
+        return functools.partial(
+            _series, self.z[k, : n // 2 + 1], self.x[k, odd], self.y[k, odd], self.omega[k]
+        )
+
+    __getitem__ = orbit
+
+    def half_grid(self, rows, m):
+        """Bloch vectors (len(rows), 3, m/2) of the rows ``rows`` (an index array) at
+        t_j = j T / m, j < m/2, for even m: a stride of ``states`` where m divides their
+        grid, else :func:`sample_half_grid` of the rows, cut to the width of the widest
+        among them."""
+        if self.states is not None and 2 * self.states.shape[-1] % m == 0:
+            return self.states[rows, :, :: 2 * self.states.shape[-1] // m]
+        width = int(self.N[rows].max()) // 2 + 1
+        return sample_half_grid(*(row[rows, :width] for row in (self.z, self.x, self.y)), m)
+
+    def grid(self, rows, m):
+        """Bloch vectors (len(rows), 3, m) of the rows ``rows`` at t_j = j T / m, each on the
+        period of its own omega (:func:`sample_grid`)."""
+        return sample_grid(functools.partial(self.half_grid, rows), m)
 
 
 def _series(z, x, y, omega, t):

@@ -15,23 +15,25 @@ enclosed by the orbit.
 
 Orbits are passed as vectorized callables t -> (..., 3); trajectories from
 the ODE route, truncated Fourier solutions and closed-form orbits all
-qualify.  The periodic orbits of both routes are rows of harmonics
-(:mod:`harmonics`), sampled by one inverse FFT (:func:`harmonics.sample_grid`),
-an ODE orbit on a stride of its step grid where m divides its S; any other
-orbit is sampled through its method ``sample(m)`` if it has one, or called on
-the grid (:func:`_grids`).  Every average over an orbit (the
+qualify.  The periodic orbits of both routes are rows of one holder of
+harmonics (:class:`harmonics.Orbits`), sampled by one inverse FFT, or an ODE
+orbit on a grid that divides 2048 by a stride of the states it keeps; any
+other orbit is sampled through its method ``sample(m)`` if it has one, or
+called on the grid (:func:`_grids`).  A holder's orbit averaged over a drive
+of another omega raises DomainError.  Every average over an orbit (the
 quasienergy, its split and the Floquet state's phase) reads one settled
 uniform grid, spectrally accurate for smooth periodic integrands and sampled
-once.  The grid starts at 2048 points, and a quasienergy of a truncated
-Fourier solution of order N at the smallest power of two >= 8 (N + 1),
-clamped to [64, 2048]; it doubles up to 65536 only while the mean of chi
-still differs by 1e-10 from its mean on the grid of half the size, and a
-grid still unsettled at 65536 raises SeriesInstabilityError.  Every grid is
-sampled afresh, so an orbit that settles only on 2048 points or more gives
-the same values whatever its start.  eps_d, the mean of a trigonometric
-polynomial of degree N + 1, is exact on any grid of more than N + 1 points,
-so on every grid of a Fourier solution.  The gradients, which do not
-involve chi, read X/R on 2048 points.
+once.  The grid starts at 2048 points, and a quasienergy of a holder's row
+of width w (N // 2 + 1 for a truncation of order N, S/4 + 1 for an ODE
+orbit of S steps) at the smallest power of two >= 16 w, clamped to
+[64, 2048]; it doubles up to 65536 only while the mean of chi still differs
+by 1e-10 from its mean on the grid of half the size, and a grid still
+unsettled at 65536 raises SeriesInstabilityError.  Every grid is sampled
+afresh, so an orbit that settles only on 2048 points or more gives the same
+values whatever its start.  eps_d, the mean of a trigonometric polynomial of
+degree N + 1, is exact on any grid of more than N + 1 points, so on every
+grid of a Fourier solution.  The gradients, which do not involve chi, read
+X/R on 2048 points.
 
 The drive (F cos wt, G sin wt, omega0) obeys h(t + T/2) = R_z(pi) h(t),
 R_z(pi) = diag(-1, -1, 1), and so do its periodic orbits, so chi and h . X
@@ -50,19 +52,17 @@ and :func:`floquet_state` keep the -z section and raise SouthPoleError.
 
 One loop settles every average (:func:`_settle`), on grids of shape
 (rows, 3, m): a lone orbit is a block of one row, and a sweep
-(:func:`sweep_branches`) a sequence of blocks.  On the ODE route a block is
-one batch of up to 16 orbits integrated in s = omega t, each on its own S
-(:func:`bloch_dynamics.periodic_orbits`); on the Fourier route it is up to
+(:func:`sweep_branches`) a sequence of blocks, each one holder.  On the ODE
+route a block is up to 16 orbits integrated in s = omega t, each on its own
+S (:func:`bloch_dynamics._orbit_block`); on the Fourier route it is up to
 256 points whose truncations are solved together
 (:func:`fourier_rpl._solve_sweep`: one array ladder for the points that share
-a probe order), held as one coefficient matrix (:class:`fourier_rpl.Truncations`)
-whose grids come from inverse FFTs.  A row joins the doubling at its own
-start, and only the rows that have not settled double their grid, at most
-16 x 2048 samples at a time.  A row's values are reductions over its own
-samples, and its orbit is its point's own whether it came from an array
-ladder or not, or from a batch or not, so on both routes a sweep row equals
-:func:`quasienergy_at` at its point bit for bit, and a point that fails is
-reported on its own.  chi and
+a probe order).  A row joins the doubling at its own start, and only the
+rows that have not settled double their grid, at most 16 x 2048 samples at a
+time.  A row's values are reductions over its own samples, and its orbit is
+its point's own whether it came from an array ladder or not, or from a batch
+or not, so on both routes a sweep row equals :func:`quasienergy_at` at its
+point bit for bit, and a point that fails is reported on its own.  chi and
 eps_d do not change when X is scaled by a positive factor, so a Fourier
 solution is averaged unnormalized.
 
@@ -76,14 +76,15 @@ the operation order of QuasienergyResult.from_raw, mirrored and shifted.
 (:func:`_sweep_table`).
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch_dynamics import BATCH_SIZE, DriveParams, OrbitBlock, PeriodicOrbit, periodic_orbits
-from . import fourier_rpl
+from . import bloch_dynamics, fourier_rpl, harmonics
+from .bloch_dynamics import BATCH_SIZE, DriveParams
 from .errors import (
     ContinuityWarning,
     DomainError,
@@ -184,35 +185,39 @@ def _orbit_grid(orbit, period, m):
     return xs.T
 
 
+def _held(orbits):
+    """A list of rows of :class:`harmonics.Orbits` (orbits with ``held``: truncated Fourier
+    solutions and ODE periodic orbits) as one; any other orbits as they are."""
+    held = [getattr(orbit, "held", None) for orbit in orbits] if isinstance(orbits, list) else []
+    return harmonics.Orbits.stack(held) if held and None not in held else orbits
+
+
 def _grids(orbits, period=None, half=False):
     """(grid, starts): grid(rows, m), the states (len(rows), 3, n) of the orbits ``rows``
     (an index array) at t_j = j T / m, j < n, and starts[k], the grid orbit k's
     quasienergy starts on.
 
-    ``orbits`` is a list of orbits, or the :class:`fourier_rpl.Truncations` of a sweep.
-    A list of truncated Fourier solutions is read as theirs, and a list of ODE periodic
-    orbits as their :class:`bloch_dynamics.OrbitBlock`; both holders sample their rows
-    together (:func:`harmonics.sample_half_grid`), on a stride of the step grid where
-    one serves.  n = m, or with ``half`` n = m/2: the first half period of the orbits in
-    these holders, which obey X(t + T/2) = R_z(pi) X(t).  Any other orbit, such as a
-    closed form, is sampled by :func:`_orbit_grid` over whole periods.  A truncated
-    Fourier solution of order N starts on the smallest power of two >= 8 (N + 1),
-    clamped to [64, 2048]; every other orbit on 2048.
+    ``orbits`` is a :class:`harmonics.Orbits` or a list of orbits, read as one holder where
+    :func:`_held` reads it so.  A holder's orbits obey X(t + T/2) = R_z(pi) X(t), and with
+    ``half`` n = m/2, their first half period; a row of width w starts on the smallest
+    power of two >= 16 w, clamped to [64, 2048].  With ``period``, the drive's, a holder
+    row of another frequency raises DomainError.  Any other orbit, such as a closed form
+    or a Trajectory, is sampled by :func:`_orbit_grid` over whole periods (n = m) from 2048.
     """
-    if isinstance(orbits, list) and orbits:
-        if all(isinstance(orbit, fourier_rpl.RplFourierSolution) for orbit in orbits):
-            orbits = fourier_rpl.Truncations.of(orbits)
-        elif all(isinstance(orbit, PeriodicOrbit) for orbit in orbits):
-            orbits = OrbitBlock(orbits)
-    starts = np.full(len(orbits), 2 * _MIN_GRID)
-    if isinstance(orbits, fourier_rpl.Truncations):
-        starts = np.array([
-            min(2 * _MIN_GRID, max(_MIN_START, 1 << (8 * n_trunc + 7).bit_length()))
-            for n_trunc in orbits.N.tolist()
-        ])
-    if isinstance(orbits, (fourier_rpl.Truncations, OrbitBlock)):
-        return (orbits.half_grid if half else orbits.grid), starts
-    return (lambda rows, m: np.stack([_orbit_grid(orbits[k], period, m) for k in rows])), starts
+    orbits = _held(orbits)
+    if not isinstance(orbits, harmonics.Orbits):
+        grid = lambda rows, m: np.stack([_orbit_grid(orbits[k], period, m) for k in rows])
+        return grid, [2 * _MIN_GRID] * len(orbits)
+    if period is not None:
+        omega = 2.0 * math.pi / period
+        off = orbits.omega[np.abs(orbits.omega - omega) > 1e-12 * omega]
+        if off.size:
+            raise DomainError(f"orbit of omega {off[0]:g} averaged over a drive of omega {omega:g}")
+    starts = [
+        min(2 * _MIN_GRID, max(_MIN_START, 1 << (16 * (n // 2 + 1) - 1).bit_length()))
+        for n in orbits.N.tolist()
+    ]
+    return (orbits.half_grid if half else orbits.grid), starts
 
 
 def _field(drive):
@@ -362,12 +367,12 @@ def _quasienergies(orbits, field, omegas, period=None, half=False):
 
     omegas holds each row's drive frequency, the period of its winding.
     """
+    orbits = _held(orbits)
     grid, starts = _grids(orbits, period, half)
     omegas = np.asarray(omegas, dtype=float)
-    orbit = orbits.orbit if isinstance(orbits, fourier_rpl.Truncations) else orbits.__getitem__
 
     def winding(k, xy):
-        return _turns(orbit(k), 2.0 * math.pi / omegas[k], xy)
+        return _turns(orbits[k], 2.0 * math.pi / omegas[k], xy)
 
     mean, eps_d = np.full(len(omegas), math.nan), np.full(len(omegas), math.nan)
     turns = np.zeros(len(omegas), dtype=np.int64)
@@ -616,31 +621,27 @@ def _sweep_blocks(base, omegas, method, n_trunc, tol):
     quasienergy and eps_d of each of its points, NaN at a point that fails, and
     {point of the block: its FloquetTlsError}.
 
-    The orbits are averaged a block at a time by :func:`_quasienergies`, each
-    row from its own start (:func:`_grids`): a Fourier row from the grid its
-    truncation order gives, an ODE row from 2048 samples.  On the grid
-    s_j = 2 pi j / m every row sees the same field (F cos s_j, G sin s_j,
-    omega0), that of the drive at omega = 1.  A block is solved when it is
-    reached: BATCH_SIZE ODE orbits integrated as one batch, or the
-    truncations of _SOLVE_CHUNK Fourier points found by one
-    :func:`fourier_rpl._solve_sweep`, whose columns are averaged as they are.
+    A block is solved when it is reached, as one :class:`harmonics.Orbits`: BATCH_SIZE
+    ODE orbits integrated together (:func:`bloch_dynamics._orbit_block`), or the
+    truncations of _SOLVE_CHUNK Fourier points (:func:`fourier_rpl._solve_sweep`).
+    Its rows are averaged as they are by :func:`_quasienergies`, each from its own
+    start (:func:`_grids`).  On the grid s_j = 2 pi j / m every row sees the same
+    field (F cos s_j, G sin s_j, omega0), that of the drive at omega = 1.
     """
-    size = BATCH_SIZE if method == "ode" else _SOLVE_CHUNK
+    if method == "ode":
+        size = BATCH_SIZE
+        solve = functools.partial(bloch_dynamics._orbit_block, base.omega0, base.F, base.G, tol=tol)
+    else:
+        size, solve = _SOLVE_CHUNK, lambda chunk: fourier_rpl._solve_sweep(base, chunk, n_trunc)
     field = _field(DriveParams(base.omega0, base.F, base.G, 1.0))
     for start in range(0, len(omegas), size):
         chunk = omegas[start : start + size]
-        if method == "ode":
-            block = list(periodic_orbits(base.omega0, base.F, base.G, chunk, tol=tol))
-            errors = {k: exc for k, exc in enumerate(block) if isinstance(exc, FloquetTlsError)}
-            rows = np.array([k for k in range(len(block)) if k not in errors], dtype=np.int64)
-            orbits = [block[k] for k in rows.tolist()]
-            omega = [chunk[k] for k in rows.tolist()]
-        else:
-            orbits = fourier_rpl._solve_sweep(base, chunk, n_trunc)
-            errors, rows, omega = dict(orbits.errors), orbits.rows, orbits.omega
+        orbits = solve(chunk)
+        errors = dict(orbits.errors)
         eps, eps_d = np.full(len(chunk), math.nan), np.full(len(chunk), math.nan)
+        rows = orbits.rows
         if rows.size:
-            eps[rows], eps_d[rows], failed = _quasienergies(orbits, field, omega, half=True)
+            eps[rows], eps_d[rows], failed = _quasienergies(orbits, field, orbits.omega, half=True)
             errors.update({int(rows[k]): exc for k, exc in failed.items()})
         yield eps, eps_d, errors
 

@@ -427,12 +427,12 @@ def test_periodic_orbit_sample_matches_call():
 
 def test_half_sample_is_the_first_half_of_sample():
     orbits = list(periodic_orbits(1.0, 7.0, 0.0, [2.2, 2.3]))
-    batch = orbits[0].batch
+    batch = orbits[0].orbits
     # 2048 strides the S/2 = 1024 step starts, 4096 and 6 do not
-    assert 2 * batch.grid.shape[-1] == 2048
+    assert 2 * batch.N[0] == 2048
     for orbit in orbits:
         for m in (2048, 4096, 6):
-            half = batch.half_samples([orbit.index], m)[0]
+            half = batch.half_grid([orbit.index], m)[0]
             assert np.array_equal(half, orbit.sample(m)[: m // 2].T)
             ts = np.arange(m // 2) * (orbit.period / m)
             assert np.abs(half - orbit(ts).T).max() < 1e-12
@@ -560,18 +560,18 @@ def test_prefix_equals_the_fix_up_loop(size, n):
 def test_half_samples_equal_the_one_member_samples():
     omegas = [0.45, 0.9, 1.3, 1.75, 2.2]
     orbits = list(periodic_orbits(1.0, 1.5, 0.7, omegas))
-    batch = orbits[0].batch
-    assert all(orbit.batch is batch for orbit in orbits)
+    batch = orbits[0].orbits
+    assert all(orbit.orbits is batch for orbit in orbits)
     members = [3, 0, 4]
     # each point alone: a batch of one, with its own step grid and rows
-    alone = [periodic_orbit(DriveParams(1.0, 1.5, 0.7, w)).batch for w in omegas]
+    alone = [periodic_orbit(DriveParams(1.0, 1.5, 0.7, w)).orbits for w in omegas]
     # 2048 and 1024 stride the S/2 = 1024 step starts; 4096, 1000 and 6 come from the rows
     for m in (2048, 1024, 4096, 1000, 6):
-        got = batch.half_samples(members, m)
+        got = batch.half_grid(members, m)
         assert got.shape == (len(members), 3, m // 2) and got.flags.c_contiguous
         for row, k in zip(got, members):
-            assert row.tobytes() == alone[k].half_samples([0], m)[0].tobytes()
-            assert row.tobytes() == batch.half_samples([k], m)[0].tobytes()
+            assert row.tobytes() == alone[k].half_grid([0], m)[0].tobytes()
+            assert row.tobytes() == batch.half_grid([k], m)[0].tobytes()
 
 
 def test_periodic_orbit_is_a_batch_of_one():
@@ -602,7 +602,7 @@ def test_step_count_search_meets_the_tolerance():
     p = DriveParams(1.0, 7.0, 0.0, 0.0875)
     orbit = periodic_orbit(p)
     # S per period: the grid holds the S/2 states of the half period
-    assert 2 * orbit.batch.grid.shape[-1] == 2 * MIN_STEPS == 4096
+    assert 2 * orbit.orbits.N[orbit.index] == 2 * MIN_STEPS == 4096
     mono = dop853.monodromy_so3(p, 3e-14)
     x0 = orbit(0.0)
     assert np.abs(mono @ x0 - x0).max() < 1e-11
@@ -625,7 +625,7 @@ def test_reflected_half_period_matches_dop853(F, G, omega, bound):
     ts = np.linspace(0.5 * p.T, p.T, 201)
     ref = dop853.evolve_classical(p, x0, 0.0, p.T, 3e-14)(ts)
     assert np.abs(orbit(ts) - ref).max() < bound
-    steps = 2 * orbit.batch.grid.shape[-1]
+    steps = 2 * int(orbit.orbits.N[orbit.index])
     for m in (steps, 2 * steps, 1001):
         got = orbit.sample(m)
         assert got.shape == (m, 3)
@@ -646,7 +646,7 @@ def test_mirrored_quarter_period_matches_dop853(F, G, omega, steps, bound):
     # X(T/2 - t) = R_z(pi) P X(t) of the first quarter, P = diag(1, -1, 1)
     p = DriveParams(1.0, F, G, omega)
     orbit = periodic_orbit(p)
-    assert 2 * orbit.batch.grid.shape[-1] == steps
+    assert 2 * orbit.orbits.N[orbit.index] == steps
     x0 = periodic_initial_state(dop853.monodromy_so3(p, 3e-14))
     ts = np.linspace(0.25 * p.T, 0.5 * p.T, 201)
     ref = dop853.evolve_classical(p, x0, 0.0, p.T, 3e-14)(ts)
@@ -691,7 +691,7 @@ def test_batch_integrates_a_quarter_period(monkeypatch):
         orbit.sample(1000)
         orbit(np.linspace(0.0, orbit.period, 7))
     assert counts == [MIN_STEPS // 8, MIN_STEPS // 4]
-    assert 2 * orbits[0].batch.grid.shape[-1] == MIN_STEPS
+    assert 2 * orbits[0].orbits.N[orbits[0].index] == MIN_STEPS
     # S follows the estimate of M(2 pi) = A^2, as for a full period: at S = 2048
     # the estimate of the half map A is 6.9e-13 here, that of A^2 1.8e-12
     p = DriveParams(1.0, 7.0, 3.0, 0.19)

@@ -11,7 +11,7 @@ import rational_ladder
 from sweep_rows import sweep_rows
 
 from floquet_tls.bloch_dynamics import DriveParams, periodic_orbit
-from floquet_tls import cli, fourier_rpl
+from floquet_tls import cli, fourier_rpl, harmonics
 from floquet_tls.errors import DomainError, SeriesInstabilityError
 from floquet_tls.fourier_rpl import (
     build_system,
@@ -616,7 +616,7 @@ def test_half_grid_is_the_first_half_period():
     block = [solve_auto(rpl(1.0, F, omega)) for F, omega in ((0.3, 1.0), (5.0, 0.3), (1.8, 0.4))]
     block.append(solve_coefficients(build_system(rpl(1.0, 20.0, 0.05), 404)))
     assert sorted({sol.N for sol in block}) == [20, 44, 404]
-    sols = fourier_rpl.Truncations.of(block)
+    sols = harmonics.Orbits.stack([sol.held for sol in block])
     rows = np.arange(len(block))
     for m in (256, 2048, 6):
         half = sols.half_grid(rows, m)

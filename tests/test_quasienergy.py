@@ -419,20 +419,21 @@ def test_ode_sweep_rows_equal_their_lone_points(sweep):
     # steps, and each keeps its own, so no row depends on its neighbours
     base = DriveParams(1.0, 7.0, 0.0, 1.0)
     omegas = np.linspace(*sweep).tolist()
-    steps = {2 * periodic_orbit(DriveParams(1.0, 7.0, 0.0, w)).batch.grid.shape[-1] for w in omegas}
+    steps = {2 * int(periodic_orbit(DriveParams(1.0, 7.0, 0.0, w)).orbits.N[0]) for w in omegas}
     assert len(steps) > 1
     rows = sweep_rows(base, omegas, "ode")
     for omega, row in zip(omegas, rows):
         assert _bits(row) == _bits(quasienergy_at(DriveParams(1.0, 7.0, 0.0, omega), method="ode"))
 
 
-def _tail_ratio(grid):
+def _tail_ratio(orbit):
     """The largest harmonic of one orbit's rows in the top eighth of its step grid's, over
-    its largest, from its half-period states (3, 1, S/2)."""
-    rows = harmonics.half_grid_rows(grid)
-    top = rows[1].shape[-1] - rows[1].shape[-1] // 8
-    tail = max(np.abs(row[0, top:]).max() for row in rows)
-    return tail / max(np.abs(row[0]).max() for row in rows)
+    its largest, from its rows up to the harmonic S/2."""
+    block, n = orbit.orbits, int(orbit.orbits.N[orbit.index]) // 2
+    rows = [block.z[orbit.index, : n + 1], block.x[orbit.index, :n], block.y[orbit.index, :n]]
+    top = n - n // 8
+    tail = max(np.abs(row[top:]).max() for row in rows)
+    return tail / max(np.abs(row).max() for row in rows)
 
 
 def test_unresolved_ode_orbit_fails_alone(monkeypatch):
@@ -441,12 +442,12 @@ def test_unresolved_ode_orbit_fails_alone(monkeypatch):
     base = DriveParams(1.0, 7.0, 0.0, 1.0)
     omegas = np.linspace(0.0875, 0.12, 16).tolist()
     orbits = [periodic_orbit(DriveParams(1.0, 7.0, 0.0, w)) for w in omegas]
-    ratios = [_tail_ratio(orbit.batch.grid) for orbit in orbits]
+    ratios = [_tail_ratio(orbit) for orbit in orbits]
     k = int(np.argmax(ratios))
     assert ratios[k] < 1e-15 < bloch_dynamics.TAIL_TOL
     limit = 0.5 * (ratios[k] + max(r for i, r in enumerate(ratios) if i != k))
     monkeypatch.setattr(bloch_dynamics, "TAIL_TOL", limit)
-    steps = 2 * orbits[k].batch.grid.shape[-1]
+    steps = 2 * int(orbits[k].orbits.N[0])
     message = f"tail ratio {ratios[k]:.3g} of its harmonics above {limit:g} at S = {steps} Magnus"
     with pytest.raises(IntegrationError, match=message):
         periodic_orbit(DriveParams(1.0, 7.0, 0.0, omegas[k]))
@@ -456,6 +457,25 @@ def test_unresolved_ode_orbit_fails_alone(monkeypatch):
         if i != k:
             # its neighbours, in its batch, are bit for bit what they are alone
             assert _bits(row) == _bits(quasienergy_at(DriveParams(1.0, 7.0, 0.0, omega), method="ode"))
+
+
+def test_orbit_of_another_frequency_is_refused():
+    # an orbit is sampled at s_j = 2 pi j / m on its own period and the field on the
+    # drive's: averaged against a drive of another omega, it gave the quasienergy of
+    # its own omega, reported at the drive's
+    for orbit, p in (
+        (periodic_orbit(DriveParams(1.0, 0.5, 0.3, 1.3)), DriveParams(1.0, 0.5, 0.3, 1.3)),
+        (fourier_rpl.solve_auto(rpl(1.0, 0.5, 1.3)), rpl(1.0, 0.5, 1.3)),
+    ):
+        eps = quasienergy_classical(orbit, p).epsilon
+        near = dataclasses.replace(p, omega=1.3 * (1.0 + 1e-13))
+        assert abs(quasienergy_classical(orbit, near).epsilon - eps) <= 1e-12
+        averages = (quasienergy_classical, chi_series, split_geometric_dynamic, floquet_state)
+        for omega in (1.0, 2.6):
+            message = f"orbit of omega 1.3 averaged over a drive of omega {omega:g}"
+            for average in averages:
+                with pytest.raises(DomainError, match=message):
+                    average(orbit, dataclasses.replace(p, omega=omega))
 
 
 def test_floquet_state_static_field():
@@ -695,15 +715,22 @@ def test_sweep_blocks_match_per_point_results(F, G, sweep, method):
 
 
 @pytest.mark.parametrize(
-    "F, sweep, failed",
+    "F, sweep, failed, method",
     [
         # b_k = 0: x = 0, r_k = a_k; every F = 0 orbit is oriented onto the north pole
-        (0.0, (0.45, 1.95, 16), 0),
-        (0.5, (-1.0, 2.0, 31), 11),  # DomainError rows at omega <= 0
+        pytest.param(0.0, (0.45, 1.95, 16), 0, "fourier", id="0.0-sweep0-0"),
+        # DomainError rows at omega <= 0
+        pytest.param(0.5, (-1.0, 2.0, 31), 11, "fourier", id="0.5-sweep1-11"),
+        # S from 2048 to 65536 Magnus steps, and 4 rows whose mean of chi is unsettled
+        # on 65536 samples
+        pytest.param(
+            20.0, (0.05, 0.5, 200), 4, "ode", id="20.0-sweep2-4-ode",
+            marks=pytest.mark.filterwarnings("ignore::floquet_tls.errors.ContinuityWarning"),
+        ),
     ],
 )
-def test_sweep_blocks_with_failed_rows_match_per_point_results(F, sweep, failed):
-    _check_sweep_rows(1.0, F, 0.0, [float(w) for w in np.linspace(*sweep)], "fourier", failed)
+def test_sweep_blocks_with_failed_rows_match_per_point_results(F, sweep, failed, method):
+    _check_sweep_rows(1.0, F, 0.0, [float(w) for w in np.linspace(*sweep)], method, failed)
 
 
 def test_sweep_rows_through_lentz_guard_match_per_point_results(monkeypatch):
@@ -812,13 +839,13 @@ def test_unsettled_sweep_row_samples_each_grid_once(monkeypatch):
     # 1.7e-5 R from the south pole and is averaged on the +z section
     # sweep rows are sampled on half a period; m counts samples per period
     requests = []  # (omegas of the rows, m) of every Fourier grid request
-    real = fourier_rpl.Truncations.half_grid
+    real = harmonics.Orbits.half_grid
 
     def half_grid(sols, rows, m):
         requests.append((sols.omega[rows].tolist(), m))
         return real(sols, rows, m)
 
-    monkeypatch.setattr(fourier_rpl.Truncations, "half_grid", half_grid)
+    monkeypatch.setattr(harmonics.Orbits, "half_grid", half_grid)
     base = rpl(1.0, 15.0, 1.0)
     rows = sweep_rows(base, [0.05, 0.08], "fourier")
     assert rows[0].branch == -92
@@ -887,6 +914,21 @@ def test_mixed_orders_in_a_block_start_on_their_own_grids(monkeypatch):
     for k, (sol, w) in enumerate(zip(sols, omegas)):
         alone = quasienergy._quasienergies([sol], field, [w], half=True)
         assert (eps[k], eps_d[k], {}) == (alone[0][0], alone[1][0], alone[2])
+    # one start rule, the smallest power of two >= 16 w for a row of width w = N // 2 + 1,
+    # clamped to [64, 2048], is the rule 8 (N + 1) of every order
+    orders = range(2, 405)
+    sols = [fourier_rpl.solve_coefficients(fourier_rpl.build_system(rpl(1.0, 0.5, 0.7), n))
+            for n in orders]
+    assert quasienergy._grids(sols, half=True)[1] == [_fourier_start(n) for n in orders]
+    # an ODE block of F = 20 points on S = 2048, 4096 and 8192 Magnus steps: every row,
+    # of width S/4 + 1, starts on 2048
+    omegas = [0.5, 0.1, 0.05]
+    block = bloch_dynamics._orbit_block(1.0, 20.0, 0.0, omegas, 1e-12)
+    assert (2 * block.N).tolist() == [2048, 4096, 8192] and block.rows.tolist() == [0, 1, 2]
+    assert quasienergy._grids(block, half=True)[1] == [2048] * 3
+    requests.clear()
+    quasienergy._quasienergies(block, quasienergy._field(rpl(1.0, 20.0, 1.0)), omegas, half=True)
+    assert [min(m for ks, m in requests if k in ks) for k in range(3)] == [2048] * 3
 
 
 def test_rows_starting_on_2048_do_not_depend_on_the_smaller_starts(monkeypatch):
